@@ -2,7 +2,7 @@
 
 Commands: table1, dims, basis, dofs, verify, decompose, continuity,
 export.  Exit status is 0 on success, 1 when a verification command
-found a failing property, 2 on usage errors.
+found a failing property, 2 on usage errors and unusable input.
 
 Supported ranges are hard-capped at n <= 6 and r <= 12; the expensive
 commands (verify at n = 3 with large r, or anything at n >= 4) can take
@@ -53,6 +53,17 @@ VERIFY_CHECKS = (
     "facet-kernel",
     "continuity",
 )
+EXPORT_FAMILIES = {
+    "basis": ("S", "Q", "P"),
+    "dofs": ("S", "Q"),
+    "nodal": ("S",),
+    "decomposition": ("S",),
+    "evalgrid": ("S",),
+}
+
+
+class InputError(Exception):
+    """Input the command cannot use; main reports it in one line, exit 2."""
 
 
 @dataclass(frozen=True)
@@ -108,7 +119,10 @@ def _json_text(payload: dict) -> str:
 
 def _emit(config: RunConfig, text: str) -> None:
     if config.out is not None:
-        config.out.write_text(text)
+        try:
+            config.out.write_text(text)
+        except OSError as err:
+            raise InputError(f"cannot write --out {config.out}: {err.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -295,8 +309,12 @@ def cmd_verify(config: RunConfig) -> int:
 
 def _load_input_polynomial(config: RunConfig, n: int, r: int) -> Polynomial:
     if config.poly_path is not None:
-        data = json.loads(config.poly_path.read_text())
-        return Polynomial.from_json_obj(n, data)
+        try:
+            return Polynomial.from_json_obj(n, json.loads(config.poly_path.read_text()))
+        except OSError as err:
+            raise InputError(f"cannot read --poly {config.poly_path}: {err.strerror}") from None
+        except (ValueError, ZeroDivisionError, KeyError, TypeError) as err:
+            raise InputError(f"bad polynomial in {config.poly_path}: {err!r}") from None
     if config.alpha is not None:
         if len(config.alpha) != n:
             raise ValueError(f"--alpha needs {n} exponents")
@@ -311,7 +329,10 @@ def _load_input_polynomial(config: RunConfig, n: int, r: int) -> Polynomial:
 def _decomposition_payload(config: RunConfig, n: int, r: int) -> tuple[dict, bool]:
     p = _load_input_polynomial(config, n, r)
     methods = ["solve", "construct"] if config.method == "both" else [config.method]
-    per_method = {m: decompose(p, r, method=m) for m in methods}
+    try:
+        per_method = {m: decompose(p, r, method=m) for m in methods}
+    except ValueError as err:  # the input lies outside S_r
+        raise InputError(str(err)) from None
     agree = True
     if len(per_method) == 2:
         a, b = per_method["solve"], per_method["construct"]
@@ -424,6 +445,10 @@ def _evalgrid_payload(config: RunConfig, n: int, r: int) -> dict:
 def cmd_export(config: RunConfig) -> int:
     """Write one of the JSON artifacts (basis, dofs, nodal, ...)."""
     n, r = config.n_values[0], config.r_values[0]
+    if config.family not in EXPORT_FAMILIES[config.what]:
+        raise InputError(
+            f"--what {config.what} takes --family {' or '.join(EXPORT_FAMILIES[config.what])}"
+        )
     if config.what == "basis":
         payload = {
             "command": "export",
@@ -651,7 +676,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     config = _config_from_args(parser, args)
-    return _HANDLERS[config.command](config)
+    try:
+        return _HANDLERS[config.command](config)
+    except InputError as err:
+        sys.stderr.write(f"{parser.prog} {config.command}: error: {err}\n")
+        return 2
 
 
 if __name__ == "__main__":

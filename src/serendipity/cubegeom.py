@@ -85,9 +85,6 @@ class Face:
             point[i] = Fraction(s)
         return tuple(point)
 
-    def is_vertex(self) -> bool:
-        return self.dim == 0
-
     def __str__(self) -> str:
         if not self.fixed:
             return f"cube(n={self.n})"

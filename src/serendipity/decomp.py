@@ -394,21 +394,6 @@ class FacetKernelResult:
         }
 
 
-def _is_positive_definite(matrix: RationalMatrix) -> bool:
-    """Symmetric Gaussian elimination; all pivots must be positive."""
-    k = matrix.rows
-    m = matrix.to_lists()
-    for i in range(k):
-        if m[i][i] <= 0:
-            return False
-        for row in range(i + 1, k):
-            f = m[row][i] / m[i][i]
-            if f:
-                for col in range(i, k):
-                    m[row][col] -= f * m[i][col]
-    return True
-
-
 @lru_cache(maxsize=None)
 def facet_kernel_check(n: int, r: int) -> FacetKernelResult:
     """The subspace with vanishing trace on every facet must be exactly
@@ -447,26 +432,20 @@ def facet_kernel_check(n: int, r: int) -> FacetKernelResult:
         for cand in candidates
         for facet in facets
     )
-    if candidates:
-        coord_rows = [
-            [cand.coefficient(m.exponents) for m in basis.monomials]
-            for cand in candidates
-        ]
-        independent = RationalMatrix(coord_rows).rank() == len(candidates)
-        gram = RationalMatrix(
+    coord_rows = [
+        [cand.coefficient(m.exponents) for m in basis.monomials]
+        for cand in candidates
+    ]
+    independent = RationalMatrix(coord_rows).rank() == len(candidates)
+    gram = RationalMatrix(
+        [
             [
-                [
-                    integrate_box(a * b, range(n)).coefficient((0,) * n)
-                    for b in candidates
-                ]
-                for a in candidates
+                integrate_box(a * b, range(n)).coefficient((0,) * n)
+                for b in candidates
             ]
-        )
-        positive = _is_positive_definite(gram)
-    else:
-        independent = True
-        gram = RationalMatrix([])
-        positive = True
+            for a in candidates
+        ]
+    )
     return FacetKernelResult(
         n=n,
         r=r,
@@ -475,6 +454,6 @@ def facet_kernel_check(n: int, r: int) -> FacetKernelResult:
         expected_dim=expected_dim,
         candidates_contained=contained,
         candidates_independent=independent,
-        gram_positive_definite=positive,
+        gram_positive_definite=gram.is_positive_definite(),
         gram=gram,
     )

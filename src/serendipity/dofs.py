@@ -11,10 +11,10 @@ dimensional faces carry weights of degree at most r - 2 in each free
 variable.  DOFs are ordered by face dimension, then by the canonical
 face order, then by graded lex on the weight monomial.
 
-Rank and determinant computations use fraction-free Bareiss elimination
-on denominator-cleared integer rows, so every intermediate value is an
-exact integer minor.  Linear solves use Gauss-Jordan elimination over
-Fraction.  No floating point enters any decision.
+Ranks, solves and the positive definiteness test share one fraction-free
+Bareiss pass over denominator-cleared integer rows, so every
+intermediate value is an exact integer minor.  No floating point enters
+any decision.
 """
 
 from __future__ import annotations
@@ -57,6 +57,59 @@ class SingularMatrixError(ArithmeticError):
     """Raised when an exact solve meets a rank-deficient matrix."""
 
 
+def _bareiss(
+    rows: Iterable[Sequence[Fraction]], pivot_cols: int
+) -> tuple[list[list[int]], list[int], bool]:
+    """Fraction-free forward elimination (Bareiss 1968) of the rows, each
+    first scaled to integers by the lcm of its denominators.
+
+    Scaling rows by positive integers changes neither the rank nor the
+    sign of any leading principal minor.  Pivots are taken from the first
+    pivot_cols columns, skipping any column with no nonzero candidate;
+    every column is updated.  Each update divides exactly by the previous
+    pivot, so every entry stays an integer minor, and without row
+    exchanges the pivot of row i is the leading principal minor of order
+    i + 1.  Returns the echelon rows, the pivot columns and whether any
+    rows were exchanged.
+    """
+    m = []
+    for row in rows:
+        mult = 1
+        for v in row:
+            mult = lcm(mult, v.denominator)
+        m.append([int(v * mult) for v in row])
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots: list[int] = []
+    exchanged = False
+    prev = 1
+    for c in range(pivot_cols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            exchanged = True
+        pivot = m[r][c]
+        base = m[r]
+        for i in range(r + 1, nrows):
+            row = m[i]
+            f = row[c]
+            for j in range(c + 1, ncols):
+                num = pivot * row[j] - f * base[j]
+                q, rem = divmod(num, prev)
+                if rem:
+                    raise AssertionError("fraction-free division left a remainder")
+                row[j] = q
+            row[c] = 0
+        prev = pivot
+        pivots.append(c)
+    return m, pivots, exchanged
+
+
 class RationalMatrix:
     """Dense immutable matrix of Fractions with exact algorithms."""
 
@@ -87,16 +140,8 @@ class RationalMatrix:
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self._rows[i]
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self._rows)
-
     def to_lists(self) -> list[list[Fraction]]:
         return [list(r) for r in self._rows]
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            [[self._rows[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):
@@ -106,174 +151,56 @@ class RationalMatrix:
     def __hash__(self) -> int:
         return hash(self._rows)
 
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions do not match")
-        cols = other.transpose()._rows
-        return RationalMatrix(
-            [
-                [sum(a * b for a, b in zip(row, col)) for col in cols]
-                for row in self._rows
-            ]
-        )
-
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols})"
 
-    # -- fraction-free elimination ------------------------------------
-
-    def _cleared_integer_rows(self) -> tuple[list[list[int]], int]:
-        """Scale each row to integers; return rows and the product of scales.
-
-        Row scaling changes the determinant by the scale product and the
-        rank not at all.
-        """
-        rows: list[list[int]] = []
-        scale = 1
-        for row in self._rows:
-            mult = 1
-            for v in row:
-                mult = lcm(mult, v.denominator)
-            rows.append([int(v * mult) for v in row])
-            scale *= mult
-        return rows, scale
-
     def rank(self) -> int:
-        """Exact rank via fraction-free Bareiss with column skipping."""
-        m, _ = self._cleared_integer_rows()
-        nrows, ncols = self.rows, self.cols
-        r = 0
-        prev = 1
-        for c in range(ncols):
-            if r == nrows:
-                break
-            piv = next((i for i in range(r, nrows) if m[i][c]), None)
-            if piv is None:
-                continue
-            if piv != r:
-                m[r], m[piv] = m[piv], m[r]
-            pivot = m[r][c]
-            base = m[r]
-            for i in range(r + 1, nrows):
-                row = m[i]
-                f = row[c]
-                for j in range(c + 1, ncols):
-                    num = pivot * row[j] - f * base[j]
-                    q, rem = divmod(num, prev)
-                    if rem:
-                        raise AssertionError("fraction-free division left a remainder")
-                    row[j] = q
-                row[c] = 0
-            prev = pivot
-            r += 1
-        return r
-
-    def det(self) -> Fraction:
-        """Exact determinant via fraction-free Bareiss."""
-        if self.rows != self.cols:
-            raise ValueError("determinant requires a square matrix")
-        k = self.rows
-        if k == 0:
-            return Fraction(1)
-        m, scale = self._cleared_integer_rows()
-        sign = 1
-        prev = 1
-        for c in range(k - 1):
-            piv = next((i for i in range(c, k) if m[i][c]), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                sign = -sign
-            pivot = m[c][c]
-            base = m[c]
-            for i in range(c + 1, k):
-                row = m[i]
-                f = row[c]
-                for j in range(c + 1, k):
-                    num = pivot * row[j] - f * base[j]
-                    q, rem = divmod(num, prev)
-                    if rem:
-                        raise AssertionError("fraction-free division left a remainder")
-                    row[j] = q
-                row[c] = 0
-            prev = pivot
-        return Fraction(sign * m[k - 1][k - 1], scale)
-
-    # -- Fraction elimination ------------------------------------------
+        """Exact rank: the pivot count of the Bareiss pass."""
+        return len(_bareiss(self._rows, self.cols)[1])
 
     def solve(self, rhs: "RationalMatrix") -> "RationalMatrix":
-        """Solve self @ X = rhs exactly; raise SingularMatrixError if singular."""
+        """Solve self @ X = rhs exactly; raise SingularMatrixError if singular.
+
+        One Bareiss pass over [self | rhs] leaves an integer echelon form
+        whose last pivot d is, up to sign, the determinant of the scaled
+        system, so d * X is integral: integer back-substitution finds it
+        and a single division by d gives X.
+        """
         if self.rows != self.cols:
             raise ValueError("solve requires a square matrix")
         if rhs.rows != self.rows:
             raise ValueError("right hand side has the wrong number of rows")
         k = self.rows
-        width = k + rhs.cols
-        aug = [list(self._rows[i]) + list(rhs._rows[i]) for i in range(k)]
-        for col in range(k):
-            piv = next((i for i in range(col, k) if aug[i][col]), None)
-            if piv is None:
-                raise SingularMatrixError(f"matrix of size {k} is singular")
-            if piv != col:
-                aug[col], aug[piv] = aug[piv], aug[col]
-            base = aug[col]
-            inv = 1 / base[col]
-            for j in range(col, width):
-                base[j] *= inv
-            for i in range(k):
-                if i == col:
-                    continue
-                row = aug[i]
-                f = row[col]
-                if f:
-                    for j in range(col, width):
-                        row[j] -= f * base[j]
-        return RationalMatrix([row[k:] for row in aug])
+        m, pivots, _ = _bareiss((a + b for a, b in zip(self._rows, rhs._rows)), k)
+        if len(pivots) < k:
+            raise SingularMatrixError(f"matrix of size {k} is singular")
+        d = m[k - 1][k - 1] if k else 1
+        dx: list[list[int]] = [[]] * k
+        for i in range(k - 1, -1, -1):
+            row = m[i]
+            acc = [d * v for v in row[k:]]
+            for j in range(i + 1, k):
+                if row[j]:
+                    acc = [s - row[j] * x for s, x in zip(acc, dx[j])]
+            dx[i] = []
+            for num in acc:
+                q, rem = divmod(num, row[i])
+                if rem:
+                    raise AssertionError("integer back-substitution left a remainder")
+                dx[i].append(q)
+        return RationalMatrix([[Fraction(v, d) for v in row] for row in dx])
 
-    def rref(self) -> tuple["RationalMatrix", tuple[int, ...]]:
-        """Reduced row echelon form and the pivot column indices."""
-        m = [list(row) for row in self._rows]
-        nrows, ncols = self.rows, self.cols
-        pivots: list[int] = []
-        r = 0
-        for c in range(ncols):
-            if r == nrows:
-                break
-            piv = next((i for i in range(r, nrows) if m[i][c]), None)
-            if piv is None:
-                continue
-            if piv != r:
-                m[r], m[piv] = m[piv], m[r]
-            base = m[r]
-            inv = 1 / base[c]
-            for j in range(c, ncols):
-                base[j] *= inv
-            for i in range(nrows):
-                if i == r:
-                    continue
-                row = m[i]
-                f = row[c]
-                if f:
-                    for j in range(c, ncols):
-                        row[j] -= f * base[j]
-            pivots.append(c)
-            r += 1
-        return RationalMatrix(m), tuple(pivots)
+    def is_positive_definite(self) -> bool:
+        """Whether the matrix is symmetric positive definite.
 
-    def nullspace(self) -> list[tuple[Fraction, ...]]:
-        """A basis of the right kernel, one vector per free column."""
-        reduced, pivots = self.rref()
-        pivot_set = set(pivots)
-        free_cols = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        for fc in free_cols:
-            v = [Fraction(0)] * self.cols
-            v[fc] = Fraction(1)
-            for row_idx, pc in enumerate(pivots):
-                v[pc] = -reduced.entry(row_idx, fc)
-            basis.append(tuple(v))
-        return basis
+        Sylvester's criterion, read off one Bareiss pass: no row exchange
+        and every pivot, a leading principal minor, is positive.
+        """
+        if self._rows != tuple(zip(*self._rows)):
+            return False
+        m, pivots, exchanged = _bareiss(self._rows, self.cols)
+        positive = all(m[i][i] > 0 for i in pivots)
+        return positive and not exchanged and len(pivots) == self.rows
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ at most r - 2d in those variables (shifted up by the forced square),
 and an arbitrary 0/1 exponent pattern on the rest.  Each admissible
 monomial arises exactly once.  Its cardinality matches the closed-form
 dimension count, and membership in the two equivalent definitions is
-asserted for every generated monomial.
+checked for every generated monomial.
 """
 
 from __future__ import annotations
@@ -203,10 +203,14 @@ def serendipity_exponents(n: int, r: int) -> list[Exponents]:
                         exps[axis] = bit
                     exps_t = tuple(exps)
                     # both admission tests must agree with the construction
-                    assert has_superlinear_degree_at_most(exps_t, r), exps_t
-                    assert is_linear_outside_degree_budget(exps_t, r), exps_t
+                    if not (
+                        has_superlinear_degree_at_most(exps_t, r)
+                        and is_linear_outside_degree_budget(exps_t, r)
+                    ):
+                        raise AssertionError(f"{exps_t} fails an admission test for r={r}")
                     out.append(exps_t)
-    assert len(set(out)) == len(out), "constructive enumeration repeated a monomial"
+    if len(set(out)) != len(out):
+        raise AssertionError("constructive enumeration repeated a monomial")
     out.sort(key=grlex_key)
     return out
 

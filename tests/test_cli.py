@@ -280,6 +280,15 @@ class TestExport:
         _, second = run_cli(capsys, *args)
         assert first == second
 
+    @pytest.mark.parametrize("what, family", [("nodal", "Q"), ("dofs", "P")])
+    def test_family_checked_against_what(self, capsys, what, family):
+        code = main(["export", "--what", what, "--family", family, "--n", "2", "--r", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"--what {what}" in captured.err
+
 
 class TestUsageErrors:
     def test_caps_enforced(self):
@@ -303,3 +312,50 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+
+class TestBadInput:
+    """Unusable input exits 2 with one line on stderr, never a traceback."""
+
+    def assert_rejected(self, capsys, *argv) -> str:
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        return captured.err
+
+    def decompose_file(self, capsys, tmp_path, text: str) -> str:
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        return self.assert_rejected(
+            capsys, "decompose", "--n", "2", "--r", "2", "--poly", str(path)
+        )
+
+    def test_malformed_json(self, capsys, tmp_path):
+        assert "JSONDecodeError" in self.decompose_file(capsys, tmp_path, "[{")
+
+    def test_wrong_arity(self, capsys, tmp_path):
+        text = json.dumps([{"exponents": [1, 0, 0], "coeff": "1"}])
+        assert "length 2" in self.decompose_file(capsys, tmp_path, text)
+
+    def test_polynomial_outside_space(self, capsys, tmp_path):
+        text = json.dumps([{"exponents": [3, 0], "coeff": "1"}])
+        assert "superlinear degree 3 > r = 2" in self.decompose_file(capsys, tmp_path, text)
+
+    def test_zero_denominator(self, capsys, tmp_path):
+        text = json.dumps([{"exponents": [1, 0], "coeff": "1/0"}])
+        assert "ZeroDivisionError" in self.decompose_file(capsys, tmp_path, text)
+
+    def test_missing_poly_file(self, capsys, tmp_path):
+        err = self.assert_rejected(
+            capsys, "decompose", "--n", "2", "--r", "2",
+            "--poly", str(tmp_path / "absent.json"),
+        )
+        assert "cannot read --poly" in err
+
+    def test_out_into_missing_directory(self, capsys, tmp_path):
+        err = self.assert_rejected(
+            capsys, "table1", "--out", str(tmp_path / "absent" / "table.txt")
+        )
+        assert "cannot write --out" in err

@@ -140,7 +140,7 @@ class TestDirectSum:
     def test_component_matrix_square_and_invertible(self):
         m = component_matrix(2, 3)
         assert m.rows == m.cols == 12
-        assert m.det() != 0
+        assert m.rank() == 12
 
     def test_round_trip_random_members(self):
         rng = random.Random(30)

@@ -1,9 +1,9 @@
 """DOF sets, exact linear algebra, unisolvence, nodal bases.
 
-The RationalMatrix algorithms are checked against two deliberately
-naive oracles defined here: cofactor-expansion determinants and plain
-Fraction Gaussian elimination for ranks.  The oracles share no code
-with the implementations under test.
+The RationalMatrix algorithms are checked against deliberately naive
+oracles defined here: cofactor-expansion determinants, plain Fraction
+Gaussian elimination for ranks and kernels, and the textbook matrix
+product.  The oracles share no code with the implementations under test.
 """
 
 from __future__ import annotations
@@ -72,6 +72,44 @@ def gauss_rank(rows: list[list[Fraction]]) -> int:
     return rank
 
 
+def gauss_nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+    """A right-kernel basis from plain Fraction reduced row echelon form."""
+    m = [list(r) for r in rows]
+    ncols = len(m[0]) if m else 0
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [v / m[r][c] for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for row, pc in zip(m, pivots):
+            v[pc] = -row[free]
+        basis.append(v)
+    return basis
+
+
+def naive_matmul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Textbook row-by-column product."""
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+
+
+def leading_minors_positive(rows: list[list[Fraction]]) -> bool:
+    return all(
+        cofactor_det([r[:k] for r in rows[:k]]) > 0 for k in range(1, len(rows) + 1)
+    )
+
+
 def random_fraction_matrix(rng: random.Random, rows: int, cols: int) -> list[list[Fraction]]:
     return [
         [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(cols)]
@@ -80,18 +118,34 @@ def random_fraction_matrix(rng: random.Random, rows: int, cols: int) -> list[lis
 
 
 class TestRationalMatrix:
-    def test_det_small_frozen(self):
-        m = RationalMatrix([[1, 2], [3, 4]])
-        assert m.det() == -2
-        assert RationalMatrix([[Fraction(1, 2)]]).det() == Fraction(1, 2)
-        assert RationalMatrix([]).det() == 1
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            ([[0, 1], [1, 0]], False),  # zero leading minor: needs an exchange
+            ([[1, 2], [2, 1]], False),  # indefinite
+            ([[1, 1], [1, 1]], False),  # singular
+            ([[1, 2], [0, 1]], False),  # leading minors positive, not symmetric
+            ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], True),
+            ([[Fraction(1, i + j + 1) for j in range(5)] for i in range(5)], True),
+            ([], True),
+        ],
+    )
+    def test_positive_definite_frozen(self, rows, expected):
+        fractions = [[Fraction(v) for v in row] for row in rows]
+        assert RationalMatrix(rows).is_positive_definite() is expected
+        if fractions == [list(col) for col in zip(*fractions)]:
+            assert leading_minors_positive(fractions) is expected
 
-    def test_det_matches_cofactor_oracle(self):
+    def test_positive_definite_matches_leading_minors(self):
         rng = random.Random(10)
-        for size in (2, 3, 4, 5, 6):
-            for _ in range(8):
-                rows = random_fraction_matrix(rng, size, size)
-                assert RationalMatrix(rows).det() == cofactor_det(rows)
+        for size in (1, 2, 3, 4, 5):
+            for _ in range(12):
+                a = random_fraction_matrix(rng, size, size)
+                sym = [[a[i][j] + a[j][i] for j in range(size)] for i in range(size)]
+                gram = naive_matmul(a, [list(col) for col in zip(*a)])
+                for rows in (sym, gram):
+                    got = RationalMatrix(rows).is_positive_definite()
+                    assert got is leading_minors_positive(rows)
 
     def test_rank_matches_gauss_oracle(self):
         rng = random.Random(11)
@@ -126,17 +180,27 @@ class TestRationalMatrix:
         solved = 0
         while solved < 10:
             rows = random_fraction_matrix(rng, 4, 4)
-            m = RationalMatrix(rows)
-            if m.det() == 0:
+            if cofactor_det(rows) == 0:
                 continue
+            m = RationalMatrix(rows)
             x = m.solve(RationalMatrix.identity(4))
-            assert m @ x == RationalMatrix.identity(4)
+            assert naive_matmul(rows, x.to_lists()) == RationalMatrix.identity(4).to_lists()
+            b = random_fraction_matrix(rng, 4, 2)
+            assert naive_matmul(rows, m.solve(RationalMatrix(b)).to_lists()) == b
             solved += 1
 
     def test_solve_rejects_singular(self):
-        singular = RationalMatrix([[1, 2], [2, 4]])
-        with pytest.raises(SingularMatrixError):
-            singular.solve(RationalMatrix.identity(2))
+        for rows in (
+            [[1, 2], [2, 4]],
+            [[0, 1], [0, 2]],
+            [[1, 2, 3], [2, 4, 6], [1, 0, 1]],
+            [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+        ):
+            with pytest.raises(SingularMatrixError):
+                RationalMatrix(rows).solve(RationalMatrix.identity(len(rows)))
+
+    def test_solve_empty_system(self):
+        assert RationalMatrix([]).solve(RationalMatrix([])) == RationalMatrix([])
 
     def test_solve_shape_validation(self):
         with pytest.raises(ValueError):
@@ -144,33 +208,9 @@ class TestRationalMatrix:
         with pytest.raises(ValueError):
             RationalMatrix.identity(2).solve(RationalMatrix([[1]]))
 
-    def test_nullspace_vectors_annihilate(self):
-        rng = random.Random(14)
-        for _ in range(15):
-            m = random_fraction_matrix(rng, 3, 5)
-            mat = RationalMatrix(m)
-            vectors = mat.nullspace()
-            assert len(vectors) == 5 - mat.rank()
-            for v in vectors:
-                image = [sum(a * b for a, b in zip(row, v)) for row in m]
-                assert all(entry == 0 for entry in image)
-
-    def test_rref_pivots(self):
-        m = RationalMatrix([[0, 1, 2], [0, 2, 4], [1, 0, 1]])
-        reduced, pivots = m.rref()
-        assert pivots == (0, 1)
-        assert reduced.row(0) == (Fraction(1), Fraction(0), Fraction(1))
-        assert reduced.row(1) == (Fraction(0), Fraction(1), Fraction(2))
-        assert reduced.row(2) == (Fraction(0), Fraction(0), Fraction(0))
-
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):
             RationalMatrix([[1, 2], [3]])
-
-    def test_matmul_frozen(self):
-        a = RationalMatrix([[1, 2], [3, 4]])
-        b = RationalMatrix([[0, 1], [1, 0]])
-        assert (a @ b).to_lists() == [[2, 1], [4, 3]]
 
 
 class TestDofSets:
@@ -265,12 +305,12 @@ class TestUnisolvence:
     def test_interval_matrix_frozen(self):
         m = dof_matrix(basis_S(1, 1), dofs_S(1, 1))
         assert m.to_lists() == [[1, -1], [1, 1]]
-        assert m.det() == 2
+        assert cofactor_det(m.to_lists()) == 2
 
     def test_square_bilinear_det(self):
         m = dof_matrix(basis_S(2, 1), dofs_S(2, 1))
-        assert m.det() == cofactor_det(m.to_lists())
-        assert abs(m.det()) == 16
+        assert abs(cofactor_det(m.to_lists())) == 16
+        assert m.rank() == 4
 
     def test_full_rank_matches_oracle_on_moderate_cells(self):
         for n, r in [(1, 8), (2, 4), (3, 2)]:
@@ -354,7 +394,7 @@ class TestTraceLocality:
                     L for L in functionals if face_contains(facet, L.face)
                 ]
                 rows = dof_matrix(basis, on_facet)
-                for v in rows.nullspace():
+                for v in gauss_nullspace(rows.to_lists()):
                     member = Polynomial(
                         n,
                         {

@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -196,3 +201,44 @@ class TestHelperEnumerations:
 
     def test_empty_axis_set_gives_constant(self):
         assert monomials_total_degree_at_most(2, (), 3) == [(0, 0)]
+
+
+class TestOptimizedInterpreter:
+    def test_consistency_checks_survive_dash_o(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        # breaks each admission test in turn; the bare assert fails the run unless -O is on
+        broken = textwrap.dedent(
+            """
+            import serendipity.spaces as s
+            assert False, "asserts are live"
+            for name in ("has_superlinear_degree_at_most", "is_linear_outside_degree_budget"):
+                original = getattr(s, name)
+                setattr(s, name, lambda exps, r: False)
+                try:
+                    s.serendipity_exponents(2, 2)
+                except AssertionError:
+                    print(name, "raised")
+                setattr(s, name, original)
+            """
+        )
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", broken],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == [
+            "has_superlinear_degree_at_most raised",
+            "is_linear_outside_degree_budget raised",
+        ]
+
+        verify = ["-m", "serendipity.cli", "verify", "--n", "2", "--r", "3"]
+        plain, optimized = (
+            subprocess.run(
+                [sys.executable, *flags, *verify],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            for flags in ((), ("-O",))
+        )
+        assert plain.returncode == optimized.returncode == 0
+        assert optimized.stdout == plain.stdout
