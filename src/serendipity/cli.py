@@ -320,10 +320,7 @@ def _load_input_polynomial(config: RunConfig, n: int, r: int) -> Polynomial:
             raise ValueError(f"--alpha needs {n} exponents")
         return Polynomial.from_monomial(config.alpha)
     # default: a small generic member, the sum of all basis monomials
-    total = Polynomial.zero(n)
-    for m in basis_S(n, r).monomials:
-        total = total + m.as_polynomial()
-    return total
+    return Polynomial(n, {m.exponents: 1 for m in basis_S(n, r).monomials})
 
 
 def _decomposition_payload(config: RunConfig, n: int, r: int) -> tuple[dict, bool]:
@@ -495,7 +492,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, fmt_default: str = "text") -> None:
+    def add_common(
+        p: argparse.ArgumentParser, formats: Sequence[str] = ("text", "json", "csv")
+    ) -> None:
         p.add_argument("--n", type=int, default=None, help="single n, or range start with --n-max")
         p.add_argument("--n-max", type=int, default=None, help="range end for n (range starts at --n or 1)")
         p.add_argument("--r", type=int, default=None, help="single r, or range start with --r-max")
@@ -503,9 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--format",
             dest="fmt",
-            choices=("text", "json", "csv"),
-            default=fmt_default,
-            help="output format (text table, JSON, or CSV)",
+            choices=formats,
+            default=formats[0],
+            help="output format: " + ", ".join(formats),
         )
         p.add_argument("--out", type=Path, default=None, help="write output to this file instead of stdout")
         p.add_argument("--seed", type=int, default=0, help="seed recorded in reports and used for random trials")
@@ -535,18 +534,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=0, help="worker processes (0 = auto)")
 
     p = sub.add_parser("decompose", help="split a polynomial into face components")
-    add_common(p, fmt_default="json")
+    add_common(p, formats=("json", "text"))
     p.add_argument("--alpha", default=None, help="monomial exponents, e.g. 2,3")
     p.add_argument("--poly", dest="poly_path", type=Path, default=None, help="JSON file with polynomial terms")
     p.add_argument("--method", choices=("solve", "construct", "both"), default="both")
 
     p = sub.add_parser("continuity", help="two-element trace equality trials")
-    add_common(p)
+    add_common(p, formats=("text", "json"))
     p.add_argument("--axis", type=int, default=1, help="glue axis, 1-based")
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
 
     p = sub.add_parser("export", help="write a JSON artifact")
-    add_common(p, fmt_default="json")
+    add_common(p, formats=("json",))
     p.add_argument(
         "--what",
         choices=("basis", "dofs", "nodal", "decomposition", "evalgrid"),

@@ -347,10 +347,7 @@ def decompose(
 
 def recompose(components: dict[Face, FaceComponent], n: int) -> Polynomial:
     """Sum of the components; inverse of decompose."""
-    total = Polynomial.zero(n)
-    for fc in components.values():
-        total = total + fc.component
-    return total
+    return Polynomial(n, (t for fc in components.values() for t in fc.component.terms()))
 
 
 @dataclass(frozen=True)

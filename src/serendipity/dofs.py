@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Iterable, Sequence, Union
 
-from .cubegeom import Face, enumerate_faces, face_moment
+from .cubegeom import Face, enumerate_faces, face_moment, integrate_face
 from .exactpoly import Monomial, Polynomial
 from .spaces import (
     SpaceBasis,
@@ -264,12 +264,7 @@ def apply_dof(functional: DofFunctional, p: Polynomial) -> Fraction:
     """Evaluate one functional on a polynomial, exactly."""
     if p.n != functional.face.n:
         raise ValueError("polynomial and functional have different variable counts")
-    total = Fraction(0)
-    for wexps, wcoeff in functional.weight.terms():
-        for pexps, pcoeff in p.terms():
-            combined = tuple(a + b for a, b in zip(wexps, pexps))
-            total += wcoeff * pcoeff * face_moment(functional.face, combined)
-    return total
+    return integrate_face(functional.weight * p, functional.face)
 
 
 def dof_matrix(

@@ -16,8 +16,54 @@ from serendipity.assembly import (
     trace_locality_check,
 )
 from serendipity.cubegeom import Face, face_contains, restrict_to_face
-from serendipity.dofs import dofs_S
+from serendipity.dofs import dofs_S, nodal_basis
+from serendipity.exactpoly import Polynomial
 from serendipity.spaces import dim_S_formula
+
+
+def added_interpolant(values, n, r):
+    """Oracle: the interpolant as a running sum of value * nodal function."""
+    total = Polynomial.zero(n)
+    for value, phi in zip(values, nodal_basis(n, r)):
+        if value:
+            total = total + value * phi
+    return total
+
+
+def reinterpolated_continuity(n, r, axis, trials, seed):
+    """Oracle: every trial and every control interpolates both elements in
+    full and restricts the result to the shared facet."""
+    pair = ElementPair(n, axis)
+    count = len(dofs_S(n, r))
+    pairs = shared_dof_pairs(n, r, axis)
+    rng = random.Random(seed)
+    results = []
+    for _ in range(max(1, trials)):
+        left = [Fraction(rng.randint(-9, 9)) for _ in range(count)]
+        right = [Fraction(rng.randint(-9, 9)) for _ in range(count)]
+        for L, R in pairs:
+            right[R.index] = left[L.index]
+        trace_left = restrict_to_face(added_interpolant(left, n, r), pair.left_shared_face)
+        trace_right = restrict_to_face(
+            added_interpolant(right, n, r), pair.right_shared_face
+        )
+        results.append(trace_left == trace_right)
+    detections = []
+    for _, R in pairs:
+        bumped = list(right)
+        bumped[R.index] += 1
+        trace = restrict_to_face(added_interpolant(bumped, n, r), pair.right_shared_face)
+        detections.append(trace != trace_left)
+    return ContinuityReport(
+        n=n,
+        r=r,
+        axis=axis,
+        trials=max(1, trials),
+        seed=seed,
+        shared_count=len(pairs),
+        trial_traces_equal=tuple(results),
+        perturbations_detected=tuple(detections),
+    )
 
 
 class TestElementPair:
@@ -105,6 +151,13 @@ class TestInterpolate:
         with pytest.raises(ValueError):
             interpolate([Fraction(1)], 2, 2)
 
+    def test_matches_running_sum(self):
+        rng = random.Random(41)
+        n, r = 3, 4
+        for _ in range(3):
+            values = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in dofs_S(n, r)]
+            assert interpolate(values, n, r) == added_interpolant(values, n, r)
+
 
 class TestContinuity:
     @pytest.mark.parametrize("n, r", [(1, 3), (2, 1), (2, 3), (3, 2)])
@@ -150,6 +203,13 @@ class TestContinuity:
         assert obj["seed"] == 5
         assert len(obj["trial_traces_equal"]) == 4
 
+    @pytest.mark.parametrize("n, r", [(1, 3), (2, 3), (2, 5), (3, 3)])
+    @pytest.mark.parametrize("seed", [0, 19])
+    def test_matches_reinterpolating_oracle(self, n, r, seed):
+        for axis in range(n):
+            report = check_continuity(n, r, axis=axis, trials=5, seed=seed)
+            assert report == reinterpolated_continuity(n, r, axis, 5, seed)
+
     def test_deterministic_for_fixed_seed(self):
         a = check_continuity(2, 3, axis=0, trials=6, seed=42)
         b = check_continuity(2, 3, axis=0, trials=6, seed=42)
@@ -160,4 +220,20 @@ class TestTraceLocality:
     @pytest.mark.parametrize("n, r", [(2, 2), (2, 4), (3, 3)])
     def test_off_face_dofs_never_touch_the_trace(self, n, r):
         for axis in range(n):
-            assert trace_locality_check(n, r, axis=axis, seed=axis)
+            assert trace_locality_check(n, r, axis=axis)
+
+
+class TestNonLocalNodalFunction:
+    """Negative control: a nodal function whose trace leaks onto the facet."""
+
+    def test_both_checks_fail(self, monkeypatch):
+        n, r = 2, 4
+        interior = next(L.index for L in dofs_S(n, r) if not L.face.fixed)
+        broken = tuple(
+            phi + Polynomial.one(n) if i == interior else phi
+            for i, phi in enumerate(nodal_basis(n, r))
+        )
+        monkeypatch.setattr("serendipity.assembly.nodal_basis", lambda n, r: broken)
+        for axis in range(n):
+            assert not trace_locality_check(n, r, axis=axis)
+            assert not check_continuity(n, r, axis=axis, trials=5, seed=1).ok

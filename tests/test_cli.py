@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -313,6 +314,22 @@ class TestUsageErrors:
             main([])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["export", "--what", "basis", "--n", "1", "--r", "1"],
+            ["continuity", "--n", "1", "--r", "1"],
+            ["decompose", "--n", "1", "--r", "1", "--alpha", "1"],
+        ],
+    )
+    def test_format_limited_to_what_the_command_writes(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--format", "csv"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice: 'csv'" in captured.err
+
 
 class TestBadInput:
     """Unusable input exits 2 with one line on stderr, never a traceback."""
@@ -359,3 +376,29 @@ class TestBadInput:
             capsys, "table1", "--out", str(tmp_path / "absent" / "table.txt")
         )
         assert "cannot write --out" in err
+
+
+class TestGoldenOutput:
+    """SHA-256 of stdout, pinned so that rewrites keep every byte."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["continuity", "--n", "3", "--r", "4", "--format", "json"],
+                "4f8c7f5dff4165bb88482f87c1bbd61503c3deeb1a6795b1dede1aaa3a6a86c3",
+            ),
+            (
+                ["verify", "--jobs", "1", "--format", "json"],
+                "34aaf6563fb3abb3509d88c9559ac62bf24787a1f10d61ba5da0eb72fdf6b486",
+            ),
+            (
+                ["decompose", "--n", "2", "--r", "3"],
+                "cc661f5375d5e408a98aa1dace134405292fde3049811bf289918e023a6f60bf",
+            ),
+        ],
+    )
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
