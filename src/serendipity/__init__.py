@@ -44,7 +44,6 @@ from .dofs import (
     nodal_basis,
 )
 from .decomp import (
-    BubbleFunction,
     FaceComponent,
     bubble,
     decompose,
@@ -96,7 +95,6 @@ __all__ = [
     "dofs_Q",
     "dofs_S",
     "nodal_basis",
-    "BubbleFunction",
     "FaceComponent",
     "bubble",
     "decompose",

@@ -83,13 +83,13 @@ def shared_dof_pairs(
         L for L in functionals if face_contains(pair.left_shared_face, L.face)
     ]
     right_lookup = {
-        (R.face, tuple(R.weight.terms())): R
+        (R.face, R.exponents): R
         for R in functionals
         if face_contains(pair.right_shared_face, R.face)
     }
     pairs = []
     for L in left:
-        key = (_mirror_face(L.face, axis), tuple(L.weight.terms()))
+        key = (_mirror_face(L.face, axis), L.exponents)
         R = right_lookup.pop(key, None)
         if R is None:
             raise AssertionError(f"no right-side partner for {L}")

@@ -29,7 +29,7 @@ from .assembly import check_continuity
 from .cubegeom import all_faces, full_cube
 from .decomp import decompose, facet_kernel_check, recompose, verify_direct_sum
 from .dofs import check_unisolvence, dof_layout, dofs_Q, dofs_S, nodal_basis
-from .exactpoly import Polynomial
+from .exactpoly import Monomial, Polynomial
 from .spaces import (
     basis_P,
     basis_Q,
@@ -193,6 +193,10 @@ def _resolve_basis(config: RunConfig, n: int, r: int):
     return basis_P(full_cube(n), r)
 
 
+def _resolve_dofs(config: RunConfig, n: int, r: int):
+    return dofs_S(n, r) if config.family == "S" else dofs_Q(n, r)
+
+
 def cmd_basis(config: RunConfig) -> int:
     """List the monomial basis for one family at one (n, r)."""
     n, r = config.n_values[0], config.r_values[0]
@@ -210,7 +214,7 @@ def cmd_dofs(config: RunConfig) -> int:
     """DOF layout (counts per face dimension) plus the functional list."""
     n, r = config.n_values[0], config.r_values[0]
     layout = dof_layout(n, r, config.family)
-    functionals = dofs_S(n, r) if config.family == "S" else dofs_Q(n, r)
+    functionals = _resolve_dofs(config, n, r)
     headers = ["face_dim", "faces", "dofs_per_face", "subtotal"]
     rows = [
         [row.face_dim, row.face_count, row.per_face, row.subtotal]
@@ -220,8 +224,7 @@ def cmd_dofs(config: RunConfig) -> int:
         table = _text_table(headers, rows)
         lines = [table, f"total: {layout.total}\n"]
         for L in functionals:
-            weight = str(L.weight.monomials()[0]) if L.weight else "0"
-            lines.append(f"dof {L.index}: {_face_label(L.face)} weight {weight}\n")
+            lines.append(f"dof {L.index}: {_face_label(L.face)} weight {Monomial(L.exponents)}\n")
         _emit(config, "".join(lines))
     else:
         payload = {
@@ -316,8 +319,6 @@ def _load_input_polynomial(config: RunConfig, n: int, r: int) -> Polynomial:
         except (ValueError, ZeroDivisionError, KeyError, TypeError) as err:
             raise InputError(f"bad polynomial in {config.poly_path}: {err!r}") from None
     if config.alpha is not None:
-        if len(config.alpha) != n:
-            raise ValueError(f"--alpha needs {n} exponents")
         return Polynomial.from_monomial(config.alpha)
     # default: a small generic member, the sum of all basis monomials
     return Polynomial(n, {m.exponents: 1 for m in basis_S(n, r).monomials})
@@ -455,7 +456,7 @@ def cmd_export(config: RunConfig) -> int:
         }
         ok = True
     elif config.what == "dofs":
-        functionals = dofs_S(n, r) if config.family == "S" else dofs_Q(n, r)
+        functionals = _resolve_dofs(config, n, r)
         payload = {
             "command": "export",
             "what": "dofs",

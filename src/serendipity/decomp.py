@@ -31,12 +31,14 @@ definite Gram matrix of the candidate basis.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from typing import Literal
 
-from .cubegeom import Face, all_faces, enumerate_faces, full_cube, restrict_to_face
+from .cubegeom import Face, enumerate_faces, full_cube, restrict_to_face
 from .dofs import RationalMatrix
 from .exactpoly import (
     Exponents,
@@ -44,10 +46,9 @@ from .exactpoly import (
     integrate_box,
     superlinear_degree,
 )
-from .spaces import basis_S, dim_P, monomials_total_degree_at_most
+from .spaces import basis_S, dim_P, face_monomials, monomials_total_degree_at_most
 
 __all__ = [
-    "BubbleFunction",
     "FaceComponent",
     "bubble",
     "space_V",
@@ -64,23 +65,16 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class BubbleFunction:
-    """Lowest-degree polynomial vanishing on all facets avoiding the face."""
-
-    face: Face
-    poly: Polynomial
-
-    def to_json_obj(self) -> dict:
-        return {"face": self.face.to_json_obj(), "poly": self.poly.to_json_obj()}
-
-
-@dataclass(frozen=True)
 class FaceComponent:
     """One summand of a decomposition: coefficient times the face bubble."""
 
     face: Face
     coefficient: Polynomial
-    component: Polynomial
+
+    @property
+    def component(self) -> Polynomial:
+        """The summand itself, formed on each read."""
+        return self.coefficient * bubble(self.face)
 
     def to_json_obj(self) -> dict:
         return {
@@ -91,7 +85,7 @@ class FaceComponent:
 
 
 @lru_cache(maxsize=None)
-def bubble(face: Face) -> BubbleFunction:
+def bubble(face: Face) -> Polynomial:
     """(1 - x_j^2) over free axes times (1 + c_j x_j) over pinned axes."""
     n = face.n
     poly = Polynomial.one(n)
@@ -99,7 +93,7 @@ def bubble(face: Face) -> BubbleFunction:
         poly = poly * (1 - Polynomial.variable(n, j) ** 2)
     for j, sign in face.fixed:
         poly = poly * (1 + sign * Polynomial.variable(n, j))
-    return BubbleFunction(face, poly)
+    return poly
 
 
 def space_V(face: Face, r: int) -> tuple[FaceComponent, ...]:
@@ -107,24 +101,18 @@ def space_V(face: Face, r: int) -> tuple[FaceComponent, ...]:
 
     Empty when r - 2d < 0; its dimension is C(r - d, d).
     """
-    d = face.dim
-    b = bubble(face).poly
-    out = []
-    for exps in monomials_total_degree_at_most(face.n, face.free_indices, r - 2 * d):
-        coeff = Polynomial.from_monomial(exps)
-        out.append(FaceComponent(face, coeff, coeff * b))
-    return tuple(out)
+    return tuple(fc for fc in all_components(face.n, r) if fc.face == face)
 
 
 @lru_cache(maxsize=None)
 def all_components(n: int, r: int) -> tuple[FaceComponent, ...]:
-    """Components of every face, in face order (dimension ascending)."""
+    """One component per (face, monomial) pair, in DOF order."""
     if n < 1 or r < 1:
         raise ValueError("decomposition requires n >= 1 and r >= 1")
-    out: list[FaceComponent] = []
-    for face in all_faces(n):
-        out.extend(space_V(face, r))
-    return tuple(out)
+    return tuple(
+        FaceComponent(face, Polynomial.from_monomial(exps))
+        for face, exps in face_monomials(n, r)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -244,51 +232,37 @@ def expand_monomial(exponents: Exponents, r: int) -> tuple[FaceComponent, ...]:
             f"monomial {exponents} has superlinear degree "
             f"{superlinear_degree(exponents)} > r = {r}"
         )
-    choice_lists: list[list[tuple[int, Fraction, tuple[Fraction, ...] | None]]] = []
-    for alpha in exponents:
+    # each choice pins the axis to a sign, or leaves it free, and lists
+    # the (exponent, factor) terms it contributes along that axis
+    choice_lists = []
+    for axis, alpha in enumerate(exponents):
         c_plus, c_minus, q = _superlinear_split(alpha)
-        choices: list[tuple[int, Fraction, tuple[Fraction, ...] | None]] = [
-            (1, c_plus, None),
-            (-1, c_minus, None),
-        ]
+        choices = [((axis, 1), ((0, c_plus),)), ((axis, -1), ((0, c_minus),))]
         if alpha >= 2:
-            choices.append((0, Fraction(1), q))
+            choices.append((None, tuple((k, c) for k, c in enumerate(q) if c)))
         choice_lists.append(choices)
 
     out: list[FaceComponent] = []
     seen_faces: set[Face] = set()
-    stack: list[tuple[int, list[tuple[int, int]], Fraction, dict[Exponents, Fraction]]] = [
-        (0, [], Fraction(1), {(0,) * n: Fraction(1)})
-    ]
-    while stack:
-        axis, pins, scalar, coeff_terms = stack.pop()
-        if axis == n:
-            face = Face(n, tuple(pins))
-            if face in seen_faces:
-                raise AssertionError("expansion revisited a face")
-            seen_faces.add(face)
-            coeff = Polynomial(n, coeff_terms) * scalar
-            d = face.dim
-            if coeff.degree() > r - 2 * d:
-                raise AssertionError(
-                    f"expansion coefficient degree {coeff.degree()} exceeds "
-                    f"budget {r - 2 * d} on {face}"
-                )
-            out.append(FaceComponent(face, coeff, coeff * bubble(face).poly))
-            continue
-        for sign, factor, q in reversed(choice_lists[axis]):
-            if q is None:
-                stack.append(
-                    (axis + 1, pins + [(axis, sign)], scalar * factor, coeff_terms)
-                )
-            else:
-                merged: dict[Exponents, Fraction] = {}
-                for exps, c in coeff_terms.items():
-                    for k, qc in enumerate(q):
-                        if qc:
-                            key = exps[:axis] + (exps[axis] + k,) + exps[axis + 1 :]
-                            merged[key] = merged.get(key, Fraction(0)) + c * qc
-                stack.append((axis + 1, pins, scalar * factor, merged))
+    for combo in itertools.product(*choice_lists):
+        face = Face(n, tuple(pin for pin, _ in combo if pin))
+        if face in seen_faces:
+            raise AssertionError("expansion revisited a face")
+        seen_faces.add(face)
+        coeff = Polynomial(
+            n,
+            (
+                (tuple(k for k, _ in picks), prod(c for _, c in picks))
+                for picks in itertools.product(*(terms for _, terms in combo))
+            ),
+        )
+        budget = r - 2 * face.dim
+        if coeff.degree() > budget:
+            raise AssertionError(
+                f"expansion coefficient degree {coeff.degree()} exceeds "
+                f"budget {budget} on {face}"
+            )
+        out.append(FaceComponent(face, coeff))
     return tuple(out)
 
 
@@ -316,19 +290,15 @@ def decompose(
         )
     acc: dict[Face, dict[Exponents, Fraction]] = {}
     if method == "solve":
-        basis = basis_S(n, r)
-        comps = all_components(n, r)
-        coords = [p.coefficient(m.exponents) for m in basis.monomials]
+        coords = [p.coefficient(m.exponents) for m in basis_S(n, r).monomials]
         inverse = _component_solver(n, r)
-        for k, fc in enumerate(comps):
+        for k, (face, exps) in enumerate(face_monomials(n, r)):
             weight = sum(
                 (inverse.entry(k, j) * coords[j] for j in range(len(coords))),
                 Fraction(0),
             )
             if weight:
-                exps = fc.coefficient.terms()[0][0]
-                face_acc = acc.setdefault(fc.face, {})
-                face_acc[exps] = face_acc.get(exps, Fraction(0)) + weight
+                acc.setdefault(face, {})[exps] = weight
     elif method == "construct":
         for exps, coeff in p.terms():
             for fc in expand_monomial(exps, r):
@@ -341,7 +311,7 @@ def decompose(
     for face, terms in acc.items():
         coeff = Polynomial(n, terms)
         if coeff:
-            out[face] = FaceComponent(face, coeff, coeff * bubble(face).poly)
+            out[face] = FaceComponent(face, coeff)
     return out
 
 
@@ -419,7 +389,7 @@ def facet_kernel_check(n: int, r: int) -> FacetKernelResult:
     kernel_dim = dim - constraint.rank()
 
     expected_dim = dim_P(n, r - 2 * n)
-    cube_bubble = bubble(full_cube(n)).poly
+    cube_bubble = bubble(full_cube(n))
     candidates = [
         cube_bubble * Polynomial.from_monomial(exps)
         for exps in monomials_total_degree_at_most(n, tuple(range(n)), r - 2 * n)

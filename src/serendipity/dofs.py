@@ -1,8 +1,9 @@
 """Degrees of freedom, exact rational linear algebra, unisolvence.
 
-A degree of freedom is a face together with a polynomial weight: the
-functional maps u to the integral of u times the weight over the face
-(point evaluation at vertices, which carry the counting measure).
+A degree of freedom is a face together with a weight monomial, stored
+as its exponent tuple: the functional maps u to the integral of u times
+the weight over the face (point evaluation at vertices, which carry the
+counting measure).
 
 For the serendipity family the weights on a d-face span the total
 degree family of degree r - 2d in the face's free variables; for the
@@ -25,15 +26,14 @@ from functools import lru_cache
 from math import lcm
 from typing import Iterable, Sequence, Union
 
-from .cubegeom import Face, enumerate_faces, face_moment, integrate_face
-from .exactpoly import Monomial, Polynomial
+from .cubegeom import Face, enumerate_faces, face_moment
+from .exactpoly import Exponents, Monomial, Polynomial
 from .spaces import (
     SpaceBasis,
-    basis_Q,
     basis_S,
     dim_P,
+    face_monomials,
     monomials_max_degree_at_most,
-    monomials_total_degree_at_most,
 )
 
 __all__ = [
@@ -205,14 +205,19 @@ class RationalMatrix:
 
 @dataclass(frozen=True)
 class DofFunctional:
-    """Moment of the argument against a weight over one face."""
+    """Moment of the argument against a weight monomial over one face."""
 
     face: Face
-    weight: Polynomial
+    exponents: Exponents
     index: int
 
+    @property
+    def weight(self) -> Polynomial:
+        """The weight monomial as a polynomial with coefficient 1."""
+        return Polynomial.from_monomial(self.exponents)
+
     def __str__(self) -> str:
-        return f"dof[{self.index}] on {self.face}: weight {self.weight!r}"
+        return f"dof[{self.index}] on {self.face}: weight {Monomial(self.exponents)}"
 
     def to_json_obj(self) -> dict:
         return {
@@ -227,17 +232,9 @@ def dofs_S(n: int, r: int) -> tuple[DofFunctional, ...]:
     """Serendipity DOF set: degree r - 2d moments on each d-face."""
     if n < 1 or r < 1:
         raise ValueError("serendipity DOFs require n >= 1 and r >= 1")
-    out: list[DofFunctional] = []
-    for d in range(n + 1):
-        s = r - 2 * d
-        if s < 0:
-            break
-        for face in enumerate_faces(n, d):
-            for exps in monomials_total_degree_at_most(n, face.free_indices, s):
-                out.append(
-                    DofFunctional(face, Polynomial.from_monomial(exps), len(out))
-                )
-    return tuple(out)
+    return tuple(
+        DofFunctional(face, exps, i) for i, (face, exps) in enumerate(face_monomials(n, r))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -254,17 +251,21 @@ def dofs_Q(n: int, r: int) -> tuple[DofFunctional, ...]:
             else:
                 weights = monomials_max_degree_at_most(n, face.free_indices, r - 2)
             for exps in weights:
-                out.append(
-                    DofFunctional(face, Polynomial.from_monomial(exps), len(out))
-                )
+                out.append(DofFunctional(face, exps, len(out)))
     return tuple(out)
+
+
+def _moment(functional: DofFunctional, exponents: Exponents) -> Fraction:
+    """The functional applied to the monomial with the given exponents."""
+    shifted = tuple(a + b for a, b in zip(exponents, functional.exponents))
+    return face_moment(functional.face, shifted)
 
 
 def apply_dof(functional: DofFunctional, p: Polynomial) -> Fraction:
     """Evaluate one functional on a polynomial, exactly."""
     if p.n != functional.face.n:
         raise ValueError("polynomial and functional have different variable counts")
-    return integrate_face(functional.weight * p, functional.face)
+    return sum((c * _moment(functional, e) for e, c in p.terms()), Fraction(0))
 
 
 def dof_matrix(
@@ -273,19 +274,9 @@ def dof_matrix(
 ) -> RationalMatrix:
     """Matrix with entry (i, j) = functional i applied to basis monomial j."""
     monomials = basis.monomials if isinstance(basis, SpaceBasis) else tuple(basis)
-    rows = []
-    for functional in functionals:
-        wterms = functional.weight.terms()
-        face = functional.face
-        row = []
-        for m in monomials:
-            val = Fraction(0)
-            for wexps, wcoeff in wterms:
-                combined = tuple(a + b for a, b in zip(m.exponents, wexps))
-                val += wcoeff * face_moment(face, combined)
-            row.append(val)
-        rows.append(row)
-    return RationalMatrix(rows)
+    return RationalMatrix(
+        [[_moment(L, m.exponents) for m in monomials] for L in functionals]
+    )
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .cubegeom import Face, full_cube
+from .cubegeom import Face, all_faces, full_cube
 from .exactpoly import Exponents, Monomial, grlex_key, superlinear_degree
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "is_linear_outside_degree_budget",
     "monomials_total_degree_at_most",
     "monomials_max_degree_at_most",
+    "face_monomials",
     "check_inclusions",
     "InclusionReport",
 ]
@@ -134,6 +135,22 @@ def monomials_max_degree_at_most(
         out.append(tuple(exps))
     out.sort(key=grlex_key)
     return out
+
+
+@lru_cache(maxsize=None)
+def face_monomials(n: int, r: int) -> tuple[tuple[Face, Exponents], ...]:
+    """The serendipity element's one index: every d-face paired with each
+    monomial of total degree <= r - 2d in its free variables.
+
+    The pairs serve both as DOF moment weights and as bubble multipliers
+    of the face components, in DOF order: face dimension, canonical face
+    order, graded lex.
+    """
+    return tuple(
+        (face, exps)
+        for face in all_faces(n)
+        for exps in monomials_total_degree_at_most(n, face.free_indices, r - 2 * face.dim)
+    )
 
 
 def dim_P(d: int, s: int) -> int:

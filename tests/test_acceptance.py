@@ -243,7 +243,7 @@ def test_c09_bubble_properties(capsys):
     for n in range(1, 5):
         facets = enumerate_faces(n, n - 1)
         for face in all_faces(n):
-            b = bubble(face).poly
+            b = bubble(face)
             for facet in facets:
                 if not face_contains(facet, face):
                     if not restrict_to_face(b, facet).is_zero():

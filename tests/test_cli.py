@@ -396,6 +396,23 @@ class TestGoldenOutput:
                 ["decompose", "--n", "2", "--r", "3"],
                 "cc661f5375d5e408a98aa1dace134405292fde3049811bf289918e023a6f60bf",
             ),
+            (
+                ["dofs", "--n", "3", "--r", "4"],
+                "3e0e7c36a2065c62ef054a22d289bdee991eb92e615f3c0874b61cf72a466157",
+            ),
+            (
+                ["export", "--what", "dofs", "--n", "2", "--r", "3", "--family", "Q"],
+                "c6ba6341da2b05c1b2cde6331906e341f68703dcc95e1e2e01466aba96eaca1a",
+            ),
+            (
+                ["export", "--what", "decomposition", "--n", "3", "--r", "4",
+                 "--method", "construct"],
+                "54a79884ee849187847198cf28bd5b2ef79c91ffd0d87a4b9ae886a6f5facf98",
+            ),
+            (
+                ["export", "--what", "nodal", "--n", "2", "--r", "3"],
+                "bb076c359965c21eac1e72b6d587f2a842d7ec5b832f3ee6a2b06f9726c1e311",
+            ),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

@@ -18,6 +18,7 @@ from serendipity.cubegeom import (
     restrict_to_face,
 )
 from serendipity.decomp import (
+    _superlinear_split,
     all_components,
     bubble,
     component_matrix,
@@ -28,6 +29,7 @@ from serendipity.decomp import (
     space_V,
     verify_direct_sum,
 )
+from serendipity.dofs import dofs_S
 from serendipity.exactpoly import Polynomial, integrate_box, variables
 from serendipity.spaces import basis_S, dim_S_formula
 
@@ -46,6 +48,43 @@ def box_integral_oracle(p: Polynomial) -> Fraction:
     return total
 
 
+def stack_expand_oracle(exponents: tuple[int, ...], r: int) -> dict[Face, Polynomial]:
+    """The earlier depth-first expansion, kept as an oracle: one explicit
+    stack entry per partial choice of signs and quotients, the quotient
+    factors merged term by term and the scalar applied at the leaf."""
+    n = len(exponents)
+    choice_lists = []
+    for alpha in exponents:
+        c_plus, c_minus, q = _superlinear_split(alpha)
+        choices = [(1, c_plus, None), (-1, c_minus, None)]
+        if alpha >= 2:
+            choices.append((0, Fraction(1), q))
+        choice_lists.append(choices)
+    out: dict[Face, Polynomial] = {}
+    stack = [(0, [], Fraction(1), {(0,) * n: Fraction(1)})]
+    while stack:
+        axis, pins, scalar, coeff_terms = stack.pop()
+        if axis == n:
+            face = Face(n, tuple(pins))
+            assert face not in out
+            coeff = Polynomial(n, coeff_terms) * scalar
+            assert coeff.degree() <= r - 2 * face.dim
+            out[face] = coeff
+            continue
+        for sign, factor, q in reversed(choice_lists[axis]):
+            if q is None:
+                stack.append((axis + 1, pins + [(axis, sign)], scalar * factor, coeff_terms))
+            else:
+                merged: dict[tuple[int, ...], Fraction] = {}
+                for exps, c in coeff_terms.items():
+                    for k, qc in enumerate(q):
+                        if qc:
+                            key = exps[:axis] + (exps[axis] + k,) + exps[axis + 1 :]
+                            merged[key] = merged.get(key, Fraction(0)) + c * qc
+                stack.append((axis + 1, pins, scalar * factor, merged))
+    return out
+
+
 def random_space_member(rng: random.Random, n: int, r: int) -> Polynomial:
     return Polynomial(
         n,
@@ -59,22 +98,22 @@ def random_space_member(rng: random.Random, n: int, r: int) -> Polynomial:
 class TestBubble:
     def test_interval_interior(self):
         (x,) = variables(1)
-        assert bubble(full_cube(1)).poly == 1 - x**2
+        assert bubble(full_cube(1)) == 1 - x**2
 
     def test_vertex_bubble(self):
         x, y = variables(2)
         vertex = Face(2, ((0, 1), (1, 1)))
-        assert bubble(vertex).poly == (1 + x) * (1 + y)
+        assert bubble(vertex) == (1 + x) * (1 + y)
 
     def test_edge_bubble(self):
         x, y = variables(2)
         edge = Face(2, ((1, -1),))
-        assert bubble(edge).poly == (1 - x**2) * (1 - y)
+        assert bubble(edge) == (1 - x**2) * (1 - y)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_vanishes_on_noncontaining_facets(self, n):
         for face in all_faces(n):
-            b = bubble(face).poly
+            b = bubble(face)
             for facet in enumerate_faces(n, n - 1):
                 if not face_contains(facet, face):
                     assert restrict_to_face(b, facet).is_zero(), (face, facet)
@@ -83,7 +122,7 @@ class TestBubble:
     def test_positive_on_interior_sample_grid(self, n):
         probes = (Fraction(-1, 2), Fraction(0), Fraction(1, 2))
         for face in all_faces(n):
-            b = bubble(face).poly
+            b = bubble(face)
             assert b.evaluate(face.barycenter()) > 0
             free = face.free_indices
             for combo in itertools.product(probes, repeat=len(free)):
@@ -95,7 +134,7 @@ class TestBubble:
     def test_superlinear_degree_is_twice_codimension_complement(self):
         # each free axis contributes a square, each pinned axis is linear
         for face in all_faces(3):
-            assert bubble(face).poly.superlinear_degree() == 2 * face.dim
+            assert bubble(face).superlinear_degree() == 2 * face.dim
 
 
 class TestComponentSpaces:
@@ -128,6 +167,19 @@ class TestComponentSpaces:
         for n in range(1, 4):
             for r in range(1, 9):
                 assert len(all_components(n, r)) == dim_S_formula(n, r)
+
+    @pytest.mark.parametrize(
+        "n, r", [(n, r) for n in range(1, 4) for r in range(1, 7)] + [(4, 6)]
+    )
+    def test_dofs_and_components_share_one_index(self, n, r):
+        # the DOF weight and the bubble multiplier of each entry are the
+        # same (face, monomial) pair, in the same order
+        dofs = [(L.face, L.exponents) for L in dofs_S(n, r)]
+        comps = all_components(n, r)
+        assert len(dofs) == len(comps) == dim_S_formula(n, r)
+        for (face, exps), fc in zip(dofs, comps):
+            assert fc.face == face
+            assert fc.coefficient == Polynomial.from_monomial(exps)
 
 
 class TestDirectSum:
@@ -228,6 +280,15 @@ class TestExpandMonomial:
                         # degree budget on the face
                         assert fc.coefficient.degree() <= r - 2 * fc.face.dim
                     assert total == m.as_polynomial(), (n, r, m)
+
+    def test_matches_stack_expansion_oracle(self):
+        for n in range(1, 4):
+            for r in range(1, 6):
+                for m in basis_S(n, r).monomials:
+                    comps = expand_monomial(m.exponents, r)
+                    got = {fc.face: fc.coefficient for fc in comps}
+                    assert len(got) == len(comps)
+                    assert got == stack_expand_oracle(m.exponents, r), (n, r, m)
 
     def test_rejects_monomials_outside_space(self):
         with pytest.raises(ValueError):

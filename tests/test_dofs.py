@@ -275,19 +275,19 @@ class TestApplyDof:
     def test_vertex_evaluation(self):
         x, y = variables(2)
         vertex = Face(2, ((0, 1), (1, -1)))
-        L = DofFunctional(vertex, Polynomial.one(2), 0)
+        L = DofFunctional(vertex, (0, 0), 0)
         assert apply_dof(L, 2 * x * y + 1) == -1
 
     def test_edge_moment(self):
         x, y = variables(2)
         edge = Face(2, ((1, 1),))
-        L = DofFunctional(edge, x, 0)
+        L = DofFunctional(edge, (1, 0), 0)
         assert apply_dof(L, x) == Fraction(2, 3)
         assert apply_dof(L, y) == 0
 
     def test_interior_moment(self):
         (x,) = variables(1)
-        L = DofFunctional(full_cube(1), Polynomial.one(1), 0)
+        L = DofFunctional(full_cube(1), (0,), 0)
         assert apply_dof(L, 1 - x**2) == Fraction(4, 3)
 
     def test_linearity(self):
