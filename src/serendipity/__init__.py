@@ -2,8 +2,9 @@
 
 The package builds, for any dimension n and degree r within practical
 bounds, the serendipity polynomial space on [-1, 1]^n together with its
-face-moment degrees of freedom, proves unisolvence by exact rational
-rank computation, constructs the nodal basis, splits the space into
+face-moment degrees of freedom, proves unisolvence by an exact
+certificate on the pairing of DOFs with face bubbles (the paper's
+proof), constructs the nodal basis, splits the space into
 bubble-function components attached to the faces of the cube, and
 demonstrates inter-element continuity on a two-element patch.  The
 tensor-product space of the same degree is available for comparison.
@@ -11,7 +12,7 @@ All core arithmetic uses exact rationals; floats appear only in the
 optional sampling exports.
 """
 
-from .exactpoly import Monomial, Polynomial, integrate_box, superlinear_degree, variables
+from .exactpoly import Monomial, Polynomial, integrate_box, superlinear_degree
 from .cubegeom import (
     Face,
     all_faces,
@@ -50,7 +51,6 @@ from .decomp import (
     expand_monomial,
     facet_kernel_check,
     recompose,
-    space_V,
     verify_direct_sum,
 )
 from .assembly import (
@@ -69,7 +69,6 @@ __all__ = [
     "Polynomial",
     "integrate_box",
     "superlinear_degree",
-    "variables",
     "Face",
     "all_faces",
     "enumerate_faces",
@@ -101,7 +100,6 @@ __all__ = [
     "expand_monomial",
     "facet_kernel_check",
     "recompose",
-    "space_V",
     "verify_direct_sum",
     "ContinuityReport",
     "ElementPair",

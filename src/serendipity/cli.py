@@ -4,9 +4,11 @@ Commands: table1, dims, basis, dofs, verify, decompose, continuity,
 export.  Exit status is 0 on success, 1 when a verification command
 found a failing property, 2 on usage errors and unusable input.
 
-Supported ranges are hard-capped at n <= 6 and r <= 12; the expensive
-commands (verify at n = 3 with large r, or anything at n >= 4) can take
-minutes because all arithmetic is exact.  Axes in flags and reports are
+Supported ranges are hard-capped at n <= 6 and r <= 12.  The
+unisolvence, direct-sum and facet-kernel checks reach the caps in
+seconds; whatever reads the nodal basis (continuity, nodal and evalgrid
+exports) grows with the space dimension and can take minutes or more
+near the caps, because all arithmetic is exact.  Axes in flags and reports are
 1-based, matching the serialized face convention; the Python API is
 0-based throughout.
 """
@@ -19,6 +21,7 @@ import itertools
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from csv import writer as csv_writer
 from dataclasses import dataclass
@@ -118,13 +121,23 @@ def _json_text(payload: dict) -> str:
 
 
 def _emit(config: RunConfig, text: str) -> None:
-    if config.out is not None:
-        try:
-            config.out.write_text(text)
-        except OSError as err:
-            raise InputError(f"cannot write --out {config.out}: {err.strerror}") from None
-    else:
+    """Write to stdout, or to --out atomically: a temporary file in the
+    target's directory replaces the target only once fully written."""
+    if config.out is None:
         sys.stdout.write(text)
+        return
+    tmp = config.out.with_name(f".{config.out.name}.{os.getpid()}.tmp")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as err:
+        raise InputError(f"cannot write --out {config.out}: {err.strerror}") from None
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, config.out)
+    except OSError as err:
+        tmp.unlink(missing_ok=True)
+        raise InputError(f"cannot write --out {config.out}: {err.strerror}") from None
 
 
 def _tabular(
@@ -238,8 +251,22 @@ def cmd_dofs(config: RunConfig) -> int:
 
 
 def _run_verify_cell(item: tuple[int, int, str, int, int]) -> dict:
-    """One (n, r, check) verification cell; must stay importable for pools."""
+    """One (n, r, check) verification cell; must stay importable for pools.
+
+    A check that raises is a failing cell: its row names the exception
+    and the traceback goes to stderr, so the other cells still report.
+    """
     n, r, check, trials, seed = item
+    try:
+        ok, detail = _verify_check(n, r, check, trials, seed)
+    except Exception as err:
+        traceback.print_exc()
+        ok, detail = False, f"raised {type(err).__name__}: {err}"
+    return {"n": n, "r": r, "check": check, "ok": ok, "detail": detail}
+
+
+def _verify_check(n: int, r: int, check: str, trials: int, seed: int) -> tuple[bool, str]:
+    culprit = None
     if check == "dimension":
         dim = basis_S(n, r).dim
         formula = dim_S_formula(n, r)
@@ -251,15 +278,15 @@ def _run_verify_cell(item: tuple[int, int, str, int, int]) -> dict:
         detail = f"dims P/S/Q = {report.dim_P_r}/{report.dim_S_r}/{report.dim_Q_r}"
     elif check == "unisolvence":
         result = check_unisolvence(n, r)
-        ok = result.unisolvent
+        ok, culprit = result.unisolvent, result.culprit
         detail = f"rank {result.rank} of {result.dim}, facet kernel ok={result.facet_factor_ok}"
     elif check == "direct-sum":
         result = verify_direct_sum(n, r)
-        ok = result.ok
+        ok, culprit = result.ok, result.culprit
         detail = f"{result.component_count} components, rank {result.rank} of {result.space_dim}"
     elif check == "facet-kernel":
         result = facet_kernel_check(n, r)
-        ok = result.ok
+        ok, culprit = result.ok, result.culprit
         detail = f"kernel dim {result.kernel_dim}, expected {result.expected_dim}"
     elif check == "continuity":
         report = check_continuity(n, r, axis=0, trials=trials, seed=seed)
@@ -271,7 +298,9 @@ def _run_verify_cell(item: tuple[int, int, str, int, int]) -> dict:
         )
     else:
         raise ValueError(f"unknown check {check!r}")
-    return {"n": n, "r": r, "check": check, "ok": ok, "detail": detail}
+    if culprit is not None:
+        detail += f"; pairing certificate failed at {culprit}"
+    return ok, detail
 
 
 def cmd_verify(config: RunConfig) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
 from .exactpoly import Exponents, Polynomial, axis_moment
@@ -59,31 +59,14 @@ class Face:
     def dim(self) -> int:
         return self.n - len(self.fixed)
 
-    @property
+    @cached_property
     def fixed_indices(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.fixed)
 
-    @property
+    @cached_property
     def free_indices(self) -> tuple[int, ...]:
         pinned = set(self.fixed_indices)
         return tuple(i for i in range(self.n) if i not in pinned)
-
-    def sign_of(self, axis: int) -> int:
-        """Pinned value of an axis, or 0 if the axis is free on this face."""
-        for i, s in self.fixed:
-            if i == axis:
-                return s
-        return 0
-
-    def contains(self, other: "Face") -> bool:
-        return face_contains(self, other)
-
-    def barycenter(self) -> tuple[Fraction, ...]:
-        """Center point: pinned coordinates at their sign, free ones at 0."""
-        point = [Fraction(0)] * self.n
-        for i, s in self.fixed:
-            point[i] = Fraction(s)
-        return tuple(point)
 
     def __str__(self) -> str:
         if not self.fixed:

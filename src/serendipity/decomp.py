@@ -23,10 +23,24 @@ Two independent ways to split a polynomial across faces are provided:
   choice per axis sends each resulting term to a distinct face: picked
   sign factors pin axes, picked quotient factors stay free.
 
+Pairing the DOFs with the components gives the paper's unisolvence
+proof.  Let K = D C, where D is the DOF matrix and C the component
+matrix on the monomial basis, so K[(F, w), (G, q)] = L_{F,w}(b_G x^q).
+The entry vanishes unless G lies in F: a pin (j, s) of F that G lacks
+zeroes the factor of b_G along axis j on all of F.  With faces in DOF
+order K is therefore block lower triangular, and on a d-face F the
+bubble is 2^(n-d) times the product of (1 - x_i^2) over the free axes,
+so every diagonal block of dimension d is 2^(n-d) times one Gram matrix
+of the degree r - 2d family under a positive weight.  Checking these
+facts plus n + 1 positive definite blocks proves K, hence D and C,
+nonsingular without an N x N elimination.
+
 The facet kernel check characterizes the functions whose trace vanishes
 on the whole boundary: exactly the full-cube bubble times total degree
-r - 2n, verified by an exact kernel computation plus a positive
-definite Gram matrix of the candidate basis.
+r - 2n.  Its dimension follows from the pairing (a boundary-vanishing
+member has zero DOFs on every proper face, so its proper components
+vanish); the candidate basis is checked to vanish on the boundary, to
+be independent and to have a positive definite Gram matrix.
 """
 
 from __future__ import annotations
@@ -34,26 +48,44 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import prod
-from typing import Literal
+from typing import Literal, Optional
 
-from .cubegeom import Face, enumerate_faces, full_cube, restrict_to_face
-from .dofs import RationalMatrix
+from .cubegeom import (
+    Face,
+    enumerate_faces,
+    face_contains,
+    face_moment,
+    full_cube,
+    restrict_to_face,
+)
+from .dofs import RationalMatrix, SingularMatrixError
 from .exactpoly import (
     Exponents,
     Polynomial,
     integrate_box,
     superlinear_degree,
 )
-from .spaces import basis_S, dim_P, face_monomials, monomials_total_degree_at_most
+from .spaces import (
+    basis_S,
+    dim_P,
+    dim_S_formula,
+    face_monomials,
+    monomials_total_degree_at_most,
+)
+
+Block = tuple[tuple[Fraction, ...], ...]
 
 __all__ = [
     "FaceComponent",
     "bubble",
-    "space_V",
     "all_components",
     "component_matrix",
+    "face_index",
+    "pairing_block",
+    "certify_pairing",
+    "pairing_inverse",
     "DirectSumResult",
     "verify_direct_sum",
     "expand_monomial",
@@ -84,24 +116,27 @@ class FaceComponent:
         }
 
 
+def _bubble_factors(face: Face) -> tuple[tuple[int, int, int], ...]:
+    """Per axis, the coefficients (c0, c1, c2) of the bubble's factor
+    c0 + c1 t + c2 t^2: 1 - t^2 on a free axis, 1 + c t on an axis
+    pinned at c."""
+    pins = dict(face.fixed)
+    return tuple((1, pins[j], 0) if j in pins else (1, 0, -1) for j in range(face.n))
+
+
 @lru_cache(maxsize=None)
 def bubble(face: Face) -> Polynomial:
     """(1 - x_j^2) over free axes times (1 + c_j x_j) over pinned axes."""
-    n = face.n
-    poly = Polynomial.one(n)
-    for j in face.free_indices:
-        poly = poly * (1 - Polynomial.variable(n, j) ** 2)
-    for j, sign in face.fixed:
-        poly = poly * (1 + sign * Polynomial.variable(n, j))
-    return poly
-
-
-def space_V(face: Face, r: int) -> tuple[FaceComponent, ...]:
-    """The face's component space: bubble times degree r - 2d monomials.
-
-    Empty when r - 2d < 0; its dimension is C(r - d, d).
-    """
-    return tuple(fc for fc in all_components(face.n, r) if fc.face == face)
+    per_axis = [
+        [(k, c) for k, c in enumerate(factor) if c] for factor in _bubble_factors(face)
+    ]
+    return Polynomial(
+        face.n,
+        (
+            (tuple(k for k, _ in picks), prod(c for _, c in picks))
+            for picks in itertools.product(*per_axis)
+        ),
+    )
 
 
 @lru_cache(maxsize=None)
@@ -136,6 +171,179 @@ def component_matrix(n: int, r: int) -> RationalMatrix:
     return RationalMatrix(rows)
 
 
+@lru_cache(maxsize=None)
+def face_index(n: int, r: int) -> dict[Face, tuple[Exponents, ...]]:
+    """face_monomials grouped by face, in DOF order; faces without
+    monomials are left out."""
+    groups: dict[Face, list[Exponents]] = {}
+    for face, exps in face_monomials(n, r):
+        groups.setdefault(face, []).append(exps)
+    return {face: tuple(exps) for face, exps in groups.items()}
+
+
+@lru_cache(maxsize=None)
+def pairing_block(face: Face, other: Face, r: int) -> RationalMatrix:
+    """The block K[F, G] of the pairing: row w, column q holds the DOF of
+    face F with weight x^w applied to the component b_G x^q of face G.
+
+    Each entry is the face moment of x^(w + q) times the trace of b_G on
+    F, term by term, so it depends on w + q only and is computed once per
+    sum.  Taking the trace first merges the bubble's terms that differ
+    only on axes pinned in F.
+    """
+    index = face_index(face.n, r)
+    terms = restrict_to_face(bubble(other), face).terms()
+
+    @cache
+    def moment(shift: Exponents) -> Fraction:
+        return sum(
+            (c * face_moment(face, tuple(a + b for a, b in zip(e, shift))) for e, c in terms),
+            Fraction(0),
+        )
+
+    return RationalMatrix(
+        [
+            [moment(tuple(a + b for a, b in zip(w, q))) for q in index[other]]
+            for w in index[face]
+        ]
+    )
+
+
+@lru_cache(maxsize=None)
+def certify_pairing(n: int, r: int) -> Optional[str]:
+    """Certify that the pairing K = D C is nonsingular, which proves the
+    DOFs unisolvent and the components a basis of S_r at once.
+
+    Returns None when every part holds, else names the first failure:
+
+    (i) counts: the (face, monomial) index, the basis and the closed form
+        agree on the dimension;
+    (ii) membership: every component b_G x^q lies in S_r, read off the
+        top exponent of each bubble factor;
+    (iii) vanishing: for G not in F, a pin of F that G lacks zeroes a
+        factor of b_G, so K is block lower triangular;
+    (iv) each bubble's trace on its own face is 2^(n-d) times the
+        product of (1 - x_i^2) over the free axes, read factor by factor
+        (2 on each pinned axis), so every diagonal block of dimension d
+        equals that dimension's representative;
+    (v) the representative block of each dimension is positive definite.
+
+    The certificate is one-sided: a failure proves nothing singular.
+    """
+    index = face_index(n, r)
+    count = len(face_monomials(n, r))
+    dim = basis_S(n, r).dim
+    if not count == dim == dim_S_formula(n, r):
+        return (
+            f"count: {count} (face, monomial) pairs, basis dimension {dim}, "
+            f"closed form {dim_S_formula(n, r)}"
+        )
+    factors = {face: _bubble_factors(face) for face in index}
+    for face, multipliers in index.items():
+        degrees = [max(k for k, c in enumerate(f) if c) for f in factors[face]]
+        for q in multipliers:
+            top = tuple(a + b for a, b in zip(q, degrees))
+            if superlinear_degree(top) > r:
+                return (
+                    f"membership: the component of {face} with multiplier {q} "
+                    f"reaches superlinear degree {superlinear_degree(top)} > {r}"
+                )
+    # a pin (j, s) is bit 2j + (s > 0): each pair costs a few integer ops
+    def bits(pins) -> int:
+        return sum(1 << (2 * j + (s > 0)) for j, s in pins)
+
+    zero_bits = {
+        face: bits(
+            (j, s)
+            for j, (c0, c1, c2) in enumerate(factors[face])
+            for s in (-1, 1)
+            if c0 + c1 * s + c2 == 0
+        )
+        for face in index
+    }
+    inner_bits = [(face, bits(face.fixed), zero_bits[face]) for face in index]
+    for outer in index:
+        pins = bits(outer.fixed)
+        for inner, own, zero in inner_bits:
+            lacking = pins & ~own
+            if lacking and not lacking & zero:
+                pins_lacked = ", ".join(
+                    f"x{j + 1}={s:+d}" for j, s in outer.fixed if (j, s) not in inner.fixed
+                )
+                return (
+                    f"vanishing: block K[{outer}, {inner}] is not forced to zero, "
+                    f"no factor of the bubble of {inner} vanishes at {pins_lacked}"
+                )
+    for face in index:
+        pinned = dict(face.fixed)
+        for j, (c0, c1, c2) in enumerate(factors[face]):
+            trace = (c0 + c1 * pinned[j] + c2, 0, 0) if j in pinned else (c0, c1, c2)
+            if trace != ((2, 0, 0) if j in pinned else (1, 0, -1)):
+                return (
+                    f"bubble: on {face} the factor of its bubble along x{j + 1} "
+                    f"is {trace}, not that of 2^(n-d) prod(1 - x_i^2)"
+                )
+    for d in range(n + 1):
+        representative = enumerate_faces(n, d)[0]
+        if representative in index and not pairing_block(
+            representative, representative, r
+        ).is_positive_definite():
+            return f"Gram block: the diagonal block of face dimension {d} is not positive definite"
+    return None
+
+
+def _product(a: Block, b: Block, scale: int = 1) -> Block:
+    """scale times the product of two blocks given as rows, skipping zero
+    factors."""
+    cols = list(zip(*b))
+    return tuple(
+        tuple(scale * sum((x * y for x, y in zip(row, col) if x and y), Fraction(0)) for col in cols)
+        for row in a
+    )
+
+
+@lru_cache(maxsize=None)
+def pairing_inverse(n: int, r: int) -> dict[Face, dict[Face, Block]]:
+    """X = K^-1 by block forward substitution over the faces.
+
+    X is block lower triangular like K: for each face H it maps every
+    face F containing H, in DOF order, to the block X[F, H], with
+
+        X[H, H] = K[H, H]^-1,
+        X[F, H] = -K[F, F]^-1 sum over H <= G < F of K[F, G] X[G, H],
+
+    the sum formed as one product of the blocks K[F, G] side by side with
+    the blocks X[G, H] stacked.  The certificate must hold: it makes the
+    blocks off G <= F zero and every diagonal block of dimension d equal
+    to one representative, so the diagonal inverses are one solve per
+    face dimension.
+    """
+    culprit = certify_pairing(n, r)
+    if culprit is not None:
+        raise SingularMatrixError(f"pairing at n={n}, r={r} is not certified: {culprit}")
+    index = face_index(n, r)
+    diagonal: dict[int, Block] = {}
+    for d in range(n + 1):
+        representative = enumerate_faces(n, d)[0]
+        if representative in index:
+            block = pairing_block(representative, representative, r)
+            inverse = block.solve(RationalMatrix.identity(block.rows))
+            diagonal[d] = tuple(inverse.row(i) for i in range(inverse.rows))
+    out: dict[Face, dict[Face, Block]] = {}
+    for col in index:
+        column = {col: diagonal[col.dim]}
+        for face in index:
+            if face == col or not face_contains(face, col):
+                continue
+            inner = [g for g in column if face_contains(face, g)]
+            blocks = [pairing_block(face, g, r) for g in inner]
+            left = [sum((k.row(i) for k in blocks), ()) for i in range(len(index[face]))]
+            right = [row for g in inner for row in column[g]]
+            column[face] = _product(diagonal[face.dim], _product(left, right), scale=-1)
+        out[col] = column
+    return out
+
+
 @dataclass(frozen=True)
 class DirectSumResult:
     n: int
@@ -143,6 +351,7 @@ class DirectSumResult:
     space_dim: int
     component_count: int
     rank: int
+    culprit: Optional[str] = None
 
     @property
     def dims_match(self) -> bool:
@@ -166,16 +375,23 @@ class DirectSumResult:
             "dims_match": self.dims_match,
             "full_rank": self.full_rank,
             "ok": self.ok,
+            "culprit": self.culprit,
         }
 
 
 def verify_direct_sum(n: int, r: int) -> DirectSumResult:
-    """Counts plus exact rank: together they certify the direct sum."""
+    """Counts plus rank: together they certify the direct sum.
+
+    The rank is the dimension when the pairing certificate holds; when it
+    fails, the exact rank of the component matrix is reported with the
+    certificate's culprit.
+    """
     dim = basis_S(n, r).dim
     comps = all_components(n, r)
-    rank = component_matrix(n, r).rank()
+    culprit = certify_pairing(n, r)
+    rank = dim if culprit is None else component_matrix(n, r).rank()
     return DirectSumResult(
-        n=n, r=r, space_dim=dim, component_count=len(comps), rank=rank
+        n=n, r=r, space_dim=dim, component_count=len(comps), rank=rank, culprit=culprit
     )
 
 
@@ -327,12 +543,13 @@ class FacetKernelResult:
     n: int
     r: int
     space_dim: int
-    kernel_dim: int
+    kernel_dim: Optional[int]
     expected_dim: int
     candidates_contained: bool
     candidates_independent: bool
     gram_positive_definite: bool
     gram: RationalMatrix
+    culprit: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -358,36 +575,23 @@ class FacetKernelResult:
                 for i in range(self.gram.rows)
             ],
             "ok": self.ok,
+            "culprit": self.culprit,
         }
 
 
 @lru_cache(maxsize=None)
 def facet_kernel_check(n: int, r: int) -> FacetKernelResult:
     """The subspace with vanishing trace on every facet must be exactly
-    the full-cube bubble times total degree r - 2n (empty for r < 2n)."""
+    the full-cube bubble times total degree r - 2n (empty for r < 2n).
+
+    The kernel dimension is a corollary of the pairing certificate: a
+    member vanishing on the boundary has zero DOFs on every proper face,
+    and K restricted to the proper faces is triangular and invertible,
+    so every proper component vanishes.  Without the certificate the
+    dimension is unknown (None).  The candidates are checked directly.
+    """
     basis = basis_S(n, r)
-    dim = basis.dim
-    facets = enumerate_faces(n, n - 1)
-
-    # one constraint row per (facet, surviving monomial) pair: the trace
-    # coefficient of that monomial must cancel
-    row_of: dict[tuple[int, Exponents], int] = {}
-    entries: dict[tuple[int, int], Fraction] = {}
-    for fi, facet in enumerate(facets):
-        axis, sign = facet.fixed[0]
-        for col, m in enumerate(basis.monomials):
-            exps = m.exponents
-            flip = -1 if (sign < 0 and exps[axis] % 2) else 1
-            reduced = exps[:axis] + (0,) + exps[axis + 1 :]
-            key = (fi, reduced)
-            row = row_of.setdefault(key, len(row_of))
-            entries[(row, col)] = entries.get((row, col), Fraction(0)) + flip
-    rows = [[Fraction(0)] * dim for _ in range(len(row_of))]
-    for (i, j), v in entries.items():
-        rows[i][j] = v
-    constraint = RationalMatrix(rows)
-    kernel_dim = dim - constraint.rank()
-
+    culprit = certify_pairing(n, r)
     expected_dim = dim_P(n, r - 2 * n)
     cube_bubble = bubble(full_cube(n))
     candidates = [
@@ -397,7 +601,7 @@ def facet_kernel_check(n: int, r: int) -> FacetKernelResult:
     contained = all(
         restrict_to_face(cand, facet).is_zero()
         for cand in candidates
-        for facet in facets
+        for facet in enumerate_faces(n, n - 1)
     )
     coord_rows = [
         [cand.coefficient(m.exponents) for m in basis.monomials]
@@ -416,11 +620,12 @@ def facet_kernel_check(n: int, r: int) -> FacetKernelResult:
     return FacetKernelResult(
         n=n,
         r=r,
-        space_dim=dim,
-        kernel_dim=kernel_dim,
+        space_dim=basis.dim,
+        kernel_dim=expected_dim if culprit is None else None,
         expected_dim=expected_dim,
         candidates_contained=contained,
         candidates_independent=independent,
         gram_positive_definite=gram.is_positive_definite(),
         gram=gram,
+        culprit=culprit,
     )

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .cubegeom import Face, enumerate_faces, face_moment
 from .exactpoly import Exponents, Monomial, Polynomial
@@ -286,6 +286,7 @@ class UnisolvenceResult:
     dim: int
     rank: int
     facet_factor_ok: bool
+    culprit: Optional[str] = None
 
     @property
     def matrix_full_rank(self) -> bool:
@@ -304,51 +305,71 @@ class UnisolvenceResult:
             "matrix_full_rank": self.matrix_full_rank,
             "facet_factor_ok": self.facet_factor_ok,
             "unisolvent": self.unisolvent,
+            "culprit": self.culprit,
         }
 
 
-@lru_cache(maxsize=None)
-def _dof_matrix_S(n: int, r: int) -> RationalMatrix:
-    return dof_matrix(basis_S(n, r), dofs_S(n, r))
-
-
-def check_unisolvence(n: int, r: int, include_facet_check: bool = True) -> UnisolvenceResult:
+def check_unisolvence(n: int, r: int) -> UnisolvenceResult:
     """Verify the serendipity DOFs determine the space uniquely.
 
-    Two independent computations: the square DOF matrix must have full
-    rank exactly, and the joint kernel of all facet DOFs must be the
-    facet-bubble multiples of the total degree r - 2n family (empty when
-    r < 2n).
+    The DOF matrix has full rank when the pairing certificate
+    (``decomp.certify_pairing``) holds; when it fails, the exact rank of
+    the DOF matrix is reported with the certificate's culprit.  The
+    joint kernel of all facet DOFs must also be the facet-bubble
+    multiples of the total degree r - 2n family (empty when r < 2n).
     """
+    from . import decomp
+
     basis = basis_S(n, r)
     functionals = dofs_S(n, r)
     if len(functionals) != basis.dim:
         raise AssertionError(
             f"{len(functionals)} functionals for a space of dimension {basis.dim}"
         )
-    rank = _dof_matrix_S(n, r).rank()
-    if include_facet_check:
-        from . import decomp
-
-        facet_ok = decomp.facet_kernel_check(n, r).ok
-    else:
-        facet_ok = True
-    return UnisolvenceResult(n=n, r=r, dim=basis.dim, rank=rank, facet_factor_ok=facet_ok)
+    culprit = decomp.certify_pairing(n, r)
+    rank = basis.dim if culprit is None else dof_matrix(basis, functionals).rank()
+    return UnisolvenceResult(
+        n=n,
+        r=r,
+        dim=basis.dim,
+        rank=rank,
+        facet_factor_ok=decomp.facet_kernel_check(n, r).ok,
+        culprit=culprit,
+    )
 
 
 @lru_cache(maxsize=None)
 def nodal_basis(n: int, r: int) -> tuple[Polynomial, ...]:
-    """The dual basis: polynomial j takes value 1 on DOF j and 0 on the rest."""
-    basis = basis_S(n, r)
-    matrix = _dof_matrix_S(n, r)
-    coeffs = matrix.solve(RationalMatrix.identity(basis.dim))
+    """The dual basis: polynomial j takes value 1 on DOF j and 0 on the rest.
+
+    With K = D C the pairing of the DOFs with the bubble components, the
+    inverse of the DOF matrix is C K^-1: the nodal function of the DOF
+    with weight index i on face H is the sum, over the faces F containing
+    H, of b_F times the multipliers in column i of the block X[F, H] of
+    X = K^-1 (``decomp.pairing_inverse``), expanded into monomials.
+    """
+    from . import decomp
+
+    index = decomp.face_index(n, r)
     polys = []
-    for j in range(basis.dim):
-        terms = {
-            basis.monomials[k].exponents: coeffs.entry(k, j)
-            for k in range(basis.dim)
-        }
-        polys.append(Polynomial(n, terms))
+    for col, column in decomp.pairing_inverse(n, r).items():
+        expansions = [
+            (decomp.bubble(face).terms(), index[face], block)
+            for face, block in column.items()
+        ]
+        for i in range(len(index[col])):
+            polys.append(
+                Polynomial(
+                    n,
+                    (
+                        (tuple(a + b for a, b in zip(e, q)), c * row[i])
+                        for terms, multipliers, block in expansions
+                        for q, row in zip(multipliers, block)
+                        if row[i]
+                        for e, c in terms
+                    ),
+                )
+            )
     return tuple(polys)
 
 

@@ -33,7 +33,6 @@ __all__ = [
     "Polynomial",
     "grlex_key",
     "superlinear_degree",
-    "variables",
     "integrate_box",
     "axis_moment",
 ]
@@ -80,16 +79,8 @@ class Monomial:
     def superlinear_degree(self) -> int:
         return superlinear_degree(self.exponents)
 
-    @property
-    def linear_count(self) -> int:
-        """Number of variables appearing with exponent exactly 1."""
-        return sum(1 for e in self.exponents if e == 1)
-
     def __lt__(self, other: "Monomial") -> bool:
         return grlex_key(self.exponents) < grlex_key(other.exponents)
-
-    def as_polynomial(self, coeff: Scalar = 1) -> "Polynomial":
-        return Polynomial(len(self.exponents), {self.exponents: Fraction(coeff)})
 
     def __str__(self) -> str:
         if not any(self.exponents):
@@ -355,11 +346,6 @@ def _horner(items: list[tuple[Exponents, float]], xs: list[float], axis: int) ->
             acc = acc * x ** (prev - e) + inner
         prev = e
     return acc * x**prev if prev else acc
-
-
-def variables(n: int) -> tuple[Polynomial, ...]:
-    """The coordinate polynomials (x1, ..., xn)."""
-    return tuple(Polynomial.variable(n, i) for i in range(n))
 
 
 def axis_moment(exponent: int) -> Fraction:

@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import csv
+import errno
 import hashlib
 import io
 import json
+import os
 from fractions import Fraction
 
 import pytest
 
+from serendipity import cli, decomp
 from serendipity.cli import main
+from serendipity.cubegeom import Face
 from serendipity.exactpoly import Polynomial
 from serendipity.spaces import dim_S_formula
 
@@ -378,6 +382,110 @@ class TestBadInput:
         assert "cannot write --out" in err
 
 
+class TestAtomicOut:
+    """--out is replaced whole or not at all."""
+
+    def test_replaces_existing_target(self, capsys, tmp_path):
+        target = tmp_path / "table.txt"
+        target.write_text("old")
+        assert main(["table1", "--out", str(target)]) == 0
+        main(["table1"])
+        assert target.read_text() == capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_failed_replace_keeps_target(self, capsys, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+
+        target = tmp_path / "table.txt"
+        target.write_text("old")
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        assert main(["table1", "--out", str(target)]) == 2
+        assert "cannot write --out" in capsys.readouterr().err
+        assert target.read_text() == "old"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_failed_write_leaves_nothing(self, capsys, tmp_path, monkeypatch):
+        real_fdopen = os.fdopen
+
+        class DiskFull:
+            """Writes half of the text, then fails as a full disk does."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli.os, "fdopen", lambda fd, mode: DiskFull(real_fdopen(fd, mode)))
+        target = tmp_path / "nodal.json"
+        code = main(["export", "--what", "nodal", "--n", "1", "--r", "2", "--out", str(target)])
+        assert code == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestVerifyFailures:
+    """A failing cell names its cause; the other cells still report."""
+
+    def test_raising_check_becomes_fail_row(self, capsys, monkeypatch):
+        def boom(n, r):
+            raise RuntimeError(f"no direct sum at ({n}, {r})")
+
+        monkeypatch.setattr(cli, "verify_direct_sum", boom)
+        code = main(["verify", "--n", "1", "--n-max", "2", "--r", "1", "--r-max", "2",
+                     "--checks", "dimension,direct-sum", "--jobs", "1", "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        rows = json.loads(captured.out)["results"]
+        assert len(rows) == 8
+        for row in rows:
+            if row["check"] == "direct-sum":
+                assert not row["ok"]
+                assert row["detail"] == (
+                    f"raised RuntimeError: no direct sum at ({row['n']}, {row['r']})"
+                )
+            else:
+                assert row["ok"]
+        assert "Traceback" in captured.err
+
+    def test_certificate_failure_names_the_pair_and_dense_rank(
+        self, capsys, monkeypatch, fresh_caches
+    ):
+        vertex = Face(2, ((0, -1), (1, -1)))
+        real = decomp._bubble_factors
+
+        def flipped(face):
+            factors = real(face)
+            if face != vertex:
+                return factors
+            c0, c1, c2 = factors[0]
+            return ((c0, -c1, c2),) + factors[1:]
+
+        monkeypatch.setattr(decomp, "_bubble_factors", flipped)
+        code = main(["verify", "--n", "2", "--r", "3", "--checks",
+                     "unisolvence,direct-sum,facet-kernel", "--jobs", "1", "--format", "json"])
+        assert code == 1
+        rows = {row["check"]: row for row in json.loads(capsys.readouterr().out)["results"]}
+        pair = "vanishing: block K[face(x1=+1, x2=-1), face(x1=-1, x2=-1)]"
+        for row in rows.values():
+            assert not row["ok"]
+            assert f"; pairing certificate failed at {pair}" in row["detail"]
+        # the dense ranks: the DOFs do not involve the bubbles, while the
+        # flipped bubble repeats the bubble of the vertex (+1, -1)
+        assert rows["unisolvence"]["detail"].startswith("rank 12 of 12, facet kernel ok=False")
+        assert rows["direct-sum"]["detail"].startswith("12 components, rank 11 of 12")
+        assert rows["facet-kernel"]["detail"].startswith("kernel dim None, expected 0")
+
+
 class TestGoldenOutput:
     """SHA-256 of stdout, pinned so that rewrites keep every byte."""
 
@@ -412,6 +520,15 @@ class TestGoldenOutput:
             (
                 ["export", "--what", "nodal", "--n", "2", "--r", "3"],
                 "bb076c359965c21eac1e72b6d587f2a842d7ec5b832f3ee6a2b06f9726c1e311",
+            ),
+            (
+                ["verify", "--n", "4", "--r", "6", "--checks",
+                 "unisolvence,direct-sum,facet-kernel", "--jobs", "1", "--format", "json"],
+                "3806cd7251d28c47e31fcdc7e046f0e7779ccdb0d5548c13b3255587cf4e124c",
+            ),
+            (
+                ["export", "--what", "nodal", "--n", "3", "--r", "8"],
+                "06f0d8fa7ec6a7d8192925855e733ac568b1ba8cdbf95f34d9a1069f6bad012c",
             ),
         ],
     )

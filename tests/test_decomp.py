@@ -17,21 +17,31 @@ from serendipity.cubegeom import (
     full_cube,
     restrict_to_face,
 )
+from serendipity import decomp
 from serendipity.decomp import (
     _superlinear_split,
     all_components,
     bubble,
+    certify_pairing,
     component_matrix,
     decompose,
     expand_monomial,
+    face_index,
     facet_kernel_check,
+    pairing_block,
     recompose,
-    space_V,
     verify_direct_sum,
 )
-from serendipity.dofs import dofs_S
-from serendipity.exactpoly import Polynomial, integrate_box, variables
-from serendipity.spaces import basis_S, dim_S_formula
+from serendipity.dofs import (
+    RationalMatrix,
+    SingularMatrixError,
+    check_unisolvence,
+    dof_matrix,
+    dofs_S,
+    nodal_basis,
+)
+from serendipity.exactpoly import Polynomial, integrate_box
+from serendipity.spaces import basis_S, dim_S_formula, face_monomials
 
 
 def box_integral_oracle(p: Polynomial) -> Fraction:
@@ -85,6 +95,40 @@ def stack_expand_oracle(exponents: tuple[int, ...], r: int) -> dict[Face, Polyno
     return out
 
 
+def constraint_kernel_dim(n: int, r: int) -> int:
+    """The earlier facet-kernel dimension, kept as an oracle: the space
+    dimension minus the rank of one constraint row per (facet, surviving
+    monomial) pair, each requiring that trace coefficient to cancel."""
+    basis = basis_S(n, r)
+    row_of: dict[tuple[int, tuple[int, ...]], int] = {}
+    entries: dict[tuple[int, int], Fraction] = {}
+    for fi, facet in enumerate(enumerate_faces(n, n - 1)):
+        axis, sign = facet.fixed[0]
+        for col, m in enumerate(basis.monomials):
+            exps = m.exponents
+            flip = -1 if (sign < 0 and exps[axis] % 2) else 1
+            row = row_of.setdefault((fi, exps[:axis] + (0,) + exps[axis + 1 :]), len(row_of))
+            entries[(row, col)] = entries.get((row, col), Fraction(0)) + flip
+    rows = [[Fraction(0)] * basis.dim for _ in range(len(row_of))]
+    for (i, j), v in entries.items():
+        rows[i][j] = v
+    return basis.dim - RationalMatrix(rows).rank()
+
+
+def flip_bubble_sign(monkeypatch, face: Face) -> None:
+    """Make the bubble of one face use 1 - c x_1 in place of 1 + c x_1."""
+    real = decomp._bubble_factors
+
+    def flipped(other):
+        factors = real(other)
+        if other != face:
+            return factors
+        c0, c1, c2 = factors[0]
+        return ((c0, -c1, c2),) + factors[1:]
+
+    monkeypatch.setattr(decomp, "_bubble_factors", flipped)
+
+
 def random_space_member(rng: random.Random, n: int, r: int) -> Polynomial:
     return Polynomial(
         n,
@@ -97,16 +141,16 @@ def random_space_member(rng: random.Random, n: int, r: int) -> Polynomial:
 
 class TestBubble:
     def test_interval_interior(self):
-        (x,) = variables(1)
+        x = Polynomial.variable(1, 0)
         assert bubble(full_cube(1)) == 1 - x**2
 
     def test_vertex_bubble(self):
-        x, y = variables(2)
+        x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
         vertex = Face(2, ((0, 1), (1, 1)))
         assert bubble(vertex) == (1 + x) * (1 + y)
 
     def test_edge_bubble(self):
-        x, y = variables(2)
+        x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
         edge = Face(2, ((1, -1),))
         assert bubble(edge) == (1 - x**2) * (1 - y)
 
@@ -123,10 +167,13 @@ class TestBubble:
         probes = (Fraction(-1, 2), Fraction(0), Fraction(1, 2))
         for face in all_faces(n):
             b = bubble(face)
-            assert b.evaluate(face.barycenter()) > 0
+            center = [Fraction(0)] * n
+            for axis, sign in face.fixed:
+                center[axis] = Fraction(sign)
+            assert b.evaluate(center) > 0
             free = face.free_indices
             for combo in itertools.product(probes, repeat=len(free)):
-                point = list(face.barycenter())
+                point = list(center)
                 for axis, value in zip(free, combo):
                     point[axis] = value
                 assert b.evaluate(tuple(point)) > 0, (face, point)
@@ -141,20 +188,24 @@ class TestComponentSpaces:
     def test_dimension_formula(self):
         for n in range(1, 5):
             for r in range(1, 9):
+                comps = all_components(n, r)
                 for face in all_faces(n):
                     d = face.dim
                     expected = comb(r - d, d) if r - d >= d else 0
-                    assert len(space_V(face, r)) == expected, (n, r, face)
+                    got = sum(1 for fc in comps if fc.face == face)
+                    assert got == expected, (n, r, face)
 
     def test_vertex_components_at_degree_one(self):
-        comps = space_V(Face(2, ((0, 1), (1, -1))), 1)
+        vertex = Face(2, ((0, 1), (1, -1)))
+        comps = [fc for fc in all_components(2, 1) if fc.face == vertex]
         assert len(comps) == 1
-        x, y = variables(2)
+        x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
         assert comps[0].component == (1 + x) * (1 - y)
 
     def test_interior_empty_below_threshold(self):
-        assert space_V(full_cube(2), 3) == ()
-        assert len(space_V(full_cube(2), 4)) == 1
+        for r, expected in ((3, 0), (4, 1)):
+            faces = [fc.face for fc in all_components(2, r)]
+            assert faces.count(full_cube(2)) == expected
 
     def test_membership_in_space(self):
         for n in range(1, 4):
@@ -180,6 +231,101 @@ class TestComponentSpaces:
         for (face, exps), fc in zip(dofs, comps):
             assert fc.face == face
             assert fc.coefficient == Polynomial.from_monomial(exps)
+
+
+PAIRING_CELLS = [(n, r) for n in range(1, 4) for r in range(1, 7)]
+
+
+class TestPairing:
+    """The face-triangular pairing K = D C and its certificate."""
+
+    @pytest.mark.parametrize("n, r", PAIRING_CELLS + [(4, 6)])
+    def test_certificate_rank_matches_dense_ranks(self, n, r):
+        dim = dim_S_formula(n, r)
+        assert certify_pairing(n, r) is None
+        assert check_unisolvence(n, r).rank == dim
+        assert verify_direct_sum(n, r).rank == dim
+        assert dof_matrix(basis_S(n, r), dofs_S(n, r)).rank() == dim
+        assert component_matrix(n, r).rank() == dim
+
+    @pytest.mark.parametrize("n, r", PAIRING_CELLS)
+    def test_facet_kernel_dim_matches_constraint_rank(self, n, r):
+        assert facet_kernel_check(n, r).kernel_dim == constraint_kernel_dim(n, r)
+
+    @pytest.mark.parametrize("n, r", PAIRING_CELLS)
+    def test_diagonal_blocks_equal_their_representative(self, n, r):
+        index = face_index(n, r)
+        for d in range(n + 1):
+            representative = enumerate_faces(n, d)[0]
+            for face in enumerate_faces(n, d):
+                if face in index:
+                    expected = pairing_block(representative, representative, r)
+                    assert pairing_block(face, face, r) == expected, face
+
+    @pytest.mark.parametrize("n, r", [(1, 3), (2, 3), (2, 4), (3, 3)])
+    def test_blocks_are_slices_of_dof_times_component_matrix(self, n, r):
+        # K = D C by the textbook product; every block off G <= F is zero
+        d = dof_matrix(basis_S(n, r), dofs_S(n, r)).to_lists()
+        c = component_matrix(n, r).to_lists()
+        k = [[sum(a * b for a, b in zip(row, col)) for col in zip(*c)] for row in d]
+        start: dict[Face, int] = {}
+        for i, (face, _) in enumerate(face_monomials(n, r)):
+            start.setdefault(face, i)
+        index = face_index(n, r)
+        for outer in index:
+            rows = range(start[outer], start[outer] + len(index[outer]))
+            for inner in index:
+                cols = range(start[inner], start[inner] + len(index[inner]))
+                block = pairing_block(outer, inner, r)
+                assert block.to_lists() == [[k[i][j] for j in cols] for i in rows]
+                if not face_contains(outer, inner):
+                    assert block.rank() == 0
+
+    def test_flipped_bubble_sign_fails_vanishing(self, monkeypatch, fresh_caches):
+        vertex = Face(2, ((0, -1), (1, -1)))
+        flip_bubble_sign(monkeypatch, vertex)
+        culprit = certify_pairing(2, 3)
+        assert culprit.startswith(
+            "vanishing: block K[face(x1=+1, x2=-1), face(x1=-1, x2=-1)]"
+        )
+        # the block it names is really no longer zero
+        assert pairing_block(Face(2, ((0, 1), (1, -1))), vertex, 3).rank() == 1
+        result = check_unisolvence(2, 3)
+        assert result.culprit == culprit and not result.unisolvent
+        with pytest.raises(SingularMatrixError):
+            nodal_basis(2, 3)
+
+    def test_dropped_weight_fails_counts(self, monkeypatch, fresh_caches):
+        index = face_monomials(2, 3)
+        monkeypatch.setattr(decomp, "face_monomials", lambda n, r: index[:5] + index[6:])
+        assert certify_pairing(2, 3) == (
+            "count: 11 (face, monomial) pairs, basis dimension 12, closed form 12"
+        )
+
+    def test_raised_bubble_degree_fails_membership(self, monkeypatch, fresh_caches):
+        real = decomp._bubble_factors
+
+        def squared(face):
+            # every vertex bubble factor gains a t^2 term
+            return real(face) if face.dim else tuple((c0, c1, 1) for c0, c1, _ in real(face))
+
+        monkeypatch.setattr(decomp, "_bubble_factors", squared)
+        assert certify_pairing(2, 3).startswith(
+            "membership: the component of face(x1=-1, x2=-1) with multiplier (0, 0) "
+            "reaches superlinear degree 4 > 3"
+        )
+
+    def test_indefinite_block_fails_gram(self, monkeypatch, fresh_caches):
+        real = decomp.pairing_block
+
+        def negated(face, other, r):
+            block = real(face, other, r)
+            return RationalMatrix([[-v for v in row] for row in block.to_lists()])
+
+        monkeypatch.setattr(decomp, "pairing_block", negated)
+        assert certify_pairing(2, 3) == (
+            "Gram block: the diagonal block of face dimension 0 is not positive definite"
+        )
 
 
 class TestDirectSum:
@@ -214,7 +360,7 @@ class TestDirectSum:
                 assert a[face].component == b[face].component
 
     def test_rejects_outside_members(self):
-        x, y = variables(2)
+        x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
         with pytest.raises(ValueError):
             decompose(x**3 * y**2, 2)
         with pytest.raises(ValueError):
@@ -279,7 +425,7 @@ class TestExpandMonomial:
                         total = total + fc.component
                         # degree budget on the face
                         assert fc.coefficient.degree() <= r - 2 * fc.face.dim
-                    assert total == m.as_polynomial(), (n, r, m)
+                    assert total == Polynomial.from_monomial(m.exponents), (n, r, m)
 
     def test_matches_stack_expansion_oracle(self):
         for n in range(1, 4):
@@ -302,7 +448,7 @@ class TestFacetKernel:
         assert result.kernel_dim == result.expected_dim == 1
         assert result.gram.entry(0, 0) == Fraction(256, 225)
         # independent integral oracle for the same Gram entry
-        x, y = variables(2)
+        x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
         cand = (1 - x**2) * (1 - y**2)
         assert box_integral_oracle(cand * cand) == Fraction(256, 225)
 
@@ -329,7 +475,7 @@ class TestFacetKernel:
     def test_gram_oracle_on_larger_case(self):
         result = facet_kernel_check(2, 5)
         assert result.ok and result.kernel_dim == 3
-        x, y = variables(2)
+        x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
         b = (1 - x**2) * (1 - y**2)
         cands = [b, b * x, b * y]
         for i in range(3):

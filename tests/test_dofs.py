@@ -26,7 +26,7 @@ from serendipity.dofs import (
     dofs_S,
     nodal_basis,
 )
-from serendipity.exactpoly import Monomial, Polynomial, variables
+from serendipity.exactpoly import Monomial, Polynomial
 from serendipity.spaces import (
     basis_S,
     dim_Q,
@@ -273,27 +273,27 @@ class TestDofSets:
 
 class TestApplyDof:
     def test_vertex_evaluation(self):
-        x, y = variables(2)
+        x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
         vertex = Face(2, ((0, 1), (1, -1)))
         L = DofFunctional(vertex, (0, 0), 0)
         assert apply_dof(L, 2 * x * y + 1) == -1
 
     def test_edge_moment(self):
-        x, y = variables(2)
+        x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
         edge = Face(2, ((1, 1),))
         L = DofFunctional(edge, (1, 0), 0)
         assert apply_dof(L, x) == Fraction(2, 3)
         assert apply_dof(L, y) == 0
 
     def test_interior_moment(self):
-        (x,) = variables(1)
+        x = Polynomial.variable(1, 0)
         L = DofFunctional(full_cube(1), (0,), 0)
         assert apply_dof(L, 1 - x**2) == Fraction(4, 3)
 
     def test_linearity(self):
         rng = random.Random(20)
         functionals = dofs_S(2, 4)
-        x, y = variables(2)
+        x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
         p = x**2 * y - 3 * y + 1
         q = x * y + Fraction(1, 2) * x**3
         for L in functionals:
@@ -331,12 +331,27 @@ class TestUnisolvence:
         assert obj["rank"] == obj["dim"] == 8
 
 
+def dense_nodal_basis(n: int, r: int) -> tuple[Polynomial, ...]:
+    """The earlier nodal basis, kept as an oracle: one dense solve of the
+    DOF matrix against the identity, column j read as polynomial j."""
+    basis = basis_S(n, r)
+    coeffs = dof_matrix(basis, dofs_S(n, r)).solve(RationalMatrix.identity(basis.dim))
+    return tuple(
+        Polynomial(n, {m.exponents: coeffs.entry(k, j) for k, m in enumerate(basis.monomials)})
+        for j in range(basis.dim)
+    )
+
+
 class TestNodalBasis:
+    @pytest.mark.parametrize("n, r", [(2, 4), (3, 4), (3, 6), (4, 4)])
+    def test_matches_dense_solve(self, n, r):
+        assert nodal_basis(n, r) == dense_nodal_basis(n, r)
+
     def test_bilinear_vertex_function(self):
         phis = nodal_basis(2, 1)
         functionals = dofs_S(2, 1)
         corner = Face(2, ((0, 1), (1, 1)))
-        x, y = variables(2)
+        x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
         expected = Fraction(1, 4) * (1 + x) * (1 + y)
         for L, phi in zip(functionals, phis):
             if L.face == corner:
