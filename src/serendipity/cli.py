@@ -6,11 +6,11 @@ found a failing property, 2 on usage errors and unusable input.
 
 Supported ranges are hard-capped at n <= 6 and r <= 12.  The
 unisolvence, direct-sum and facet-kernel checks reach the caps in
-seconds; whatever reads the nodal basis (continuity, nodal and evalgrid
-exports) grows with the space dimension and can take minutes or more
-near the caps, because all arithmetic is exact.  Axes in flags and reports are
-1-based, matching the serialized face convention; the Python API is
-0-based throughout.
+seconds; whatever reads the pairing inverse behind the nodal basis
+(continuity, decompose, nodal, decomposition and evalgrid exports) grows
+with the space dimension and can take minutes or more near the caps,
+because all arithmetic is exact.  Axes in flags and reports are 1-based,
+matching the serialized face convention; the Python API is 0-based.
 """
 
 from __future__ import annotations
@@ -565,8 +565,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="split a polynomial into face components")
     add_common(p, formats=("json", "text"))
-    p.add_argument("--alpha", default=None, help="monomial exponents, e.g. 2,3")
-    p.add_argument("--poly", dest="poly_path", type=Path, default=None, help="JSON file with polynomial terms")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--alpha", default=None, help="monomial exponents, e.g. 2,3")
+    source.add_argument("--poly", dest="poly_path", type=Path, default=None, help="JSON file with polynomial terms")
     p.add_argument("--method", choices=("solve", "construct", "both"), default="both")
 
     p = sub.add_parser("continuity", help="two-element trace equality trials")
@@ -582,8 +583,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="basis",
     )
     p.add_argument("--family", choices=("S", "Q", "P"), default="S")
-    p.add_argument("--alpha", default=None, help="monomial exponents for decomposition export")
-    p.add_argument("--poly", dest="poly_path", type=Path, default=None)
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--alpha", default=None, help="monomial exponents for decomposition export")
+    source.add_argument("--poly", dest="poly_path", type=Path, default=None)
     p.add_argument("--method", choices=("solve", "construct", "both"), default="both")
     p.add_argument("--points", type=int, default=11, help="grid points per axis for evalgrid")
 

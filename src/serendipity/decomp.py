@@ -10,8 +10,8 @@ serendipity space.
 
 Two independent ways to split a polynomial across faces are provided:
 
-* solve: express it in the concatenated component basis with one exact
-  linear solve, or
+* solve: take its DOF values and map them through the inverse X of
+  the pairing K described below, or
 * construct: expand each monomial through the per-axis identities
 
       1    = (1 + x)/2 + (1 - x)/2
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import prod
-from typing import Literal, Optional
+from typing import Callable, Literal, Optional
 
 from .cubegeom import (
     Face,
@@ -181,18 +181,11 @@ def face_index(n: int, r: int) -> dict[Face, tuple[Exponents, ...]]:
     return {face: tuple(exps) for face, exps in groups.items()}
 
 
-@lru_cache(maxsize=None)
-def pairing_block(face: Face, other: Face, r: int) -> RationalMatrix:
-    """The block K[F, G] of the pairing: row w, column q holds the DOF of
-    face F with weight x^w applied to the component b_G x^q of face G.
-
-    Each entry is the face moment of x^(w + q) times the trace of b_G on
-    F, term by term, so it depends on w + q only and is computed once per
-    sum.  Taking the trace first merges the bubble's terms that differ
-    only on axes pinned in F.
-    """
-    index = face_index(face.n, r)
-    terms = restrict_to_face(bubble(other), face).terms()
+def _trace_moments(p: Polynomial, face: Face) -> Callable[[Exponents], Fraction]:
+    """The face moment of x^shift times the trace of p on the face, as a
+    function of shift computed once per shift.  Taking the trace first
+    merges the terms of p that differ only on axes pinned in the face."""
+    terms = restrict_to_face(p, face).terms()
 
     @cache
     def moment(shift: Exponents) -> Fraction:
@@ -201,6 +194,19 @@ def pairing_block(face: Face, other: Face, r: int) -> RationalMatrix:
             Fraction(0),
         )
 
+    return moment
+
+
+@lru_cache(maxsize=None)
+def pairing_block(face: Face, other: Face, r: int) -> RationalMatrix:
+    """The block K[F, G] of the pairing: row w, column q holds the DOF of
+    face F with weight x^w applied to the component b_G x^q of face G.
+
+    Each entry is the face moment of x^(w + q) times the trace of b_G on
+    F, so it depends on w + q only and is computed once per sum.
+    """
+    index = face_index(face.n, r)
+    moment = _trace_moments(bubble(other), face)
     return RationalMatrix(
         [
             [moment(tuple(a + b for a, b in zip(w, q))) for q in index[other]]
@@ -482,20 +488,17 @@ def expand_monomial(exponents: Exponents, r: int) -> tuple[FaceComponent, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _component_solver(n: int, r: int) -> RationalMatrix:
-    """Inverse of the component matrix, computed once per cell."""
-    matrix = component_matrix(n, r)
-    return matrix.solve(RationalMatrix.identity(matrix.rows))
-
-
 def decompose(
     p: Polynomial, r: int, method: Literal["solve", "construct"] = "solve"
 ) -> dict[Face, FaceComponent]:
     """Split a member of the serendipity space into its face components.
 
     Returns only faces with a nonzero component.  The two methods are
-    algorithmically independent and must agree; both are exact.
+    algorithmically independent and must agree; both are exact.  The
+    solve method reads the component coordinates C^-1 p as X (D p): the
+    DOF values of p, face by face, mapped through the pairing inverse
+    X = K^-1 (``pairing_inverse``), whose block X[F, H] sends the values
+    on H to multipliers on each face F containing H.
     """
     n = p.n
     if n < 1 or r < 1:
@@ -506,15 +509,14 @@ def decompose(
         )
     acc: dict[Face, dict[Exponents, Fraction]] = {}
     if method == "solve":
-        coords = [p.coefficient(m.exponents) for m in basis_S(n, r).monomials]
-        inverse = _component_solver(n, r)
-        for k, (face, exps) in enumerate(face_monomials(n, r)):
-            weight = sum(
-                (inverse.entry(k, j) * coords[j] for j in range(len(coords))),
-                Fraction(0),
-            )
-            if weight:
-                acc.setdefault(face, {})[exps] = weight
+        index = face_index(n, r)
+        acc = {face: dict.fromkeys(exps, Fraction(0)) for face, exps in index.items()}
+        for col, column in pairing_inverse(n, r).items():
+            moment = _trace_moments(p, col)
+            values = tuple((moment(w),) for w in index[col])
+            for face, block in column.items():
+                for q, (x,) in zip(index[face], _product(block, values)):
+                    acc[face][q] += x
     elif method == "construct":
         for exps, coeff in p.terms():
             for fc in expand_monomial(exps, r):
@@ -523,12 +525,8 @@ def decompose(
                     face_acc[e2] = face_acc.get(e2, Fraction(0)) + coeff * c2
     else:
         raise ValueError(f"unknown method {method!r}")
-    out: dict[Face, FaceComponent] = {}
-    for face, terms in acc.items():
-        coeff = Polynomial(n, terms)
-        if coeff:
-            out[face] = FaceComponent(face, coeff)
-    return out
+    coefficients = {face: Polynomial(n, terms) for face, terms in acc.items()}
+    return {face: FaceComponent(face, c) for face, c in coefficients.items() if c}
 
 
 def recompose(components: dict[Face, FaceComponent], n: int) -> Polynomial:

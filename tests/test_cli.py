@@ -334,6 +334,26 @@ class TestUsageErrors:
         assert captured.out == ""
         assert "invalid choice: 'csv'" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "--n", "2", "--r", "2"],
+            ["export", "--what", "decomposition", "--n", "2", "--r", "2"],
+        ],
+    )
+    def test_alpha_and_poly_exclusive(self, capsys, tmp_path, argv):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps([{"exponents": [1, 0], "coeff": "1"}]))
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--poly", str(path), "--alpha", "2,0"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert errors == [
+            f"serendipity {argv[0]}: error: argument --alpha: not allowed with argument --poly"
+        ]
+
 
 class TestBadInput:
     """Unusable input exits 2 with one line on stderr, never a traceback."""
@@ -529,6 +549,11 @@ class TestGoldenOutput:
             (
                 ["export", "--what", "nodal", "--n", "3", "--r", "8"],
                 "06f0d8fa7ec6a7d8192925855e733ac568b1ba8cdbf95f34d9a1069f6bad012c",
+            ),
+            (
+                ["export", "--what", "decomposition", "--n", "4", "--r", "6",
+                 "--method", "solve"],
+                "c577b997dce1639d747a957cc5c7267db9f40beb476305edccda65e15b8b10a8",
             ),
         ],
     )

@@ -295,6 +295,16 @@ class TestPairing:
         with pytest.raises(SingularMatrixError):
             nodal_basis(2, 3)
 
+    def test_flipped_bubble_sign_fails_decompose_with_culprit(self, monkeypatch, fresh_caches):
+        flip_bubble_sign(monkeypatch, Face(2, ((0, -1), (1, -1))))
+        p = random_space_member(random.Random(32), 2, 3)
+        with pytest.raises(SingularMatrixError) as err:
+            decompose(p, 3, method="solve")
+        assert (
+            "not certified: vanishing: block K[face(x1=+1, x2=-1), face(x1=-1, x2=-1)]"
+            in str(err.value)
+        )
+
     def test_dropped_weight_fails_counts(self, monkeypatch, fresh_caches):
         index = face_monomials(2, 3)
         monkeypatch.setattr(decomp, "face_monomials", lambda n, r: index[:5] + index[6:])
@@ -350,7 +360,7 @@ class TestDirectSum:
 
     def test_methods_agree(self):
         rng = random.Random(31)
-        for n, r in [(1, 4), (2, 3), (2, 5), (3, 3)]:
+        for n, r in [(1, 4), (2, 3), (2, 5), (3, 3), (4, 6)]:
             p = random_space_member(rng, n, r)
             a = decompose(p, r, method="solve")
             b = decompose(p, r, method="construct")
@@ -358,6 +368,18 @@ class TestDirectSum:
             for face in a:
                 assert a[face].coefficient == b[face].coefficient
                 assert a[face].component == b[face].component
+
+    def test_solve_builds_no_component_matrix(self, monkeypatch, fresh_caches):
+        def refuse(n, r):
+            raise AssertionError("decompose built the component matrix")
+
+        monkeypatch.setattr(decomp, "component_matrix", refuse)
+        p = random_space_member(random.Random(33), 3, 4)
+        a = decompose(p, 4, method="solve")
+        b = decompose(p, 4, method="construct")
+        assert set(a) == set(b)
+        assert all(a[face].coefficient == b[face].coefficient for face in a)
+        assert recompose(a, 3) == p
 
     def test_rejects_outside_members(self):
         x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
