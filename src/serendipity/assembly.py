@@ -95,7 +95,10 @@ def shared_dof_pairs(
             raise AssertionError(f"no right-side partner for {L}")
         pairs.append((L, R))
     if right_lookup:
-        raise AssertionError("unmatched right-side DOFs remain")
+        raise AssertionError(
+            f"{len(right_lookup)} unmatched right-side DOFs remain, "
+            f"first {next(iter(right_lookup.values()))}"
+        )
     if n >= 2 and len(pairs) != dim_S_formula(n - 1, r):
         raise AssertionError("shared DOF count does not match the facet element")
     return tuple(pairs)

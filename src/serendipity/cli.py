@@ -9,7 +9,9 @@ unisolvence, direct-sum and facet-kernel checks reach the caps in
 seconds; whatever reads the pairing inverse behind the nodal basis
 (continuity, decompose, nodal, decomposition and evalgrid exports) grows
 with the space dimension and can take minutes or more near the caps,
-because all arithmetic is exact.  Axes in flags and reports are 1-based,
+because all arithmetic is exact.  The evalgrid export groups each nodal
+function's terms for Horner evaluation once, so each grid point costs one
+float pass over those terms.  Axes in flags and reports are 1-based,
 matching the serialized face convention; the Python API is 0-based.
 """
 
@@ -311,8 +313,9 @@ def cmd_verify(config: RunConfig) -> int:
         for r in config.r_values
         for check in config.checks
     ]
-    if config.jobs > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    workers = min(config.jobs, len(items), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_verify_cell, items))
     else:
         results = [_run_verify_cell(item) for item in items]
@@ -645,7 +648,9 @@ def _config_from_args(
 
     jobs = 1
     if command == "verify":
-        jobs = args.jobs if args.jobs > 0 else min(4, os.cpu_count() or 1)
+        if args.jobs < 0:
+            parser.error("jobs must be >= 0")
+        jobs = args.jobs or min(4, os.cpu_count() or 1)
 
     axis = 0
     if command == "continuity":

@@ -130,6 +130,9 @@ class RationalMatrix:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("RationalMatrix is immutable")
 
+    def __reduce__(self):
+        return (RationalMatrix, (self._rows,))
+
     @classmethod
     def identity(cls, k: int) -> "RationalMatrix":
         return cls([[Fraction(int(i == j)) for j in range(k)] for i in range(k)])

@@ -102,7 +102,7 @@ class Polynomial:
     mappings are equal.
     """
 
-    __slots__ = ("_n", "_terms")
+    __slots__ = ("_n", "_terms", "_plan")
 
     def __init__(self, n: int, terms: Mapping[Sequence[int], Scalar] = ()) -> None:
         if n < 0:
@@ -122,9 +122,13 @@ class Polynomial:
                     del canonical[exps]
         object.__setattr__(self, "_n", n)
         object.__setattr__(self, "_terms", canonical)
+        object.__setattr__(self, "_plan", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        return (Polynomial, (self._n, dict(self._terms)))
 
     # -- constructors ------------------------------------------------
 
@@ -288,13 +292,18 @@ class Polynomial:
         Fraction computed term by term.  If any coordinate is a float,
         everything is converted to float and evaluated with a nested
         Horner scheme, one variable at a time, for numerical stability.
+        The per-axis term grouping and the float coefficients depend only on
+        the polynomial, so they are built on the first float call and reused.
         """
         if len(point) != self._n:
             raise ValueError(f"point has {len(point)} coordinates, expected {self._n}")
         if any(isinstance(v, float) for v in point):
-            xs = [float(v) for v in point]
-            items = [(e, float(c)) for e, c in self._terms.items()]
-            return _horner(items, xs, 0)
+            if not self._terms:
+                return 0.0
+            if self._plan is None:
+                items = [(e, float(c)) for e, c in self._terms.items()]
+                object.__setattr__(self, "_plan", _build_plan(items, 0))
+            return _walk_plan(self._plan, [float(v) for v in point], 0)
         values = [Fraction(v) for v in point]
         total = Fraction(0)
         for exps, coeff in self._terms.items():
@@ -326,24 +335,31 @@ class Polynomial:
         return cls(n, terms)
 
 
-def _horner(items: list[tuple[Exponents, float]], xs: list[float], axis: int) -> float:
-    """Evaluate a float term list by recursive grouping on one variable."""
-    if not items:
-        return 0.0
-    if axis == len(xs):
+def _build_plan(items: list[tuple[Exponents, float]], axis: int):
+    """Group a nonempty float term list by exponent on each axis from axis on.
+
+    The result is ((e, child), ...) with e descending; on the last axis
+    each child is the float coefficient of the one term it groups.
+    """
+    if axis == len(items[0][0]):
+        # One term per leaf; sum() is 0 + c, so a -0.0 coefficient gives 0.0.
         return sum(c for _, c in items)
     groups: dict[int, list[tuple[Exponents, float]]] = {}
     for exps, c in items:
         groups.setdefault(exps[axis], []).append((exps, c))
+    return tuple(
+        (e, _build_plan(groups[e], axis + 1)) for e in sorted(groups, reverse=True)
+    )
+
+
+def _walk_plan(plan, xs: list[float], axis: int) -> float:
+    """Evaluate a ``_build_plan`` result at xs, nesting Horner steps axis by axis."""
     x = xs[axis]
-    acc = 0.0
-    prev: int | None = None
-    for e in sorted(groups, reverse=True):
-        inner = _horner(groups[e], xs, axis + 1)
-        if prev is None:
-            acc = inner
-        else:
-            acc = acc * x ** (prev - e) + inner
+    last = axis + 1 == len(xs)
+    acc, prev = 0.0, None
+    for e, child in plan:
+        inner = child if last else _walk_plan(child, xs, axis + 1)
+        acc = inner if prev is None else acc * x ** (prev - e) + inner
         prev = e
     return acc * x**prev if prev else acc
 

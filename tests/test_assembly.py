@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from serendipity import assembly
 from serendipity.assembly import (
     ContinuityReport,
     ElementPair,
@@ -133,6 +134,25 @@ class TestSharedDofPairs:
         for L, _ in pairs:
             by_dim[L.face.dim] = by_dim.get(L.face.dim, 0) + 1
         assert by_dim == {0: 4, 1: 12, 2: 1}
+
+    def test_unmatched_right_dof_is_named(self, monkeypatch):
+        pair = ElementPair(2, 0)
+        functionals = dofs_S(2, 3)
+        dropped = next(
+            L for L in functionals
+            if L.face.dim == 1 and face_contains(pair.left_shared_face, L.face)
+        )
+        partner = next(
+            R for R in functionals
+            if R.face == pair.right_shared_face and R.exponents == dropped.exponents
+        )
+        monkeypatch.setattr(
+            assembly, "dofs_S",
+            lambda n, r: tuple(L for L in dofs_S(n, r) if L is not dropped),
+        )
+        with pytest.raises(AssertionError) as err:
+            shared_dof_pairs(2, 3, 0)
+        assert str(err.value) == f"1 unmatched right-side DOFs remain, first {partner}"
 
 
 class TestInterpolate:

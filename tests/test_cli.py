@@ -147,6 +147,41 @@ class TestVerify:
         _, parallel = run_cli(capsys, *args, "--jobs", "2")
         assert serial == parallel
 
+    @pytest.mark.parametrize(
+        "jobs, cpus, workers",
+        [("5000", 8, 4), ("5000", 3, 3), ("2", 8, 2), ("5000", None, None)],
+    )
+    def test_pool_capped_by_cells_and_cpus(self, capsys, monkeypatch, jobs, cpus, workers):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        args = ("verify", "--n", "2", "--r", "2", "--r-max", "3",
+                "--checks", "dimension,inclusion", "--format", "json")
+        _, pooled = run_cli(capsys, *args, "--jobs", jobs)
+        assert started == ([workers] if workers else [])
+        _, serial = run_cli(capsys, *args, "--jobs", "1")
+        assert pooled == serial
+
+    def test_negative_jobs_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--jobs", "-1"])
+        assert err.value.code == 2
+        assert "jobs must be >= 0" in capsys.readouterr().err
+
     def test_check_subset(self, capsys):
         code, out = run_cli(
             capsys, "verify", "--n", "2", "--r", "4", "--checks",
@@ -549,6 +584,10 @@ class TestGoldenOutput:
             (
                 ["export", "--what", "nodal", "--n", "3", "--r", "8"],
                 "06f0d8fa7ec6a7d8192925855e733ac568b1ba8cdbf95f34d9a1069f6bad012c",
+            ),
+            (
+                ["export", "--what", "evalgrid", "--n", "3", "--r", "4", "--points", "5"],
+                "c5d5bd4733f002d2d1bc1a23865608cba274b4d85a36dcf967a9929936d09359",
             ),
             (
                 ["export", "--what", "decomposition", "--n", "4", "--r", "6",

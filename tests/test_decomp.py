@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 from math import comb
@@ -380,6 +382,20 @@ class TestDirectSum:
         assert set(a) == set(b)
         assert all(a[face].coefficient == b[face].coefficient for face in a)
         assert recompose(a, 3) == p
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda d: pickle.loads(pickle.dumps(d))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_result_copies_and_pickles(self, clone):
+        p = random_space_member(random.Random(34), 2, 3)
+        parts = decompose(p, 3)
+        parts[next(iter(parts))].coefficient.evaluate((0.5, -0.5))
+        copied = clone(parts)
+        assert copied == parts
+        assert all(hash(copied[face]) == hash(parts[face]) for face in parts)
+        assert recompose(copied, 2) == p
 
     def test_rejects_outside_members(self):
         x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)

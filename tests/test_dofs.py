@@ -8,6 +8,8 @@ product.  The oracles share no code with the implementations under test.
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -207,6 +209,18 @@ class TestRationalMatrix:
             RationalMatrix([[1, 2]]).solve(RationalMatrix([[1]]))
         with pytest.raises(ValueError):
             RationalMatrix.identity(2).solve(RationalMatrix([[1]]))
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    @pytest.mark.parametrize("rows", [[[1, Fraction(-2, 3)], [0, 5]], []])
+    def test_copy_and_pickle_round_trip(self, clone, rows):
+        m = RationalMatrix(rows)
+        copied = clone(m)
+        assert copied == m and hash(copied) == hash(m)
+        assert (copied.rows, copied.cols) == (m.rows, m.cols)
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import copy
+import itertools
 import json
+import pickle
 import random
+import struct
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from serendipity.dofs import nodal_basis
 from serendipity.exactpoly import (
     Monomial,
     Polynomial,
@@ -28,6 +33,44 @@ def box_moment_oracle(exponents) -> Fraction:
             return Fraction(0)
         value *= Fraction(2, e + 1)
     return value
+
+
+def horner_oracle(items, xs, axis):
+    """Float Horner evaluation that regroups the term list at every call."""
+    if not items:
+        return 0.0
+    if axis == len(xs):
+        return sum(c for _, c in items)
+    groups = {}
+    for exps, c in items:
+        groups.setdefault(exps[axis], []).append((exps, c))
+    x = xs[axis]
+    acc = 0.0
+    prev = None
+    for e in sorted(groups, reverse=True):
+        inner = horner_oracle(groups[e], xs, axis + 1)
+        if prev is None:
+            acc = inner
+        else:
+            acc = acc * x ** (prev - e) + inner
+        prev = e
+    return acc * x**prev if prev else acc
+
+
+def float_bits(evaluate):
+    """The IEEE bytes of a float result, or the name of the overflow raised."""
+    try:
+        return struct.pack("<d", evaluate())
+    except OverflowError:
+        return "OverflowError"
+
+
+def oracle_bits(p: Polynomial, point) -> bytes | str:
+    def evaluate():
+        items = [(e, float(c)) for e, c in p.terms()]
+        return horner_oracle(items, [float(v) for v in point], 0)
+
+    return float_bits(evaluate)
 
 
 coeffs = st.fractions(min_value=-10, max_value=10, max_denominator=12)
@@ -186,6 +229,59 @@ class TestEvaluation:
         assert Polynomial.zero(2).evaluate((0.3, -0.7)) == 0.0
 
 
+class TestFloatPlan:
+    """The float path walks a grouping built once; it must match the
+    regrouping oracle bit for bit, overflow included."""
+
+    def test_nodal_functions_match_oracle_bitwise(self):
+        grid = [-1.0 + 2.0 * i / 4 for i in range(5)]
+        for n in range(1, 4):
+            for r in range(1, 5):
+                for phi in nodal_basis(n, r):
+                    for point in itertools.product(grid, repeat=n):
+                        got = float_bits(lambda: phi.evaluate(point))
+                        assert got == oracle_bits(phi, point), (n, r, phi, point)
+
+    def test_random_polynomials_match_oracle_bitwise(self):
+        rng = random.Random(8)
+        specials = [0.0, -0.0, 1.0, -1.0, 1e-200, -1e200, 1e200, 0.75]
+        tiny, huge = Fraction(-1, 10**400), Fraction(10**400, 3)
+        # tiny rounds to -0.0; the oracle's leaf sum 0 + c makes that 0.0
+        p = Polynomial(1, {(0,): tiny, (1,): tiny})
+        assert float_bits(lambda: p.evaluate((0.5,))) == struct.pack("<d", 0.0)
+        overflowed = 0
+        for _ in range(400):
+            n = rng.randint(1, 4)
+            terms = {
+                tuple(rng.randint(0, 6) for _ in range(n)): rng.choice(
+                    [Fraction(rng.randint(-9, 9), rng.randint(1, 9)), tiny, huge]
+                    if rng.random() < 0.1
+                    else [Fraction(rng.randint(-99, 99), rng.randint(1, 99))]
+                )
+                for _ in range(rng.randint(1, 8))
+            }
+            p = Polynomial(n, terms)
+            for _ in range(6):
+                point = tuple(
+                    rng.choice(specials) if rng.random() < 0.6 else rng.uniform(-2, 2)
+                    for _ in range(n)
+                )
+                expected = oracle_bits(p, point)
+                overflowed += expected == "OverflowError"
+                assert float_bits(lambda: p.evaluate(point)) == expected, (p, point)
+        assert overflowed
+
+    def test_reused_plan_is_not_stale(self):
+        x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+        p = 3 * x**4 * y - Fraction(7, 3) * x * y**2 + 2 * y + 1
+        first = p.evaluate((0.3, -1.7))
+        other = p.evaluate((-2.5, 0.125))
+        again = p.evaluate((0.3, -1.7))
+        assert struct.pack("<d", first) == struct.pack("<d", again)
+        assert first != other
+        assert struct.pack("<d", other) == oracle_bits(p, (-2.5, 0.125))
+
+
 class TestIntegration:
     @pytest.mark.parametrize(
         "exp, expected",
@@ -251,6 +347,21 @@ class TestSerialization:
     @given(polys(3))
     def test_round_trip_random(self, p):
         assert Polynomial.from_json_obj(3, p.to_json_obj()) == p
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copy_and_pickle_round_trip(self, clone):
+        x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+        p, never_evaluated = (Fraction(-3, 7) * x**2 * y + y - 5 for _ in range(2))
+        value = p.evaluate((0.5, -0.25))
+        q = clone(p)
+        assert q == p and hash(q) == hash(p) and q.n == p.n
+        assert q.evaluate((0.5, -0.25)) == value
+        # the float grouping built by evaluate stays out of the pickle
+        assert pickle.dumps(p) == pickle.dumps(never_evaluated)
 
     def test_duplicate_records_accumulate(self):
         data = [
