@@ -586,13 +586,13 @@ class TestGoldenOutput:
                 "06f0d8fa7ec6a7d8192925855e733ac568b1ba8cdbf95f34d9a1069f6bad012c",
             ),
             (
-                ["export", "--what", "evalgrid", "--n", "3", "--r", "4", "--points", "5"],
-                "c5d5bd4733f002d2d1bc1a23865608cba274b4d85a36dcf967a9929936d09359",
-            ),
-            (
                 ["export", "--what", "decomposition", "--n", "4", "--r", "6",
                  "--method", "solve"],
                 "c577b997dce1639d747a957cc5c7267db9f40beb476305edccda65e15b8b10a8",
+            ),
+            (
+                ["export", "--what", "evalgrid", "--n", "3", "--r", "4", "--points", "5"],
+                "c5d5bd4733f002d2d1bc1a23865608cba274b4d85a36dcf967a9929936d09359",
             ),
         ],
     )
