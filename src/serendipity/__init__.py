@@ -12,14 +12,14 @@ All core arithmetic uses exact rationals; floats appear only in the
 optional sampling exports.
 """
 
-from .exactpoly import Monomial, Polynomial, integrate_box, superlinear_degree
+from .exactpoly import Monomial, Polynomial, superlinear_degree
 from .cubegeom import (
     Face,
     all_faces,
     enumerate_faces,
     face_contains,
+    face_moments,
     full_cube,
-    integrate_face,
     restrict_to_face,
 )
 from .spaces import (
@@ -67,14 +67,13 @@ __version__ = "0.1.0"
 __all__ = [
     "Monomial",
     "Polynomial",
-    "integrate_box",
     "superlinear_degree",
     "Face",
     "all_faces",
     "enumerate_faces",
     "face_contains",
+    "face_moments",
     "full_cube",
-    "integrate_face",
     "restrict_to_face",
     "SpaceBasis",
     "basis_P",

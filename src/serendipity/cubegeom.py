@@ -17,8 +17,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Iterable, Mapping
+from functools import cache, cached_property, lru_cache
+from typing import Callable, Mapping
 
 from .exactpoly import Exponents, Polynomial, axis_moment
 
@@ -30,7 +30,7 @@ __all__ = [
     "face_contains",
     "restrict_to_face",
     "face_moment",
-    "integrate_face",
+    "face_moments",
 ]
 
 
@@ -174,11 +174,22 @@ def face_moment(face: Face, exponents: Exponents) -> Fraction:
     return value
 
 
-def integrate_face(p: Polynomial, face: Face) -> Fraction:
-    """Exact integral of p over a face, with the vertex convention above."""
+def face_moments(p: Polynomial, face: Face) -> Callable[[Exponents], Fraction]:
+    """The moments of p over a face, as a function of the weight: the
+    weight's exponents w map to the integral of x^w times p over the face.
+
+    p is traced onto the face once, which merges the terms that differ
+    only on pinned axes, and each weight's moment is computed once.
+    """
     if p.n != face.n:
         raise ValueError(f"polynomial has n={p.n}, face has n={face.n}")
-    total = Fraction(0)
-    for exps, coeff in p.terms():
-        total += coeff * face_moment(face, exps)
-    return total
+    terms = restrict_to_face(p, face).terms()
+
+    @cache
+    def moment(weight: Exponents) -> Fraction:
+        return sum(
+            (c * face_moment(face, tuple(a + b for a, b in zip(e, weight))) for e, c in terms),
+            Fraction(0),
+        )
+
+    return moment

@@ -48,25 +48,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from math import prod
-from typing import Callable, Literal, Optional
+from typing import Literal, Optional
 
 from .cubegeom import (
     Face,
     enumerate_faces,
     face_contains,
-    face_moment,
+    face_moments,
     full_cube,
     restrict_to_face,
 )
 from .dofs import RationalMatrix, SingularMatrixError
-from .exactpoly import (
-    Exponents,
-    Polynomial,
-    integrate_box,
-    superlinear_degree,
-)
+from .exactpoly import Exponents, Polynomial, superlinear_degree
 from .spaces import (
     basis_S,
     dim_P,
@@ -181,22 +176,6 @@ def face_index(n: int, r: int) -> dict[Face, tuple[Exponents, ...]]:
     return {face: tuple(exps) for face, exps in groups.items()}
 
 
-def _trace_moments(p: Polynomial, face: Face) -> Callable[[Exponents], Fraction]:
-    """The face moment of x^shift times the trace of p on the face, as a
-    function of shift computed once per shift.  Taking the trace first
-    merges the terms of p that differ only on axes pinned in the face."""
-    terms = restrict_to_face(p, face).terms()
-
-    @cache
-    def moment(shift: Exponents) -> Fraction:
-        return sum(
-            (c * face_moment(face, tuple(a + b for a, b in zip(e, shift))) for e, c in terms),
-            Fraction(0),
-        )
-
-    return moment
-
-
 @lru_cache(maxsize=None)
 def pairing_block(face: Face, other: Face, r: int) -> RationalMatrix:
     """The block K[F, G] of the pairing: row w, column q holds the DOF of
@@ -206,7 +185,7 @@ def pairing_block(face: Face, other: Face, r: int) -> RationalMatrix:
     F, so it depends on w + q only and is computed once per sum.
     """
     index = face_index(face.n, r)
-    moment = _trace_moments(bubble(other), face)
+    moment = face_moments(bubble(other), face)
     return RationalMatrix(
         [
             [moment(tuple(a + b for a, b in zip(w, q))) for q in index[other]]
@@ -512,7 +491,7 @@ def decompose(
         index = face_index(n, r)
         acc = {face: dict.fromkeys(exps, Fraction(0)) for face, exps in index.items()}
         for col, column in pairing_inverse(n, r).items():
-            moment = _trace_moments(p, col)
+            moment = face_moments(p, col)
             values = tuple((moment(w),) for w in index[col])
             for face, block in column.items():
                 for q, (x,) in zip(index[face], _product(block, values)):
@@ -586,16 +565,16 @@ def facet_kernel_check(n: int, r: int) -> FacetKernelResult:
     member vanishing on the boundary has zero DOFs on every proper face,
     and K restricted to the proper faces is triangular and invertible,
     so every proper component vanishes.  Without the certificate the
-    dimension is unknown (None).  The candidates are checked directly.
+    dimension is unknown (None).  The candidates are checked directly;
+    the Gram entry of b x^w and b x^q is the cube moment of b^2 at
+    w + q, so it is computed once per sum.
     """
     basis = basis_S(n, r)
     culprit = certify_pairing(n, r)
     expected_dim = dim_P(n, r - 2 * n)
     cube_bubble = bubble(full_cube(n))
-    candidates = [
-        cube_bubble * Polynomial.from_monomial(exps)
-        for exps in monomials_total_degree_at_most(n, tuple(range(n)), r - 2 * n)
-    ]
+    multipliers = monomials_total_degree_at_most(n, tuple(range(n)), r - 2 * n)
+    candidates = [cube_bubble * Polynomial.from_monomial(q) for q in multipliers]
     contained = all(
         restrict_to_face(cand, facet).is_zero()
         for cand in candidates
@@ -606,15 +585,12 @@ def facet_kernel_check(n: int, r: int) -> FacetKernelResult:
         for cand in candidates
     ]
     independent = RationalMatrix(coord_rows).rank() == len(candidates)
-    gram = RationalMatrix(
-        [
-            [
-                integrate_box(a * b, range(n)).coefficient((0,) * n)
-                for b in candidates
-            ]
-            for a in candidates
-        ]
-    )
+    gram = RationalMatrix([])
+    if multipliers:
+        moment = face_moments(cube_bubble * cube_bubble, full_cube(n))
+        gram = RationalMatrix(
+            [[moment(tuple(a + b for a, b in zip(w, q))) for q in multipliers] for w in multipliers]
+        )
     return FacetKernelResult(
         n=n,
         r=r,

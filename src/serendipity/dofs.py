@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import add
 from typing import Iterable, Optional, Sequence, Union
 
 from .cubegeom import Face, enumerate_faces, face_moment
@@ -258,17 +259,13 @@ def dofs_Q(n: int, r: int) -> tuple[DofFunctional, ...]:
     return tuple(out)
 
 
-def _moment(functional: DofFunctional, exponents: Exponents) -> Fraction:
-    """The functional applied to the monomial with the given exponents."""
-    shifted = tuple(a + b for a, b in zip(exponents, functional.exponents))
-    return face_moment(functional.face, shifted)
-
-
 def apply_dof(functional: DofFunctional, p: Polynomial) -> Fraction:
-    """Evaluate one functional on a polynomial, exactly."""
+    """Evaluate one functional on a polynomial, exactly and term by term:
+    the plain reference that ``cubegeom.face_moments`` is checked against."""
     if p.n != functional.face.n:
         raise ValueError("polynomial and functional have different variable counts")
-    return sum((c * _moment(functional, e) for e, c in p.terms()), Fraction(0))
+    face, w = functional.face, functional.exponents
+    return sum((c * face_moment(face, tuple(map(add, e, w))) for e, c in p.terms()), Fraction(0))
 
 
 def dof_matrix(
@@ -278,7 +275,10 @@ def dof_matrix(
     """Matrix with entry (i, j) = functional i applied to basis monomial j."""
     monomials = basis.monomials if isinstance(basis, SpaceBasis) else tuple(basis)
     return RationalMatrix(
-        [[_moment(L, m.exponents) for m in monomials] for L in functionals]
+        [
+            [face_moment(L.face, tuple(map(add, L.exponents, m.exponents))) for m in monomials]
+            for L in functionals
+        ]
     )
 
 

@@ -33,7 +33,6 @@ __all__ = [
     "Polynomial",
     "grlex_key",
     "superlinear_degree",
-    "integrate_box",
     "axis_moment",
 ]
 
@@ -174,9 +173,6 @@ class Polynomial:
     def terms(self) -> list[tuple[Exponents, Fraction]]:
         """Terms in graded lexicographic order."""
         return sorted(self._terms.items(), key=lambda kv: grlex_key(kv[0]))
-
-    def monomials(self) -> tuple[Monomial, ...]:
-        return tuple(Monomial(e) for e, _ in self.terms())
 
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
         return self._terms.get(tuple(exponents), Fraction(0))
@@ -369,29 +365,3 @@ def axis_moment(exponent: int) -> Fraction:
     if exponent % 2:
         return Fraction(0)
     return Fraction(2, exponent + 1)
-
-
-def integrate_box(p: Polynomial, free_indices: Iterable[int]) -> Polynomial:
-    """Integrate over [-1, 1] in each listed variable, exactly.
-
-    The result is a polynomial in the remaining variables, represented
-    in the same ambient variable count with zero exponents on the
-    integrated axes.  Integrating over no axes returns p unchanged.
-    """
-    free = sorted(set(free_indices))
-    for i in free:
-        if not 0 <= i < p.n:
-            raise ValueError(f"axis {i} out of range for n={p.n}")
-    out: dict[Exponents, Fraction] = {}
-    for exps, coeff in p.terms():
-        weight = coeff
-        for i in free:
-            m = axis_moment(exps[i])
-            if not m:
-                weight = Fraction(0)
-                break
-            weight *= m
-        if weight:
-            key = tuple(0 if i in free else e for i, e in enumerate(exps))
-            out[key] = out.get(key, Fraction(0)) + weight
-    return Polynomial(p.n, out)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 from .cubegeom import Face, all_faces, full_cube
@@ -73,9 +73,13 @@ class SpaceBasis:
     def __iter__(self):
         return iter(self.monomials)
 
+    @cached_property
+    def _index(self) -> dict[Exponents, int]:
+        return {m.exponents: i for i, m in enumerate(self.monomials)}
+
     def index_of(self, exponents: Exponents) -> int:
         """Position of a monomial in the basis order, or raise KeyError."""
-        return _index_map(self)[tuple(exponents)]
+        return self._index[tuple(exponents)]
 
     def to_json_obj(self) -> dict:
         return {
@@ -86,11 +90,6 @@ class SpaceBasis:
             "dim": self.dim,
             "monomials": [list(m.exponents) for m in self.monomials],
         }
-
-
-@lru_cache(maxsize=None)
-def _index_map(basis: SpaceBasis) -> dict[Exponents, int]:
-    return {m.exponents: i for i, m in enumerate(basis.monomials)}
 
 
 def monomials_total_degree_at_most(

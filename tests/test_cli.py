@@ -348,6 +348,30 @@ class TestUsageErrors:
                 main([command])
             assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["basis", "--n", "1", "--n-max", "2", "--r", "2"],
+            ["dofs", "--n", "2", "--r", "2", "--r-max", "3"],
+            ["decompose", "--n", "2", "--r", "1", "--r-max", "2"],
+            ["continuity", "--n", "1", "--n-max", "2", "--r", "2"],
+            ["export", "--n", "1", "--n-max", "2", "--r", "1", "--r-max", "3"],
+        ],
+    )
+    def test_single_cell_commands_reject_ranges(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "range" in errors[0] and argv[0] in errors[0]
+
+    def test_one_value_range_is_a_single_cell(self, capsys):
+        code, out = run_cli(capsys, "basis", "--n", "2", "--n-max", "2", "--r", "2")
+        assert code == 0
+        assert out == run_cli(capsys, "basis", "--n", "2", "--r", "2")[1]
+
     def test_missing_command(self):
         with pytest.raises(SystemExit) as err:
             main([])

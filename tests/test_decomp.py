@@ -42,7 +42,7 @@ from serendipity.dofs import (
     dofs_S,
     nodal_basis,
 )
-from serendipity.exactpoly import Polynomial, integrate_box
+from serendipity.exactpoly import Polynomial
 from serendipity.spaces import basis_S, dim_S_formula, face_monomials
 
 
@@ -509,6 +509,19 @@ class TestFacetKernel:
         assert result.kernel_dim == 6
         assert result.gram.rows == 6
         assert result.gram_positive_definite
+
+    def test_gram_forms_one_product_beyond_the_candidates(self, fresh_caches, monkeypatch):
+        products = []
+        multiply = Polynomial.__mul__
+
+        def counting(self, other):
+            products.append(other)
+            return multiply(self, other)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counting)
+        result = facet_kernel_check(2, 6)
+        assert result.ok
+        assert len(products) <= result.gram.rows + 1
 
     def test_gram_oracle_on_larger_case(self):
         result = facet_kernel_check(2, 5)

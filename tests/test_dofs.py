@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from serendipity.cubegeom import Face, full_cube
+from serendipity.cubegeom import Face, all_faces, face_moments, full_cube
 from serendipity.dofs import (
     DofFunctional,
     RationalMatrix,
@@ -303,6 +303,24 @@ class TestApplyDof:
         x = Polynomial.variable(1, 0)
         L = DofFunctional(full_cube(1), (0,), 0)
         assert apply_dof(L, 1 - x**2) == Fraction(4, 3)
+
+    def test_face_moments_match_the_term_by_term_reference(self):
+        rng = random.Random(21)
+        for n in (1, 2, 3):
+            for face in all_faces(n):
+                p = Polynomial(
+                    n,
+                    {
+                        tuple(rng.randint(0, 4) for _ in range(n)): Fraction(
+                            rng.randint(-9, 9), rng.randint(1, 5)
+                        )
+                        for _ in range(6)
+                    },
+                )
+                moment = face_moments(p, face)
+                for _ in range(4):
+                    w = tuple(rng.randint(0, 3) for _ in range(n))
+                    assert moment(w) == apply_dof(DofFunctional(face, w, 0), p)
 
     def test_linearity(self):
         rng = random.Random(20)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -19,3 +20,13 @@ def test_all_names_resolve(module):
     mod = importlib.import_module(module)
     for name in mod.__all__:
         getattr(mod, name)
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__"])
+def test_no_assert_statements(module):
+    """Internal consistency checks raise explicitly, so they still run
+    under ``python -O``, which strips ``assert`` statements."""
+    path = Path(serendipity.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name} has assert statements at lines {lines}"

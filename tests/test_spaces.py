@@ -96,6 +96,13 @@ class TestSerendipityFamily:
         }
         assert got == expected
 
+    def test_index_of_follows_basis_order(self):
+        basis = basis_S(3, 4)
+        for i, m in enumerate(basis.monomials):
+            assert basis.index_of(list(m.exponents)) == i
+        with pytest.raises(KeyError):
+            basis.index_of((5, 0, 0))
+
     def test_degree_one_equals_tensor_family(self):
         for n in range(1, 5):
             assert {m.exponents for m in basis_S(n, 1)} == {
