@@ -618,6 +618,18 @@ class TestGoldenOutput:
                 ["export", "--what", "evalgrid", "--n", "3", "--r", "4", "--points", "5"],
                 "c5d5bd4733f002d2d1bc1a23865608cba274b4d85a36dcf967a9929936d09359",
             ),
+            (
+                ["basis", "--n", "3", "--r", "4"],
+                "65d5b2d09d412fd6511e02abecda9f1c3648d13b74b4222e8f4e0e9d15894587",
+            ),
+            (
+                ["basis", "--n", "2", "--r", "3", "--family", "Q", "--format", "csv"],
+                "7e4e28e6c35e224b58d3c5fc1674b8f76dfd70b2d3b5ebdf8853ec8963947e91",
+            ),
+            (
+                ["export", "--what", "basis", "--n", "3", "--r", "4", "--family", "P"],
+                "16d97624dceb15fef6dd773b3757f96317bb318687aae3e598f44518ea165350",
+            ),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):
