@@ -12,7 +12,7 @@ All core arithmetic uses exact rationals; floats appear only in the
 optional sampling exports.
 """
 
-from .exactpoly import Monomial, Polynomial, superlinear_degree
+from .exactpoly import Polynomial, superlinear_degree
 from .cubegeom import (
     Face,
     all_faces,
@@ -65,7 +65,6 @@ from .assembly import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Monomial",
     "Polynomial",
     "superlinear_degree",
     "Face",

@@ -32,10 +32,10 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .assembly import check_continuity
-from .cubegeom import all_faces, full_cube
+from .cubegeom import Face, all_faces, full_cube
 from .decomp import decompose, facet_kernel_check, recompose, verify_direct_sum
 from .dofs import check_unisolvence, dof_layout, dofs_Q, dofs_S, nodal_basis
-from .exactpoly import Monomial, Polynomial
+from .exactpoly import Polynomial, monomial_str
 from .spaces import (
     basis_P,
     basis_Q,
@@ -218,9 +218,7 @@ def cmd_basis(config: RunConfig) -> int:
     n, r = config.n_values[0], config.r_values[0]
     basis = _resolve_basis(config, n, r)
     headers = ["index"] + [f"e{i + 1}" for i in range(n)] + ["monomial"]
-    rows = [
-        [k] + list(m.exponents) + [str(m)] for k, m in enumerate(basis.monomials)
-    ]
+    rows = [[k, *m, monomial_str(m)] for k, m in enumerate(basis.monomials)]
     payload = {"command": "basis", "seed": config.seed, "basis": basis.to_json_obj()}
     _tabular(config, headers, rows, payload)
     return 0
@@ -240,7 +238,7 @@ def cmd_dofs(config: RunConfig) -> int:
         table = _text_table(headers, rows)
         lines = [table, f"total: {layout.total}\n"]
         for L in functionals:
-            lines.append(f"dof {L.index}: {_face_label(L.face)} weight {Monomial(L.exponents)}\n")
+            lines.append(f"dof {L.index}: {_face_label(L.face)} weight {monomial_str(L.exponents)}\n")
         _emit(config, "".join(lines))
     else:
         payload = {
@@ -354,7 +352,7 @@ def _load_input_polynomial(config: RunConfig, n: int, r: int) -> Polynomial:
     if config.alpha is not None:
         return Polynomial.from_monomial(config.alpha)
     # default: a small generic member, the sum of all basis monomials
-    return Polynomial(n, {m.exponents: 1 for m in basis_S(n, r).monomials})
+    return Polynomial(n, dict.fromkeys(basis_S(n, r).monomials, 1))
 
 
 def _decomposition_payload(config: RunConfig, n: int, r: int) -> tuple[dict, bool]:
@@ -397,12 +395,7 @@ def cmd_decompose(config: RunConfig) -> int:
     else:
         lines = [f"decomposition over faces (n={n}, r={r}, method={config.method})\n"]
         for comp in payload["components"]:
-            fixed = comp["face"]["fixed"]
-            label = (
-                "interior"
-                if not fixed
-                else ";".join(f"x{f['index']}={f['sign']:+d}" for f in fixed)
-            )
+            label = _face_label(Face.from_json_obj(comp["face"]))
             terms = ", ".join(
                 f"{t['coeff']}*x^{tuple(t['exponents'])}" for t in comp["coefficient"]
             )
@@ -527,12 +520,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(
-        p: argparse.ArgumentParser, formats: Sequence[str] = ("text", "json", "csv")
+        p: argparse.ArgumentParser,
+        formats: Sequence[str] = ("text", "json", "csv"),
+        grid: bool = False,
+        trials: bool = False,
     ) -> None:
-        p.add_argument("--n", type=int, default=None, help="single n, or range start with --n-max")
-        p.add_argument("--n-max", type=int, default=None, help="range end for n (range starts at --n or 1)")
-        p.add_argument("--r", type=int, default=None, help="single r, or range start with --r-max")
-        p.add_argument("--r-max", type=int, default=None, help="range end for r")
+        """Flags every command shares; grid commands take (n, r) ranges,
+        the others one cell, and only commands with trials use the seed."""
+        for v in ("n", "r"):
+            if grid:
+                one = f"single {v}, or range start with --{v}-max"
+                end = f"range end for {v} (range starts at --{v} or 1)"
+            else:
+                one = f"the one {v} this command takes (required)"
+                end = f"accepted only if equal to --{v}: one {v}, not a range"
+            p.add_argument(f"--{v}", type=int, default=None, help=one)
+            p.add_argument(f"--{v}-max", type=int, default=None, help=end)
         p.add_argument(
             "--format",
             dest="fmt",
@@ -541,13 +544,18 @@ def build_parser() -> argparse.ArgumentParser:
             help="output format: " + ", ".join(formats),
         )
         p.add_argument("--out", type=Path, default=None, help="write output to this file instead of stdout")
-        p.add_argument("--seed", type=int, default=0, help="seed recorded in reports and used for random trials")
+        seed = "seed recorded in reports" + (" and used for random trials" if trials else "")
+        p.add_argument("--seed", type=int, default=0, help=seed)
+        if trials:
+            p.add_argument(
+                "--trials", type=int, default=DEFAULT_TRIALS, help="number of random trials"
+            )
 
     p = sub.add_parser("table1", help="serendipity dimension table over an (n, r) grid")
-    add_common(p)
+    add_common(p, grid=True)
 
     p = sub.add_parser("dims", help="dimensions of the P, S, Q families per (n, r)")
-    add_common(p)
+    add_common(p, grid=True)
 
     p = sub.add_parser("basis", help="monomial basis at one (n, r)")
     add_common(p)
@@ -558,13 +566,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=("S", "Q"), default="S")
 
     p = sub.add_parser("verify", help="run exact property checks over a grid")
-    add_common(p)
+    add_common(p, grid=True, trials=True)
     p.add_argument(
         "--checks",
         default=",".join(VERIFY_CHECKS),
         help="comma-separated subset of: " + ", ".join(VERIFY_CHECKS),
     )
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--jobs", type=int, default=0, help="worker processes (0 = auto)")
 
     p = sub.add_parser("decompose", help="split a polynomial into face components")
@@ -575,9 +582,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("solve", "construct", "both"), default="both")
 
     p = sub.add_parser("continuity", help="two-element trace equality trials")
-    add_common(p, formats=("text", "json"))
+    add_common(p, formats=("text", "json"), trials=True)
     p.add_argument("--axis", type=int, default=1, help="glue axis, 1-based")
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
 
     p = sub.add_parser("export", help="write a JSON artifact")
     add_common(p, formats=("json",))

@@ -77,7 +77,6 @@ __all__ = [
     "bubble",
     "all_components",
     "component_matrix",
-    "face_index",
     "pairing_block",
     "certify_pairing",
     "pairing_inverse",
@@ -140,8 +139,9 @@ def all_components(n: int, r: int) -> tuple[FaceComponent, ...]:
     if n < 1 or r < 1:
         raise ValueError("decomposition requires n >= 1 and r >= 1")
     return tuple(
-        FaceComponent(face, Polynomial.from_monomial(exps))
-        for face, exps in face_monomials(n, r)
+        FaceComponent(face, Polynomial.from_monomial(q))
+        for face, exps in face_monomials(n, r).items()
+        for q in exps
     )
 
 
@@ -167,16 +167,6 @@ def component_matrix(n: int, r: int) -> RationalMatrix:
 
 
 @lru_cache(maxsize=None)
-def face_index(n: int, r: int) -> dict[Face, tuple[Exponents, ...]]:
-    """face_monomials grouped by face, in DOF order; faces without
-    monomials are left out."""
-    groups: dict[Face, list[Exponents]] = {}
-    for face, exps in face_monomials(n, r):
-        groups.setdefault(face, []).append(exps)
-    return {face: tuple(exps) for face, exps in groups.items()}
-
-
-@lru_cache(maxsize=None)
 def pairing_block(face: Face, other: Face, r: int) -> RationalMatrix:
     """The block K[F, G] of the pairing: row w, column q holds the DOF of
     face F with weight x^w applied to the component b_G x^q of face G.
@@ -184,7 +174,7 @@ def pairing_block(face: Face, other: Face, r: int) -> RationalMatrix:
     Each entry is the face moment of x^(w + q) times the trace of b_G on
     F, so it depends on w + q only and is computed once per sum.
     """
-    index = face_index(face.n, r)
+    index = face_monomials(face.n, r)
     moment = face_moments(bubble(other), face)
     return RationalMatrix(
         [
@@ -215,8 +205,8 @@ def certify_pairing(n: int, r: int) -> Optional[str]:
 
     The certificate is one-sided: a failure proves nothing singular.
     """
-    index = face_index(n, r)
-    count = len(face_monomials(n, r))
+    index = face_monomials(n, r)
+    count = sum(map(len, index.values()))
     dim = basis_S(n, r).dim
     if not count == dim == dim_S_formula(n, r):
         return (
@@ -306,7 +296,7 @@ def pairing_inverse(n: int, r: int) -> dict[Face, dict[Face, Block]]:
     culprit = certify_pairing(n, r)
     if culprit is not None:
         raise SingularMatrixError(f"pairing at n={n}, r={r} is not certified: {culprit}")
-    index = face_index(n, r)
+    index = face_monomials(n, r)
     diagonal: dict[int, Block] = {}
     for d in range(n + 1):
         representative = enumerate_faces(n, d)[0]
@@ -488,7 +478,7 @@ def decompose(
         )
     acc: dict[Face, dict[Exponents, Fraction]] = {}
     if method == "solve":
-        index = face_index(n, r)
+        index = face_monomials(n, r)
         acc = {face: dict.fromkeys(exps, Fraction(0)) for face, exps in index.items()}
         for col, column in pairing_inverse(n, r).items():
             moment = face_moments(p, col)
@@ -581,8 +571,7 @@ def facet_kernel_check(n: int, r: int) -> FacetKernelResult:
         for facet in enumerate_faces(n, n - 1)
     )
     coord_rows = [
-        [cand.coefficient(m.exponents) for m in basis.monomials]
-        for cand in candidates
+        [cand.coefficient(m) for m in basis.monomials] for cand in candidates
     ]
     independent = RationalMatrix(coord_rows).rank() == len(candidates)
     gram = RationalMatrix([])

@@ -28,9 +28,8 @@ from operator import add
 from typing import Iterable, Optional, Sequence, Union
 
 from .cubegeom import Face, enumerate_faces, face_moment
-from .exactpoly import Exponents, Monomial, Polynomial
+from .exactpoly import Exponents, Polynomial, monomial_str
 from .spaces import (
-    SpaceBasis,
     basis_S,
     dim_P,
     face_monomials,
@@ -221,7 +220,7 @@ class DofFunctional:
         return Polynomial.from_monomial(self.exponents)
 
     def __str__(self) -> str:
-        return f"dof[{self.index}] on {self.face}: weight {Monomial(self.exponents)}"
+        return f"dof[{self.index}] on {self.face}: weight {monomial_str(self.exponents)}"
 
     def to_json_obj(self) -> dict:
         return {
@@ -236,9 +235,8 @@ def dofs_S(n: int, r: int) -> tuple[DofFunctional, ...]:
     """Serendipity DOF set: degree r - 2d moments on each d-face."""
     if n < 1 or r < 1:
         raise ValueError("serendipity DOFs require n >= 1 and r >= 1")
-    return tuple(
-        DofFunctional(face, exps, i) for i, (face, exps) in enumerate(face_monomials(n, r))
-    )
+    pairs = ((face, w) for face, exps in face_monomials(n, r).items() for w in exps)
+    return tuple(DofFunctional(face, w, i) for i, (face, w) in enumerate(pairs))
 
 
 @lru_cache(maxsize=None)
@@ -268,15 +266,13 @@ def apply_dof(functional: DofFunctional, p: Polynomial) -> Fraction:
     return sum((c * face_moment(face, tuple(map(add, e, w))) for e, c in p.terms()), Fraction(0))
 
 
-def dof_matrix(
-    basis: Union[SpaceBasis, Sequence[Monomial]],
-    functionals: Iterable[DofFunctional],
-) -> RationalMatrix:
-    """Matrix with entry (i, j) = functional i applied to basis monomial j."""
-    monomials = basis.monomials if isinstance(basis, SpaceBasis) else tuple(basis)
+def dof_matrix(basis: Iterable[Exponents], functionals: Iterable[DofFunctional]) -> RationalMatrix:
+    """Matrix with entry (i, j) = functional i applied to basis monomial j;
+    a SpaceBasis iterates over its monomials' exponent tuples."""
+    monomials = tuple(basis)
     return RationalMatrix(
         [
-            [face_moment(L.face, tuple(map(add, L.exponents, m.exponents))) for m in monomials]
+            [face_moment(L.face, tuple(map(add, L.exponents, m))) for m in monomials]
             for L in functionals
         ]
     )
@@ -353,7 +349,7 @@ def nodal_basis(n: int, r: int) -> tuple[Polynomial, ...]:
     """
     from . import decomp
 
-    index = decomp.face_index(n, r)
+    index = face_monomials(n, r)
     polys = []
     for col, column in decomp.pairing_inverse(n, r).items():
         expansions = [

@@ -20,7 +20,6 @@ first, then lexicographically on the exponent tuple itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -29,8 +28,8 @@ Scalar = Union[int, Fraction]
 
 __all__ = [
     "Exponents",
-    "Monomial",
     "Polynomial",
+    "monomial_str",
     "grlex_key",
     "superlinear_degree",
     "axis_moment",
@@ -50,47 +49,15 @@ def _validate_exponents(exponents: Sequence[int]) -> Exponents:
     return exps
 
 
-def superlinear_degree(exponents: Union[Exponents, "Monomial"]) -> int:
+def superlinear_degree(exponents: Exponents) -> int:
     """Total degree counting only variables with exponent >= 2."""
-    if isinstance(exponents, Monomial):
-        exponents = exponents.exponents
     return sum(e for e in exponents if e >= 2)
 
 
-@dataclass(frozen=True, order=False)
-class Monomial:
-    """A single power product, identified by its exponent tuple."""
-
-    exponents: Exponents
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "exponents", _validate_exponents(self.exponents))
-
-    @property
-    def n(self) -> int:
-        return len(self.exponents)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    @property
-    def superlinear_degree(self) -> int:
-        return superlinear_degree(self.exponents)
-
-    def __lt__(self, other: "Monomial") -> bool:
-        return grlex_key(self.exponents) < grlex_key(other.exponents)
-
-    def __str__(self) -> str:
-        if not any(self.exponents):
-            return "1"
-        parts = []
-        for i, e in enumerate(self.exponents):
-            if e == 1:
-                parts.append(f"x{i + 1}")
-            elif e > 1:
-                parts.append(f"x{i + 1}^{e}")
-        return "*".join(parts)
+def monomial_str(exponents: Exponents) -> str:
+    """Render a monomial as x1^2*x2, or 1 for the constant."""
+    parts = [f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}" for i, e in enumerate(exponents) if e]
+    return "*".join(parts) or "1"
 
 
 class Polynomial:
@@ -258,6 +225,10 @@ class Polynomial:
         return self._n == other._n and self._terms == other._terms
 
     def __hash__(self) -> int:
+        # a constant equals its scalar, so it must hash as that scalar
+        zero = (0,) * self._n
+        if self._terms.keys() <= {zero}:
+            return hash(self._terms.get(zero, 0))
         return hash((self._n, frozenset(self._terms.items())))
 
     def __iter__(self) -> Iterator[tuple[Exponents, Fraction]]:
@@ -268,7 +239,7 @@ class Polynomial:
             return "0"
         parts = []
         for exps, coeff in self.terms():
-            mono = str(Monomial(exps))
+            mono = monomial_str(exps)
             if mono == "1":
                 parts.append(str(coeff))
             elif coeff == 1:

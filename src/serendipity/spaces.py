@@ -15,6 +15,10 @@ and an arbitrary 0/1 exponent pattern on the rest.  Each admissible
 monomial arises exactly once.  Its cardinality matches the closed-form
 dimension count, and membership in the two equivalent definitions is
 checked for every generated monomial.
+
+A monomial is its exponent tuple throughout.  ``face_monomials`` is the
+element's one (face, monomial) index: it orders both the DOFs and the
+face components.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from functools import cached_property, lru_cache
 from math import comb
 
 from .cubegeom import Face, all_faces, full_cube
-from .exactpoly import Exponents, Monomial, grlex_key, superlinear_degree
+from .exactpoly import Exponents, grlex_key, superlinear_degree
 
 __all__ = [
     "SpaceBasis",
@@ -48,18 +52,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpaceBasis:
-    """An ordered monomial basis for one family on one face."""
+    """An ordered monomial basis for one family on one face; each
+    monomial is its exponent tuple."""
 
     family: str
     n: int
     degree: int
     face: Face
-    monomials: tuple[Monomial, ...]
+    monomials: tuple[Exponents, ...]
 
     def __post_init__(self) -> None:
         if self.family not in ("P", "Q", "S"):
             raise ValueError(f"unknown family {self.family!r}")
-        keys = [grlex_key(m.exponents) for m in self.monomials]
+        keys = [grlex_key(m) for m in self.monomials]
         if keys != sorted(keys) or len(set(keys)) != len(keys):
             raise ValueError("basis monomials must be distinct and sorted")
 
@@ -75,7 +80,7 @@ class SpaceBasis:
 
     @cached_property
     def _index(self) -> dict[Exponents, int]:
-        return {m.exponents: i for i, m in enumerate(self.monomials)}
+        return {m: i for i, m in enumerate(self.monomials)}
 
     def index_of(self, exponents: Exponents) -> int:
         """Position of a monomial in the basis order, or raise KeyError."""
@@ -88,7 +93,7 @@ class SpaceBasis:
             "r": self.degree,
             "face": self.face.to_json_obj(),
             "dim": self.dim,
-            "monomials": [list(m.exponents) for m in self.monomials],
+            "monomials": [list(m) for m in self.monomials],
         }
 
 
@@ -137,19 +142,20 @@ def monomials_max_degree_at_most(
 
 
 @lru_cache(maxsize=None)
-def face_monomials(n: int, r: int) -> tuple[tuple[Face, Exponents], ...]:
-    """The serendipity element's one index: every d-face paired with each
-    monomial of total degree <= r - 2d in its free variables.
+def face_monomials(n: int, r: int) -> dict[Face, tuple[Exponents, ...]]:
+    """The serendipity element's one index: every d-face mapped to the
+    monomials of total degree <= r - 2d in its free variables.
 
-    The pairs serve both as DOF moment weights and as bubble multipliers
-    of the face components, in DOF order: face dimension, canonical face
-    order, graded lex.
+    The (face, monomial) pairs serve both as DOF moment weights and as
+    bubble multipliers of the face components.  Faces come in DOF order
+    (face dimension, then canonical face order) with their monomials in
+    graded lex; faces without monomials are left out.
     """
-    return tuple(
-        (face, exps)
+    return {
+        face: exps
         for face in all_faces(n)
-        for exps in monomials_total_degree_at_most(n, face.free_indices, r - 2 * face.dim)
-    )
+        if (exps := tuple(monomials_total_degree_at_most(n, face.free_indices, r - 2 * face.dim)))
+    }
 
 
 def dim_P(d: int, s: int) -> int:
@@ -235,7 +241,7 @@ def serendipity_exponents(n: int, r: int) -> list[Exponents]:
 def basis_P(face: Face, s: int) -> SpaceBasis:
     """Total-degree family on a face, in the face's free variables."""
     exps = monomials_total_degree_at_most(face.n, face.free_indices, s)
-    return SpaceBasis("P", face.n, s, face, tuple(Monomial(e) for e in exps))
+    return SpaceBasis("P", face.n, s, face, tuple(exps))
 
 
 @lru_cache(maxsize=None)
@@ -244,14 +250,14 @@ def basis_Q(n: int, r: int) -> SpaceBasis:
     if n < 1 or r < 0:
         raise ValueError("family Q requires n >= 1 and r >= 0")
     exps = monomials_max_degree_at_most(n, tuple(range(n)), r)
-    return SpaceBasis("Q", n, r, full_cube(n), tuple(Monomial(e) for e in exps))
+    return SpaceBasis("Q", n, r, full_cube(n), tuple(exps))
 
 
 @lru_cache(maxsize=None)
 def basis_S(n: int, r: int) -> SpaceBasis:
     """Serendipity family on the full cube (requires r >= 1)."""
     exps = serendipity_exponents(n, r)
-    basis = SpaceBasis("S", n, r, full_cube(n), tuple(Monomial(e) for e in exps))
+    basis = SpaceBasis("S", n, r, full_cube(n), tuple(exps))
     if basis.dim != dim_S_formula(n, r):
         raise AssertionError(
             f"enumerated {basis.dim} monomials but formula gives "
@@ -280,10 +286,10 @@ class InclusionReport:
 def check_inclusions(n: int, r: int) -> InclusionReport:
     """Verify P_r is contained in S_r and S_r in P_{r + n - 1}."""
     s_basis = basis_S(n, r)
-    s_set = {m.exponents for m in s_basis}
+    s_set = set(s_basis.monomials)
     p_exps = monomials_total_degree_at_most(n, tuple(range(n)), r)
     lower = all(e in s_set for e in p_exps)
-    upper = all(m.degree <= r + n - 1 for m in s_basis)
+    upper = all(sum(m) <= r + n - 1 for m in s_basis)
     return InclusionReport(
         n=n,
         r=r,

@@ -200,7 +200,7 @@ def test_c08_geometric_decomposition(capsys):
     while round_trips < 100:
         for n, r in cells:
             coeffs = {
-                m.exponents: Fraction(rng.randint(-9, 9))
+                m: Fraction(rng.randint(-9, 9))
                 for m in basis_S(n, r).monomials
             }
             p = Polynomial(n, coeffs)
@@ -212,15 +212,15 @@ def test_c08_geometric_decomposition(capsys):
     for n in range(1, 4):
         for r in range(1, 6):
             for m in basis_S(n, r).monomials:
-                solved = decompose(Polynomial.from_monomial(m.exponents), r, method="solve")
+                solved = decompose(Polynomial.from_monomial(m), r, method="solve")
                 constructed = {
-                    fc.face: fc for fc in expand_monomial(m.exponents, r)
+                    fc.face: fc for fc in expand_monomial(m, r)
                 }
                 if set(solved) != set(constructed) or any(
                     solved[f].coefficient != constructed[f].coefficient
                     for f in solved
                 ):
-                    agreement_failures.append((n, r, m.exponents))
+                    agreement_failures.append((n, r, m))
 
     ok = not (rank_failures or round_trip_failures or agreement_failures)
     with capsys.disabled():

@@ -414,6 +414,44 @@ class TestUsageErrors:
         ]
 
 
+class TestHelp:
+    """--help says what each command accepts: one cell or a grid, and a
+    seed that drives trials only where there are trials."""
+
+    @staticmethod
+    def help_text(capsys, command: str) -> str:
+        with pytest.raises(SystemExit) as err:
+            main([command, "--help"])
+        assert err.value.code == 0
+        return " ".join(capsys.readouterr().out.split())
+
+    @pytest.mark.parametrize("command", ["basis", "dofs", "decompose", "continuity", "export"])
+    def test_single_cell_commands_ask_for_one_value(self, capsys, command):
+        text = self.help_text(capsys, command)
+        assert "range start" not in text and "range end" not in text
+        for v in ("n", "r"):
+            assert f"--{v} {v.upper()} the one {v} this command takes (required)" in text
+            assert f"accepted only if equal to --{v}: one {v}, not a range" in text
+
+    @pytest.mark.parametrize("command", ["table1", "dims", "verify"])
+    def test_grid_commands_take_ranges(self, capsys, command):
+        text = self.help_text(capsys, command)
+        assert "the one n" not in text
+        for v in ("n", "r"):
+            assert f"single {v}, or range start with --{v}-max" in text
+            assert f"range end for {v} (range starts at --{v} or 1)" in text
+
+    @pytest.mark.parametrize(
+        "command", ["table1", "dims", "basis", "dofs", "verify", "decompose", "continuity", "export"]
+    )
+    def test_seed_drives_trials_only_where_trials_run(self, capsys, command):
+        text = self.help_text(capsys, command)
+        with_trials = command in ("verify", "continuity")
+        assert "seed recorded in reports" in text
+        assert ("used for random trials" in text) == with_trials
+        assert ("--trials TRIALS number of random trials" in text) == with_trials
+
+
 class TestBadInput:
     """Unusable input exits 2 with one line on stderr, never a traceback."""
 

@@ -28,7 +28,7 @@ from serendipity.dofs import (
     dofs_S,
     nodal_basis,
 )
-from serendipity.exactpoly import Monomial, Polynomial
+from serendipity.exactpoly import Polynomial
 from serendipity.spaces import (
     basis_S,
     dim_Q,
@@ -369,7 +369,7 @@ def dense_nodal_basis(n: int, r: int) -> tuple[Polynomial, ...]:
     basis = basis_S(n, r)
     coeffs = dof_matrix(basis, dofs_S(n, r)).solve(RationalMatrix.identity(basis.dim))
     return tuple(
-        Polynomial(n, {m.exponents: coeffs.entry(k, j) for k, m in enumerate(basis.monomials)})
+        Polynomial(n, {m: coeffs.entry(k, j) for k, m in enumerate(basis.monomials)})
         for j in range(basis.dim)
     )
 
@@ -416,7 +416,7 @@ class TestNodalBasis:
             p = Polynomial(
                 n,
                 {
-                    m.exponents: Fraction(rng.randint(-4, 4))
+                    m: Fraction(rng.randint(-4, 4))
                     for m in basis_S(n, r).monomials
                 },
             )
@@ -445,7 +445,7 @@ class TestTraceLocality:
                     member = Polynomial(
                         n,
                         {
-                            m.exponents: c
+                            m: c
                             for m, c in zip(basis.monomials, v)
                         },
                     )

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from serendipity.cubegeom import Face, full_cube
+from serendipity.cubegeom import Face, all_faces, full_cube
 from serendipity.exactpoly import grlex_key, superlinear_degree
 from serendipity.spaces import (
     basis_P,
@@ -22,6 +22,7 @@ from serendipity.spaces import (
     dim_P,
     dim_Q,
     dim_S_formula,
+    face_monomials,
     has_superlinear_degree_at_most,
     is_linear_outside_degree_budget,
     monomials_max_degree_at_most,
@@ -43,13 +44,13 @@ class TestTotalDegreeFamily:
     def test_square_quadratics(self):
         basis = basis_P(full_cube(2), 2)
         assert basis.dim == 6
-        assert [m.exponents for m in basis] == [
+        assert list(basis) == [
             (0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0),
         ]
 
     def test_vertex_space_is_constants(self):
         vertex = Face(2, ((0, 1), (1, -1)))
-        assert [m.exponents for m in basis_P(vertex, 0)] == [(0, 0)]
+        assert list(basis_P(vertex, 0)) == [(0, 0)]
         assert basis_P(vertex, 5).dim == 1
 
     def test_negative_degree_gives_empty_basis(self):
@@ -60,7 +61,7 @@ class TestTotalDegreeFamily:
         face = Face(3, ((1, 1),))
         basis = basis_P(face, 3)
         assert basis.dim == dim_P(2, 3) == 10
-        assert all(m.exponents[1] == 0 for m in basis)
+        assert all(m[1] == 0 for m in basis)
 
     @pytest.mark.parametrize("d, s", [(1, 4), (2, 3), (3, 2), (4, 5)])
     def test_dimension_formula(self, d, s):
@@ -77,7 +78,7 @@ class TestTensorProductFamily:
 
     def test_every_exponent_capped(self):
         for m in basis_Q(3, 4):
-            assert max(m.exponents) <= 4
+            assert max(m) <= 4
 
     def test_max_degree_helper_matches_product_count(self):
         exps = monomials_max_degree_at_most(3, (0, 1, 2), 2)
@@ -87,10 +88,10 @@ class TestTensorProductFamily:
 
 class TestSerendipityFamily:
     def test_smallest_cases_match_by_hand_lists(self):
-        assert [m.exponents for m in basis_S(2, 1)] == [
+        assert list(basis_S(2, 1)) == [
             (0, 0), (0, 1), (1, 0), (1, 1),
         ]
-        got = {m.exponents for m in basis_S(2, 2)}
+        got = set(basis_S(2, 2))
         expected = {
             (0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0), (1, 2), (2, 1),
         }
@@ -99,21 +100,17 @@ class TestSerendipityFamily:
     def test_index_of_follows_basis_order(self):
         basis = basis_S(3, 4)
         for i, m in enumerate(basis.monomials):
-            assert basis.index_of(list(m.exponents)) == i
+            assert basis.index_of(list(m)) == i
         with pytest.raises(KeyError):
             basis.index_of((5, 0, 0))
 
     def test_degree_one_equals_tensor_family(self):
         for n in range(1, 5):
-            assert {m.exponents for m in basis_S(n, 1)} == {
-                m.exponents for m in basis_Q(n, 1)
-            }
+            assert set(basis_S(n, 1)) == set(basis_Q(n, 1))
 
     def test_one_dimension_equals_total_degree_family(self):
         for r in range(1, 9):
-            assert [m.exponents for m in basis_S(1, r)] == [
-                m.exponents for m in basis_P(full_cube(1), r)
-            ]
+            assert list(basis_S(1, r)) == list(basis_P(full_cube(1), r))
 
     @pytest.mark.parametrize("n", sorted(DIM_TABLE))
     def test_dimension_table(self, n):
@@ -128,7 +125,7 @@ class TestSerendipityFamily:
 
     def test_sorted_and_distinct(self):
         basis = basis_S(3, 4)
-        keys = [grlex_key(m.exponents) for m in basis]
+        keys = [grlex_key(m) for m in basis]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
 
@@ -151,18 +148,18 @@ class TestSerendipityFamily:
 
     def test_monotone_in_degree(self):
         for r in range(1, 8):
-            lower = {m.exponents for m in basis_S(3, r)}
-            upper = {m.exponents for m in basis_S(3, r + 1)}
+            lower = set(basis_S(3, r))
+            upper = set(basis_S(3, r + 1))
             assert lower <= upper
 
     def test_total_degree_bounded_by_r_plus_n_minus_1(self):
         for n in range(1, 5):
             for r in range(1, 7):
-                top = max(m.degree for m in basis_S(n, r))
+                top = max(map(sum, basis_S(n, r)))
                 # the bound is attained once some axis can go superlinear
                 expected_top = r + n - 1 if r >= 2 else n
                 assert top == expected_top
-                assert all(m.degree <= r + n - 1 for m in basis_S(n, r))
+                assert all(sum(m) <= r + n - 1 for m in basis_S(n, r))
 
     def test_rejects_degree_zero(self):
         with pytest.raises(ValueError):
@@ -186,7 +183,7 @@ class TestInclusions:
         assert report.ok
         assert report.dim_S_r == 8
         # the triple product has total degree 3 but stays in the space
-        assert (1, 1, 1) in {m.exponents for m in basis_S(3, 1)}
+        assert (1, 1, 1) in set(basis_S(3, 1))
 
     def test_interval_spaces_all_coincide(self):
         report = check_inclusions(1, 4)
@@ -208,6 +205,27 @@ class TestHelperEnumerations:
 
     def test_empty_axis_set_gives_constant(self):
         assert monomials_total_degree_at_most(2, (), 3) == [(0, 0)]
+
+
+class TestFaceMonomials:
+    @pytest.mark.parametrize("n, r", [(1, 1), (2, 3), (3, 4), (3, 6), (4, 5)])
+    def test_groups_follow_dof_order_and_count_the_space(self, n, r):
+        index = face_monomials(n, r)
+        assert list(index) == [f for f in all_faces(n) if f in index]
+        assert sum(map(len, index.values())) == dim_S_formula(n, r)
+        for face in all_faces(n):
+            budget = r - 2 * face.dim
+            assert (face in index) == (budget >= 0)
+            if face in index:
+                assert list(index[face]) == monomials_total_degree_at_most(
+                    n, face.free_indices, budget
+                )
+
+    def test_square_at_degree_three(self):
+        index = face_monomials(2, 3)
+        assert [len(exps) for exps in index.values()] == [1, 1, 1, 1, 2, 2, 2, 2]
+        assert index[Face(2, ((0, -1),))] == ((0, 0), (0, 1))
+        assert full_cube(2) not in index
 
 
 class TestOptimizedInterpreter:
