@@ -442,11 +442,5 @@ class TestTraceLocality:
                 ]
                 rows = dof_matrix(basis, on_facet)
                 for v in gauss_nullspace(rows.to_lists()):
-                    member = Polynomial(
-                        n,
-                        {
-                            m: c
-                            for m, c in zip(basis.monomials, v)
-                        },
-                    )
+                    member = Polynomial(n, dict(zip(basis.monomials, v)))
                     assert restrict_to_face(member, facet).is_zero(), (n, r, facet)
