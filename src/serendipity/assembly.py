@@ -161,32 +161,35 @@ def check_continuity(
 
     Each trial draws independent DOF values for both elements, copies
     the shared values from left to right, and compares the two facet
-    traces exactly.  A trace is linear in the DOF values, so each one is
-    the value-weighted sum of the nodal functions' traces, restricted
-    once per call.  The controls then bump one shared DOF at a time on
-    the right element of the last trial, which adds that DOF's nodal
-    trace; every bump must break trace equality.
+    traces exactly.  Their gap is linear in the values: a shared pair
+    (L, R) adds tr_left(phi_L) - tr_right(phi_R) times the value of L,
+    any other DOF its own trace (negated on the right) times its value.
+    These defects are formed once per call, so on a conforming element a
+    trial reads no trace term.  The controls bump one shared DOF at a
+    time on the right element of the last trial, adding that DOF's nodal
+    trace; a bump is detected unless that trace equals the gap.
     """
     pair = ElementPair(n, axis)
     phis = nodal_basis(n, r)
     pairs = shared_dof_pairs(n, r, axis)
     left_traces = [restrict_to_face(phi, pair.left_shared_face) for phi in phis]
     right_traces = [restrict_to_face(phi, pair.right_shared_face) for phi in phis]
+    # defect k is weighted by value k of the left element, then of the right
+    defects = left_traces + [-trace for trace in right_traces]
+    for L, R in pairs:
+        defects[L.index] -= right_traces[R.index]
+        defects[len(phis) + R.index] = Polynomial.zero(n)
+    defects = [(k, d) for k, d in enumerate(defects) if d]
     rng = random.Random(seed)
 
     results = []
     for _ in range(max(1, trials)):
-        left_vals = _random_values(rng, len(phis))
-        right_vals = _random_values(rng, len(phis))
-        for L, R in pairs:
-            right_vals[R.index] = left_vals[L.index]
-        trace_left = _combination(n, left_vals, left_traces)
-        trace_right = _combination(n, right_vals, right_traces)
-        results.append(trace_left == trace_right)
+        # every value is drawn, even those no defect reads, so a seed fixes its report
+        values = _random_values(rng, len(phis)) + _random_values(rng, len(phis))
+        gap = _combination(n, [values[k] for k, _ in defects], [d for _, d in defects])
+        results.append(not gap)
 
-    detections = [
-        trace_right + right_traces[R.index] != trace_left for _, R in pairs
-    ]
+    detections = [right_traces[R.index] != gap for _, R in pairs]
 
     return ContinuityReport(
         n=n,

