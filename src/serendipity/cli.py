@@ -4,6 +4,10 @@ Commands: table1, dims, basis, dofs, verify, decompose, continuity,
 export.  Exit status is 0 on success, 1 when a verification command
 found a failing property, 2 on usage errors and unusable input.
 
+Each JSON artifact has one builder: ``export --what basis|dofs|decomposition``
+writes the payload of ``basis``, ``dofs`` or ``decompose --format json``
+with ``what`` set and ``command`` set to ``export`` (``decompose`` kept).
+
 Supported ranges are hard-capped at n <= 6 and r <= 12.  The
 unisolvence, direct-sum and facet-kernel checks reach the caps in
 seconds (under 2 s for each n at r = 12 on a shared 2-vCPU machine);
@@ -25,9 +29,9 @@ import json
 import os
 import sys
 import traceback
+from argparse import Namespace
 from concurrent.futures import ProcessPoolExecutor
 from csv import writer as csv_writer
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -46,7 +50,7 @@ from .spaces import (
     dim_S_formula,
 )
 
-__all__ = ["RunConfig", "build_parser", "main"]
+__all__ = ["build_parser", "main"]
 
 HARD_MAX_N = 6
 HARD_MAX_R = 12
@@ -70,28 +74,6 @@ EXPORT_FAMILIES = {
 
 class InputError(Exception):
     """Input the command cannot use; main reports it in one line, exit 2."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one command invocation needs, validated and frozen."""
-
-    command: str
-    n_values: tuple[int, ...]
-    r_values: tuple[int, ...]
-    fmt: str = "text"
-    out: Optional[Path] = None
-    seed: int = 0
-    trials: int = DEFAULT_TRIALS
-    jobs: int = 1
-    family: str = "S"
-    axis: int = 0
-    checks: tuple[str, ...] = VERIFY_CHECKS
-    method: str = "both"
-    alpha: Optional[tuple[int, ...]] = None
-    poly_path: Optional[Path] = None
-    what: str = "basis"
-    points: int = 11
 
 
 # -- rendering helpers ------------------------------------------------
@@ -123,38 +105,38 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(config: RunConfig, text: str) -> None:
+def _emit(args: Namespace, text: str) -> None:
     """Write to stdout, or to --out atomically: a temporary file in the
     target's directory replaces the target only once fully written."""
-    if config.out is None:
+    if args.out is None:
         sys.stdout.write(text)
         return
-    tmp = config.out.with_name(f".{config.out.name}.{os.getpid()}.tmp")
+    tmp = args.out.with_name(f".{args.out.name}.{os.getpid()}.tmp")
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as err:
-        raise InputError(f"cannot write --out {config.out}: {err.strerror}") from None
+        raise InputError(f"cannot write --out {args.out}: {err.strerror}") from None
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
-        os.replace(tmp, config.out)
+        os.replace(tmp, args.out)
     except OSError as err:
         tmp.unlink(missing_ok=True)
-        raise InputError(f"cannot write --out {config.out}: {err.strerror}") from None
+        raise InputError(f"cannot write --out {args.out}: {err.strerror}") from None
 
 
 def _tabular(
-    config: RunConfig,
+    args: Namespace,
     headers: Sequence[str],
     rows: Sequence[Sequence[object]],
-    payload: dict,
+    payload: Optional[dict] = None,
 ) -> None:
-    if config.fmt == "json":
-        _emit(config, _json_text(payload))
-    elif config.fmt == "csv":
-        _emit(config, _csv_table(headers, rows))
+    if args.fmt == "json":
+        _emit(args, _json_text(payload))
+    elif args.fmt == "csv":
+        _emit(args, _csv_table(headers, rows))
     else:
-        _emit(config, _text_table(headers, rows))
+        _emit(args, _text_table(headers, rows))
 
 
 def _face_label(face) -> str:
@@ -163,91 +145,182 @@ def _face_label(face) -> str:
     return ";".join(f"x{i + 1}={'+1' if s > 0 else '-1'}" for i, s in face.fixed)
 
 
+# -- JSON artifacts: one builder each ---------------------------------
+
+
+def _resolve_basis(args: Namespace):
+    if args.family == "P":
+        return basis_P(full_cube(args.n), args.r)
+    return (basis_S if args.family == "S" else basis_Q)(args.n, args.r)
+
+
+def _resolve_dofs(args: Namespace):
+    return dofs_S(args.n, args.r) if args.family == "S" else dofs_Q(args.n, args.r)
+
+
+def _basis_payload(args: Namespace) -> tuple[dict, bool]:
+    return {"seed": args.seed, "basis": _resolve_basis(args).to_json_obj()}, True
+
+
+def _dofs_payload(args: Namespace) -> tuple[dict, bool]:
+    return {
+        "seed": args.seed,
+        "layout": dof_layout(args.n, args.r, args.family).to_json_obj(),
+        "functionals": [L.to_json_obj() for L in _resolve_dofs(args)],
+    }, True
+
+
+def _nodal_payload(args: Namespace) -> tuple[dict, bool]:
+    return {
+        "seed": args.seed,
+        "n": args.n,
+        "r": args.r,
+        "family": "S",
+        "functionals": [L.to_json_obj() for L in dofs_S(args.n, args.r)],
+        "polynomials": [phi.to_json_obj() for phi in nodal_basis(args.n, args.r)],
+    }, True
+
+
+def _load_input_polynomial(args: Namespace) -> Polynomial:
+    if args.poly_path is not None:
+        try:
+            return Polynomial.from_json_obj(args.n, json.loads(args.poly_path.read_text()))
+        except OSError as err:
+            raise InputError(f"cannot read --poly {args.poly_path}: {err.strerror}") from None
+        except (ValueError, ZeroDivisionError, KeyError, TypeError) as err:
+            raise InputError(f"bad polynomial in {args.poly_path}: {err!r}") from None
+    if args.alpha is not None:
+        return Polynomial.from_monomial(args.alpha)
+    # default: a small generic member, the sum of all basis monomials
+    return Polynomial(args.n, dict.fromkeys(basis_S(args.n, args.r).monomials, 1))
+
+
+def _decomposition_payload(args: Namespace) -> tuple[dict, bool]:
+    n, r = args.n, args.r
+    p = _load_input_polynomial(args)
+    methods = ["solve", "construct"] if args.method == "both" else [args.method]
+    try:
+        per_method = {m: decompose(p, r, method=m) for m in methods}
+    except ValueError as err:  # the input lies outside S_r
+        raise InputError(str(err)) from None
+    agree = True
+    if len(per_method) == 2:
+        a, b = per_method["solve"], per_method["construct"]
+        agree = set(a) == set(b) and all(
+            a[f].coefficient == b[f].coefficient for f in a
+        )
+    chosen = per_method[methods[0]]
+    face_order = {face: i for i, face in enumerate(all_faces(n))}
+    ordered = sorted(chosen.items(), key=lambda kv: face_order[kv[0]])
+    sum_matches = recompose(chosen, n) == p
+    payload = {
+        "command": "decompose",
+        "seed": args.seed,
+        "n": n,
+        "r": r,
+        "method": args.method,
+        "input": p.to_json_obj(),
+        "components": [fc.to_json_obj() for _, fc in ordered],
+        "sum_matches": sum_matches,
+        "methods_agree": agree,
+    }
+    return payload, sum_matches and agree
+
+
+def _evalgrid_payload(args: Namespace) -> tuple[dict, bool]:
+    k = args.points
+    grid = [-1.0 + 2.0 * i / (k - 1) for i in range(k)]
+    points = list(itertools.product(grid, repeat=args.n))
+    values = [[phi.evaluate(x) for x in points] for phi in nodal_basis(args.n, args.r)]
+    return {
+        "seed": args.seed,
+        "n": args.n,
+        "r": args.r,
+        "points_per_axis": k,
+        "grid": grid,
+        "point_order": "itertools.product over axes, axis 1 slowest",
+        "values": values,
+    }, True
+
+
+_ARTIFACTS = {
+    "basis": _basis_payload,
+    "dofs": _dofs_payload,
+    "nodal": _nodal_payload,
+    "decomposition": _decomposition_payload,
+    "evalgrid": _evalgrid_payload,
+}
+
+
+def _emit_artifact(args: Namespace, what: str) -> int:
+    """Write an artifact's JSON payload.  ``command`` is the running command
+    unless the builder set it; under export, ``what`` names the artifact."""
+    payload, ok = _ARTIFACTS[what](args)
+    payload.setdefault("command", args.command)
+    if args.command == "export":
+        payload["what"] = what
+    _emit(args, _json_text(payload))
+    return 0 if ok else 1
+
+
 # -- commands ---------------------------------------------------------
 
 
-def cmd_table1(config: RunConfig) -> int:
+def cmd_table1(args: Namespace) -> int:
     """Dimension of the serendipity space over an (n, r) grid."""
-    headers = ["n"] + [f"r={r}" for r in config.r_values]
-    rows = [
-        [n] + [dim_S_formula(n, r) for r in config.r_values]
-        for n in config.n_values
-    ]
+    dims = {n: [dim_S_formula(n, r) for r in args.r_values] for n in args.n_values}
+    headers = ["n"] + [f"r={r}" for r in args.r_values]
     payload = {
         "command": "table1",
-        "seed": config.seed,
-        "r_values": list(config.r_values),
-        "rows": [
-            {"n": n, "dims": [dim_S_formula(n, r) for r in config.r_values]}
-            for n in config.n_values
-        ],
+        "seed": args.seed,
+        "r_values": list(args.r_values),
+        "rows": [{"n": n, "dims": row} for n, row in dims.items()],
     }
-    _tabular(config, headers, rows, payload)
+    _tabular(args, headers, [[n, *row] for n, row in dims.items()], payload)
     return 0
 
 
-def cmd_dims(config: RunConfig) -> int:
+def cmd_dims(args: Namespace) -> int:
     """Compare the three family dimensions cell by cell."""
     headers = ["n", "r", "dim_P", "dim_S", "dim_Q"]
-    rows = []
-    records = []
-    for n in config.n_values:
-        for r in config.r_values:
-            p, s, q = dim_P(n, r), dim_S_formula(n, r), dim_Q(n, r)
-            rows.append([n, r, p, s, q])
-            records.append({"n": n, "r": r, "dim_P": p, "dim_S": s, "dim_Q": q})
-    payload = {"command": "dims", "seed": config.seed, "rows": records}
-    _tabular(config, headers, rows, payload)
+    records = [
+        dict(zip(headers, (n, r, dim_P(n, r), dim_S_formula(n, r), dim_Q(n, r))))
+        for n in args.n_values
+        for r in args.r_values
+    ]
+    payload = {"command": "dims", "seed": args.seed, "rows": records}
+    _tabular(args, headers, [list(rec.values()) for rec in records], payload)
     return 0
 
 
-def _resolve_basis(config: RunConfig, n: int, r: int):
-    if config.family == "S":
-        return basis_S(n, r)
-    if config.family == "Q":
-        return basis_Q(n, r)
-    return basis_P(full_cube(n), r)
-
-
-def _resolve_dofs(config: RunConfig, n: int, r: int):
-    return dofs_S(n, r) if config.family == "S" else dofs_Q(n, r)
-
-
-def cmd_basis(config: RunConfig) -> int:
+def cmd_basis(args: Namespace) -> int:
     """List the monomial basis for one family at one (n, r)."""
-    n, r = config.n_values[0], config.r_values[0]
-    basis = _resolve_basis(config, n, r)
-    headers = ["index"] + [f"e{i + 1}" for i in range(n)] + ["monomial"]
-    rows = [[k, *m, monomial_str(m)] for k, m in enumerate(basis.monomials)]
-    payload = {"command": "basis", "seed": config.seed, "basis": basis.to_json_obj()}
-    _tabular(config, headers, rows, payload)
+    if args.fmt == "json":
+        return _emit_artifact(args, "basis")
+    headers = ["index"] + [f"e{i + 1}" for i in range(args.n)] + ["monomial"]
+    monomials = _resolve_basis(args).monomials
+    _tabular(args, headers, [[k, *m, monomial_str(m)] for k, m in enumerate(monomials)])
     return 0
 
 
-def cmd_dofs(config: RunConfig) -> int:
+def cmd_dofs(args: Namespace) -> int:
     """DOF layout (counts per face dimension) plus the functional list."""
-    n, r = config.n_values[0], config.r_values[0]
-    layout = dof_layout(n, r, config.family)
-    functionals = _resolve_dofs(config, n, r)
+    if args.fmt == "json":
+        return _emit_artifact(args, "dofs")
+    layout = dof_layout(args.n, args.r, args.family)
     headers = ["face_dim", "faces", "dofs_per_face", "subtotal"]
     rows = [
         [row.face_dim, row.face_count, row.per_face, row.subtotal]
         for row in layout.rows
     ]
-    if config.fmt == "text":
-        table = _text_table(headers, rows)
-        lines = [table, f"total: {layout.total}\n"]
-        for L in functionals:
-            lines.append(f"dof {L.index}: {_face_label(L.face)} weight {monomial_str(L.exponents)}\n")
-        _emit(config, "".join(lines))
-    else:
-        payload = {
-            "command": "dofs",
-            "seed": config.seed,
-            "layout": layout.to_json_obj(),
-            "functionals": [L.to_json_obj() for L in functionals],
-        }
-        _tabular(config, headers, rows, payload)
+    if args.fmt == "csv":
+        _emit(args, _csv_table(headers, rows))
+        return 0
+    lines = [_text_table(headers, rows), f"total: {layout.total}\n"] + [
+        f"dof {L.index}: {_face_label(L.face)} weight {monomial_str(L.exponents)}\n"
+        for L in _resolve_dofs(args)
+    ]
+    _emit(args, "".join(lines))
     return 0
 
 
@@ -304,15 +377,15 @@ def _verify_check(n: int, r: int, check: str, trials: int, seed: int) -> tuple[b
     return ok, detail
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(args: Namespace) -> int:
     """Run the selected property checks over the (n, r) grid."""
     items = [
-        (n, r, check, config.trials, config.seed)
-        for n in config.n_values
-        for r in config.r_values
-        for check in config.checks
+        (n, r, check, args.trials, args.seed)
+        for n in args.n_values
+        for r in args.r_values
+        for check in args.checks
     ]
-    workers = min(config.jobs, len(items))
+    workers = min(args.jobs, len(items))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_verify_cell, items))
@@ -326,98 +399,50 @@ def cmd_verify(config: RunConfig) -> int:
     ]
     payload = {
         "command": "verify",
-        "seed": config.seed,
-        "trials": config.trials,
-        "checks": list(config.checks),
+        "seed": args.seed,
+        "trials": args.trials,
+        "checks": list(args.checks),
         "results": results,
         "all_ok": all_ok,
     }
-    if config.fmt == "text":
+    if args.fmt == "text":
         text = _text_table(headers, rows)
         text += f"result: {'all checks passed' if all_ok else 'FAILURES PRESENT'}\n"
-        _emit(config, text)
+        _emit(args, text)
     else:
-        _tabular(config, headers, rows, payload)
+        _tabular(args, headers, rows, payload)
     return 0 if all_ok else 1
 
 
-def _load_input_polynomial(config: RunConfig, n: int, r: int) -> Polynomial:
-    if config.poly_path is not None:
-        try:
-            return Polynomial.from_json_obj(n, json.loads(config.poly_path.read_text()))
-        except OSError as err:
-            raise InputError(f"cannot read --poly {config.poly_path}: {err.strerror}") from None
-        except (ValueError, ZeroDivisionError, KeyError, TypeError) as err:
-            raise InputError(f"bad polynomial in {config.poly_path}: {err!r}") from None
-    if config.alpha is not None:
-        return Polynomial.from_monomial(config.alpha)
-    # default: a small generic member, the sum of all basis monomials
-    return Polynomial(n, dict.fromkeys(basis_S(n, r).monomials, 1))
-
-
-def _decomposition_payload(config: RunConfig, n: int, r: int) -> tuple[dict, bool]:
-    p = _load_input_polynomial(config, n, r)
-    methods = ["solve", "construct"] if config.method == "both" else [config.method]
-    try:
-        per_method = {m: decompose(p, r, method=m) for m in methods}
-    except ValueError as err:  # the input lies outside S_r
-        raise InputError(str(err)) from None
-    agree = True
-    if len(per_method) == 2:
-        a, b = per_method["solve"], per_method["construct"]
-        agree = set(a) == set(b) and all(
-            a[f].coefficient == b[f].coefficient for f in a
-        )
-    chosen = per_method[methods[0]]
-    face_order = {face: i for i, face in enumerate(all_faces(n))}
-    ordered = sorted(chosen.items(), key=lambda kv: face_order[kv[0]])
-    sum_matches = recompose(chosen, n) == p
-    payload = {
-        "command": "decompose",
-        "seed": config.seed,
-        "n": n,
-        "r": r,
-        "method": config.method,
-        "input": p.to_json_obj(),
-        "components": [fc.to_json_obj() for _, fc in ordered],
-        "sum_matches": sum_matches,
-        "methods_agree": agree,
-    }
-    return payload, sum_matches and agree
-
-
-def cmd_decompose(config: RunConfig) -> int:
+def cmd_decompose(args: Namespace) -> int:
     """Face-by-face splitting of one polynomial, with exact round-trip."""
-    n, r = config.n_values[0], config.r_values[0]
-    payload, ok = _decomposition_payload(config, n, r)
-    if config.fmt == "json":
-        _emit(config, _json_text(payload))
-    else:
-        lines = [f"decomposition over faces (n={n}, r={r}, method={config.method})\n"]
-        for comp in payload["components"]:
-            label = _face_label(Face.from_json_obj(comp["face"]))
-            terms = ", ".join(
-                f"{t['coeff']}*x^{tuple(t['exponents'])}" for t in comp["coefficient"]
-            )
-            lines.append(f"  {label}: {terms}\n")
-        lines.append(f"sum matches input: {payload['sum_matches']}\n")
-        lines.append(f"methods agree: {payload['methods_agree']}\n")
-        _emit(config, "".join(lines))
+    if args.fmt == "json":
+        return _emit_artifact(args, "decomposition")
+    payload, ok = _decomposition_payload(args)
+    lines = [f"decomposition over faces (n={args.n}, r={args.r}, method={args.method})\n"]
+    for comp in payload["components"]:
+        label = _face_label(Face.from_json_obj(comp["face"]))
+        terms = ", ".join(
+            f"{t['coeff']}*x^{tuple(t['exponents'])}" for t in comp["coefficient"]
+        )
+        lines.append(f"  {label}: {terms}\n")
+    lines.append(f"sum matches input: {payload['sum_matches']}\n")
+    lines.append(f"methods agree: {payload['methods_agree']}\n")
+    _emit(args, "".join(lines))
     return 0 if ok else 1
 
 
-def cmd_continuity(config: RunConfig) -> int:
+def cmd_continuity(args: Namespace) -> int:
     """Two-element trace equality trials with perturbation controls."""
-    n, r = config.n_values[0], config.r_values[0]
     report = check_continuity(
-        n, r, axis=config.axis, trials=config.trials, seed=config.seed
+        args.n, args.r, axis=args.axis - 1, trials=args.trials, seed=args.seed
     )
-    if config.fmt == "json":
+    if args.fmt == "json":
         payload = {"command": "continuity", **report.to_json_obj()}
-        _emit(config, _json_text(payload))
+        _emit(args, _json_text(payload))
     else:
         text = (
-            f"continuity n={n} r={r} axis={config.axis + 1} "
+            f"continuity n={args.n} r={args.r} axis={args.axis} "
             f"seed={report.seed} trials={report.trials}\n"
             f"shared DOFs: {report.shared_count}\n"
             f"trials with equal traces: {sum(report.trial_traces_equal)}"
@@ -426,84 +451,17 @@ def cmd_continuity(config: RunConfig) -> int:
             f"/{len(report.perturbations_detected)}\n"
             f"result: {'pass' if report.ok else 'FAIL'}\n"
         )
-        _emit(config, text)
+        _emit(args, text)
     return 0 if report.ok else 1
 
 
-def _nodal_payload(config: RunConfig, n: int, r: int) -> dict:
-    return {
-        "command": "export",
-        "what": "nodal",
-        "seed": config.seed,
-        "n": n,
-        "r": r,
-        "family": "S",
-        "functionals": [L.to_json_obj() for L in dofs_S(n, r)],
-        "polynomials": [phi.to_json_obj() for phi in nodal_basis(n, r)],
-    }
-
-
-def _evalgrid_payload(config: RunConfig, n: int, r: int) -> dict:
-    k = config.points
-    grid = [-1.0 + 2.0 * i / (k - 1) for i in range(k)]
-    values = []
-    for phi in nodal_basis(n, r):
-        samples = [
-            phi.evaluate(point)
-            for point in itertools.product(grid, repeat=n)
-        ]
-        values.append(samples)
-    return {
-        "command": "export",
-        "what": "evalgrid",
-        "seed": config.seed,
-        "n": n,
-        "r": r,
-        "points_per_axis": k,
-        "grid": grid,
-        "point_order": "itertools.product over axes, axis 1 slowest",
-        "values": values,
-    }
-
-
-def cmd_export(config: RunConfig) -> int:
+def cmd_export(args: Namespace) -> int:
     """Write one of the JSON artifacts (basis, dofs, nodal, ...)."""
-    n, r = config.n_values[0], config.r_values[0]
-    if config.family not in EXPORT_FAMILIES[config.what]:
+    if args.family not in EXPORT_FAMILIES[args.what]:
         raise InputError(
-            f"--what {config.what} takes --family {' or '.join(EXPORT_FAMILIES[config.what])}"
+            f"--what {args.what} takes --family {' or '.join(EXPORT_FAMILIES[args.what])}"
         )
-    if config.what == "basis":
-        payload = {
-            "command": "export",
-            "what": "basis",
-            "seed": config.seed,
-            "basis": _resolve_basis(config, n, r).to_json_obj(),
-        }
-        ok = True
-    elif config.what == "dofs":
-        functionals = _resolve_dofs(config, n, r)
-        payload = {
-            "command": "export",
-            "what": "dofs",
-            "seed": config.seed,
-            "layout": dof_layout(n, r, config.family).to_json_obj(),
-            "functionals": [L.to_json_obj() for L in functionals],
-        }
-        ok = True
-    elif config.what == "nodal":
-        payload = _nodal_payload(config, n, r)
-        ok = True
-    elif config.what == "decomposition":
-        payload, ok = _decomposition_payload(config, n, r)
-        payload["what"] = "decomposition"
-    elif config.what == "evalgrid":
-        payload = _evalgrid_payload(config, n, r)
-        ok = True
-    else:
-        raise ValueError(f"unknown export target {config.what!r}")
-    _emit(config, _json_text(payload))
-    return 0 if ok else 1
+    return _emit_artifact(args, args.what)
 
 
 # -- argument handling ------------------------------------------------
@@ -519,14 +477,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(
-        p: argparse.ArgumentParser,
+    def add_command(
+        name: str,
+        handler: Callable[[Namespace], int],
+        help: str,
         formats: Sequence[str] = ("text", "json", "csv"),
         grid: bool = False,
         trials: bool = False,
-    ) -> None:
-        """Flags every command shares; grid commands take (n, r) ranges,
-        the others one cell, and only commands with trials use the seed."""
+    ) -> argparse.ArgumentParser:
+        """A subcommand bound to its handler, with the flags every command
+        shares; grid commands take (n, r) ranges, the others one cell, and
+        only commands with trials use the seed."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         for v in ("n", "r"):
             if grid:
                 one = f"single {v}, or range start with --{v}-max"
@@ -550,23 +513,20 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--trials", type=int, default=DEFAULT_TRIALS, help="number of random trials"
             )
+        return p
 
-    p = sub.add_parser("table1", help="serendipity dimension table over an (n, r) grid")
-    add_common(p, grid=True)
+    add_command("table1", cmd_table1, "serendipity dimension table over an (n, r) grid", grid=True)
+    add_command("dims", cmd_dims, "dimensions of the P, S, Q families per (n, r)", grid=True)
 
-    p = sub.add_parser("dims", help="dimensions of the P, S, Q families per (n, r)")
-    add_common(p, grid=True)
-
-    p = sub.add_parser("basis", help="monomial basis at one (n, r)")
-    add_common(p)
+    p = add_command("basis", cmd_basis, "monomial basis at one (n, r)")
     p.add_argument("--family", choices=("S", "Q", "P"), default="S")
 
-    p = sub.add_parser("dofs", help="degree-of-freedom layout and functional list")
-    add_common(p)
+    p = add_command("dofs", cmd_dofs, "degree-of-freedom layout and functional list")
     p.add_argument("--family", choices=("S", "Q"), default="S")
 
-    p = sub.add_parser("verify", help="run exact property checks over a grid")
-    add_common(p, grid=True, trials=True)
+    p = add_command(
+        "verify", cmd_verify, "run exact property checks over a grid", grid=True, trials=True
+    )
     p.add_argument(
         "--checks",
         default=",".join(VERIFY_CHECKS),
@@ -574,24 +534,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--jobs", type=int, default=0, help="worker processes (0 = auto)")
 
-    p = sub.add_parser("decompose", help="split a polynomial into face components")
-    add_common(p, formats=("json", "text"))
+    p = add_command(
+        "decompose", cmd_decompose, "split a polynomial into face components",
+        formats=("json", "text"),
+    )
     source = p.add_mutually_exclusive_group()
     source.add_argument("--alpha", default=None, help="monomial exponents, e.g. 2,3")
     source.add_argument("--poly", dest="poly_path", type=Path, default=None, help="JSON file with polynomial terms")
     p.add_argument("--method", choices=("solve", "construct", "both"), default="both")
 
-    p = sub.add_parser("continuity", help="two-element trace equality trials")
-    add_common(p, formats=("text", "json"), trials=True)
+    p = add_command(
+        "continuity", cmd_continuity, "two-element trace equality trials",
+        formats=("text", "json"), trials=True,
+    )
     p.add_argument("--axis", type=int, default=1, help="glue axis, 1-based")
 
-    p = sub.add_parser("export", help="write a JSON artifact")
-    add_common(p, formats=("json",))
-    p.add_argument(
-        "--what",
-        choices=("basis", "dofs", "nodal", "decomposition", "evalgrid"),
-        default="basis",
-    )
+    p = add_command("export", cmd_export, "write a JSON artifact", formats=("json",))
+    p.add_argument("--what", choices=tuple(EXPORT_FAMILIES), default="basis")
     p.add_argument("--family", choices=("S", "Q", "P"), default="S")
     source = p.add_mutually_exclusive_group()
     source.add_argument("--alpha", default=None, help="monomial exponents for decomposition export")
@@ -626,9 +585,9 @@ def _resolve_range(
     return values
 
 
-def _config_from_args(
-    parser: argparse.ArgumentParser, args: argparse.Namespace
-) -> RunConfig:
+def _config_from_args(parser: argparse.ArgumentParser, args: Namespace) -> None:
+    """Validate the parsed arguments in place: add n_values and r_values,
+    parse --checks and --alpha, and cap --jobs by the usable CPUs."""
     command = args.command
     grid_defaults = {
         "table1": (tuple(range(1, 6)), tuple(range(1, 9))),
@@ -641,92 +600,51 @@ def _config_from_args(
         if args.n is None or args.r is None:
             parser.error(f"{command} requires --n and --r")
         n_default = r_default = ()
-    n_values = _resolve_range(parser, args.n, args.n_max, n_default, HARD_MAX_N, "n")
-    r_values = _resolve_range(parser, args.r, args.r_max, r_default, HARD_MAX_R, "r")
-    if command not in grid_defaults and len(n_values) * len(r_values) > 1:
+    args.n_values = _resolve_range(parser, args.n, args.n_max, n_default, HARD_MAX_N, "n")
+    args.r_values = _resolve_range(parser, args.r, args.r_max, r_default, HARD_MAX_R, "r")
+    if command not in grid_defaults and len(args.n_values) * len(args.r_values) > 1:
         parser.error(f"{command} takes one n and one r, not a range")
 
-    checks: tuple[str, ...] = VERIFY_CHECKS
     if command == "verify":
-        checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
-        for c in checks:
+        args.checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
+        for c in args.checks:
             if c not in VERIFY_CHECKS:
                 parser.error(f"unknown check {c!r}")
-        if not checks:
+        if not args.checks:
             parser.error("no checks selected")
-
-    jobs = 1
-    if command == "verify":
         if args.jobs < 0:
             parser.error("jobs must be >= 0")
         # taskset or a cpuset can leave this process fewer CPUs than the host
         affinity = getattr(os, "sched_getaffinity", None)
-        jobs = min(args.jobs or 4, len(affinity(0)) if affinity else os.cpu_count() or 1)
+        args.jobs = min(args.jobs or 4, len(affinity(0)) if affinity else os.cpu_count() or 1)
 
-    axis = 0
-    if command == "continuity":
-        if not 1 <= args.axis <= n_values[0]:
-            parser.error(f"axis must be in 1..{n_values[0]}")
-        axis = args.axis - 1
+    if command == "continuity" and not 1 <= args.axis <= args.n:
+        parser.error(f"axis must be in 1..{args.n}")
 
-    trials = getattr(args, "trials", DEFAULT_TRIALS)
-    if trials < 1:
+    if getattr(args, "trials", DEFAULT_TRIALS) < 1:
         parser.error("trials must be >= 1")
 
-    alpha: Optional[tuple[int, ...]] = None
     raw_alpha = getattr(args, "alpha", None)
     if raw_alpha is not None:
         try:
-            alpha = tuple(int(part) for part in raw_alpha.split(","))
+            args.alpha = tuple(int(part) for part in raw_alpha.split(","))
         except ValueError:
             parser.error(f"cannot parse exponents from {raw_alpha!r}")
-        if len(alpha) != n_values[0] or any(a < 0 for a in alpha):
+        if len(args.alpha) != args.n or any(a < 0 for a in args.alpha):
             parser.error("--alpha needs one non-negative exponent per variable")
 
-    points = getattr(args, "points", 11)
-    if command == "export" and getattr(args, "what", "") == "evalgrid" and points < 2:
+    if command == "export" and args.what == "evalgrid" and args.points < 2:
         parser.error("evalgrid needs at least 2 points per axis")
-
-    return RunConfig(
-        command=command,
-        n_values=n_values,
-        r_values=r_values,
-        fmt=args.fmt,
-        out=args.out,
-        seed=args.seed,
-        trials=trials,
-        jobs=jobs,
-        family=getattr(args, "family", "S"),
-        axis=axis,
-        checks=checks,
-        method=getattr(args, "method", "both"),
-        alpha=alpha,
-        poly_path=getattr(args, "poly_path", None),
-        what=getattr(args, "what", "basis"),
-        points=points,
-    )
-
-
-_HANDLERS: dict[str, Callable[[RunConfig], int]] = {
-    "table1": cmd_table1,
-    "dims": cmd_dims,
-    "basis": cmd_basis,
-    "dofs": cmd_dofs,
-    "verify": cmd_verify,
-    "decompose": cmd_decompose,
-    "continuity": cmd_continuity,
-    "export": cmd_export,
-}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _config_from_args(parser, args)
+    _config_from_args(parser, args)
     try:
-        return _HANDLERS[config.command](config)
+        return args.handler(args)
     except InputError as err:
-        sys.stderr.write(f"{parser.prog} {config.command}: error: {err}\n")
+        sys.stderr.write(f"{parser.prog} {args.command}: error: {err}\n")
         return 2
 
 

@@ -297,8 +297,11 @@ class Polynomial:
         terms: dict[Exponents, Fraction] = {}
         for record in data:
             exps = _validate_exponents(record["exponents"])
-            coeff = Fraction(record["coeff"])
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
+            coeff = record["coeff"]
+            # a JSON float is already rounded, and a bool is no coefficient
+            if not isinstance(coeff, (int, str)) or isinstance(coeff, bool):
+                raise TypeError(f"coefficient {coeff!r} is not an integer or a string")
+            terms[exps] = terms.get(exps, Fraction(0)) + Fraction(coeff)
         return cls(n, terms)
 
 

@@ -304,3 +304,44 @@ class TestFailingReportsMatchOracle:
         _, R = shared_dof_pairs(self.n, self.r, 0)[0]
         self.broken_basis(monkeypatch, R.index, Polynomial.variable(self.n, 1))
         self.assert_matches_oracle()
+
+
+class TestControlSign:
+    """A bump the gap happens to cancel goes undetected: the control for R
+    compares R's right trace with the gap tr_left - tr_right itself."""
+
+    n, r, axis = 2, 3, 0
+
+    def test_cancelled_bump_is_undetected(self, monkeypatch):
+        n, r, axis = self.n, self.r, self.axis
+        pair = ElementPair(n, axis)
+        pairs = shared_dof_pairs(n, r, axis)
+        L, R = pairs[0]
+        phis = list(nodal_basis(n, r))
+        # mirrored in x_axis, phi_R traces on the left facet as phi_R on the right
+        mirror = Polynomial(
+            n, {e: c * (-1) ** e[axis] for e, c in phis[R.index].terms()}
+        )
+        phis[L.index] = phis[L.index] + mirror
+        broken = tuple(phis)
+        monkeypatch.setattr("serendipity.assembly.nodal_basis", lambda n, r: broken)
+        monkeypatch.setattr(sys.modules[__name__], "nodal_basis", lambda n, r: broken)
+        # one trial in which only L is nonzero: its gap is phi_R's right trace
+        left = [Fraction(int(k == L.index)) for k in range(len(phis))]
+        draws = iter([left, [Fraction(0)] * len(phis)])
+        monkeypatch.setattr(assembly, "_random_values", lambda rng, count: next(draws))
+        report = check_continuity(n, r, axis=axis, trials=1)
+
+        right = [Fraction(0)] * len(phis)
+        for L2, R2 in pairs:
+            right[R2.index] = left[L2.index]
+        trace_left = restrict_to_face(added_interpolant(left, n, r), pair.left_shared_face)
+        detected = []
+        for _, R2 in pairs:
+            bumped = list(right)
+            bumped[R2.index] += 1
+            trace = restrict_to_face(added_interpolant(bumped, n, r), pair.right_shared_face)
+            detected.append(trace != trace_left)
+        assert report.trial_traces_equal == (False,)
+        assert detected[0] is False
+        assert report.perturbations_detected == tuple(detected)

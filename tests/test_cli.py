@@ -507,6 +507,12 @@ class TestBadInput:
         )
         assert "cannot write --out" in err
 
+    @pytest.mark.parametrize("coeff", [0.1, 1.0, True])
+    def test_float_or_bool_coefficient(self, capsys, tmp_path, coeff):
+        text = json.dumps([{"exponents": [1, 0], "coeff": coeff}])
+        err = self.decompose_file(capsys, tmp_path, text)
+        assert err.startswith("serendipity decompose: error: bad polynomial in ")
+
 
 class TestAtomicOut:
     """--out is replaced whole or not at all."""
@@ -693,6 +699,34 @@ class TestGoldenOutput:
             (
                 ["export", "--what", "basis", "--n", "3", "--r", "4", "--family", "P"],
                 "16d97624dceb15fef6dd773b3757f96317bb318687aae3e598f44518ea165350",
+            ),
+            (
+                ["basis", "--n", "3", "--r", "4", "--format", "json"],
+                "85a37f8e2be50111077dc2d849b7fcbb88efe3d425cfd020f8efbc3dae90d82d",
+            ),
+            (
+                ["dofs", "--n", "3", "--r", "4", "--format", "json"],
+                "a9b793412a1906d7d85e866960f5e31d4b1b7b637bb12dcb9c261d8631762d31",
+            ),
+            (
+                ["export", "--what", "basis", "--n", "3", "--r", "4", "--family", "S"],
+                "e888b0810d5f98d4d70333a93c8043ef6eddf37193e4c05368f20b7105e24479",
+            ),
+            (
+                ["export", "--what", "dofs", "--n", "3", "--r", "4", "--family", "S"],
+                "1ebc2876ae9686b2f093bed6bad75da3c6631002ffe636a51bd354d1fe113faa",
+            ),
+            (
+                ["decompose", "--n", "3", "--r", "4", "--method", "solve", "--format", "json"],
+                "d0766e4eedb8398d5d3d947e4a6a5424724e56bf3234fb88fb5fa6061b8121c2",
+            ),
+            (
+                ["table1", "--format", "json"],
+                "f740c2b538b5a38319a8756693311f9b4b9c2fa6e5f87b2ae7cdca214af0509d",
+            ),
+            (
+                ["dims", "--format", "csv"],
+                "27e24ee12f963c1103cf2bebc4fafe011197a55ca342ecd6a917fd52dacf6f9e",
             ),
         ],
     )

@@ -397,3 +397,17 @@ class TestSerialization:
             {"exponents": [1], "coeff": "1/2"},
         ]
         assert Polynomial.from_json_obj(1, data) == Polynomial.from_monomial((1,))
+
+    @pytest.mark.parametrize("coeff", [0.1, 2.0, True, False])
+    def test_float_and_bool_coefficients_are_rejected(self, coeff):
+        # a float is already rounded and a bool is not a number in JSON
+        with pytest.raises(TypeError, match="coefficient"):
+            Polynomial.from_json_obj(1, [{"exponents": [1], "coeff": coeff}])
+
+    @pytest.mark.parametrize(
+        "coeff, value",
+        [(3, Fraction(3)), (-4, Fraction(-4)), ("-2/6", Fraction(-1, 3)), ("0.1", Fraction(1, 10))],
+    )
+    def test_integers_and_strings_read_exactly(self, coeff, value):
+        data = [{"exponents": [1], "coeff": coeff}]
+        assert Polynomial.from_json_obj(1, data) == Polynomial(1, {(1,): value})
