@@ -1,15 +1,16 @@
 """Compare the serendipity command line of two source trees byte for byte.
 
-    python tools/cli_sweep.py PARENT_ROOT CHANGE_ROOT [--workers K]
+    python tools/cli_sweep.py PARENT_ROOT CHANGE_ROOT
 
 Runs a fixed list of invocations as ``python -m serendipity.cli ...``
-with each tree's ``src/`` on ``PYTHONPATH``, each in a fresh interpreter,
-and compares stdout, stderr and exit code.  The list covers every
-command and format over n <= 3, r <= 5; every export artifact and
-family; the decompose methods with default, ``--alpha`` and ``--poly``
-input; continuity on every axis; ``verify`` with ``--jobs 1`` and
-``--jobs 2``; usage errors; and every ``--help``.  Prints each
-difference and a total, and exits 1 if any invocation differs.
+with each tree's ``src/`` on ``PYTHONPATH``, each in a fresh interpreter
+(two at a time), and compares stdout, stderr and exit code.  The list
+covers every command and format over n <= 3, r <= 5; every export
+artifact and family; the decompose methods with default, ``--alpha``
+and ``--poly`` input; continuity on every axis; ``verify`` with
+``--jobs 1`` and ``--jobs 2``; usage errors; and every ``--help``.
+Prints each difference and a total, and exits 1 if any invocation
+differs.
 """
 
 from __future__ import annotations
@@ -141,7 +142,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="root of the reference tree")
     parser.add_argument("change", type=Path, help="root of the tree under test")
-    parser.add_argument("--workers", type=int, default=2, help="concurrent invocations")
     args = parser.parse_args(argv)
     roots = [args.parent.resolve(), args.change.resolve()]
     for root in roots:
@@ -153,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
         inputs.mkdir()
         write_inputs(inputs)
         runs = invocations(inputs)
-        with ThreadPoolExecutor(max_workers=max(1, args.workers)) as pool:
+        with ThreadPoolExecutor(max_workers=2) as pool:
             outcomes = list(pool.map(
                 lambda job: run(job[0], job[1], workdir),
                 [(root, run_argv) for run_argv in runs for root in roots],
