@@ -2,7 +2,9 @@
 
 Commands: table1, dims, basis, dofs, verify, decompose, continuity,
 export.  Exit status is 0 on success, 1 when a verification command
-found a failing property, 2 on usage errors and unusable input.
+found a failing property or a command's pairing inverse could not be
+certified (one stderr line names the culprit), 2 on usage errors and
+unusable input.
 
 Each JSON artifact has one builder: ``export --what basis|dofs|decomposition``
 writes the payload of ``basis``, ``dofs`` or ``decompose --format json``
@@ -38,7 +40,7 @@ from typing import Callable, Optional, Sequence
 from .assembly import check_continuity
 from .cubegeom import Face, all_faces, full_cube
 from .decomp import decompose, facet_kernel_check, recompose, verify_direct_sum
-from .dofs import check_unisolvence, dof_layout, dofs_Q, dofs_S, nodal_basis
+from .dofs import SingularMatrixError, check_unisolvence, dof_layout, dofs_Q, dofs_S, nodal_basis
 from .exactpoly import Polynomial, monomial_str
 from .spaces import (
     basis_P,
@@ -329,10 +331,13 @@ def _run_verify_cell(item: tuple[int, int, str, int, int]) -> dict:
 
     A check that raises is a failing cell: its row names the exception
     and the traceback goes to stderr, so the other cells still report.
+    An uncertified pairing inverse names its culprit and needs no traceback.
     """
     n, r, check, trials, seed = item
     try:
         ok, detail = _verify_check(n, r, check, trials, seed)
+    except SingularMatrixError as err:
+        ok, detail = False, f"raised SingularMatrixError: {err}"
     except Exception as err:
         traceback.print_exc()
         ok, detail = False, f"raised {type(err).__name__}: {err}"
@@ -646,6 +651,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InputError as err:
         sys.stderr.write(f"{parser.prog} {args.command}: error: {err}\n")
         return 2
+    except SingularMatrixError as err:  # a property failed: the certificate
+        sys.stderr.write(f"{parser.prog} {args.command}: failed: {err}\n")
+        return 1
 
 
 if __name__ == "__main__":

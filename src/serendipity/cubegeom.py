@@ -27,6 +27,7 @@ __all__ = [
     "full_cube",
     "enumerate_faces",
     "all_faces",
+    "face_symmetry",
     "face_contains",
     "restrict_to_face",
     "face_moment",
@@ -118,6 +119,23 @@ def all_faces(n: int) -> tuple[Face, ...]:
     for d in range(n + 1):
         out.extend(enumerate_faces(n, d))
     return tuple(out)
+
+
+def face_symmetry(face: Face) -> tuple[tuple[int, ...], frozenset[int]]:
+    """The cube symmetry sigma that sends the first face of its dimension,
+    ``enumerate_faces(n, d)[0]``, to face.
+
+    Axis i goes to axis perm[i]: pinned axes to pinned axes and free axes
+    to free axes, each in order.  Then the axes in flips, those the face
+    pins at +1, change sign.  So sigma sends the pin (i, s) to
+    (perm[i], -s or s), and x^e composed with sigma^-1 is x^e' times -1
+    to the sum of e' over flips, where e'[perm[i]] = e[i].
+    """
+    first = enumerate_faces(face.n, face.dim)[0]
+    perm = [0] * face.n
+    for i, j in zip(first.fixed_indices + first.free_indices, face.fixed_indices + face.free_indices):
+        perm[i] = j
+    return tuple(perm), frozenset(j for j, s in face.fixed if s > 0)
 
 
 def face_contains(outer: Face, inner: Face) -> bool:

@@ -35,6 +35,16 @@ of the degree r - 2d family under a positive weight.  Checking these
 facts plus n + 1 positive definite blocks proves K, hence D and C,
 nonsingular without an N x N elimination.
 
+The cube's symmetries, axis permutations with sign flips, act
+transitively on the faces of each dimension and keep every face moment.
+They map each face's index onto the image face's index and each bubble
+onto the image face's bubble, so they permute the rows and columns of
+K, with signs.  The inverse X = K^-1 is therefore solved for the n + 1
+columns of the first face of each dimension only, and every other
+column is mapped from one of those; the nodal basis likewise expands
+n + 1 columns into monomials and rewrites the rest.  The two facts
+about the index and the bubbles are checked on every mapped block.
+
 The facet kernel check characterizes the functions whose trace vanishes
 on the whole boundary: exactly the full-cube bubble times total degree
 r - 2n.  Its dimension follows from the pairing (a boundary-vanishing
@@ -58,6 +68,7 @@ from .cubegeom import (
     enumerate_faces,
     face_contains,
     face_moments,
+    face_symmetry,
     full_cube,
     restrict_to_face,
 )
@@ -280,43 +291,99 @@ def _product(a: Block, b: Block, scale: int = 1) -> Block:
 
 @lru_cache(maxsize=None)
 def pairing_inverse(n: int, r: int) -> dict[Face, dict[Face, Block]]:
-    """X = K^-1 by block forward substitution over the faces.
+    """X = K^-1: for each face H, every face F containing H, in DOF
+    order, mapped to the block X[F, H].  X is block lower triangular
+    like K.
 
-    X is block lower triangular like K: for each face H it maps every
-    face F containing H, in DOF order, to the block X[F, H], with
+    Block forward substitution finds the columns of the first face H0
+    of each dimension, ``enumerate_faces(n, d)[0]``:
 
-        X[H, H] = K[H, H]^-1,
-        X[F, H] = -K[F, F]^-1 sum over H <= G < F of K[F, G] X[G, H],
+        X[H0, H0] = K[H0, H0]^-1,
+        X[F, H0] = -K[F, F]^-1 sum over H0 <= G < F of K[F, G] X[G, H0],
 
     the sum formed as one product of the blocks K[F, G] side by side with
-    the blocks X[G, H] stacked.  The certificate must hold: it makes the
+    the blocks X[G, H0] stacked.  The certificate must hold: it makes the
     blocks off G <= F zero and every diagonal block of dimension d equal
     to one representative, so the diagonal inverses are one solve per
     face dimension.
+
+    Every other column H is mapped from that of H0 by the cube symmetry
+    sigma with sigma H0 = H (``cubegeom.face_symmetry``), which keeps
+    every face moment:
+
+        X[sigma F, H] row sigma q = sign(sigma q) X[F, H0] row q,
+
+    with H's weights in H0's order and unsigned, since sigma keeps the
+    free axes of H0 in order and flips pinned axes only.  This holds when
+    sigma maps each face's index onto the image face's index and each
+    bubble onto the image face's bubble; both are checked on every mapped
+    block, and a failure raises SingularMatrixError naming the faces.  A
+    mapped row is a canonical row or its negation, shared, not copied.
     """
+    uncertified = f"pairing at n={n}, r={r} is not certified"
     culprit = certify_pairing(n, r)
     if culprit is not None:
-        raise SingularMatrixError(f"pairing at n={n}, r={r} is not certified: {culprit}")
+        raise SingularMatrixError(f"{uncertified}: {culprit}")
     index = face_monomials(n, r)
+    first = [face for d in range(n + 1) if (face := enumerate_faces(n, d)[0]) in index]
     diagonal: dict[int, Block] = {}
-    for d in range(n + 1):
-        representative = enumerate_faces(n, d)[0]
-        if representative in index:
-            block = pairing_block(representative, representative, r)
-            inverse = block.solve(RationalMatrix.identity(block.rows))
-            diagonal[d] = tuple(inverse.row(i) for i in range(inverse.rows))
-    out: dict[Face, dict[Face, Block]] = {}
-    for col in index:
-        column = {col: diagonal[col.dim]}
+    for h0 in first:
+        block = pairing_block(h0, h0, r)
+        inverse = block.solve(RationalMatrix.identity(block.rows))
+        diagonal[h0.dim] = tuple(inverse.row(i) for i in range(inverse.rows))
+    sources = {}
+    for h0 in first:
+        column = {h0: diagonal[h0.dim]}
         for face in index:
-            if face == col or not face_contains(face, col):
+            if face == h0 or not face_contains(face, h0):
                 continue
             inner = [g for g in column if face_contains(face, g)]
             blocks = [pairing_block(face, g, r) for g in inner]
             left = [sum((k.row(i) for k in blocks), ()) for i in range(len(index[face]))]
             right = [row for g in inner for row in column[g]]
             column[face] = _product(diagonal[face.dim], _product(left, right), scale=-1)
-        out[col] = column
+        # per block: its rows, their negations and the positions of its index
+        sources[h0.dim] = [
+            (face, block, tuple(tuple(-x for x in row) for row in block),
+             {q: k for k, q in enumerate(index[face])})
+            for face, block in column.items()
+        ]
+    order = {face: k for k, face in enumerate(index)}
+    out: dict[Face, dict[Face, Block]] = {}
+    for col in index:
+        perm, flips = face_symmetry(col)
+        column = {}
+        for face, block, negated, position in sources[col.dim]:
+            image = Face(
+                n, tuple(sorted((perm[i], -s if perm[i] in flips else s) for i, s in face.fixed))
+            )
+            # each monomial of the image's index: the position of its
+            # preimage in the index of face, and whether sigma negates it
+            rows = [
+                (position.get(tuple(q[j] for j in perm)), sum(q[j] for j in flips) % 2)
+                for q in index.get(image, ())
+            ]
+            if face.dim == col.dim:  # the weights of col are those of H0 in order, unsigned
+                onto = rows == [(k, 0) for k in range(len(position))]
+            else:
+                onto = len(rows) == len(position) and all(k is not None for k, _ in rows)
+            if not onto:
+                raise SingularMatrixError(
+                    f"{uncertified}: symmetry: the index of {face} does not map onto "
+                    f"the index of {image}{' in order' if face.dim == col.dim else ''}"
+                )
+            # sigma moves the factor on axis i to axis perm[i], negating t there if it flips
+            image_factors = _bubble_factors(image)
+            if any(
+                image_factors[perm[i]] != (c0, -c1 if perm[i] in flips else c1, c2)
+                for i, (c0, c1, c2) in enumerate(_bubble_factors(face))
+            ):
+                raise SingularMatrixError(
+                    f"{uncertified}: symmetry: the bubble of {face} does not map onto "
+                    f"the bubble of {image}"
+                )
+            column[image] = tuple((negated if sign else block)[k] for k, sign in rows)
+        out[col] = dict(sorted(column.items(), key=lambda kv: order[kv[0]]))
     return out
 
 
@@ -468,7 +535,10 @@ def decompose(
     solve method reads the component coordinates C^-1 p as X (D p): the
     DOF values of p, face by face, mapped through the pairing inverse
     X = K^-1 (``pairing_inverse``), whose block X[F, H] sends the values
-    on H to multipliers on each face F containing H.
+    on H to multipliers on each face F containing H.  The moments on H
+    are read from the trace of p on the face above H, the one with the
+    last pin of H released, and that trace from the face above it: a
+    restriction of a trace is the trace, and far smaller than p.
     """
     n = p.n
     if n < 1 or r < 1:
@@ -481,8 +551,15 @@ def decompose(
     if method == "solve":
         index = face_monomials(n, r)
         acc = {face: dict.fromkeys(exps, Fraction(0)) for face, exps in index.items()}
+        traces = {full_cube(n): p}
+
+        def trace(face: Face) -> Polynomial:
+            if face not in traces:
+                traces[face] = restrict_to_face(trace(Face(n, face.fixed[:-1])), face)
+            return traces[face]
+
         for col, column in pairing_inverse(n, r).items():
-            moment = face_moments(p, col)
+            moment = face_moments(trace(Face(n, col.fixed[:-1])), col)
             values = tuple((moment(w),) for w in index[col])
             for face, block in column.items():
                 for q, (x,) in zip(index[face], _product(block, values)):

@@ -27,7 +27,7 @@ from math import lcm
 from operator import add
 from typing import Iterable, Optional, Sequence, Union
 
-from .cubegeom import Face, enumerate_faces, face_moment
+from .cubegeom import Face, enumerate_faces, face_moment, face_symmetry
 from .exactpoly import Exponents, Polynomial, monomial_str
 from .spaces import (
     basis_S,
@@ -54,7 +54,8 @@ __all__ = [
 
 
 class SingularMatrixError(ArithmeticError):
-    """Raised when an exact solve meets a rank-deficient matrix."""
+    """Raised when an exact solve meets a rank-deficient matrix, or when
+    the pairing inverse cannot be certified (``decomp.pairing_inverse``)."""
 
 
 def _bareiss(
@@ -345,30 +346,47 @@ def nodal_basis(n: int, r: int) -> tuple[Polynomial, ...]:
     inverse of the DOF matrix is C K^-1: the nodal function of the DOF
     with weight index i on face H is the sum, over the faces F containing
     H, of b_F times the multipliers in column i of the block X[F, H] of
-    X = K^-1 (``decomp.pairing_inverse``), expanded into monomials.
+    X = K^-1 (``decomp.pairing_inverse``).
+
+    Only the first face H0 of each dimension has its functions expanded
+    into monomials.  For any other face H, the cube symmetry sigma with
+    sigma H0 = H (``cubegeom.face_symmetry``) maps the DOFs of H0 to
+    those of H in order and each bubble b_F to b_{sigma F}, and
+    ``pairing_inverse`` checks both.  So the function of weight i on H
+    is that of weight i on H0 composed with sigma^-1: each term c x^e
+    becomes +-c x^e', with e'[perm[k]] = e[k], negated when e' is odd
+    over the flipped axes.  That rewrites exponents and signs only.
     """
     from . import decomp
 
     index = face_monomials(n, r)
-    polys = []
-    for col, column in decomp.pairing_inverse(n, r).items():
+    inverse = decomp.pairing_inverse(n, r)
+    expanded: dict[int, list[Polynomial]] = {}
+    for d in range(n + 1):
+        h0 = enumerate_faces(n, d)[0]
+        if h0 not in index:
+            continue
         expansions = [
             (decomp.bubble(face).terms(), index[face], block)
-            for face, block in column.items()
+            for face, block in inverse[h0].items()
         ]
-        for i in range(len(index[col])):
-            polys.append(
-                Polynomial(
-                    n,
-                    (
-                        (tuple(a + b for a, b in zip(e, q)), c * row[i])
-                        for terms, multipliers, block in expansions
-                        for q, row in zip(multipliers, block)
-                        if row[i]
-                        for e, c in terms
-                    ),
-                )
+        expanded[d] = [
+            Polynomial(
+                n,
+                (
+                    (tuple(a + b for a, b in zip(e, q)), c * row[i])
+                    for terms, multipliers, block in expansions
+                    for q, row in zip(multipliers, block)
+                    if row[i]
+                    for e, c in terms
+                ),
             )
+            for i in range(len(index[h0]))
+        ]
+    polys: list[Polynomial] = []
+    for col in index:
+        perm, flips = face_symmetry(col)
+        polys.extend(phi.transformed(perm, flips) for phi in expanded[col.dim])
     return tuple(polys)
 
 

@@ -209,6 +209,31 @@ class Polynomial:
 
     __rmul__ = __mul__
 
+    def transformed(self, perm: Sequence[int], flips: Iterable[int]) -> "Polynomial":
+        """The polynomial composed with the inverse of the signed axis map
+        sending axis i to axis perm[i] and then negating the axes in flips.
+
+        Each term c x^e becomes c x^e' with e'[perm[i]] = e[i], negated
+        when e' has an odd exponent sum over flips.  That is a bijection on
+        the terms, so the result is canonical without re-coercion.
+        """
+        flips = tuple(flips)
+        axes = range(self._n)
+        if sorted(perm) != list(axes) or not set(flips) <= set(axes):
+            raise ValueError(f"({perm}, {flips}) is no signed permutation of {self._n} axes")
+        source = [0] * self._n
+        for i, j in enumerate(perm):
+            source[j] = i
+        image: dict[Exponents, Fraction] = {}
+        for exps, coeff in self._terms.items():
+            key = tuple(exps[i] for i in source)
+            image[key] = -coeff if sum(key[j] for j in flips) % 2 else coeff
+        out = object.__new__(Polynomial)
+        object.__setattr__(out, "_n", self._n)
+        object.__setattr__(out, "_terms", image)
+        object.__setattr__(out, "_plan", None)
+        return out
+
     def __pow__(self, power: int) -> "Polynomial":
         if not isinstance(power, int) or power < 0:
             raise ValueError("only non-negative integer powers are supported")

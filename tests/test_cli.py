@@ -618,6 +618,84 @@ class TestVerifyFailures:
         assert rows["facet-kernel"]["detail"].startswith("kernel dim None, expected 0")
 
 
+def break_index_symmetry(monkeypatch) -> Face:
+    """Swap the top weight x_2^2 of the edge x1=+1 at (2, 4) for x_1: the
+    certificate still holds, but the index no longer maps onto itself
+    under the cube symmetry.  Returns that edge."""
+    from serendipity.spaces import face_monomials
+
+    edge = Face(2, ((0, 1),))
+    index = dict(face_monomials(2, 4))
+    index[edge] = tuple((1, 0) if q == (0, 2) else q for q in index[edge])
+    monkeypatch.setattr(decomp, "face_monomials", lambda n, r: index)
+    return edge
+
+
+def flip_vertex_bubble(monkeypatch) -> Face:
+    """Use 1 - x_1 for the bubble factor of the vertex (+1, +1) along x_1."""
+    vertex = Face(2, ((0, 1), (1, 1)))
+    real = decomp._bubble_factors
+
+    def flipped(face):
+        factors = real(face)
+        if face != vertex:
+            return factors
+        c0, c1, c2 = factors[0]
+        return ((c0, -c1, c2),) + factors[1:]
+
+    monkeypatch.setattr(decomp, "_bubble_factors", flipped)
+    return vertex
+
+
+SYMMETRY_MUTATIONS = {"index": break_index_symmetry, "bubble": flip_vertex_bubble}
+PAIRING_INVERSE_COMMANDS = [
+    ["export", "--what", "nodal"],
+    ["export", "--what", "evalgrid", "--points", "3"],
+    ["export", "--what", "decomposition", "--method", "solve"],
+    ["decompose", "--method", "both"],
+    ["continuity", "--axis", "2"],
+]
+
+
+class TestUncertifiedPairingInverse:
+    """A face whose index or bubble breaks the route to X is named: a
+    FAIL row in verify, one stderr line and exit 1 elsewhere."""
+
+    @pytest.mark.parametrize("mutation", sorted(SYMMETRY_MUTATIONS))
+    def test_verify_fail_row_names_the_face(self, capfd, monkeypatch, fresh_caches, mutation):
+        face = SYMMETRY_MUTATIONS[mutation](monkeypatch)
+        code = main(["verify", "--n", "2", "--r", "4", "--jobs", "1", "--format", "json"])
+        captured = capfd.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.err
+        rows = {row["check"]: row for row in json.loads(captured.out)["results"]}
+        continuity = rows["continuity"]
+        assert not continuity["ok"]
+        assert continuity["detail"].startswith(
+            "raised SingularMatrixError: pairing at n=2, r=4 is not certified: "
+        )
+        assert str(face) in continuity["detail"]
+        # the index mutation keeps the certificate, the bubble one breaks it
+        certified = ("unisolvence", "direct-sum", "facet-kernel")
+        assert all(rows[c]["ok"] == (mutation == "index") for c in certified)
+
+    @pytest.mark.parametrize("argv", PAIRING_INVERSE_COMMANDS, ids=lambda a: " ".join(a[:3]))
+    @pytest.mark.parametrize("mutation", sorted(SYMMETRY_MUTATIONS))
+    def test_command_exits_1_naming_the_face(
+        self, capfd, monkeypatch, fresh_caches, mutation, argv
+    ):
+        face = SYMMETRY_MUTATIONS[mutation](monkeypatch)
+        code = main([*argv, "--n", "2", "--r", "4"])
+        captured = capfd.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"serendipity {argv[0]}: failed: pairing at n=2, r=4 is not certified: "
+        )
+        assert str(face) in captured.err
+        assert captured.err.count("\n") == 1
+
+
 class TestCertifiedChecksSkipDenseRank:
     @pytest.mark.parametrize("n, r", [(2, 6), (3, 8)])
     def test_pass_with_rank_disabled(self, capsys, monkeypatch, fresh_caches, n, r):
@@ -727,6 +805,10 @@ class TestGoldenOutput:
             (
                 ["dims", "--format", "csv"],
                 "27e24ee12f963c1103cf2bebc4fafe011197a55ca342ecd6a917fd52dacf6f9e",
+            ),
+            (
+                ["export", "--what", "nodal", "--n", "4", "--r", "6"],
+                "be8ecb6ad36cf692b3c0fe379e2f7330a65e097f8b9552a90a54e85f37d8018e",
             ),
         ],
     )

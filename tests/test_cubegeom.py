@@ -15,6 +15,7 @@ from serendipity.cubegeom import (
     face_contains,
     face_moment,
     face_moments,
+    face_symmetry,
     full_cube,
     restrict_to_face,
 )
@@ -146,6 +147,51 @@ class TestContainment:
             for e in range(d + 1):
                 subs = [g for g in enumerate_faces(n, e) if face_contains(f, g)]
                 assert len(subs) == 2 ** (d - e) * comb(d, e)
+
+
+def apply_symmetry(face: Face, perm, flips) -> Face:
+    pins = ((perm[i], -s if perm[i] in flips else s) for i, s in face.fixed)
+    return Face(face.n, tuple(sorted(pins)))
+
+
+class TestFaceSymmetry:
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_sends_the_first_face_to_each_face(self, n):
+        for face in all_faces(n):
+            perm, flips = face_symmetry(face)
+            first = enumerate_faces(n, face.dim)[0]
+            assert sorted(perm) == list(range(n))
+            assert apply_symmetry(first, perm, flips) == face
+            assert flips == {i for i, s in face.fixed if s > 0}
+            # free axes go to free axes in order
+            assert [perm[i] for i in first.free_indices] == list(face.free_indices)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_is_a_lattice_automorphism(self, n):
+        faces = all_faces(n)
+        for face in faces:
+            perm, flips = face_symmetry(face)
+            images = {f: apply_symmetry(f, perm, flips) for f in faces}
+            assert sorted(images.values(), key=faces.index) == list(faces)
+            for f in faces:
+                for g in faces:
+                    assert face_contains(f, g) == face_contains(images[f], images[g])
+
+    def test_keeps_face_moments(self):
+        # x^e over F equals sign(e') x^e' over sigma F, e'[perm[i]] = e[i]
+        rng = random.Random(11)
+        n = 3
+        for face in all_faces(n):
+            perm, flips = face_symmetry(face)
+            for f in all_faces(n):
+                e = tuple(rng.randint(0, 4) for _ in range(n))
+                image = [0] * n
+                for i, k in enumerate(perm):
+                    image[k] = e[i]
+                sign = -1 if sum(image[j] for j in flips) % 2 else 1
+                assert face_moment(f, e) == sign * face_moment(
+                    apply_symmetry(f, perm, flips), tuple(image)
+                )
 
 
 class TestRestriction:

@@ -11,6 +11,7 @@ from math import comb
 
 import pytest
 
+from serendipity import cubegeom
 from serendipity.cubegeom import (
     Face,
     all_faces,
@@ -336,6 +337,147 @@ class TestPairing:
         assert certify_pairing(2, 3) == (
             "Gram block: the diagonal block of face dimension 0 is not positive definite"
         )
+
+
+def all_columns_inverse(n: int, r: int) -> dict[Face, dict[Face, tuple]]:
+    """The earlier pairing inverse, kept as an oracle: block forward
+    substitution run for every one of the 3^n columns, no symmetry."""
+    index = face_monomials(n, r)
+    diagonal = {}
+    for d in range(n + 1):
+        representative = enumerate_faces(n, d)[0]
+        if representative in index:
+            block = pairing_block(representative, representative, r)
+            inverse = block.solve(RationalMatrix.identity(block.rows))
+            diagonal[d] = tuple(inverse.row(i) for i in range(inverse.rows))
+    out = {}
+    for col in index:
+        column = {col: diagonal[col.dim]}
+        for face in index:
+            if face == col or not face_contains(face, col):
+                continue
+            inner = [g for g in column if face_contains(face, g)]
+            blocks = [pairing_block(face, g, r) for g in inner]
+            left = [sum((k.row(i) for k in blocks), ()) for i in range(len(index[face]))]
+            right = [row for g in inner for row in column[g]]
+            column[face] = decomp._product(diagonal[face.dim], decomp._product(left, right), scale=-1)
+        out[col] = column
+    return out
+
+
+def all_columns_nodal_basis(n: int, r: int) -> tuple[Polynomial, ...]:
+    """The earlier nodal basis, kept as an oracle: every column of the
+    all-columns inverse expanded into monomials through the bubbles."""
+    index = face_monomials(n, r)
+    polys = []
+    for col, column in all_columns_inverse(n, r).items():
+        for i in range(len(index[col])):
+            terms = {}
+            for face, block in column.items():
+                for q, row in zip(index[face], block):
+                    for e, c in bubble(face).terms():
+                        key = tuple(a + b for a, b in zip(e, q))
+                        terms[key] = terms.get(key, Fraction(0)) + c * row[i]
+            polys.append(Polynomial(n, terms))
+    return tuple(polys)
+
+
+class TestPairingInverse:
+    """X = K^-1 from n + 1 substituted columns and the cube symmetry."""
+
+    @pytest.mark.parametrize("n, r", PAIRING_CELLS + [(4, 6), (4, 8)])
+    def test_matches_all_columns_substitution(self, n, r):
+        x, oracle = decomp.pairing_inverse(n, r), all_columns_inverse(n, r)
+        assert list(x) == list(oracle)
+        for col, column in oracle.items():
+            assert list(x[col]) == list(column), col
+            assert x[col] == column, col
+
+    @pytest.mark.parametrize("n, r", [(3, 8), (4, 6)])
+    def test_nodal_basis_matches_all_columns_expansion(self, n, r):
+        assert nodal_basis(n, r) == all_columns_nodal_basis(n, r)
+
+    def test_moved_weight_fails_index_symmetry(self, monkeypatch, fresh_caches):
+        # the edge x1=+1 gives its top weight x2^2 up for x1: the counts and
+        # the membership hold, so the certificate alone misses it
+        index = dict(face_monomials(2, 4))
+        edge = Face(2, ((0, 1),))
+        index[edge] = tuple((1, 0) if q == (0, 2) else q for q in index[edge])
+        monkeypatch.setattr(decomp, "face_monomials", lambda n_, r_: index)
+        assert certify_pairing(2, 4) is None
+        with pytest.raises(SingularMatrixError) as err:
+            decomp.pairing_inverse(2, 4)
+        assert str(err.value) == (
+            "pairing at n=2, r=4 is not certified: symmetry: the index of "
+            f"face(x1=-1) does not map onto the index of {edge}"
+        )
+        with pytest.raises(SingularMatrixError, match="symmetry: the index"):
+            nodal_basis(2, 4)
+        with pytest.raises(SingularMatrixError, match="symmetry: the index"):
+            decompose(random_space_member(random.Random(35), 2, 4), 4, method="solve")
+
+    def test_flipped_bubble_fails_with_the_face(self, monkeypatch, fresh_caches):
+        vertex = Face(2, ((0, 1), (1, 1)))
+        flip_bubble_sign(monkeypatch, vertex)
+        with pytest.raises(SingularMatrixError) as err:
+            decomp.pairing_inverse(2, 4)
+        assert f"no factor of the bubble of {vertex} vanishes" in str(err.value)
+        # without the certificate in front, the symmetry check names it
+        monkeypatch.setattr(decomp, "certify_pairing", lambda n, r: None)
+        with pytest.raises(SingularMatrixError) as err:
+            decomp.pairing_inverse(2, 4)
+        assert str(err.value) == (
+            "pairing at n=2, r=4 is not certified: symmetry: the bubble of "
+            f"face(x1=-1, x2=-1) does not map onto the bubble of {vertex}"
+        )
+
+    def test_reordered_weights_fail_column_order(self, monkeypatch, fresh_caches):
+        # a face's weights must be the image of its first face's in order
+        index = dict(face_monomials(2, 4))
+        edge = enumerate_faces(2, 1)[1]
+        index[edge] = index[edge][::-1]
+        monkeypatch.setattr(decomp, "face_monomials", lambda n_, r_: index)
+        assert certify_pairing(2, 4) is None
+        with pytest.raises(SingularMatrixError) as err:
+            decomp.pairing_inverse(2, 4)
+        assert str(err.value).endswith(
+            f"the index of face(x1=-1) does not map onto the index of {edge} in order"
+        )
+
+
+class TestDecomposeTraces:
+    def test_input_restricted_to_facets_only(self, monkeypatch):
+        # every lower face is traced from a face above it, not from p
+        p = random_space_member(random.Random(36), 3, 5)
+        real = cubegeom.restrict_to_face
+        from_input = []
+
+        def spy(poly, face):
+            if poly is p:
+                from_input.append(face)
+            return real(poly, face)
+
+        monkeypatch.setattr(cubegeom, "restrict_to_face", spy)
+        monkeypatch.setattr(decomp, "restrict_to_face", spy)
+        parts = decompose(p, 5, method="solve")
+        assert from_input and all(len(face.fixed) <= 1 for face in from_input)
+        assert recompose(parts, 3) == p
+
+    @pytest.mark.parametrize("n, r", [(2, 4), (3, 5), (4, 6)])
+    def test_matches_restriction_of_the_input(self, n, r):
+        # the earlier solve: each face's moments from p restricted afresh
+        p = random_space_member(random.Random(37), n, r)
+        index = face_monomials(n, r)
+        acc = {face: dict.fromkeys(exps, Fraction(0)) for face, exps in index.items()}
+        for col, column in decomp.pairing_inverse(n, r).items():
+            values = [decomp.face_moments(p, col)(w) for w in index[col]]
+            for face, block in column.items():
+                for q, row in zip(index[face], block):
+                    acc[face][q] += sum((a * b for a, b in zip(row, values)), Fraction(0))
+        expected = {f: Polynomial(n, t) for f, t in acc.items() if Polynomial(n, t)}
+        parts = decompose(p, r, method="solve")
+        assert {f: fc.coefficient for f, fc in parts.items()} == expected
+        assert list(parts) == list(expected)
 
 
 class TestDirectSum:

@@ -200,6 +200,40 @@ class TestArithmetic:
         assert all(c != 0 for _, c in ts)
 
 
+class TestTransformed:
+    def test_composes_with_the_inverse_axis_map(self):
+        # (p o sigma^-1)(sigma x) = p(x), sigma x on axis perm[i] = +-x_i
+        rng = random.Random(12)
+        n, perm, flips = 3, (2, 0, 1), (0, 2)
+        p = Polynomial(
+            n, {tuple(rng.randint(0, 3) for _ in range(n)): rng.randint(-5, 5) for _ in range(9)}
+        )
+        q = p.transformed(perm, flips)
+        assert len(q) == len(p)
+        for _ in range(5):
+            x = [Fraction(rng.randint(-7, 7), rng.randint(1, 4)) for _ in range(n)]
+            y = [Fraction(0)] * n
+            for i, k in enumerate(perm):
+                y[k] = -x[i] if k in flips else x[i]
+            assert q.evaluate(y) == p.evaluate(x)
+
+    def test_result_is_canonical(self):
+        x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+        p = 3 * x**2 * y - Fraction(1, 2) * y + 1
+        # swap the axes, then negate the first: x^2 y -> -x y^2, y -> -x
+        q = p.transformed((1, 0), (0,))
+        assert q == -3 * x * y**2 + Fraction(1, 2) * x + 1
+        # swap back and negate the second: the inverse map
+        assert q.transformed((1, 0), (1,)) == p
+        assert hash(q) == hash(Polynomial(2, dict(q.terms())))
+        assert q.evaluate((0.5, 2.0)) == Polynomial(2, dict(q.terms())).evaluate((0.5, 2.0))
+
+    @pytest.mark.parametrize("perm, flips", [((0, 0), ()), ((0,), ()), ((1, 0), (2,))])
+    def test_rejects_other_maps(self, perm, flips):
+        with pytest.raises(ValueError, match="no signed permutation"):
+            Polynomial.variable(2, 0).transformed(perm, flips)
+
+
 class TestHash:
     """Objects that compare equal hash equally, so sets and dicts agree
     with ==, scalars included."""

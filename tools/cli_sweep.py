@@ -6,11 +6,12 @@ Runs a fixed list of invocations as ``python -m serendipity.cli ...``
 with each tree's ``src/`` on ``PYTHONPATH``, each in a fresh interpreter
 (two at a time), and compares stdout, stderr and exit code.  The list
 covers every command and format over n <= 3, r <= 5; every export
-artifact and family; the decompose methods with default, ``--alpha``
-and ``--poly`` input; continuity on every axis; ``verify`` with
-``--jobs 1`` and ``--jobs 2``; usage errors; and every ``--help``.
-Prints each difference and a total, and exits 1 if any invocation
-differs.
+artifact and family; the nodal, decomposition and evalgrid exports at
+(3, 6) and (3, 8) and ``decompose --method solve`` at (4, 6); the
+decompose methods with default, ``--alpha`` and ``--poly`` input;
+continuity on every axis; ``verify`` with ``--jobs 1`` and ``--jobs
+2``; usage errors; and every ``--help``.  Prints each difference and a
+total, and exits 1 if any invocation differs.
 """
 
 from __future__ import annotations
@@ -63,6 +64,11 @@ def invocations(inputs: Path) -> list[list[str]]:
         runs.append(["verify", "--jobs", jobs])
         runs.append(["verify", "--n", "2", "--r", "3", "--checks", "continuity,dimension",
                      "--seed", "5", "--trials", "3", "--jobs", jobs])
+    # larger cells, where most columns of the pairing inverse are mapped
+    for n, r in ((3, 6), (3, 8)):
+        runs += [["export", "--what", what, *cell(n, r)] for what in ("nodal", "decomposition")]
+        runs.append(["export", "--what", "evalgrid", *cell(n, r), "--points", "3"])
+    runs.append(["decompose", *cell(4, 6), "--method", "solve"])
     runs += [
         ["continuity", *cell(3, 4), "--axis", "2", "--seed", "9", "--trials", "4"],
         ["decompose", *cell(2, 3), "--alpha", "1,3", "--method", "both"],
