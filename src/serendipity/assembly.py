@@ -167,8 +167,11 @@ def check_continuity(
     These defects are formed once per call, so on a conforming element a
     trial reads no trace term.  The controls bump one shared DOF at a
     time on the right element of the last trial, adding that DOF's nodal
-    trace; a bump is detected unless that trace equals the gap.
+    trace; a bump is detected unless that trace equals the gap.  Raises
+    ValueError for trials < 1.
     """
+    if trials < 1:
+        raise ValueError(f"continuity needs trials >= 1, got {trials}")
     pair = ElementPair(n, axis)
     phis = nodal_basis(n, r)
     pairs = shared_dof_pairs(n, r, axis)
@@ -183,7 +186,7 @@ def check_continuity(
     rng = random.Random(seed)
 
     results = []
-    for _ in range(max(1, trials)):
+    for _ in range(trials):
         # every value is drawn, even those no defect reads, so a seed fixes its report
         values = _random_values(rng, len(phis)) + _random_values(rng, len(phis))
         gap = _combination(n, [values[k] for k, _ in defects], [d for _, d in defects])
@@ -195,7 +198,7 @@ def check_continuity(
         n=n,
         r=r,
         axis=axis,
-        trials=max(1, trials),
+        trials=trials,
         seed=seed,
         shared_count=len(pairs),
         trial_traces_equal=tuple(results),

@@ -35,7 +35,7 @@ from argparse import Namespace
 from concurrent.futures import ProcessPoolExecutor
 from csv import writer as csv_writer
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .assembly import check_continuity
 from .cubegeom import Face, all_faces, full_cube
@@ -103,15 +103,18 @@ def _csv_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     return buf.getvalue()
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _json_chunks(payload: dict) -> Iterator[str]:
+    """The JSON text in pieces, so that it is never held whole."""
+    yield from json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    yield "\n"
 
 
-def _emit(args: Namespace, text: str) -> None:
-    """Write to stdout, or to --out atomically: a temporary file in the
-    target's directory replaces the target only once fully written."""
+def _emit(args: Namespace, chunks: Iterable[str]) -> None:
+    """Write the chunks to stdout, or to --out atomically: a temporary file
+    in the target's directory replaces the target only once fully written."""
     if args.out is None:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
         return
     tmp = args.out.with_name(f".{args.out.name}.{os.getpid()}.tmp")
     try:
@@ -120,11 +123,13 @@ def _emit(args: Namespace, text: str) -> None:
         raise InputError(f"cannot write --out {args.out}: {err.strerror}") from None
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, args.out)
     except OSError as err:
-        tmp.unlink(missing_ok=True)
         raise InputError(f"cannot write --out {args.out}: {err.strerror}") from None
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _tabular(
@@ -134,11 +139,11 @@ def _tabular(
     payload: Optional[dict] = None,
 ) -> None:
     if args.fmt == "json":
-        _emit(args, _json_text(payload))
+        _emit(args, _json_chunks(payload))
     elif args.fmt == "csv":
-        _emit(args, _csv_table(headers, rows))
+        _emit(args, [_csv_table(headers, rows)])
     else:
-        _emit(args, _text_table(headers, rows))
+        _emit(args, [_text_table(headers, rows)])
 
 
 def _face_label(face) -> str:
@@ -261,7 +266,7 @@ def _emit_artifact(args: Namespace, what: str) -> int:
     payload.setdefault("command", args.command)
     if args.command == "export":
         payload["what"] = what
-    _emit(args, _json_text(payload))
+    _emit(args, _json_chunks(payload))
     return 0 if ok else 1
 
 
@@ -316,13 +321,13 @@ def cmd_dofs(args: Namespace) -> int:
         for row in layout.rows
     ]
     if args.fmt == "csv":
-        _emit(args, _csv_table(headers, rows))
+        _emit(args, [_csv_table(headers, rows)])
         return 0
     lines = [_text_table(headers, rows), f"total: {layout.total}\n"] + [
         f"dof {L.index}: {_face_label(L.face)} weight {monomial_str(L.exponents)}\n"
         for L in _resolve_dofs(args)
     ]
-    _emit(args, "".join(lines))
+    _emit(args, lines)
     return 0
 
 
@@ -413,7 +418,7 @@ def cmd_verify(args: Namespace) -> int:
     if args.fmt == "text":
         text = _text_table(headers, rows)
         text += f"result: {'all checks passed' if all_ok else 'FAILURES PRESENT'}\n"
-        _emit(args, text)
+        _emit(args, [text])
     else:
         _tabular(args, headers, rows, payload)
     return 0 if all_ok else 1
@@ -433,7 +438,7 @@ def cmd_decompose(args: Namespace) -> int:
         lines.append(f"  {label}: {terms}\n")
     lines.append(f"sum matches input: {payload['sum_matches']}\n")
     lines.append(f"methods agree: {payload['methods_agree']}\n")
-    _emit(args, "".join(lines))
+    _emit(args, lines)
     return 0 if ok else 1
 
 
@@ -444,7 +449,7 @@ def cmd_continuity(args: Namespace) -> int:
     )
     if args.fmt == "json":
         payload = {"command": "continuity", **report.to_json_obj()}
-        _emit(args, _json_text(payload))
+        _emit(args, _json_chunks(payload))
     else:
         text = (
             f"continuity n={args.n} r={args.r} axis={args.axis} "
@@ -456,7 +461,7 @@ def cmd_continuity(args: Namespace) -> int:
             f"/{len(report.perturbations_detected)}\n"
             f"result: {'pass' if report.ok else 'FAIL'}\n"
         )
-        _emit(args, text)
+        _emit(args, [text])
     return 0 if report.ok else 1
 
 

@@ -26,24 +26,19 @@ Two independent ways to split a polynomial across faces are provided:
 Pairing the DOFs with the components gives the paper's unisolvence
 proof.  Let K = D C, where D is the DOF matrix and C the component
 matrix on the monomial basis, so K[(F, w), (G, q)] = L_{F,w}(b_G x^q).
-The entry vanishes unless G lies in F: a pin (j, s) of F that G lacks
-zeroes the factor of b_G along axis j on all of F.  With faces in DOF
-order K is therefore block lower triangular, and on a d-face F the
-bubble is 2^(n-d) times the product of (1 - x_i^2) over the free axes,
-so every diagonal block of dimension d is 2^(n-d) times one Gram matrix
-of the degree r - 2d family under a positive weight.  Checking these
-facts plus n + 1 positive definite blocks proves K, hence D and C,
-nonsingular without an N x N elimination.
+``certify_pairing`` checks each face's index and bubble once and n + 1
+positive definite diagonal blocks.  It follows that K is block lower
+triangular over faces with one diagonal block per face dimension, so
+K, hence D and C, is nonsingular without an N x N elimination.
 
 The cube's symmetries, axis permutations with sign flips, act
 transitively on the faces of each dimension and keep every face moment.
-They map each face's index onto the image face's index and each bubble
-onto the image face's bubble, so they permute the rows and columns of
-K, with signs.  The inverse X = K^-1 is therefore solved for the n + 1
-columns of the first face of each dimension only, and every other
-column is mapped from one of those; the nodal basis likewise expands
-n + 1 columns into monomials and rewrites the rest.  The two facts
-about the index and the bubbles are checked on every mapped block.
+By the certificate they map each face's index and bubble onto the image
+face's, so they permute the rows and columns of K, with signs.  The
+inverse X = K^-1 is therefore solved for the n + 1 columns of the first
+face of each dimension only, and every other column is mapped from one
+of those; the nodal basis likewise expands n + 1 columns into monomials
+and rewrites the rest.
 
 The facet kernel check characterizes the functions whose trace vanishes
 on the whole boundary: exactly the full-cube bubble times total degree
@@ -73,7 +68,7 @@ from .cubegeom import (
     restrict_to_face,
 )
 from .dofs import RationalMatrix, SingularMatrixError
-from .exactpoly import Exponents, Polynomial, superlinear_degree
+from .exactpoly import Exponents, Polynomial, grlex_key, superlinear_degree
 from .spaces import (
     basis_S,
     dim_P,
@@ -205,15 +200,28 @@ def certify_pairing(n: int, r: int) -> Optional[str]:
 
     (i) counts: the (face, monomial) index, the basis and the closed form
         agree on the dimension;
-    (ii) membership: every component b_G x^q lies in S_r, read off the
-        top exponent of each bubble factor;
-    (iii) vanishing: for G not in F, a pin of F that G lacks zeroes a
-        factor of b_G, so K is block lower triangular;
-    (iv) each bubble's trace on its own face is 2^(n-d) times the
-        product of (1 - x_i^2) over the free axes, read factor by factor
-        (2 on each pinned axis), so every diagonal block of dimension d
-        equals that dimension's representative;
-    (v) the representative block of each dimension is positive definite.
+    (ii) index: each d-face's weights are distinct, in graded lex order,
+        supported on its free axes, of degree <= r - 2d and dim P_{r-2d}
+        in number: exactly P_{r-2d} in the free axes, in order;
+    (iii) bubble: its factor is 1 - t^2 along a free axis (constant term
+        1, zero at both ends) and 1 + s t along an axis pinned at s
+        (linear, 0 at -s, 2 at s);
+    (iv) the representative block of each dimension is positive definite.
+
+    The rest are lemmas.  By (i) and (ii) every face with a nonempty
+    P_{r-2d} is indexed, as the closed form sums dim P_{r-2d} over all
+    faces.  The component b_G x^q has superlinear degree at most
+    |q| + 2d <= r, so it lies in S_r.  For G not in F, a pin (j, s) of F
+    that G lacks zeroes the factor of b_G along x_j at s, so K is block
+    lower triangular with faces ordered by dimension.  On its own d-face
+    b_F is 2^(n-d) times the product of (1 - x_i^2) over the free axes,
+    and every d-face has the same weights over its free axes in the same
+    order, so each diagonal block equals its dimension's representative.
+    A cube symmetry keeps degrees and sends free axes to free axes and
+    factors to factors, so it maps each index and bubble onto the image
+    face's; the weights go in order and unsigned when it keeps the free
+    axes in order and flips pinned axes only, as
+    ``cubegeom.face_symmetry`` does.
 
     The certificate is one-sided: a failure proves nothing singular.
     """
@@ -225,50 +233,24 @@ def certify_pairing(n: int, r: int) -> Optional[str]:
             f"count: {count} (face, monomial) pairs, basis dimension {dim}, "
             f"closed form {dim_S_formula(n, r)}"
         )
-    factors = {face: _bubble_factors(face) for face in index}
-    for face, multipliers in index.items():
-        degrees = [max(k for k, c in enumerate(f) if c) for f in factors[face]]
-        for q in multipliers:
-            top = tuple(a + b for a, b in zip(q, degrees))
-            if superlinear_degree(top) > r:
+    for face, weights in index.items():
+        budget, pins = r - 2 * face.dim, dict(face.fixed)
+        for q in weights:
+            if any(q[j] for j in pins) or sum(q) > budget:
+                return f"index: the weight {q} of {face} is not in P_{budget} of its free axes"
+        if any(grlex_key(a) >= grlex_key(b) for a, b in zip(weights, weights[1:])):
+            return f"index: the weights of {face} are not distinct in graded lex order"
+        if len(weights) != dim_P(face.dim, budget):
+            return (
+                f"index: {face} has {len(weights)} weights, "
+                f"not dim P_{budget} = {dim_P(face.dim, budget)}"
+            )
+        for j, factor in enumerate(_bubble_factors(face)):
+            expected = (1, pins[j], 0) if j in pins else (1, 0, -1)
+            if factor != expected:
                 return (
-                    f"membership: the component of {face} with multiplier {q} "
-                    f"reaches superlinear degree {superlinear_degree(top)} > {r}"
-                )
-    # a pin (j, s) is bit 2j + (s > 0): each pair costs a few integer ops
-    def bits(pins) -> int:
-        return sum(1 << (2 * j + (s > 0)) for j, s in pins)
-
-    zero_bits = {
-        face: bits(
-            (j, s)
-            for j, (c0, c1, c2) in enumerate(factors[face])
-            for s in (-1, 1)
-            if c0 + c1 * s + c2 == 0
-        )
-        for face in index
-    }
-    inner_bits = [(face, bits(face.fixed), zero_bits[face]) for face in index]
-    for outer in index:
-        pins = bits(outer.fixed)
-        for inner, own, zero in inner_bits:
-            lacking = pins & ~own
-            if lacking and not lacking & zero:
-                pins_lacked = ", ".join(
-                    f"x{j + 1}={s:+d}" for j, s in outer.fixed if (j, s) not in inner.fixed
-                )
-                return (
-                    f"vanishing: block K[{outer}, {inner}] is not forced to zero, "
-                    f"no factor of the bubble of {inner} vanishes at {pins_lacked}"
-                )
-    for face in index:
-        pinned = dict(face.fixed)
-        for j, (c0, c1, c2) in enumerate(factors[face]):
-            trace = (c0 + c1 * pinned[j] + c2, 0, 0) if j in pinned else (c0, c1, c2)
-            if trace != ((2, 0, 0) if j in pinned else (1, 0, -1)):
-                return (
-                    f"bubble: on {face} the factor of its bubble along x{j + 1} "
-                    f"is {trace}, not that of 2^(n-d) prod(1 - x_i^2)"
+                    f"bubble: along x{j + 1} the bubble of {face} has the factor "
+                    f"{factor}, not {expected} (coefficients of 1, t, t^2)"
                 )
     for d in range(n + 1):
         representative = enumerate_faces(n, d)[0]
@@ -314,16 +296,14 @@ def pairing_inverse(n: int, r: int) -> dict[Face, dict[Face, Block]]:
         X[sigma F, H] row sigma q = sign(sigma q) X[F, H0] row q,
 
     with H's weights in H0's order and unsigned, since sigma keeps the
-    free axes of H0 in order and flips pinned axes only.  This holds when
-    sigma maps each face's index onto the image face's index and each
-    bubble onto the image face's bubble; both are checked on every mapped
-    block, and a failure raises SingularMatrixError naming the faces.  A
-    mapped row is a canonical row or its negation, shared, not copied.
+    free axes of H0 in order and flips pinned axes only.  By the
+    certificate sigma maps each index and bubble onto the image face's,
+    so every row is found by lookup.  A mapped row is a canonical row or
+    its negation, shared, not copied.
     """
-    uncertified = f"pairing at n={n}, r={r} is not certified"
     culprit = certify_pairing(n, r)
     if culprit is not None:
-        raise SingularMatrixError(f"{uncertified}: {culprit}")
+        raise SingularMatrixError(f"pairing at n={n}, r={r} is not certified: {culprit}")
     index = face_monomials(n, r)
     first = [face for d in range(n + 1) if (face := enumerate_faces(n, d)[0]) in index]
     diagonal: dict[int, Block] = {}
@@ -334,7 +314,7 @@ def pairing_inverse(n: int, r: int) -> dict[Face, dict[Face, Block]]:
     sources = {}
     for h0 in first:
         column = {h0: diagonal[h0.dim]}
-        for face in index:
+        for face in sorted(index, key=lambda face: face.dim):  # subfaces first
             if face == h0 or not face_contains(face, h0):
                 continue
             inner = [g for g in column if face_contains(face, g)]
@@ -359,29 +339,10 @@ def pairing_inverse(n: int, r: int) -> dict[Face, dict[Face, Block]]:
             )
             # each monomial of the image's index: the position of its
             # preimage in the index of face, and whether sigma negates it
-            rows = [
-                (position.get(tuple(q[j] for j in perm)), sum(q[j] for j in flips) % 2)
-                for q in index.get(image, ())
-            ]
-            if face.dim == col.dim:  # the weights of col are those of H0 in order, unsigned
-                onto = rows == [(k, 0) for k in range(len(position))]
-            else:
-                onto = len(rows) == len(position) and all(k is not None for k, _ in rows)
-            if not onto:
-                raise SingularMatrixError(
-                    f"{uncertified}: symmetry: the index of {face} does not map onto "
-                    f"the index of {image}{' in order' if face.dim == col.dim else ''}"
-                )
-            # sigma moves the factor on axis i to axis perm[i], negating t there if it flips
-            image_factors = _bubble_factors(image)
-            if any(
-                image_factors[perm[i]] != (c0, -c1 if perm[i] in flips else c1, c2)
-                for i, (c0, c1, c2) in enumerate(_bubble_factors(face))
-            ):
-                raise SingularMatrixError(
-                    f"{uncertified}: symmetry: the bubble of {face} does not map onto "
-                    f"the bubble of {image}"
-                )
+            rows = (
+                (position[tuple(q[j] for j in perm)], sum(q[j] for j in flips) % 2)
+                for q in index[image]
+            )
             column[image] = tuple((negated if sign else block)[k] for k, sign in rows)
         out[col] = dict(sorted(column.items(), key=lambda kv: order[kv[0]]))
     return out

@@ -351,11 +351,11 @@ def nodal_basis(n: int, r: int) -> tuple[Polynomial, ...]:
     Only the first face H0 of each dimension has its functions expanded
     into monomials.  For any other face H, the cube symmetry sigma with
     sigma H0 = H (``cubegeom.face_symmetry``) maps the DOFs of H0 to
-    those of H in order and each bubble b_F to b_{sigma F}, and
-    ``pairing_inverse`` checks both.  So the function of weight i on H
-    is that of weight i on H0 composed with sigma^-1: each term c x^e
-    becomes +-c x^e', with e'[perm[k]] = e[k], negated when e' is odd
-    over the flipped axes.  That rewrites exponents and signs only.
+    those of H in order and each bubble b_F to b_{sigma F}, lemmas of
+    the certificate that ``pairing_inverse`` requires.  So the function
+    of weight i on H is that of weight i on H0 composed with sigma^-1:
+    each term c x^e becomes +-c x^e', with e'[perm[k]] = e[k], negated
+    when e' is odd over the flipped axes, rewriting exponents and signs.
     """
     from . import decomp
 

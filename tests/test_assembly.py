@@ -231,6 +231,11 @@ class TestContinuity:
             report = check_continuity(n, r, axis=axis, trials=5, seed=seed)
             assert report == reinterpolated_continuity(n, r, axis, 5, seed)
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_rejects_fewer_than_one_trial(self, trials):
+        with pytest.raises(ValueError, match=f"trials >= 1, got {trials}"):
+            check_continuity(2, 2, axis=0, trials=trials, seed=5)
+
     def test_deterministic_for_fixed_seed(self):
         a = check_continuity(2, 3, axis=0, trials=6, seed=42)
         b = check_continuity(2, 3, axis=0, trials=6, seed=42)

@@ -607,10 +607,13 @@ class TestVerifyFailures:
                      "unisolvence,direct-sum,facet-kernel", "--jobs", "1", "--format", "json"])
         assert code == 1
         rows = {row["check"]: row for row in json.loads(capsys.readouterr().out)["results"]}
-        pair = "vanishing: block K[face(x1=+1, x2=-1), face(x1=-1, x2=-1)]"
+        culprit = (
+            "bubble: along x1 the bubble of face(x1=-1, x2=-1) has the factor (1, 1, 0), "
+            "not (1, -1, 0) (coefficients of 1, t, t^2)"
+        )
         for row in rows.values():
             assert not row["ok"]
-            assert f"; pairing certificate failed at {pair}" in row["detail"]
+            assert row["detail"].endswith(f"; pairing certificate failed at {culprit}")
         # the dense ranks: the DOFs do not involve the bubbles, while the
         # flipped bubble repeats the bubble of the vertex (+1, -1)
         assert rows["unisolvence"]["detail"].startswith("rank 12 of 12, facet kernel ok=False")
@@ -620,8 +623,9 @@ class TestVerifyFailures:
 
 def break_index_symmetry(monkeypatch) -> Face:
     """Swap the top weight x_2^2 of the edge x1=+1 at (2, 4) for x_1: the
-    certificate still holds, but the index no longer maps onto itself
-    under the cube symmetry.  Returns that edge."""
+    counts still hold, but the weight leaves the edge's free axes, so the
+    index part of the certificate fails on that edge and the components
+    become dependent.  Returns that edge."""
     from serendipity.spaces import face_monomials
 
     edge = Face(2, ((0, 1),))
@@ -675,9 +679,13 @@ class TestUncertifiedPairingInverse:
             "raised SingularMatrixError: pairing at n=2, r=4 is not certified: "
         )
         assert str(face) in continuity["detail"]
-        # the index mutation keeps the certificate, the bubble one breaks it
-        certified = ("unisolvence", "direct-sum", "facet-kernel")
-        assert all(rows[c]["ok"] == (mutation == "index") for c in certified)
+        # both break the certificate, which names the same face
+        for check in ("unisolvence", "direct-sum", "facet-kernel"):
+            assert not rows[check]["ok"]
+            assert f"; pairing certificate failed at {mutation}: " in rows[check]["detail"]
+            assert str(face) in rows[check]["detail"]
+        if mutation == "index":
+            assert rows["direct-sum"]["detail"].startswith("17 components, rank 16 of 17;")
 
     @pytest.mark.parametrize("argv", PAIRING_INVERSE_COMMANDS, ids=lambda a: " ".join(a[:3]))
     @pytest.mark.parametrize("mutation", sorted(SYMMETRY_MUTATIONS))

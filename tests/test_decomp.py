@@ -6,6 +6,7 @@ import copy
 import itertools
 import pickle
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -128,6 +129,50 @@ def flip_bubble_sign(monkeypatch, face: Face) -> None:
         return ((c0, -c1, c2),) + factors[1:]
 
     monkeypatch.setattr(decomp, "_bubble_factors", flipped)
+
+
+EDGE = Face(2, ((0, 1),))  # the edge x1=+1: weights 1, x2, x2^2 at (2, 4)
+
+
+def replace_weight(old, new):
+    """An index edit putting new in place of the weight old of EDGE."""
+    def edit(index):
+        index[EDGE] = tuple(new if q == old else q for q in index[EDGE])
+
+    return edit
+
+
+def drop_and_add(index):
+    """The first edge loses its top weight and the cube gains x1."""
+    first = enumerate_faces(2, 1)[0]
+    index[first] = index[first][:-1]
+    index[full_cube(2)] += ((1, 0),)
+
+
+# mutation: (index edit at (2, 4), culprit, dense component rank or None
+# when a component leaves S_4)
+INDEX_MUTATIONS = {
+    "moved": (
+        replace_weight((0, 2), (1, 0)),
+        f"index: the weight (1, 0) of {EDGE} is not in P_2 of its free axes",
+        16,
+    ),
+    "over budget": (
+        replace_weight((0, 2), (0, 3)),
+        f"index: the weight (0, 3) of {EDGE} is not in P_2 of its free axes",
+        None,
+    ),
+    "repeated": (
+        replace_weight((0, 2), (0, 1)),
+        f"index: the weights of {EDGE} are not distinct in graded lex order",
+        16,
+    ),
+    "extra and dropped": (
+        drop_and_add,
+        "index: face(x1=-1) has 2 weights, not dim P_2 = 3",
+        None,
+    ),
+}
 
 
 def random_space_member(rng: random.Random, n: int, r: int) -> Polynomial:
@@ -284,10 +329,12 @@ class TestPairing:
         vertex = Face(2, ((0, -1), (1, -1)))
         flip_bubble_sign(monkeypatch, vertex)
         culprit = certify_pairing(2, 3)
-        assert culprit.startswith(
-            "vanishing: block K[face(x1=+1, x2=-1), face(x1=-1, x2=-1)]"
+        assert culprit == (
+            f"bubble: along x1 the bubble of {vertex} has the factor (1, 1, 0), "
+            "not (1, -1, 0) (coefficients of 1, t, t^2)"
         )
-        # the block it names is really no longer zero
+        # the factor no longer vanishes at x1=+1, so the block of the
+        # vertex (+1, -1) against it is no longer zero
         assert pairing_block(Face(2, ((0, 1), (1, -1))), vertex, 3).rank() == 1
         result = check_unisolvence(2, 3)
         assert result.culprit == culprit and not result.unisolvent
@@ -300,7 +347,7 @@ class TestPairing:
         with pytest.raises(SingularMatrixError) as err:
             decompose(p, 3, method="solve")
         assert (
-            "not certified: vanishing: block K[face(x1=+1, x2=-1), face(x1=-1, x2=-1)]"
+            "not certified: bubble: along x1 the bubble of face(x1=-1, x2=-1) has the factor"
             in str(err.value)
         )
 
@@ -321,10 +368,61 @@ class TestPairing:
             return real(face) if face.dim else tuple((c0, c1, 1) for c0, c1, _ in real(face))
 
         monkeypatch.setattr(decomp, "_bubble_factors", squared)
-        assert certify_pairing(2, 3).startswith(
-            "membership: the component of face(x1=-1, x2=-1) with multiplier (0, 0) "
-            "reaches superlinear degree 4 > 3"
+        assert certify_pairing(2, 3) == (
+            "bubble: along x1 the bubble of face(x1=-1, x2=-1) has the factor (1, -1, 1), "
+            "not (1, -1, 0) (coefficients of 1, t, t^2)"
         )
+        with pytest.raises(AssertionError, match="escapes the space"):
+            component_matrix(2, 3)
+
+    @pytest.mark.parametrize("mutation", sorted(INDEX_MUTATIONS))
+    def test_index_mutation_fails_index(self, monkeypatch, fresh_caches, mutation):
+        edit, culprit, rank = INDEX_MUTATIONS[mutation]
+        index = dict(face_monomials(2, 4))
+        edit(index)
+        monkeypatch.setattr(decomp, "face_monomials", lambda n_, r_: index)
+        # the counts hold, so the index part alone catches it
+        assert sum(map(len, index.values())) == dim_S_formula(2, 4)
+        assert certify_pairing(2, 4) == culprit
+        # and it is caught for cause: the components are dependent or leave S_r
+        if rank is None:
+            with pytest.raises(AssertionError, match="escapes the space"):
+                component_matrix(2, 4)
+        else:
+            assert component_matrix(2, 4).rank() == rank
+
+    def test_free_factor_with_constant_two_fails_bubble(self, monkeypatch, fresh_caches):
+        # 2 - 2t^2 still vanishes at both ends, so K stays triangular and
+        # nonsingular, but the diagonal block of the edge doubles
+        edge = Face(2, ((1, 1),))
+        real = decomp._bubble_factors
+        monkeypatch.setattr(
+            decomp, "_bubble_factors",
+            lambda face: ((2, 0, -2),) + real(face)[1:] if face == edge else real(face),
+        )
+        assert certify_pairing(2, 4) == (
+            f"bubble: along x1 the bubble of {edge} has the factor (2, 0, -2), "
+            "not (1, 0, -1) (coefficients of 1, t, t^2)"
+        )
+        representative = enumerate_faces(2, 1)[0]
+        assert pairing_block(edge, edge, 4) != pairing_block(representative, representative, 4)
+        assert component_matrix(2, 4).rank() == dim_S_formula(2, 4)
+
+    @pytest.mark.parametrize("c", [1, -1, 2])
+    def test_pinned_factor_with_a_square_fails_bubble(self, monkeypatch, fresh_caches, c):
+        # (1 + c) - t - c t^2 is 0 at x1=+1 and 2 at x1=-1, but not linear
+        edge = Face(2, ((0, -1),))
+        real = decomp._bubble_factors
+        monkeypatch.setattr(
+            decomp, "_bubble_factors",
+            lambda face: ((1 + c, -1, -c),) + real(face)[1:] if face == edge else real(face),
+        )
+        assert certify_pairing(2, 3) == (
+            f"bubble: along x1 the bubble of {edge} has the factor {(1 + c, -1, -c)}, "
+            "not (1, -1, 0) (coefficients of 1, t, t^2)"
+        )
+        with pytest.raises(AssertionError, match="escapes the space"):
+            component_matrix(2, 3)
 
     def test_indefinite_block_fails_gram(self, monkeypatch, fresh_caches):
         real = decomp.pairing_block
@@ -397,52 +495,63 @@ class TestPairingInverse:
     def test_nodal_basis_matches_all_columns_expansion(self, n, r):
         assert nodal_basis(n, r) == all_columns_nodal_basis(n, r)
 
-    def test_moved_weight_fails_index_symmetry(self, monkeypatch, fresh_caches):
-        # the edge x1=+1 gives its top weight x2^2 up for x1: the counts and
-        # the membership hold, so the certificate alone misses it
-        index = dict(face_monomials(2, 4))
-        edge = Face(2, ((0, 1),))
-        index[edge] = tuple((1, 0) if q == (0, 2) else q for q in index[edge])
+    def test_faces_listed_out_of_dimension_order_keep_x(self, monkeypatch, fresh_caches):
+        # K is nonsingular in any face order, so the certificate holds, and
+        # the substitution must still reach each face after its subfaces
+        expected = decomp.pairing_inverse(2, 4)
+        decomp.pairing_inverse.cache_clear()
+        real = face_monomials(2, 4)
+        index = {full_cube(2): real[full_cube(2)], **real}
         monkeypatch.setattr(decomp, "face_monomials", lambda n_, r_: index)
         assert certify_pairing(2, 4) is None
+        x = decomp.pairing_inverse(2, 4)
+        assert list(x) == list(index)
+        for col, column in x.items():
+            assert list(column) == [face for face in index if face in column]
+            assert column == expected[col], col
+
+    def test_moved_weight_fails_index_symmetry(self, monkeypatch, fresh_caches):
+        # the edge x1=+1 gives its top weight x2^2 up for x1: the counts
+        # hold, but the index no longer maps onto itself under the symmetry
+        index = dict(face_monomials(2, 4))
+        replace_weight((0, 2), (1, 0))(index)
+        monkeypatch.setattr(decomp, "face_monomials", lambda n_, r_: index)
+        culprit = f"index: the weight (1, 0) of {EDGE} is not in P_2 of its free axes"
+        assert certify_pairing(2, 4) == culprit
         with pytest.raises(SingularMatrixError) as err:
             decomp.pairing_inverse(2, 4)
-        assert str(err.value) == (
-            "pairing at n=2, r=4 is not certified: symmetry: the index of "
-            f"face(x1=-1) does not map onto the index of {edge}"
-        )
-        with pytest.raises(SingularMatrixError, match="symmetry: the index"):
+        assert str(err.value) == f"pairing at n=2, r=4 is not certified: {culprit}"
+        with pytest.raises(SingularMatrixError, match=f"not certified: {re.escape(culprit)}"):
             nodal_basis(2, 4)
-        with pytest.raises(SingularMatrixError, match="symmetry: the index"):
+        with pytest.raises(SingularMatrixError, match=f"not certified: {re.escape(culprit)}"):
             decompose(random_space_member(random.Random(35), 2, 4), 4, method="solve")
+        # the dense ranks agree: the components are dependent, and so are
+        # the DOFs once they carry the same index
+        assert verify_direct_sum(2, 4).rank == 16
+        monkeypatch.setattr("serendipity.dofs.face_monomials", lambda n_, r_: index)
+        assert check_unisolvence(2, 4).rank == 16
 
     def test_flipped_bubble_fails_with_the_face(self, monkeypatch, fresh_caches):
         vertex = Face(2, ((0, 1), (1, 1)))
         flip_bubble_sign(monkeypatch, vertex)
         with pytest.raises(SingularMatrixError) as err:
             decomp.pairing_inverse(2, 4)
-        assert f"no factor of the bubble of {vertex} vanishes" in str(err.value)
-        # without the certificate in front, the symmetry check names it
-        monkeypatch.setattr(decomp, "certify_pairing", lambda n, r: None)
-        with pytest.raises(SingularMatrixError) as err:
-            decomp.pairing_inverse(2, 4)
         assert str(err.value) == (
-            "pairing at n=2, r=4 is not certified: symmetry: the bubble of "
-            f"face(x1=-1, x2=-1) does not map onto the bubble of {vertex}"
+            f"pairing at n=2, r=4 is not certified: bubble: along x1 the bubble of {vertex} "
+            "has the factor (1, -1, 0), not (1, 1, 0) (coefficients of 1, t, t^2)"
         )
 
     def test_reordered_weights_fail_column_order(self, monkeypatch, fresh_caches):
-        # a face's weights must be the image of its first face's in order
+        # a face's weights must come in graded lex order, as its first face's do
         index = dict(face_monomials(2, 4))
         edge = enumerate_faces(2, 1)[1]
         index[edge] = index[edge][::-1]
         monkeypatch.setattr(decomp, "face_monomials", lambda n_, r_: index)
-        assert certify_pairing(2, 4) is None
+        culprit = f"index: the weights of {edge} are not distinct in graded lex order"
+        assert certify_pairing(2, 4) == culprit
         with pytest.raises(SingularMatrixError) as err:
             decomp.pairing_inverse(2, 4)
-        assert str(err.value).endswith(
-            f"the index of face(x1=-1) does not map onto the index of {edge} in order"
-        )
+        assert str(err.value).endswith(culprit)
 
 
 class TestDecomposeTraces:

@@ -8,7 +8,8 @@ with each tree's ``src/`` on ``PYTHONPATH``, each in a fresh interpreter
 covers every command and format over n <= 3, r <= 5; every export
 artifact and family; the nodal, decomposition and evalgrid exports at
 (3, 6) and (3, 8) and ``decompose --method solve`` at (4, 6); the
-decompose methods with default, ``--alpha`` and ``--poly`` input;
+certified checks (unisolvence, direct sum, facet kernel) at (4, 12),
+(5, 8) and (6, 6); the decompose methods with default, ``--alpha`` and ``--poly`` input;
 continuity on every axis; ``verify`` with ``--jobs 1`` and ``--jobs
 2``; usage errors; and every ``--help``.  Prints each difference and a
 total, and exits 1 if any invocation differs.
@@ -69,6 +70,9 @@ def invocations(inputs: Path) -> list[list[str]]:
         runs += [["export", "--what", what, *cell(n, r)] for what in ("nodal", "decomposition")]
         runs.append(["export", "--what", "evalgrid", *cell(n, r), "--points", "3"])
     runs.append(["decompose", *cell(4, 6), "--method", "solve"])
+    # the certified checks near the caps, where they need no dense rank
+    runs += [["verify", *cell(n, r), "--checks", "unisolvence,direct-sum,facet-kernel",
+              "--jobs", "1"] for n, r in ((4, 12), (5, 8), (6, 6))]
     runs += [
         ["continuity", *cell(3, 4), "--axis", "2", "--seed", "9", "--trials", "4"],
         ["decompose", *cell(2, 3), "--alpha", "1,3", "--method", "both"],
