@@ -35,10 +35,10 @@ The cube's symmetries, axis permutations with sign flips, act
 transitively on the faces of each dimension and keep every face moment.
 By the certificate they map each face's index and bubble onto the image
 face's, so they permute the rows and columns of K, with signs.  The
-inverse X = K^-1 is therefore solved for the n + 1 columns of the first
-face of each dimension only, and every other column is mapped from one
-of those; the nodal basis likewise expands n + 1 columns into monomials
-and rewrites the rest.
+inverse X = K^-1 is therefore solved and held for the n + 1 columns of
+the first face of each dimension only.  ``decompose`` maps every other
+column from one of those as it reads it; the nodal basis likewise
+expands n + 1 columns into monomials and rewrites the rest.
 
 The facet kernel check characterizes the functions whose trace vanishes
 on the whole boundary: exactly the full-cube bubble times total degree
@@ -273,12 +273,12 @@ def _product(a: Block, b: Block, scale: int = 1) -> Block:
 
 @lru_cache(maxsize=None)
 def pairing_inverse(n: int, r: int) -> dict[Face, dict[Face, Block]]:
-    """X = K^-1: for each face H, every face F containing H, in DOF
-    order, mapped to the block X[F, H].  X is block lower triangular
-    like K.
+    """The n + 1 columns of X = K^-1 at the first face H0 of each
+    dimension, ``enumerate_faces(n, d)[0]``: each H0 in the index, in DOF
+    order, maps every face F containing H0 to the block X[F, H0].  X is
+    block lower triangular like K.
 
-    Block forward substitution finds the columns of the first face H0
-    of each dimension, ``enumerate_faces(n, d)[0]``:
+    Block forward substitution finds them, subfaces first:
 
         X[H0, H0] = K[H0, H0]^-1,
         X[F, H0] = -K[F, F]^-1 sum over H0 <= G < F of K[F, G] X[G, H0],
@@ -287,33 +287,22 @@ def pairing_inverse(n: int, r: int) -> dict[Face, dict[Face, Block]]:
     the blocks X[G, H0] stacked.  The certificate must hold: it makes the
     blocks off G <= F zero and every diagonal block of dimension d equal
     to one representative, so the diagonal inverses are one solve per
-    face dimension.
-
-    Every other column H is mapped from that of H0 by the cube symmetry
-    sigma with sigma H0 = H (``cubegeom.face_symmetry``), which keeps
-    every face moment:
-
-        X[sigma F, H] row sigma q = sign(sigma q) X[F, H0] row q,
-
-    with H's weights in H0's order and unsigned, since sigma keeps the
-    free axes of H0 in order and flips pinned axes only.  By the
-    certificate sigma maps each index and bubble onto the image face's,
-    so every row is found by lookup.  A mapped row is a canonical row or
-    its negation, shared, not copied.
+    face dimension.  Every other column is the image of one of these
+    under a cube symmetry; ``decompose`` maps the blocks as it reads them.
     """
     culprit = certify_pairing(n, r)
     if culprit is not None:
         raise SingularMatrixError(f"pairing at n={n}, r={r} is not certified: {culprit}")
     index = face_monomials(n, r)
-    first = [face for d in range(n + 1) if (face := enumerate_faces(n, d)[0]) in index]
+    first = [face for face in index if face == enumerate_faces(n, face.dim)[0]]
     diagonal: dict[int, Block] = {}
     for h0 in first:
         block = pairing_block(h0, h0, r)
         inverse = block.solve(RationalMatrix.identity(block.rows))
         diagonal[h0.dim] = tuple(inverse.row(i) for i in range(inverse.rows))
-    sources = {}
+    out: dict[Face, dict[Face, Block]] = {}
     for h0 in first:
-        column = {h0: diagonal[h0.dim]}
+        column = out[h0] = {h0: diagonal[h0.dim]}
         for face in sorted(index, key=lambda face: face.dim):  # subfaces first
             if face == h0 or not face_contains(face, h0):
                 continue
@@ -322,29 +311,6 @@ def pairing_inverse(n: int, r: int) -> dict[Face, dict[Face, Block]]:
             left = [sum((k.row(i) for k in blocks), ()) for i in range(len(index[face]))]
             right = [row for g in inner for row in column[g]]
             column[face] = _product(diagonal[face.dim], _product(left, right), scale=-1)
-        # per block: its rows, their negations and the positions of its index
-        sources[h0.dim] = [
-            (face, block, tuple(tuple(-x for x in row) for row in block),
-             {q: k for k, q in enumerate(index[face])})
-            for face, block in column.items()
-        ]
-    order = {face: k for k, face in enumerate(index)}
-    out: dict[Face, dict[Face, Block]] = {}
-    for col in index:
-        perm, flips = face_symmetry(col)
-        column = {}
-        for face, block, negated, position in sources[col.dim]:
-            image = Face(
-                n, tuple(sorted((perm[i], -s if perm[i] in flips else s) for i, s in face.fixed))
-            )
-            # each monomial of the image's index: the position of its
-            # preimage in the index of face, and whether sigma negates it
-            rows = (
-                (position[tuple(q[j] for j in perm)], sum(q[j] for j in flips) % 2)
-                for q in index[image]
-            )
-            column[image] = tuple((negated if sign else block)[k] for k, sign in rows)
-        out[col] = dict(sorted(column.items(), key=lambda kv: order[kv[0]]))
     return out
 
 
@@ -495,11 +461,19 @@ def decompose(
     algorithmically independent and must agree; both are exact.  The
     solve method reads the component coordinates C^-1 p as X (D p): the
     DOF values of p, face by face, mapped through the pairing inverse
-    X = K^-1 (``pairing_inverse``), whose block X[F, H] sends the values
-    on H to multipliers on each face F containing H.  The moments on H
-    are read from the trace of p on the face above H, the one with the
-    last pin of H released, and that trace from the face above it: a
-    restriction of a trace is the trace, and far smaller than p.
+    X = K^-1, whose block X[F, H] sends the values on H to multipliers on
+    each face F containing H.  The moments on H are read from the trace
+    of p on the face above H, the one with the last pin of H released,
+    and that trace from the face above it: a restriction of a trace is
+    the trace, and far smaller than p.
+
+    ``pairing_inverse`` holds only the column of the first d-face H0.
+    The cube symmetry sigma with sigma H0 = H (``cubegeom.face_symmetry``)
+    keeps every face moment, so X[sigma F, H] row sigma q is
+    sign(sigma q) X[F, H0] row q, with H's weights in H0's order and
+    unsigned.  Each block is mapped as it is read: y = X[F, H0] times the
+    values on H adds y_q to the multiplier of x^e' on sigma F, where
+    e'[perm[i]] = q[i], negated when e' is odd over the flipped axes.
     """
     n = p.n
     if n < 1 or r < 1:
@@ -519,12 +493,18 @@ def decompose(
                 traces[face] = restrict_to_face(trace(Face(n, face.fixed[:-1])), face)
             return traces[face]
 
-        for col, column in pairing_inverse(n, r).items():
+        columns = {h0.dim: column for h0, column in pairing_inverse(n, r).items()}
+        for col in index:
             moment = face_moments(trace(Face(n, col.fixed[:-1])), col)
             values = tuple((moment(w),) for w in index[col])
-            for face, block in column.items():
-                for q, (x,) in zip(index[face], _product(block, values)):
-                    acc[face][q] += x
+            perm, flips = face_symmetry(col)
+            source = sorted(range(n), key=perm.__getitem__)
+            for face, block in columns[col.dim].items():
+                pins = sorted((perm[i], -s if perm[i] in flips else s) for i, s in face.fixed)
+                image = acc[Face(n, tuple(pins))]
+                for q, (y,) in zip(index[face], _product(block, values)):
+                    e = tuple(q[i] for i in source)
+                    image[e] += -y if sum(e[j] for j in flips) % 2 else y
     elif method == "construct":
         for exps, coeff in p.terms():
             for fc in expand_monomial(exps, r):

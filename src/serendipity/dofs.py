@@ -346,10 +346,11 @@ def nodal_basis(n: int, r: int) -> tuple[Polynomial, ...]:
     inverse of the DOF matrix is C K^-1: the nodal function of the DOF
     with weight index i on face H is the sum, over the faces F containing
     H, of b_F times the multipliers in column i of the block X[F, H] of
-    X = K^-1 (``decomp.pairing_inverse``).
+    X = K^-1.
 
-    Only the first face H0 of each dimension has its functions expanded
-    into monomials.  For any other face H, the cube symmetry sigma with
+    ``decomp.pairing_inverse`` holds the columns of the first face H0 of
+    each dimension only, and only those are expanded into monomials.
+    For any other face H, the cube symmetry sigma with
     sigma H0 = H (``cubegeom.face_symmetry``) maps the DOFs of H0 to
     those of H in order and each bubble b_F to b_{sigma F}, lemmas of
     the certificate that ``pairing_inverse`` requires.  So the function
@@ -360,17 +361,12 @@ def nodal_basis(n: int, r: int) -> tuple[Polynomial, ...]:
     from . import decomp
 
     index = face_monomials(n, r)
-    inverse = decomp.pairing_inverse(n, r)
     expanded: dict[int, list[Polynomial]] = {}
-    for d in range(n + 1):
-        h0 = enumerate_faces(n, d)[0]
-        if h0 not in index:
-            continue
+    for h0, column in decomp.pairing_inverse(n, r).items():
         expansions = [
-            (decomp.bubble(face).terms(), index[face], block)
-            for face, block in inverse[h0].items()
+            (decomp.bubble(face).terms(), index[face], block) for face, block in column.items()
         ]
-        expanded[d] = [
+        expanded[h0.dim] = [
             Polynomial(
                 n,
                 (

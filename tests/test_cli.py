@@ -818,6 +818,11 @@ class TestGoldenOutput:
                 ["export", "--what", "nodal", "--n", "4", "--r", "6"],
                 "be8ecb6ad36cf692b3c0fe379e2f7330a65e097f8b9552a90a54e85f37d8018e",
             ),
+            (
+                ["export", "--what", "decomposition", "--n", "5", "--r", "6",
+                 "--method", "solve", "--alpha", "2,1,0,1,2"],
+                "22b01e28b08428c3aab732246280173153caad5eaa4d34f5e776c9b9528170d6",
+            ),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

@@ -486,10 +486,16 @@ class TestPairingInverse:
     @pytest.mark.parametrize("n, r", PAIRING_CELLS + [(4, 6), (4, 8)])
     def test_matches_all_columns_substitution(self, n, r):
         x, oracle = decomp.pairing_inverse(n, r), all_columns_inverse(n, r)
-        assert list(x) == list(oracle)
-        for col, column in oracle.items():
-            assert list(x[col]) == list(column), col
-            assert x[col] == column, col
+        for col, column in x.items():
+            assert list(column) == list(oracle[col]), col
+            assert column == oracle[col], col
+
+    @pytest.mark.parametrize("n, r", PAIRING_CELLS)
+    def test_holds_the_canonical_columns_in_dof_order(self, n, r):
+        first = {enumerate_faces(n, d)[0] for d in range(n + 1)}
+        assert list(decomp.pairing_inverse(n, r)) == [
+            face for face in face_monomials(n, r) if face in first
+        ]
 
     @pytest.mark.parametrize("n, r", [(3, 8), (4, 6)])
     def test_nodal_basis_matches_all_columns_expansion(self, n, r):
@@ -505,9 +511,10 @@ class TestPairingInverse:
         monkeypatch.setattr(decomp, "face_monomials", lambda n_, r_: index)
         assert certify_pairing(2, 4) is None
         x = decomp.pairing_inverse(2, 4)
-        assert list(x) == list(index)
+        assert list(x) == [face for face in index if face in expected]
         for col, column in x.items():
-            assert list(column) == [face for face in index if face in column]
+            reached = sorted((face for face in index if face in column), key=lambda f: f.dim)
+            assert list(column) == reached
             assert column == expected[col], col
 
     def test_moved_weight_fails_index_symmetry(self, monkeypatch, fresh_caches):
@@ -578,7 +585,7 @@ class TestDecomposeTraces:
         p = random_space_member(random.Random(37), n, r)
         index = face_monomials(n, r)
         acc = {face: dict.fromkeys(exps, Fraction(0)) for face, exps in index.items()}
-        for col, column in decomp.pairing_inverse(n, r).items():
+        for col, column in all_columns_inverse(n, r).items():
             values = [decomp.face_moments(p, col)(w) for w in index[col]]
             for face, block in column.items():
                 for q, row in zip(index[face], block):
@@ -619,6 +626,15 @@ class TestDirectSum:
             for face in a:
                 assert a[face].coefficient == b[face].coefficient
                 assert a[face].component == b[face].component
+
+    @pytest.mark.parametrize("n, r", [(4, 6), (5, 4), (6, 2)])
+    def test_methods_agree_beyond_the_certification_grid(self, n, r):
+        # every column but n + 1 is mapped as it is read
+        p = random_space_member(random.Random(38), n, r)
+        a = decompose(p, r, method="solve")
+        b = decompose(p, r, method="construct")
+        assert set(a) == set(b)
+        assert all(a[face].coefficient == b[face].coefficient for face in a)
 
     def test_solve_builds_no_component_matrix(self, monkeypatch, fresh_caches):
         def refuse(n, r):

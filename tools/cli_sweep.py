@@ -7,7 +7,9 @@ with each tree's ``src/`` on ``PYTHONPATH``, each in a fresh interpreter
 (two at a time), and compares stdout, stderr and exit code.  The list
 covers every command and format over n <= 3, r <= 5; every export
 artifact and family; the nodal, decomposition and evalgrid exports at
-(3, 6) and (3, 8) and ``decompose --method solve`` at (4, 6); the
+(3, 6) and (3, 8); ``decompose --method solve`` at (4, 6), (5, 6) and
+(6, 4) and the solve decomposition export of x1^2 x2 x4 x5^2 at (5, 6),
+where the pairing inverse's blocks are mapped as they are read; the
 certified checks (unisolvence, direct sum, facet kernel) at (4, 12),
 (5, 8) and (6, 6); the decompose methods with default, ``--alpha`` and ``--poly`` input;
 continuity on every axis; ``verify`` with ``--jobs 1`` and ``--jobs
@@ -69,7 +71,9 @@ def invocations(inputs: Path) -> list[list[str]]:
     for n, r in ((3, 6), (3, 8)):
         runs += [["export", "--what", what, *cell(n, r)] for what in ("nodal", "decomposition")]
         runs.append(["export", "--what", "evalgrid", *cell(n, r), "--points", "3"])
-    runs.append(["decompose", *cell(4, 6), "--method", "solve"])
+    runs += [["decompose", *cell(n, r), "--method", "solve"] for n, r in ((4, 6), (5, 6), (6, 4))]
+    runs.append(["export", "--what", "decomposition", *cell(5, 6), "--method", "solve",
+                 "--alpha", "2,1,0,1,2"])
     # the certified checks near the caps, where they need no dense rank
     runs += [["verify", *cell(n, r), "--checks", "unisolvence,direct-sum,facet-kernel",
               "--jobs", "1"] for n, r in ((4, 12), (5, 8), (6, 6))]
