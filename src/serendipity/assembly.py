@@ -18,8 +18,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cubegeom import Face, face_contains, restrict_to_face
+from .decomp import _expand, _multipliers
 from .dofs import DofFunctional, dofs_S, nodal_basis
-from .exactpoly import Polynomial
+from .exactpoly import Polynomial, Scalar
 from .spaces import dim_S_formula
 
 __all__ = [
@@ -113,12 +114,18 @@ def _combination(
     )
 
 
-def interpolate(values: Sequence[Fraction], n: int, r: int) -> Polynomial:
-    """The unique member of the space with the prescribed DOF values."""
-    phis = nodal_basis(n, r)
-    if len(values) != len(phis):
-        raise ValueError(f"expected {len(phis)} DOF values, got {len(values)}")
-    return _combination(n, values, phis)
+def interpolate(values: Sequence[Scalar], n: int, r: int) -> Polynomial:
+    """The unique member of the space with the prescribed DOF values: the
+    sum of b_F m_F with the multipliers m = X v of the pairing inverse, so
+    no nodal function is expanded.  A float or bool value raises TypeError."""
+    count = len(dofs_S(n, r))
+    if len(values) != count:
+        raise ValueError(f"expected {count} DOF values, got {len(values)}")
+    for v in values:
+        if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
+            raise TypeError(f"DOF value {v!r} is not an int or a Fraction")
+    den, multipliers = _multipliers(values, n, r)
+    return _expand(n, r, ((face, terms.items()) for face, terms in multipliers.items()), den)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
+from operator import mul
 from typing import Callable, Mapping
 
 from .exactpoly import Exponents, Polynomial, axis_moment
@@ -159,18 +160,10 @@ def restrict_to_face(p: Polynomial, face: Face) -> Polynomial:
         raise ValueError(f"polynomial has n={p.n}, face has n={face.n}")
     if not face.fixed:
         return p
-    out: dict[Exponents, Fraction] = {}
-    for exps, coeff in p.terms():
-        sign = 1
-        for i, s in face.fixed:
-            if s < 0 and exps[i] % 2:
-                sign = -sign
-        key = list(exps)
-        for i, _ in face.fixed:
-            key[i] = 0
-        key_t = tuple(key)
-        out[key_t] = out.get(key_t, Fraction(0)) + sign * coeff
-    return Polynomial(p.n, out)
+    keep = [int(i not in face.fixed_indices) for i in range(p.n)]
+    flip = [i for i, s in face.fixed if s < 0]
+    signed = ((e, -c if sum(e[i] for i in flip) % 2 else c) for e, c in p.terms())
+    return Polynomial(p.n, ((tuple(map(mul, e, keep)), c) for e, c in signed))
 
 
 def face_moment(face: Face, exponents: Exponents) -> Fraction:

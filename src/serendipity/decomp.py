@@ -36,9 +36,11 @@ transitively on the faces of each dimension and keep every face moment.
 By the certificate they map each face's index and bubble onto the image
 face's, so they permute the rows and columns of K, with signs.  The
 inverse X = K^-1 is therefore solved and held for the n + 1 columns of
-the first face of each dimension only.  ``decompose`` maps every other
-column from one of those as it reads it; the nodal basis likewise
-expands n + 1 columns into monomials and rewrites the rest.
+the first face of each dimension only, as integers over one common
+denominator.  One multiplier map, shared by ``decompose`` and
+``assembly.interpolate``, maps every other column from one of those as
+it reads it; the nodal basis likewise expands n + 1 columns into
+monomials and rewrites the rest.
 
 The facet kernel check characterizes the functions whose trace vanishes
 on the whole boundary: exactly the full-cube bubble times total degree
@@ -55,8 +57,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
-from typing import Literal, Optional
+from math import lcm, prod
+from operator import add, mul
+from typing import Iterable, Literal, Optional, Sequence
 
 from .cubegeom import (
     Face,
@@ -68,7 +71,7 @@ from .cubegeom import (
     restrict_to_face,
 )
 from .dofs import RationalMatrix, SingularMatrixError
-from .exactpoly import Exponents, Polynomial, grlex_key, superlinear_degree
+from .exactpoly import Exponents, Polynomial, Scalar, grlex_key, superlinear_degree
 from .spaces import (
     basis_S,
     dim_P,
@@ -78,6 +81,7 @@ from .spaces import (
 )
 
 Block = tuple[tuple[Fraction, ...], ...]
+IntBlock = tuple[tuple[int, ...], ...]
 
 __all__ = [
     "FaceComponent",
@@ -272,11 +276,12 @@ def _product(a: Block, b: Block, scale: int = 1) -> Block:
 
 
 @lru_cache(maxsize=None)
-def pairing_inverse(n: int, r: int) -> dict[Face, dict[Face, Block]]:
+def pairing_inverse(n: int, r: int) -> tuple[int, dict[Face, dict[Face, IntBlock]]]:
     """The n + 1 columns of X = K^-1 at the first face H0 of each
-    dimension, ``enumerate_faces(n, d)[0]``: each H0 in the index, in DOF
-    order, maps every face F containing H0 to the block X[F, H0].  X is
-    block lower triangular like K.
+    dimension, ``enumerate_faces(n, d)[0]``, as (den, columns): each H0 in
+    the index, in DOF order, maps every face F containing H0 to the block
+    den X[F, H0] of integers, den the least common denominator of these
+    columns.  X is block lower triangular like K.
 
     Block forward substitution finds them, subfaces first:
 
@@ -288,7 +293,7 @@ def pairing_inverse(n: int, r: int) -> dict[Face, dict[Face, Block]]:
     blocks off G <= F zero and every diagonal block of dimension d equal
     to one representative, so the diagonal inverses are one solve per
     face dimension.  Every other column is the image of one of these
-    under a cube symmetry; ``decompose`` maps the blocks as it reads them.
+    under a cube symmetry; ``_multipliers`` maps the blocks as it reads them.
     """
     culprit = certify_pairing(n, r)
     if culprit is not None:
@@ -311,7 +316,60 @@ def pairing_inverse(n: int, r: int) -> dict[Face, dict[Face, Block]]:
             left = [sum((k.row(i) for k in blocks), ()) for i in range(len(index[face]))]
             right = [row for g in inner for row in column[g]]
             column[face] = _product(diagonal[face.dim], _product(left, right), scale=-1)
-    return out
+    den = lcm(*(v.denominator for c in out.values() for b in c.values() for row in b for v in row))
+    for column in out.values():
+        for face, block in column.items():
+            column[face] = tuple(tuple(int(v * den) for v in row) for row in block)
+    return den, out
+
+
+def _multipliers(values: Sequence[Scalar], n: int, r: int) -> tuple[int, dict[Face, dict]]:
+    """The multipliers m = X v for DOF values v in DOF order, as (den, m):
+    each indexed face, in index order, maps its weight q to den times the
+    multiplier of b_F x^q.  The values are cleared to integers with one lcm,
+    and faces whose values are all zero are skipped.  The cube symmetry
+    sigma with sigma H0 = H (``cubegeom.face_symmetry``) keeps every face
+    moment, so X[sigma F, H] row sigma q is sign(sigma q) X[F, H0] row q,
+    with H's weights in H0's order and unsigned: y = X[F, H0] times the
+    values on H adds y_q to the multiplier of x^e' on sigma F, where
+    e'[perm[i]] = q[i], negated when e' is odd over the flipped axes.
+    """
+    den, columns = pairing_inverse(n, r)
+    columns = {h0.dim: column for h0, column in columns.items()}
+    index = face_monomials(n, r)
+    scale = lcm(*(v.denominator for v in values))
+    cleared = iter([v.numerator * (scale // v.denominator) for v in values])
+    out = {face: dict.fromkeys(exps, 0) for face, exps in index.items()}
+    for col, weights in index.items():
+        on_col = list(itertools.islice(cleared, len(weights)))
+        if not any(on_col):
+            continue
+        perm, flips = face_symmetry(col)
+        source = sorted(range(n), key=perm.__getitem__)
+        for face, block in columns[col.dim].items():
+            pins = sorted((perm[i], -s if perm[i] in flips else s) for i, s in face.fixed)
+            image = out[Face(n, tuple(pins))]
+            for q, row in zip(index[face], block):
+                y = sum(map(mul, row, on_col))
+                if y:
+                    e = tuple(q[i] for i in source)
+                    image[e] += -y if sum(e[j] for j in flips) % 2 else y
+    return den * scale, out
+
+
+def _expand(n: int, r: int, multipliers: Iterable[tuple[Face, Iterable]], den: int) -> Polynomial:
+    """The sum of b_F m_F, each m_F given as its terms (q, den times the
+    coefficient of x^q), added up in integers on the basis of S_r (it holds
+    each b_F x^q by the certificate) and divided by den once per term."""
+    basis = basis_S(n, r)
+    acc = [0] * basis.dim
+    for face, terms in multipliers:
+        bubble_terms = [(e, c.numerator) for e, c in bubble(face).terms()]
+        for q, y in terms:
+            if y:
+                for e, c in bubble_terms:
+                    acc[basis.index_of(tuple(map(add, e, q)))] += c * y
+    return Polynomial(n, ((m, Fraction(v, den)) for m, v in zip(basis, acc) if v))
 
 
 @dataclass(frozen=True)
@@ -465,15 +523,7 @@ def decompose(
     each face F containing H.  The moments on H are read from the trace
     of p on the face above H, the one with the last pin of H released,
     and that trace from the face above it: a restriction of a trace is
-    the trace, and far smaller than p.
-
-    ``pairing_inverse`` holds only the column of the first d-face H0.
-    The cube symmetry sigma with sigma H0 = H (``cubegeom.face_symmetry``)
-    keeps every face moment, so X[sigma F, H] row sigma q is
-    sign(sigma q) X[F, H0] row q, with H's weights in H0's order and
-    unsigned.  Each block is mapped as it is read: y = X[F, H0] times the
-    values on H adds y_q to the multiplier of x^e' on sigma F, where
-    e'[perm[i]] = q[i], negated when e' is odd over the flipped axes.
+    the trace, and far smaller than p.  ``_multipliers`` maps the values.
     """
     n = p.n
     if n < 1 or r < 1:
@@ -482,10 +532,9 @@ def decompose(
         raise ValueError(
             f"polynomial has superlinear degree {p.superlinear_degree()} > r = {r}"
         )
-    acc: dict[Face, dict[Exponents, Fraction]] = {}
+    acc: dict[Face, list[tuple[Exponents, Scalar]]] = {}
     if method == "solve":
         index = face_monomials(n, r)
-        acc = {face: dict.fromkeys(exps, Fraction(0)) for face, exps in index.items()}
         traces = {full_cube(n): p}
 
         def trace(face: Face) -> Polynomial:
@@ -493,24 +542,18 @@ def decompose(
                 traces[face] = restrict_to_face(trace(Face(n, face.fixed[:-1])), face)
             return traces[face]
 
-        columns = {h0.dim: column for h0, column in pairing_inverse(n, r).items()}
-        for col in index:
-            moment = face_moments(trace(Face(n, col.fixed[:-1])), col)
-            values = tuple((moment(w),) for w in index[col])
-            perm, flips = face_symmetry(col)
-            source = sorted(range(n), key=perm.__getitem__)
-            for face, block in columns[col.dim].items():
-                pins = sorted((perm[i], -s if perm[i] in flips else s) for i, s in face.fixed)
-                image = acc[Face(n, tuple(pins))]
-                for q, (y,) in zip(index[face], _product(block, values)):
-                    e = tuple(q[i] for i in source)
-                    image[e] += -y if sum(e[j] for j in flips) % 2 else y
+        values = []
+        for col, weights in index.items():
+            values.extend(map(face_moments(trace(Face(n, col.fixed[:-1])), col), weights))
+        den, multipliers = _multipliers(values, n, r)
+        for face, terms in multipliers.items():
+            acc[face] = [(q, Fraction(y, den)) for q, y in terms.items() if y]
     elif method == "construct":
         for exps, coeff in p.terms():
             for fc in expand_monomial(exps, r):
-                face_acc = acc.setdefault(fc.face, {})
-                for e2, c2 in fc.coefficient.terms():
-                    face_acc[e2] = face_acc.get(e2, Fraction(0)) + coeff * c2
+                acc.setdefault(fc.face, []).extend(
+                    (e2, coeff * c2) for e2, c2 in fc.coefficient.terms()
+                )
     else:
         raise ValueError(f"unknown method {method!r}")
     coefficients = {face: Polynomial(n, terms) for face, terms in acc.items()}

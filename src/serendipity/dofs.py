@@ -349,7 +349,8 @@ def nodal_basis(n: int, r: int) -> tuple[Polynomial, ...]:
     X = K^-1.
 
     ``decomp.pairing_inverse`` holds the columns of the first face H0 of
-    each dimension only, and only those are expanded into monomials.
+    each dimension only, and only those are expanded into monomials, by
+    the integer bubble expansion that interpolation uses too.
     For any other face H, the cube symmetry sigma with
     sigma H0 = H (``cubegeom.face_symmetry``) maps the DOFs of H0 to
     those of H in order and each bubble b_F to b_{sigma F}, lemmas of
@@ -361,22 +362,12 @@ def nodal_basis(n: int, r: int) -> tuple[Polynomial, ...]:
     from . import decomp
 
     index = face_monomials(n, r)
+    den, columns = decomp.pairing_inverse(n, r)
     expanded: dict[int, list[Polynomial]] = {}
-    for h0, column in decomp.pairing_inverse(n, r).items():
-        expansions = [
-            (decomp.bubble(face).terms(), index[face], block) for face, block in column.items()
-        ]
+    for h0, blocks in columns.items():
+        by_column = [(f, list(zip(*block))) for f, block in blocks.items()]
         expanded[h0.dim] = [
-            Polynomial(
-                n,
-                (
-                    (tuple(a + b for a, b in zip(e, q)), c * row[i])
-                    for terms, multipliers, block in expansions
-                    for q, row in zip(multipliers, block)
-                    if row[i]
-                    for e, c in terms
-                ),
-            )
+            decomp._expand(n, r, ((f, zip(index[f], c[i])) for f, c in by_column), den)
             for i in range(len(index[h0]))
         ]
     polys: list[Polynomial] = []

@@ -20,7 +20,9 @@ first, then lexicographically on the exponent tuple itself.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Exponents = tuple[int, ...]
@@ -44,7 +46,7 @@ def grlex_key(exponents: Exponents) -> tuple[int, Exponents]:
 def _validate_exponents(exponents: Sequence[int]) -> Exponents:
     exps = tuple(exponents)
     for e in exps:
-        if not isinstance(e, int) or isinstance(e, bool) or e < 0:
+        if (type(e) is not int and (not isinstance(e, int) or isinstance(e, bool))) or e < 0:
             raise ValueError(f"exponents must be non-negative ints, got {exps!r}")
     return exps
 
@@ -63,9 +65,10 @@ def monomial_str(exponents: Exponents) -> str:
 class Polynomial:
     """Immutable sparse polynomial with Fraction coefficients.
 
-    Construction canonicalizes: coefficients are coerced to Fraction and
-    zero terms are dropped, so two polynomials are equal iff their term
-    mappings are equal.
+    Construction canonicalizes: coefficients are coerced to Fraction,
+    terms are added only where exponents repeat, and zero terms are
+    dropped, so two polynomials are equal iff their term mappings are
+    equal.  Arithmetic passes its raw (exponents, coefficient) pairs here.
     """
 
     __slots__ = ("_n", "_terms", "_plan")
@@ -79,13 +82,13 @@ class Polynomial:
             exps = _validate_exponents(exponents)
             if len(exps) != n:
                 raise ValueError(f"exponent tuple {exps!r} does not have length {n}")
-            value = Fraction(coeff)
-            if value:
-                value = canonical.get(exps, Fraction(0)) + value
-                if value:
-                    canonical[exps] = value
-                else:
+            value = coeff if type(coeff) is Fraction else Fraction(coeff)
+            if value and exps in canonical:
+                value += canonical[exps]
+                if not value:
                     del canonical[exps]
+            if value:
+                canonical[exps] = value
         object.__setattr__(self, "_n", n)
         object.__setattr__(self, "_terms", canonical)
         object.__setattr__(self, "_plan", None)
@@ -170,10 +173,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_n(other)
-        merged = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            merged[exps] = merged.get(exps, Fraction(0)) + coeff
-        return Polynomial(self._n, merged)
+        return Polynomial(self._n, itertools.chain(self._terms.items(), other._terms.items()))
 
     __radd__ = __add__
 
@@ -200,12 +200,8 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_n(other)
-        product: dict[Exponents, Fraction] = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                key = tuple(a + b for a, b in zip(ea, eb))
-                product[key] = product.get(key, Fraction(0)) + ca * cb
-        return Polynomial(self._n, product)
+        pairs = itertools.product(self._terms.items(), other._terms.items())
+        return Polynomial(self._n, ((tuple(map(add, a, b)), x * y) for (a, x), (b, y) in pairs))
 
     __rmul__ = __mul__
 
@@ -319,14 +315,14 @@ class Polynomial:
 
     @classmethod
     def from_json_obj(cls, n: int, data: Iterable[Mapping]) -> "Polynomial":
-        terms: dict[Exponents, Fraction] = {}
+        terms = []
         for record in data:
             exps = _validate_exponents(record["exponents"])
             coeff = record["coeff"]
             # a JSON float is already rounded, and a bool is no coefficient
             if not isinstance(coeff, (int, str)) or isinstance(coeff, bool):
                 raise TypeError(f"coefficient {coeff!r} is not an integer or a string")
-            terms[exps] = terms.get(exps, Fraction(0)) + Fraction(coeff)
+            terms.append((exps, Fraction(coeff)))
         return cls(n, terms)
 
 

@@ -179,6 +179,41 @@ class TestInterpolate:
             values = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in dofs_S(n, r)]
             assert interpolate(values, n, r) == added_interpolant(values, n, r)
 
+    @pytest.mark.parametrize(
+        "n, r", [(n, r) for n in range(1, 4) for r in range(1, 7)] + [(4, 6)]
+    )
+    def test_matches_running_sum_on_the_grid(self, n, r):
+        rng = random.Random(100 * n + r)
+        count = len(dofs_S(n, r))
+        # mixed denominators, some values zero, and ints beside Fractions
+        values = [
+            rng.choice((0, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 12))))
+            for _ in range(count)
+        ]
+        assert interpolate(values, n, r) == added_interpolant(values, n, r)
+        zero = interpolate([Fraction(0)] * count, n, r)
+        assert zero == Polynomial.zero(n) and not zero
+
+    @pytest.mark.parametrize("value", [0.1, 2.0, True, False])
+    def test_rejects_float_and_bool_values(self, value):
+        values = [Fraction(0)] * len(dofs_S(1, 2))
+        values[1] = value
+        with pytest.raises(TypeError) as err:
+            interpolate(values, 1, 2)
+        assert str(err.value) == f"DOF value {value!r} is not an int or a Fraction"
+
+    def test_accepts_int_and_fraction_values(self):
+        n, r = 2, 3
+        ints = [k % 5 - 2 for k in range(len(dofs_S(n, r)))]
+        assert interpolate(ints, n, r) == interpolate([Fraction(v) for v in ints], n, r)
+        assert interpolate(ints, n, r) == added_interpolant(ints, n, r)
+
+    def test_builds_no_nodal_basis(self, fresh_caches):
+        values = [Fraction(k % 7 - 3, k % 4 + 1) for k in range(len(dofs_S(3, 5)))]
+        u = interpolate(values, 3, 5)
+        assert nodal_basis.cache_info().misses == 0
+        assert u == added_interpolant(values, 3, 5)
+
 
 class TestContinuity:
     @pytest.mark.parametrize("n, r", [(1, 3), (2, 1), (2, 3), (3, 2)])

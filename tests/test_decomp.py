@@ -8,7 +8,7 @@ import pickle
 import random
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 
@@ -463,6 +463,12 @@ def all_columns_inverse(n: int, r: int) -> dict[Face, dict[Face, tuple]]:
     return out
 
 
+def scaled(column: dict[Face, tuple], den: int) -> dict[Face, tuple]:
+    """Each block of a column times den, exactly: equal to integer blocks
+    only where every product is an integer."""
+    return {face: tuple(tuple(v * den for v in row) for row in block) for face, block in column.items()}
+
+
 def all_columns_nodal_basis(n: int, r: int) -> tuple[Polynomial, ...]:
     """The earlier nodal basis, kept as an oracle: every column of the
     all-columns inverse expanded into monomials through the bubbles."""
@@ -485,17 +491,22 @@ class TestPairingInverse:
 
     @pytest.mark.parametrize("n, r", PAIRING_CELLS + [(4, 6), (4, 8)])
     def test_matches_all_columns_substitution(self, n, r):
-        x, oracle = decomp.pairing_inverse(n, r), all_columns_inverse(n, r)
+        (den, x), oracle = decomp.pairing_inverse(n, r), all_columns_inverse(n, r)
         for col, column in x.items():
             assert list(column) == list(oracle[col]), col
-            assert column == oracle[col], col
+            assert column == scaled(oracle[col], den), col
+        # den is the least common denominator of the held columns
+        assert den == lcm(
+            *(v.denominator for col in x for block in oracle[col].values() for row in block for v in row)
+        )
 
     @pytest.mark.parametrize("n, r", PAIRING_CELLS)
     def test_holds_the_canonical_columns_in_dof_order(self, n, r):
         first = {enumerate_faces(n, d)[0] for d in range(n + 1)}
-        assert list(decomp.pairing_inverse(n, r)) == [
-            face for face in face_monomials(n, r) if face in first
-        ]
+        den, x = decomp.pairing_inverse(n, r)
+        assert list(x) == [face for face in face_monomials(n, r) if face in first]
+        assert all(type(v) is int for column in x.values() for block in column.values()
+                   for row in block for v in row)
 
     @pytest.mark.parametrize("n, r", [(3, 8), (4, 6)])
     def test_nodal_basis_matches_all_columns_expansion(self, n, r):
@@ -504,13 +515,14 @@ class TestPairingInverse:
     def test_faces_listed_out_of_dimension_order_keep_x(self, monkeypatch, fresh_caches):
         # K is nonsingular in any face order, so the certificate holds, and
         # the substitution must still reach each face after its subfaces
-        expected = decomp.pairing_inverse(2, 4)
+        expected_den, expected = decomp.pairing_inverse(2, 4)
         decomp.pairing_inverse.cache_clear()
         real = face_monomials(2, 4)
         index = {full_cube(2): real[full_cube(2)], **real}
         monkeypatch.setattr(decomp, "face_monomials", lambda n_, r_: index)
         assert certify_pairing(2, 4) is None
-        x = decomp.pairing_inverse(2, 4)
+        den, x = decomp.pairing_inverse(2, 4)
+        assert den == expected_den
         assert list(x) == [face for face in index if face in expected]
         for col, column in x.items():
             reached = sorted((face for face in index if face in column), key=lambda f: f.dim)

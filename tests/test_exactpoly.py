@@ -200,6 +200,104 @@ class TestArithmetic:
         assert all(c != 0 for _, c in ts)
 
 
+def added_terms(pairs):
+    """Oracle: (exponents, coefficient) pairs added up in a plain dict."""
+    acc = {}
+    for exps, coeff in pairs:
+        acc[exps] = acc.get(exps, Fraction(0)) + Fraction(coeff)
+    return {e: c for e, c in acc.items() if c}
+
+
+def random_pairs(rng: random.Random, n: int) -> list:
+    """Up to 12 seeded terms with small exponents, so some exponents repeat."""
+    return [
+        (tuple(rng.randint(0, 3) for _ in range(n)), Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+        for _ in range(rng.randint(0, 12))
+    ]
+
+
+class TestConstructor:
+    """The one place where terms are added up: what it accepts and rejects."""
+
+    def test_repeated_exponents_that_cancel_leave_no_term(self):
+        p = Polynomial(2, [((1, 0), Fraction(1, 3)), ((0, 1), 2), ((1, 0), Fraction(-1, 3))])
+        assert dict(p.terms()) == {(0, 1): 2}
+        q = Polynomial(1, [((2,), 1), ((2,), -1), ((2,), Fraction(5, 2))])
+        assert dict(q.terms()) == {(2,): Fraction(5, 2)}
+
+    def test_list_and_generator_exponents_are_accepted(self):
+        expected = {(1, 0): Fraction(3), (0, 2): Fraction(1)}
+        assert dict(Polynomial(2, [([1, 0], 3), ([0, 2], 1)]).terms()) == expected
+        p = Polynomial(2, [((e for e in (1, 0)), 3), (iter([0, 2]), 1)])
+        assert dict(p.terms()) == expected
+        assert all(type(e) is tuple for e, _ in p.terms())
+
+    @pytest.mark.parametrize(
+        "exps", [(True, 0), (1, -1), (0.0, 1), ("1", 0), [1, -2]], ids=str
+    )
+    def test_bad_exponents_raise(self, exps):
+        with pytest.raises(ValueError) as err:
+            Polynomial(2, [(exps, 1)])
+        assert str(err.value) == f"exponents must be non-negative ints, got {tuple(exps)!r}"
+
+    def test_wrong_length_raises(self):
+        with pytest.raises(ValueError) as err:
+            Polynomial(2, [((1, 0, 0), 1)])
+        assert str(err.value) == "exponent tuple (1, 0, 0) does not have length 2"
+
+    def test_validation_comes_before_the_length_check(self):
+        with pytest.raises(ValueError) as err:
+            Polynomial(2, [((1, -1, 0), 1)])
+        assert str(err.value) == "exponents must be non-negative ints, got (1, -1, 0)"
+
+    @pytest.mark.parametrize(
+        "coeff, value",
+        [
+            (0.5, Fraction(1, 2)),
+            (0.1, Fraction(3602879701896397, 36028797018963968)),
+            (-4, Fraction(-4)),
+            ("-2/6", Fraction(-1, 3)),
+            (Fraction(6, 4), Fraction(3, 2)),
+        ],
+    )
+    def test_coefficients_are_coerced(self, coeff, value):
+        c = Polynomial(1, [((1,), coeff)]).coefficient((1,))
+        assert c == value and type(c) is Fraction
+
+    def test_fraction_subclass_is_stored_as_a_plain_fraction(self):
+        class Half(Fraction):
+            pass
+
+        c = Polynomial(1, [((1,), Half(1, 2))]).coefficient((1,))
+        assert c == Fraction(1, 2) and type(c) is Fraction
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_arithmetic_matches_the_dict_oracle(self, seed):
+        from serendipity.cubegeom import Face, restrict_to_face
+
+        rng = random.Random(seed)
+        n = rng.randint(1, 4)
+        raw_p, raw_q = random_pairs(rng, n), random_pairs(rng, n)
+        p, q = Polynomial(n, raw_p), Polynomial(n, raw_q)
+        assert dict(p.terms()) == added_terms(raw_p)
+        assert dict((p + q).terms()) == added_terms(p.terms() + q.terms())
+        product = [
+            (tuple(a + b for a, b in zip(ea, eb)), ca * cb)
+            for ea, ca in p.terms()
+            for eb, cb in q.terms()
+        ]
+        assert dict((p * q).terms()) == added_terms(product)
+        pins = tuple(sorted((j, rng.choice((-1, 1))) for j in rng.sample(range(n), rng.randint(1, n))))
+        trace = [
+            (
+                tuple(0 if any(j == i for j, _ in pins) else x for i, x in enumerate(e)),
+                c * (-1) ** sum(e[j] for j, s in pins if s < 0),
+            )
+            for e, c in p.terms()
+        ]
+        assert dict(restrict_to_face(p, Face(n, pins)).terms()) == added_terms(trace)
+
+
 class TestTransformed:
     def test_composes_with_the_inverse_axis_map(self):
         # (p o sigma^-1)(sigma x) = p(x), sigma x on axis perm[i] = +-x_i

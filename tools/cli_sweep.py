@@ -7,11 +7,15 @@ with each tree's ``src/`` on ``PYTHONPATH``, each in a fresh interpreter
 (two at a time), and compares stdout, stderr and exit code.  The list
 covers every command and format over n <= 3, r <= 5; every export
 artifact and family; the nodal, decomposition and evalgrid exports at
-(3, 6) and (3, 8); ``decompose --method solve`` at (4, 6), (5, 6) and
-(6, 4) and the solve decomposition export of x1^2 x2 x4 x5^2 at (5, 6),
-where the pairing inverse's blocks are mapped as they are read; the
-certified checks (unisolvence, direct sum, facet kernel) at (4, 12),
-(5, 8) and (6, 6); the decompose methods with default, ``--alpha`` and ``--poly`` input;
+(3, 6) and (3, 8); ``decompose --method solve`` at (4, 6), (5, 6),
+(6, 4) and (4, 10), the last with the largest denominator of the pairing
+inverse among them, and the solve decomposition export of
+x1^2 x2 x4 x5^2 at (5, 6), where the pairing inverse's blocks are mapped
+as they are read; an n = 3 ``--poly`` member with mixed denominators
+through ``decompose --method solve|both`` and the solve decomposition
+export at (3, 6); the certified checks (unisolvence, direct sum, facet
+kernel) at (4, 12), (5, 8) and (6, 6); the decompose methods with
+default, ``--alpha`` and ``--poly`` input;
 continuity on every axis; ``verify`` with ``--jobs 1`` and ``--jobs
 2``; usage errors; and every ``--help``.  Prints each difference and a
 total, and exits 1 if any invocation differs.
@@ -71,7 +75,8 @@ def invocations(inputs: Path) -> list[list[str]]:
     for n, r in ((3, 6), (3, 8)):
         runs += [["export", "--what", what, *cell(n, r)] for what in ("nodal", "decomposition")]
         runs.append(["export", "--what", "evalgrid", *cell(n, r), "--points", "3"])
-    runs += [["decompose", *cell(n, r), "--method", "solve"] for n, r in ((4, 6), (5, 6), (6, 4))]
+    runs += [["decompose", *cell(n, r), "--method", "solve"]
+             for n, r in ((4, 6), (5, 6), (6, 4), (4, 10))]
     runs.append(["export", "--what", "decomposition", *cell(5, 6), "--method", "solve",
                  "--alpha", "2,1,0,1,2"])
     # the certified checks near the caps, where they need no dense rank
@@ -86,6 +91,9 @@ def invocations(inputs: Path) -> list[list[str]]:
     for name in sorted(p.name for p in inputs.iterdir()):
         runs.append(["decompose", *cell(2, 2), "--poly", str(inputs / name)])
         runs.append(["export", "--what", "decomposition", *cell(2, 2), "--poly", str(inputs / name)])
+    mixed = str(inputs / "mixed_n3.json")
+    runs += [["decompose", *cell(3, 6), "--method", m, "--poly", mixed] for m in ("solve", "both")]
+    runs.append(["export", "--what", "decomposition", *cell(3, 6), "--method", "solve", "--poly", mixed])
     runs += [
         [],
         ["nosuch"],
@@ -136,6 +144,12 @@ def write_inputs(inputs: Path) -> None:
         # rejected; trees without that check read 0.1 as its binary fraction, true as 1
         "float.json": [{"exponents": [1, 0], "coeff": 0.1}],
         "bool.json": [{"exponents": [1, 0], "coeff": True}],
+        # a member of S_6 in n = 3 whose moments carry mixed denominators
+        "mixed_n3.json": [
+            {"exponents": e, "coeff": c}
+            for e, c in (([0, 0, 0], "1/3"), ([2, 1, 0], "-5/7"), ([4, 1, 2], "3/11"),
+                         ([1, 1, 1], 4), ([0, 6, 0], "-2/9"), ([2, 2, 2], "13/6"))
+        ],
     }
     for name, terms in files.items():
         (inputs / name).write_text(json.dumps(terms))
