@@ -18,7 +18,6 @@ from .cubegeom import (
     all_faces,
     enumerate_faces,
     face_contains,
-    face_moments,
     full_cube,
     restrict_to_face,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "all_faces",
     "enumerate_faces",
     "face_contains",
-    "face_moments",
     "full_cube",
     "restrict_to_face",
     "SpaceBasis",

@@ -10,6 +10,9 @@ the face lattice ordering is reverse inclusion of constraint sets.
 Faces of each dimension are enumerated in a fixed deterministic order:
 lexicographic on the set of pinned axes, then lexicographic on the sign
 pattern with -1 before +1.
+
+Every face moment of the package is read from ``face_moment``, as a
+product over the axes of a point value at a pin or a 1-D moment.
 """
 
 from __future__ import annotations
@@ -17,11 +20,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
-from typing import Callable, Mapping
+from typing import Mapping, Optional, Sequence
 
-from .exactpoly import Exponents, Polynomial, axis_moment
+from .exactpoly import Exponents, Polynomial
 
 __all__ = [
     "Face",
@@ -32,7 +35,6 @@ __all__ = [
     "face_contains",
     "restrict_to_face",
     "face_moment",
-    "face_moments",
 ]
 
 
@@ -67,8 +69,13 @@ class Face:
 
     @cached_property
     def free_indices(self) -> tuple[int, ...]:
-        pinned = set(self.fixed_indices)
-        return tuple(i for i in range(self.n) if i not in pinned)
+        return tuple(i for i, s in enumerate(self.signs) if not s)
+
+    @cached_property
+    def signs(self) -> tuple[int, ...]:
+        """Per axis, the sign it is pinned at, or 0 when it is free."""
+        pins = dict(self.fixed)
+        return tuple(pins.get(i, 0) for i in range(self.n))
 
     def __str__(self) -> str:
         if not self.fixed:
@@ -166,41 +173,34 @@ def restrict_to_face(p: Polynomial, face: Face) -> Polynomial:
     return Polynomial(p.n, ((tuple(map(mul, e, keep)), c) for e, c in signed))
 
 
-def face_moment(face: Face, exponents: Exponents) -> Fraction:
-    """Integral of a single monomial over a face.
+def face_moment(
+    face: Face, exponents: Exponents, factors: Optional[Sequence[Sequence[int]]] = None
+) -> Fraction:
+    """Integral over a face of x^e times, when given, a product of one
+    factor per axis: factors[j] holds the integer coefficients of 1, t,
+    t^2, ... of a polynomial in x_j alone.
 
-    Pinned axes contribute sign**exponent, free axes the interval moment
-    of t**exponent.  A vertex uses the counting measure, so its moment
-    is plain point evaluation.
+    Along an axis pinned at s the integrand t^e f(t) is evaluated at s,
+    along a free axis it is integrated over [-1, 1], where t^k has the
+    moment 2 / (k + 1) for even k and 0 for odd k.  A vertex uses the
+    counting measure, so its moment is plain point evaluation.  The
+    axes are multiplied in integers and divided once at the end.
     """
-    value = Fraction(1)
-    for i, s in face.fixed:
-        if s < 0 and exponents[i] % 2:
-            value = -value
-    for i in face.free_indices:
-        m = axis_moment(exponents[i])
-        if not m:
+    if len(exponents) != face.n:
+        raise ValueError(f"{face} needs {face.n} exponents, got {exponents!r}")
+    if factors is not None and len(factors) != face.n:
+        raise ValueError(f"{face} needs {face.n} factors, got {len(factors)}")
+    num = den = 1
+    for j, (s, e) in enumerate(zip(face.signs, exponents)):
+        terms = ((e, 1),) if factors is None else enumerate(factors[j], e)
+        if s:
+            num *= sum(-c if s < 0 and k % 2 else c for k, c in terms)
+        else:
+            top, bottom = 0, 1
+            for k, c in terms:
+                if c and not k % 2:
+                    top, bottom = top * (k + 1) + 2 * c * bottom, bottom * (k + 1)
+            num, den = num * top, den * bottom
+        if not num:
             return Fraction(0)
-        value *= m
-    return value
-
-
-def face_moments(p: Polynomial, face: Face) -> Callable[[Exponents], Fraction]:
-    """The moments of p over a face, as a function of the weight: the
-    weight's exponents w map to the integral of x^w times p over the face.
-
-    p is traced onto the face once, which merges the terms that differ
-    only on pinned axes, and each weight's moment is computed once.
-    """
-    if p.n != face.n:
-        raise ValueError(f"polynomial has n={p.n}, face has n={face.n}")
-    terms = restrict_to_face(p, face).terms()
-
-    @cache
-    def moment(weight: Exponents) -> Fraction:
-        return sum(
-            (c * face_moment(face, tuple(a + b for a, b in zip(e, weight))) for e, c in terms),
-            Fraction(0),
-        )
-
-    return moment
+    return Fraction(num, den)

@@ -56,7 +56,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from math import lcm, prod
 from operator import add, mul
 from typing import Iterable, Literal, Optional, Sequence
@@ -65,7 +65,7 @@ from .cubegeom import (
     Face,
     enumerate_faces,
     face_contains,
-    face_moments,
+    face_moment,
     face_symmetry,
     full_cube,
     restrict_to_face,
@@ -125,8 +125,7 @@ def _bubble_factors(face: Face) -> tuple[tuple[int, int, int], ...]:
     """Per axis, the coefficients (c0, c1, c2) of the bubble's factor
     c0 + c1 t + c2 t^2: 1 - t^2 on a free axis, 1 + c t on an axis
     pinned at c."""
-    pins = dict(face.fixed)
-    return tuple((1, pins[j], 0) if j in pins else (1, 0, -1) for j in range(face.n))
+    return tuple((1, c, 0) if c else (1, 0, -1) for c in face.signs)
 
 
 @lru_cache(maxsize=None)
@@ -182,16 +181,14 @@ def pairing_block(face: Face, other: Face, r: int) -> RationalMatrix:
     """The block K[F, G] of the pairing: row w, column q holds the DOF of
     face F with weight x^w applied to the component b_G x^q of face G.
 
-    Each entry is the face moment of x^(w + q) times the trace of b_G on
-    F, so it depends on w + q only and is computed once per sum.
+    Each entry is the moment over F of x^(w + q) times the factors of
+    b_G, one per axis, so it depends on w + q only and is computed once
+    per sum.
     """
     index = face_monomials(face.n, r)
-    moment = face_moments(bubble(other), face)
+    moment = cache(partial(face_moment, face, factors=_bubble_factors(other)))
     return RationalMatrix(
-        [
-            [moment(tuple(a + b for a, b in zip(w, q))) for q in index[other]]
-            for w in index[face]
-        ]
+        [[moment(tuple(map(add, w, q))) for q in index[other]] for w in index[face]]
     )
 
 
@@ -520,9 +517,10 @@ def decompose(
     solve method reads the component coordinates C^-1 p as X (D p): the
     DOF values of p, face by face, mapped through the pairing inverse
     X = K^-1, whose block X[F, H] sends the values on H to multipliers on
-    each face F containing H.  The moments on H are read from the trace
-    of p on the face above H, the one with the last pin of H released,
-    and that trace from the face above it: a restriction of a trace is
+    each face F containing H.  The moments on H are summed term by term
+    over the trace of p on H, with one ``face_moment`` per distinct
+    exponent sum.  That trace is read from the trace on the face above H,
+    the one with the last pin of H released: a restriction of a trace is
     the trace, and far smaller than p.  ``_multipliers`` maps the values.
     """
     n = p.n
@@ -544,7 +542,9 @@ def decompose(
 
         values = []
         for col, weights in index.items():
-            values.extend(map(face_moments(trace(Face(n, col.fixed[:-1])), col), weights))
+            terms = trace(col).terms()
+            moment = cache(partial(face_moment, col))
+            values.extend(sum(c * moment(tuple(map(add, e, w))) for e, c in terms) for w in weights)
         den, multipliers = _multipliers(values, n, r)
         for face, terms in multipliers.items():
             acc[face] = [(q, Fraction(y, den)) for q, y in terms.items() if y]
@@ -621,18 +621,24 @@ def facet_kernel_check(n: int, r: int) -> FacetKernelResult:
     facet as (b there) x^q, so b vanishing on the 2n facets contains
     them; c^T G c is the cube integral of (b sum c_q x^q)^2, so their
     Gram matrix G is positive definite exactly when they are independent.
-    Its entry for b x^w and b x^q is the cube moment of b^2 at w + q.
+    b is a product of one factor per axis, so it vanishes on the facet
+    x_j = s when its factor along x_j does at s, and b^2 is the product
+    of the squared factors: the entry for b x^w and b x^q is the cube
+    moment of x^(w + q) times those.
     """
     culprit = certify_pairing(n, r)
     expected_dim = dim_P(n, r - 2 * n)
-    cube_bubble = bubble(full_cube(n))
+    cube = full_cube(n)
+    factors = _bubble_factors(cube)
     multipliers = monomials_total_degree_at_most(n, tuple(range(n)), r - 2 * n)
     contained, gram = True, RationalMatrix([])
     if multipliers:
-        contained = not any(restrict_to_face(cube_bubble, f) for f in enumerate_faces(n, n - 1))
-        moment = face_moments(cube_bubble * cube_bubble, full_cube(n))
+        contained = not any(sum(c * s**k for k, c in enumerate(f)) for f in factors for s in (-1, 1))
+        squares = [[sum(f[i] * f[k - i] for i in range(len(f)) if k - i in range(len(f)))
+                    for k in range(2 * len(f) - 1)] for f in factors]
+        moment = cache(partial(face_moment, cube, factors=squares))
         gram = RationalMatrix(
-            [[moment(tuple(a + b for a, b in zip(w, q))) for q in multipliers] for w in multipliers]
+            [[moment(tuple(map(add, w, q))) for q in multipliers] for w in multipliers]
         )
     positive_definite = gram.is_positive_definite()
     return FacetKernelResult(

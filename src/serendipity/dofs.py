@@ -259,8 +259,8 @@ def dofs_Q(n: int, r: int) -> tuple[DofFunctional, ...]:
 
 
 def apply_dof(functional: DofFunctional, p: Polynomial) -> Fraction:
-    """Evaluate one functional on a polynomial, exactly and term by term:
-    the plain reference that ``cubegeom.face_moments`` is checked against."""
+    """Evaluate one functional on a polynomial, exactly and term by term,
+    one ``cubegeom.face_moment`` per term."""
     if p.n != functional.face.n:
         raise ValueError("polynomial and functional have different variable counts")
     face, w = functional.face, functional.exponents

@@ -34,7 +34,6 @@ __all__ = [
     "monomial_str",
     "grlex_key",
     "superlinear_degree",
-    "axis_moment",
 ]
 
 
@@ -354,9 +353,3 @@ def _walk_plan(plan, xs: list[float], axis: int) -> float:
         prev = e
     return acc * x**prev if prev else acc
 
-
-def axis_moment(exponent: int) -> Fraction:
-    """Integral of t**exponent over [-1, 1]: zero for odd powers."""
-    if exponent % 2:
-        return Fraction(0)
-    return Fraction(2, exponent + 1)

@@ -14,11 +14,11 @@ from serendipity.cubegeom import (
     enumerate_faces,
     face_contains,
     face_moment,
-    face_moments,
     face_symmetry,
     full_cube,
     restrict_to_face,
 )
+from serendipity.dofs import DofFunctional, apply_dof
 from serendipity.exactpoly import Polynomial
 
 
@@ -37,6 +37,11 @@ def moment_oracle(p: Polynomial, face: Face, weight=None) -> Fraction:
                 term *= Fraction(2, e + 1) if e % 2 == 0 else 0
         total += term
     return total
+
+
+def moment(p: Polynomial, face: Face, weight) -> Fraction:
+    """The moment of x^weight p over a face, one face_moment per term."""
+    return apply_dof(DofFunctional(face, weight, 0), p)
 
 
 def random_poly(rng: random.Random, n: int, terms: int = 5, max_exp: int = 4):
@@ -245,22 +250,21 @@ class TestFaceIntegration:
         x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
         edge = Face(2, ((1, 1),))
         for p, expected in ((x**2, Fraction(2, 3)), (x * y, 0)):
-            assert face_moments(p, edge)((0, 0)) == expected == moment_oracle(p, edge)
+            assert moment(p, edge, (0, 0)) == expected == moment_oracle(p, edge)
 
     def test_vertex_uses_counting_measure(self):
         x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
         vertex = Face(2, ((0, 1), (1, 1)))
         p = x * y + 2
-        assert face_moments(p, vertex)((0, 0)) == 3 == moment_oracle(p, vertex)
+        assert moment(p, vertex, (0, 0)) == 3 == moment_oracle(p, vertex)
 
     def test_full_cube_matches_box_integration(self):
         rng = random.Random(3)
         cube = full_cube(3)
         for _ in range(20):
             p = random_poly(rng, 3)
-            moment = face_moments(p, cube)
             for w in ((0, 0, 0), (1, 0, 2), (2, 3, 1)):
-                assert moment(w) == moment_oracle(p, cube, w)
+                assert moment(p, cube, w) == moment_oracle(p, cube, w)
 
     def test_integral_equals_restrict_then_integrate(self):
         rng = random.Random(4)
@@ -269,13 +273,36 @@ class TestFaceIntegration:
             p = random_poly(rng, 3)
             trace = restrict_to_face(p, face)
             for w in ((0, 0, 0), (0, 2, 0), (3, 1, 2)):
-                direct = face_moments(p, face)(w)
-                assert direct == face_moments(trace, face)(w)
+                direct = moment(p, face, w)
+                assert direct == moment(trace, face, w)
                 assert direct == moment_oracle(p, face, w)
 
     def test_mismatched_n_raises(self):
-        with pytest.raises(ValueError):
-            face_moments(Polynomial.one(2), full_cube(3))
+        # an exponent or factor per axis, no more and no fewer
+        with pytest.raises(ValueError, match="needs 1 exponents"):
+            face_moment(Face(1, ()), (2, 5))
+        with pytest.raises(ValueError, match="needs 3 exponents"):
+            face_moment(Face(3, ((0, 1),)), (2, 0))
+        for factors in (((1,),) * 2, ((1,),) * 4):
+            with pytest.raises(ValueError, match="needs 3 factors"):
+                face_moment(full_cube(3), (0, 0, 0), factors)
+
+    def test_factors_match_the_expanded_product(self):
+        # x^e times one random factor per axis, against the oracle on the
+        # product expanded into monomials; vertices included
+        rng = random.Random(5)
+        for n in (1, 2, 3):
+            for face in all_faces(n):
+                for _ in range(4):
+                    factors = [
+                        [rng.randint(-3, 3) for _ in range(rng.randint(1, 4))] for _ in range(n)
+                    ]
+                    product = Polynomial.one(n)
+                    for j, f in enumerate(factors):
+                        t = Polynomial.variable(n, j)
+                        product *= sum((c * t**k for k, c in enumerate(f)), Polynomial.zero(n))
+                    e = tuple(rng.randint(0, 3) for _ in range(n))
+                    assert face_moment(face, e, factors) == moment_oracle(product, face, e)
 
     def test_face_moment_odd_free_exponent_vanishes(self):
         face = Face(3, ((0, 1),))

@@ -9,6 +9,7 @@ import random
 import re
 from fractions import Fraction
 from math import comb, lcm
+from operator import add
 
 import pytest
 
@@ -36,8 +37,10 @@ from serendipity.decomp import (
     verify_direct_sum,
 )
 from serendipity.dofs import (
+    DofFunctional,
     RationalMatrix,
     SingularMatrixError,
+    apply_dof,
     check_unisolvence,
     dof_matrix,
     dofs_S,
@@ -307,6 +310,23 @@ class TestPairing:
                 if face in index:
                     expected = pairing_block(representative, representative, r)
                     assert pairing_block(face, face, r) == expected, face
+
+    @pytest.mark.parametrize("n, r", [(n, r) for n in (1, 2, 3) for r in range(1, 7)] + [(4, 8)])
+    def test_blocks_match_the_bubble_trace(self, n, r):
+        # the earlier pairing block, kept as an oracle: b_G expanded into
+        # monomials and traced onto F, each entry a DOF applied term by term
+        index = face_monomials(n, r)
+        for outer in index:
+            for inner in index:
+                if not face_contains(outer, inner):
+                    continue
+                trace = restrict_to_face(bubble(inner), outer)
+                expected = [
+                    [apply_dof(DofFunctional(outer, tuple(map(add, w, q)), 0), trace)
+                     for q in index[inner]]
+                    for w in index[outer]
+                ]
+                assert pairing_block(outer, inner, r).to_lists() == expected, (outer, inner)
 
     @pytest.mark.parametrize("n, r", [(1, 3), (2, 3), (2, 4), (3, 3)])
     def test_blocks_are_slices_of_dof_times_component_matrix(self, n, r):
@@ -593,12 +613,12 @@ class TestDecomposeTraces:
 
     @pytest.mark.parametrize("n, r", [(2, 4), (3, 5), (4, 6)])
     def test_matches_restriction_of_the_input(self, n, r):
-        # the earlier solve: each face's moments from p restricted afresh
+        # the earlier solve: each face's moments from p itself, term by term
         p = random_space_member(random.Random(37), n, r)
         index = face_monomials(n, r)
         acc = {face: dict.fromkeys(exps, Fraction(0)) for face, exps in index.items()}
         for col, column in all_columns_inverse(n, r).items():
-            values = [decomp.face_moments(p, col)(w) for w in index[col]]
+            values = [apply_dof(DofFunctional(col, w, 0), p) for w in index[col]]
             for face, block in column.items():
                 for q, row in zip(index[face], block):
                     acc[face][q] += sum((a * b for a, b in zip(row, values)), Fraction(0))
@@ -833,18 +853,38 @@ class TestFacetKernel:
         assert not result.ok
 
     def test_bubble_off_a_facet_is_not_contained(self, fresh_caches, monkeypatch):
-        real = decomp.bubble
+        # the cube bubble vanishes on x1 = +-1 but along x2 its factor is
+        # 1 at both ends (r = 4), 1 - t, nonzero at -1 (r = 5), or 1 + t,
+        # nonzero at +1 (r = 6)
+        real = decomp._bubble_factors
+        leaks = {4: (1, 0, 0), 5: (1, -1, 0), 6: (1, 1, 0)}
 
         def leaky(face):
             if face == full_cube(face.n):
-                # vanishes on x1 = +-1 but not on x2 = +-1
-                return real(face) + 1 - Polynomial.variable(face.n, 0) ** 2
+                return real(face)[:1] + (leaks[r],)
             return real(face)
 
-        monkeypatch.setattr(decomp, "bubble", leaky)
-        result = facet_kernel_check(2, 4)
-        assert not result.candidates_contained
-        assert not result.ok
+        monkeypatch.setattr(decomp, "_bubble_factors", leaky)
+        for r in leaks:
+            result = facet_kernel_check(2, r)
+            assert not result.candidates_contained
+            assert not result.ok
+
+    @pytest.mark.parametrize("n, r", [(2, 4), (3, 8), (4, 10)])
+    def test_gram_matches_moments_of_the_squared_bubble(self, n, r):
+        # the earlier Gram, kept as an oracle: the cube bubble expanded into
+        # monomials, squared, and integrated term by term
+        result = facet_kernel_check(n, r)
+        b = bubble(full_cube(n))
+        assert not any(restrict_to_face(b, f) for f in enumerate_faces(n, n - 1))
+        assert result.candidates_contained
+        weights = decomp.monomials_total_degree_at_most(n, tuple(range(n)), r - 2 * n)
+        square = b * b
+        assert result.gram.to_lists() == [
+            [box_integral_oracle(square * Polynomial.from_monomial(tuple(map(add, w, q))))
+             for q in weights]
+            for w in weights
+        ]
 
     def test_serialization(self):
         obj = facet_kernel_check(2, 4).to_json_obj()

@@ -9,13 +9,15 @@ product.  The oracles share no code with the implementations under test.
 from __future__ import annotations
 
 import copy
+import itertools
 import pickle
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
-from serendipity.cubegeom import Face, all_faces, face_moments, full_cube
+from serendipity.cubegeom import Face, all_faces, face_moment, full_cube
 from serendipity.dofs import (
     DofFunctional,
     RationalMatrix,
@@ -304,23 +306,28 @@ class TestApplyDof:
         L = DofFunctional(full_cube(1), (0,), 0)
         assert apply_dof(L, 1 - x**2) == Fraction(4, 3)
 
+    def test_mismatched_n_raises(self):
+        with pytest.raises(ValueError, match="different variable counts"):
+            apply_dof(DofFunctional(full_cube(3), (0, 0, 0), 0), Polynomial.one(2))
+
     def test_face_moments_match_the_term_by_term_reference(self):
+        # face_moment with one factor per axis against the DOF applied to
+        # the product of the factors, term by term
         rng = random.Random(21)
         for n in (1, 2, 3):
             for face in all_faces(n):
+                factors = [[rng.randint(-9, 9) for _ in range(rng.randint(1, 5))] for _ in range(n)]
                 p = Polynomial(
                     n,
-                    {
-                        tuple(rng.randint(0, 4) for _ in range(n)): Fraction(
-                            rng.randint(-9, 9), rng.randint(1, 5)
-                        )
-                        for _ in range(6)
-                    },
+                    (
+                        (tuple(k for k, _ in picks), prod(c for _, c in picks))
+                        for picks in itertools.product(*map(enumerate, factors))
+                    ),
                 )
-                moment = face_moments(p, face)
                 for _ in range(4):
                     w = tuple(rng.randint(0, 3) for _ in range(n))
-                    assert moment(w) == apply_dof(DofFunctional(face, w, 0), p)
+                    expected = apply_dof(DofFunctional(face, w, 0), p)
+                    assert face_moment(face, w, factors) == expected
 
     def test_linearity(self):
         rng = random.Random(20)

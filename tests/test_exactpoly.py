@@ -14,11 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from serendipity.cubegeom import face_moments, full_cube
-from serendipity.dofs import nodal_basis
+from serendipity.cubegeom import Face, face_moment, full_cube
+from serendipity.dofs import DofFunctional, apply_dof, nodal_basis
 from serendipity.exactpoly import (
     Polynomial,
-    axis_moment,
     grlex_key,
     monomial_str,
     superlinear_degree,
@@ -461,12 +460,13 @@ class TestIntegration:
         [(0, Fraction(2)), (1, Fraction(0)), (2, Fraction(2, 3)), (4, Fraction(2, 5))],
     )
     def test_axis_moment(self, exp, expected):
-        assert axis_moment(exp) == expected
+        # the interval moment of t^exp is the moment over the 1-cube
+        assert face_moment(Face(1, ()), (exp,)) == expected
 
     # the box integral is the face moment over the full cube, with weight 1
     @staticmethod
     def box_integral(p: Polynomial) -> Fraction:
-        return face_moments(p, full_cube(p.n))((0,) * p.n)
+        return apply_dof(DofFunctional(full_cube(p.n), (0,) * p.n, 0), p)
 
     def test_square_over_the_square(self):
         x = Polynomial.variable(2, 0)

@@ -9,7 +9,9 @@ covers every command and format over n <= 3, r <= 5; every export
 artifact and family; the nodal, decomposition and evalgrid exports at
 (3, 6) and (3, 8); ``decompose --method solve`` at (4, 6), (5, 6),
 (6, 4) and (4, 10), the last with the largest denominator of the pairing
-inverse among them, and the solve decomposition export of
+inverse among them; the nodal export at (4, 8), which prints every
+coefficient derived from the pairing inverse at n = 4; the solve
+decomposition export of
 x1^2 x2 x4 x5^2 at (5, 6), where the pairing inverse's blocks are mapped
 as they are read; an n = 3 ``--poly`` member with mixed denominators
 through ``decompose --method solve|both`` and the solve decomposition
@@ -77,6 +79,7 @@ def invocations(inputs: Path) -> list[list[str]]:
         runs.append(["export", "--what", "evalgrid", *cell(n, r), "--points", "3"])
     runs += [["decompose", *cell(n, r), "--method", "solve"]
              for n, r in ((4, 6), (5, 6), (6, 4), (4, 10))]
+    runs.append(["export", "--what", "nodal", *cell(4, 8)])
     runs.append(["export", "--what", "decomposition", *cell(5, 6), "--method", "solve",
                  "--alpha", "2,1,0,1,2"])
     # the certified checks near the caps, where they need no dense rank
