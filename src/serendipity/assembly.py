@@ -6,8 +6,10 @@ left element exposes its {x_axis = +1} facet, the right its
 coordinate systems is the identity on the remaining n - 1 coordinates.
 DOFs supported on the shared facet (or any of its subfaces) pair up
 across the elements with identical weight polynomials, so giving paired
-DOFs equal values must produce equal traces.  Axes are 0-based here and
-1-based in serialized reports.
+DOFs equal values must produce equal traces: ``trace_certificate``
+proves it on every axis by the paper's trace argument, and
+``check_continuity`` adds seeded trials and controls on one axis.  Axes
+are 0-based here and 1-based in serialized reports.
 """
 
 from __future__ import annotations
@@ -15,17 +17,19 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import lru_cache
+from typing import Optional, Sequence
 
 from .cubegeom import Face, face_contains, restrict_to_face
-from .decomp import _expand, _multipliers
-from .dofs import DofFunctional, dofs_S, nodal_basis
-from .exactpoly import Polynomial, Scalar
-from .spaces import dim_S_formula
+from .decomp import _expand, _multipliers, certify_pairing
+from .dofs import DofFunctional, SingularMatrixError, dofs_S, nodal_basis
+from .exactpoly import Exponents, Polynomial, Scalar, monomial_str
+from .spaces import basis_S, face_monomials
 
 __all__ = [
     "ElementPair",
     "shared_dof_pairs",
+    "trace_certificate",
     "interpolate",
     "ContinuityReport",
     "check_continuity",
@@ -75,8 +79,8 @@ def shared_dof_pairs(
     """Pair each left DOF on the shared facet with its right counterpart.
 
     Both sides carry the same weight monomial in the n - 1 shared
-    coordinates; the pairing is a bijection whose size equals the DOF
-    count of the (n - 1)-dimensional element of the same degree.
+    coordinates; the pairing is a bijection, and ``trace_certificate``
+    checks that its left side is the DOF set of the (n - 1)-element.
     """
     pair = ElementPair(n, axis)
     functionals = dofs_S(n, r)
@@ -100,9 +104,73 @@ def shared_dof_pairs(
             f"{len(right_lookup)} unmatched right-side DOFs remain, "
             f"first {next(iter(right_lookup.values()))}"
         )
-    if n >= 2 and len(pairs) != dim_S_formula(n - 1, r):
-        raise AssertionError("shared DOF count does not match the facet element")
     return tuple(pairs)
+
+
+def _facet_coordinates(
+    face: Face, weights: Sequence[Exponents], axis: int
+) -> tuple[Face, tuple[Exponents, ...]]:
+    """A face in the facet {x_axis = +1} and its DOF weights in the
+    coordinates of the (n - 1)-cube: the pin and the exponent of x_axis
+    go, later axes move down by one."""
+    pins = tuple((i - (i > axis), s) for i, s in face.fixed if i != axis)
+    return Face(face.n - 1, pins), tuple(w[:axis] + w[axis + 1 :] for w in weights)
+
+
+@lru_cache(maxsize=None)
+def trace_certificate(n: int, r: int) -> Optional[str]:
+    """Certify the paper's trace argument on every glue axis a: matching
+    shared DOF values force equal traces.  Returns None when every part
+    holds, else names the first failure with its axis and face:
+
+    (i) restriction: every monomial of S_r(n) with x_a dropped is in
+        S_r(n - 1), so both traces lie in the facet element's space;
+    (ii) facet DOFs: the left DOFs of ``shared_dof_pairs(n, r, a)``, in
+        the coordinates without x_a, are exactly the index
+        ``face_monomials(n - 1, r)``, the same faces with the same
+        weights; at n = 1 the one shared DOF is the vertex value;
+    (iii) facet element: ``certify_pairing(n - 1, r)`` holds, so that
+        element is unisolvent.
+
+    Read together with ``certify_pairing(n, r)``, which puts each weight
+    on its face's free axes, so a left and a right DOF of one pair take
+    the same value on the two traces.  The traces then differ by a member
+    of S_r(n - 1) whose DOFs all vanish, which is zero.
+    """
+    if n == 1:
+        pairs = shared_dof_pairs(1, r, 0)
+        vertex = ElementPair(1, 0).left_shared_face
+        if [(L.face, L.exponents) for L, _ in pairs] != [(vertex, (0,))]:
+            return f"facet DOFs on axis 1: the shared DOFs are not the value at {vertex}"
+        return None
+    culprit = certify_pairing(n - 1, r)
+    if culprit is not None:
+        return f"facet element: the pairing at n={n - 1}, r={r} is not certified: {culprit}"
+    facet_basis = set(basis_S(n - 1, r))
+    index = face_monomials(n - 1, r)
+    for axis in range(n):
+        for e in basis_S(n, r):
+            if e[:axis] + e[axis + 1 :] not in facet_basis:
+                return (
+                    f"restriction on axis {axis + 1}: the trace of {monomial_str(e)} on "
+                    f"{ElementPair(n, axis).left_shared_face} is not in S_{r} of the facet element"
+                )
+        try:
+            pairs = shared_dof_pairs(n, r, axis)
+        except AssertionError as err:
+            return f"facet DOFs on axis {axis + 1}: {err}"
+        on_face: dict[Face, list[Exponents]] = {}
+        for L, _ in pairs:
+            on_face.setdefault(L.face, []).append(L.exponents)
+        got = dict(_facet_coordinates(face, ws, axis) for face, ws in on_face.items())
+        for face in [*index, *got]:
+            weights, expected = got.get(face, ()), index.get(face, ())
+            if weights != expected:
+                return (
+                    f"facet DOFs on axis {axis + 1}: the shared DOFs on {face} of the "
+                    f"facet element have the weights {weights}, not {expected}"
+                )
+    return None
 
 
 def _combination(
@@ -164,42 +232,49 @@ def _random_values(rng: random.Random, count: int) -> list[Fraction]:
 def check_continuity(
     n: int, r: int, axis: int = 0, trials: int = 25, seed: int = 0
 ) -> ContinuityReport:
-    """Seeded trials of the conformity property, plus negative controls.
+    """Seeded trials of the conformity property on one axis, plus negative
+    controls, once ``trace_certificate`` holds on every axis.
 
     Each trial draws independent DOF values for both elements, copies
     the shared values from left to right, and compares the two facet
     traces exactly.  Their gap is linear in the values: a shared pair
-    (L, R) adds tr_left(phi_L) - tr_right(phi_R) times the value of L,
-    any other DOF its own trace (negated on the right) times its value.
-    These defects are formed once per call, so on a conforming element a
-    trial reads no trace term.  The controls bump one shared DOF at a
-    time on the right element of the last trial, adding that DOF's nodal
-    trace; a bump is detected unless that trace equals the gap.  Raises
-    ValueError for trials < 1.
+    (L, R) adds the defect tr_left(phi_L) - tr_right(phi_R) times the
+    value of L.  No other DOF adds anything, by ``certify_pairing(n, r)``,
+    which ``nodal_basis`` requires: its nodal function is a sum of
+    bubbles of faces off the facet, each with a factor along the glue
+    axis, 1 - t^2 or 1 + c t with c the other sign, that vanishes there.
+    So only the 2 dim S_r(n - 1) shared functions are traced.  The trace
+    certificate proves every defect zero, and then no value is drawn;
+    otherwise each trial draws 2N values, the left element's first, so a
+    seed fixes its report.  The controls bump one shared DOF at a time on
+    the right element of the last trial, adding that DOF's right trace;
+    a bump is detected unless that trace equals the gap.  Raises
+    SingularMatrixError naming the failing part, axis and face when a
+    certificate fails, and ValueError for trials < 1.
     """
     if trials < 1:
         raise ValueError(f"continuity needs trials >= 1, got {trials}")
     pair = ElementPair(n, axis)
     phis = nodal_basis(n, r)
+    culprit = trace_certificate(n, r)
+    if culprit is not None:
+        raise SingularMatrixError(f"continuity at n={n}, r={r} is not certified: {culprit}")
     pairs = shared_dof_pairs(n, r, axis)
-    left_traces = [restrict_to_face(phi, pair.left_shared_face) for phi in phis]
-    right_traces = [restrict_to_face(phi, pair.right_shared_face) for phi in phis]
-    # defect k is weighted by value k of the left element, then of the right
-    defects = left_traces + [-trace for trace in right_traces]
-    for L, R in pairs:
-        defects[L.index] -= right_traces[R.index]
-        defects[len(phis) + R.index] = Polynomial.zero(n)
-    defects = [(k, d) for k, d in enumerate(defects) if d]
-    rng = random.Random(seed)
-
-    results = []
-    for _ in range(trials):
-        # every value is drawn, even those no defect reads, so a seed fixes its report
-        values = _random_values(rng, len(phis)) + _random_values(rng, len(phis))
-        gap = _combination(n, [values[k] for k, _ in defects], [d for _, d in defects])
-        results.append(not gap)
-
-    detections = [right_traces[R.index] != gap for _, R in pairs]
+    right_traces = [restrict_to_face(phis[R.index], pair.right_shared_face) for _, R in pairs]
+    left_traces = (restrict_to_face(phis[L.index], pair.left_shared_face) for L, _ in pairs)
+    defects = [
+        (L.index, left - right)
+        for (L, _), left, right in zip(pairs, left_traces, right_traces)
+        if left != right
+    ]
+    gap = Polynomial.zero(n)
+    results = [True] * trials
+    if defects:
+        rng = random.Random(seed)
+        for t in range(trials):
+            values = _random_values(rng, len(phis)) + _random_values(rng, len(phis))
+            gap = _combination(n, [values[k] for k, _ in defects], [d for _, d in defects])
+            results[t] = not gap
 
     return ContinuityReport(
         n=n,
@@ -209,13 +284,15 @@ def check_continuity(
         seed=seed,
         shared_count=len(pairs),
         trial_traces_equal=tuple(results),
-        perturbations_detected=tuple(detections),
+        perturbations_detected=tuple(trace != gap for trace in right_traces),
     )
 
 
 def trace_locality_check(n: int, r: int, axis: int = 0) -> bool:
     """Every DOF away from the shared facet has a nodal function with zero
-    trace there, so zeroing those DOFs never changes the trace."""
+    trace there, so zeroing those DOFs never changes the trace.  It traces
+    every nodal function: the full-trace oracle of the lemma by which
+    ``check_continuity`` traces only the shared ones."""
     face = ElementPair(n, axis).left_shared_face
     return not any(
         restrict_to_face(phi, face)

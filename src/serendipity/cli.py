@@ -16,7 +16,10 @@ seconds (under 2 s for each n at r = 12 on a shared 2-vCPU machine);
 whatever reads the pairing inverse behind the nodal basis
 (continuity, decompose, nodal, decomposition and evalgrid exports) grows
 with the space dimension and can take minutes or more near the caps,
-because all arithmetic is exact.  The evalgrid export groups each nodal
+because all arithmetic is exact.  Continuity certifies the trace
+argument on every axis, builds the nodal basis and traces only the
+2 dim S_r(n - 1) nodal functions of the shared DOFs: at (6, 6) the three
+take 0.3-0.4 s, 2.7 s and 4.6 s.  The evalgrid export groups each nodal
 function's terms for Horner evaluation once, so each grid point costs one
 float pass over those terms.  Axes in flags and reports are 1-based,
 matching the serialized face convention; the Python API is 0-based.
@@ -32,7 +35,6 @@ import os
 import sys
 import traceback
 from argparse import Namespace
-from concurrent.futures import ProcessPoolExecutor
 from csv import writer as csv_writer
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -397,6 +399,9 @@ def cmd_verify(args: Namespace) -> int:
     ]
     workers = min(args.jobs, len(items))
     if workers > 1:
+        # imported here, so that no other command loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_verify_cell, items))
     else:

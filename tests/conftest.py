@@ -17,7 +17,8 @@ def _clear_caches() -> None:
 @pytest.fixture
 def fresh_caches():
     """Empty every cache of the package before and after the test, so a
-    monkeypatched helper is seen and leaves nothing behind."""
+    monkeypatched helper is seen and leaves nothing behind.  Calling the
+    fixture's value empties them again, for a helper patched mid-test."""
     _clear_caches()
-    yield
+    yield _clear_caches
     _clear_caches()

@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 from math import comb
 
-from serendipity.assembly import check_continuity
+from serendipity.assembly import check_continuity, trace_certificate
 from serendipity.cli import main
 from serendipity.cubegeom import all_faces, enumerate_faces, face_contains, restrict_to_face
 from serendipity.decomp import (
@@ -284,7 +284,12 @@ def test_c10_facet_vanishing_subspace(capsys):
 
 
 def test_c11_continuity(capsys):
-    failures = []
+    failures = [
+        (n, r, culprit)
+        for n in range(1, 5)
+        for r in range(1, 9)
+        if (culprit := trace_certificate(n, r)) is not None
+    ]
     for n in range(1, 4):
         for r in range(1, 6):
             report = check_continuity(n, r, axis=0, trials=25, seed=SEED)
@@ -294,7 +299,10 @@ def test_c11_continuity(capsys):
                 failures.append((n, r, "missed perturbation"))
     ok = not failures
     with capsys.disabled():
-        _report(11, "two-element continuity", ok, "n<=3, r<=5, 25 trials each")
+        _report(
+            11, "two-element continuity", ok,
+            "certificate on every axis n<=4, r<=8; n<=3, r<=5, 25 trials each",
+        )
     assert ok, failures
 
 

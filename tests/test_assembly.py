@@ -2,25 +2,46 @@
 
 from __future__ import annotations
 
+import json
 import random
 import sys
 from fractions import Fraction
 
 import pytest
 
-from serendipity import assembly
+from serendipity import assembly, decomp
 from serendipity.assembly import (
     ContinuityReport,
     ElementPair,
     check_continuity,
     interpolate,
     shared_dof_pairs,
+    trace_certificate,
     trace_locality_check,
 )
-from serendipity.cubegeom import Face, face_contains, restrict_to_face
-from serendipity.dofs import dofs_S, nodal_basis
-from serendipity.exactpoly import Polynomial
+from serendipity.cli import main
+from serendipity.cubegeom import Face, face_contains, full_cube, restrict_to_face
+from serendipity.dofs import SingularMatrixError, dofs_S, nodal_basis
+from serendipity.exactpoly import Polynomial, monomial_str
 from serendipity.spaces import dim_S_formula
+
+
+def leak_cube_bubble(monkeypatch, n):
+    """Make the factor of the n-cube's bubble along x1 the constant 1, which
+    does not vanish on the facets x1 = +-1, so the interior nodal functions
+    would leak onto a shared facet.  Returns the pairing certificate's
+    culprit."""
+    real = decomp._bubble_factors
+    cube = full_cube(n)
+
+    def leaking(face):
+        return ((1, 0, 0),) + real(face)[1:] if face == cube else real(face)
+
+    monkeypatch.setattr(decomp, "_bubble_factors", leaking)
+    return (
+        f"bubble: along x1 the bubble of {cube} has the factor (1, 0, 0), "
+        "not (1, 0, -1) (coefficients of 1, t, t^2)"
+    )
 
 
 def added_interpolant(values, n, r):
@@ -277,17 +298,93 @@ class TestContinuity:
         assert a == b
 
     def test_conforming_gaps_read_no_trace_term(self, monkeypatch):
-        read = []
-        combine = assembly._combination
+        # every defect is zero, so no gap is formed and no value is drawn
+        read, drawn = [], []
+        combine, draw = assembly._combination, assembly._random_values
 
         def recording(n, values, polys):
             read.append(sum(len(p) for p in polys))
             return combine(n, values, polys)
 
+        def drawing(rng, count):
+            drawn.append(count)
+            return draw(rng, count)
+
         monkeypatch.setattr(assembly, "_combination", recording)
+        monkeypatch.setattr(assembly, "_random_values", drawing)
         report = check_continuity(3, 4, axis=1, trials=6, seed=2)
         assert report.ok
-        assert read == [0] * 6
+        assert read == [] and drawn == []
+
+    @pytest.mark.parametrize("n, r", [(1, 4), (2, 5), (3, 6), (4, 4)])
+    def test_traces_only_the_shared_functions(self, monkeypatch, n, r):
+        traced = []
+        restrict = assembly.restrict_to_face
+
+        def counting(p, face):
+            traced.append(face)
+            return restrict(p, face)
+
+        monkeypatch.setattr(assembly, "restrict_to_face", counting)
+        for axis in range(n):
+            traced.clear()
+            assert check_continuity(n, r, axis=axis, trials=3, seed=4).ok
+            pair = ElementPair(n, axis)
+            shared = len(shared_dof_pairs(n, r, axis))
+            assert shared == (dim_S_formula(n - 1, r) if n > 1 else 1)
+            assert list(dict.fromkeys(traced)) == [pair.right_shared_face, pair.left_shared_face]
+            assert len(traced) == 2 * shared
+
+
+class TestTraceCertificate:
+    """The paper's trace argument on every axis: each part fails with its
+    axis and face under a mutation aimed at it (part (iii) in
+    ``test_cli.py::TestUncertifiedTraceCertificate``)."""
+
+    def test_holds_on_every_axis(self):
+        for n in range(1, 5):
+            for r in range(1, 9):
+                assert trace_certificate(n, r) is None, (n, r)
+
+    def test_restriction_outside_the_facet_space_fails_i(self, monkeypatch, fresh_caches):
+        real = assembly.basis_S
+        dropped = real(2, 4).monomials[-1]
+        monkeypatch.setattr(
+            assembly, "basis_S", lambda n, r: real(n, r).monomials[:-1] if n == 2 else real(n, r)
+        )
+        e = next(e for e in real(3, 4) if e[1:] == dropped)
+        assert trace_certificate(3, 4) == (
+            f"restriction on axis 1: the trace of {monomial_str(e)} on face(x1=+1) "
+            "is not in S_4 of the facet element"
+        )
+
+    def test_broken_coordinate_map_fails_ii(self, monkeypatch, fresh_caches):
+        real = assembly._facet_coordinates
+
+        def first_axis_dropped(face, weights, axis):
+            image, _ = real(face, weights, axis)
+            return image, tuple(w[1:] for w in weights)
+
+        monkeypatch.setattr(assembly, "_facet_coordinates", first_axis_dropped)
+        # on axis 1 the map is right; on axis 2 the edge weights 1, x1 both become 1
+        assert trace_certificate(2, 3) == (
+            "facet DOFs on axis 2: the shared DOFs on cube(n=1) of the facet element "
+            "have the weights ((0,), (0,)), not ((0,), (1,))"
+        )
+        with pytest.raises(SingularMatrixError) as err:
+            check_continuity(2, 3)
+        assert str(err.value) == (
+            f"continuity at n=2, r=3 is not certified: {trace_certificate(2, 3)}"
+        )
+
+    def test_unpaired_dof_fails_ii(self, monkeypatch, fresh_caches):
+        dropped = next(L for L in dofs_S(2, 3) if L.face == Face(2, ((0, 1),)))
+        monkeypatch.setattr(
+            assembly, "dofs_S", lambda n, r: tuple(L for L in dofs_S(n, r) if L is not dropped)
+        )
+        assert trace_certificate(2, 3).startswith(
+            "facet DOFs on axis 1: 1 unmatched right-side DOFs remain, first "
+        )
 
 
 class TestTraceLocality:
@@ -300,22 +397,32 @@ class TestTraceLocality:
 class TestNonLocalNodalFunction:
     """Negative control: a nodal function whose trace leaks onto the facet."""
 
-    def test_both_checks_fail(self, monkeypatch):
+    def test_both_checks_fail(self, monkeypatch, fresh_caches):
         n, r = 2, 4
         interior = next(L.index for L in dofs_S(n, r) if not L.face.fixed)
         broken = tuple(
             phi + Polynomial.one(n) if i == interior else phi
             for i, phi in enumerate(nodal_basis(n, r))
         )
-        monkeypatch.setattr("serendipity.assembly.nodal_basis", lambda n, r: broken)
+        with monkeypatch.context() as patch:
+            patch.setattr("serendipity.assembly.nodal_basis", lambda n, r: broken)
+            for axis in range(n):
+                assert not trace_locality_check(n, r, axis=axis)
+        # continuity traces the shared functions only; what would make an
+        # interior function leak, a cube bubble that does not vanish on the
+        # facet, fails the certificate it rests on
+        culprit = leak_cube_bubble(monkeypatch, n)
+        fresh_caches()
         for axis in range(n):
-            assert not trace_locality_check(n, r, axis=axis)
-            assert not check_continuity(n, r, axis=axis, trials=5, seed=1).ok
+            with pytest.raises(SingularMatrixError) as err:
+                check_continuity(n, r, axis=axis, trials=5, seed=1)
+            assert str(err.value) == f"pairing at n=2, r=4 is not certified: {culprit}"
 
 
 class TestFailingReportsMatchOracle:
-    """Broken nodal bases: failing reports agree with the oracle field by
-    field, not only in being not ok."""
+    """A broken nodal basis gives a failing report that agrees with the
+    oracle field by field, not only in being not ok; a broken bubble fails
+    the certificate, which names it."""
 
     n, r = 2, 4
 
@@ -328,22 +435,37 @@ class TestFailingReportsMatchOracle:
         # the oracle reads the name imported into this module
         monkeypatch.setattr(sys.modules[__name__], "nodal_basis", lambda n, r: broken)
 
-    def assert_matches_oracle(self):
-        for axis in range(self.n):
-            for seed in (0, 1, 7):
-                report = check_continuity(self.n, self.r, axis=axis, trials=4, seed=seed)
-                assert not report.ok
-                assert report == reinterpolated_continuity(self.n, self.r, axis, 4, seed)
+    def assert_matches_oracle(self, axis):
+        for seed in (0, 1, 7):
+            report = check_continuity(self.n, self.r, axis=axis, trials=4, seed=seed)
+            assert not report.ok
+            assert report == reinterpolated_continuity(self.n, self.r, axis, 4, seed)
 
-    def test_stray_defect(self, monkeypatch):
-        interior = next(L.index for L in dofs_S(self.n, self.r) if not L.face.fixed)
-        self.broken_basis(monkeypatch, interior, Polynomial.one(self.n))
-        self.assert_matches_oracle()
+    def test_stray_defect(self, capsys, monkeypatch, fresh_caches):
+        # a cube bubble that does not vanish on the facet would add a trace
+        # of an interior function: the verify row fails and names it
+        culprit = leak_cube_bubble(monkeypatch, self.n)
+        for axis in range(self.n):
+            with pytest.raises(SingularMatrixError) as err:
+                check_continuity(self.n, self.r, axis=axis, trials=4, seed=1)
+            assert str(err.value) == f"pairing at n=2, r=4 is not certified: {culprit}"
+        code = main(["verify", "--n", "2", "--r", "4", "--checks", "continuity",
+                     "--jobs", "1", "--format", "json"])
+        (row,) = json.loads(capsys.readouterr().out)["results"]
+        assert code == 1 and not row["ok"]
+        assert row["detail"] == (
+            f"raised SingularMatrixError: pairing at n=2, r=4 is not certified: {culprit}"
+        )
 
     def test_pair_defect(self, monkeypatch):
-        _, R = shared_dof_pairs(self.n, self.r, 0)[0]
-        self.broken_basis(monkeypatch, R.index, Polynomial.variable(self.n, 1))
-        self.assert_matches_oracle()
+        for axis in range(self.n):
+            _, R = shared_dof_pairs(self.n, self.r, axis)[0]
+            x = [Polynomial.variable(self.n, j) for j in range(self.n)]
+            # (1 - x_a) x_b is zero on the left facet x_a = +1, so phi_R
+            # changes on the right element's shared facet only
+            with monkeypatch.context() as patch:
+                self.broken_basis(patch, R.index, (1 - x[axis]) * x[1 - axis])
+                self.assert_matches_oracle(axis)
 
 
 class TestControlSign:

@@ -8,11 +8,13 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from serendipity import cli, decomp, dofs
+from serendipity import assembly, cli, decomp, dofs
 from serendipity.cli import main
 from serendipity.cubegeom import Face
 from serendipity.exactpoly import Polynomial
@@ -169,7 +171,8 @@ class TestVerify:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        # cmd_verify imports the pool class from here when it makes a pool
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         if cpus is None:
             monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
@@ -184,6 +187,18 @@ class TestVerify:
         assert started == ([workers] if workers else [])
         _, serial = run_cli(capsys, *args, "--jobs", "1")
         assert pooled == serial
+
+    def test_import_loads_no_process_pool(self):
+        # only verify --jobs 2 or more makes a pool; --help and the rest never load it
+        probe = (
+            "import sys, serendipity.cli; "
+            "print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out == "[]\n"
 
     def test_negative_jobs_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -702,6 +717,48 @@ class TestUncertifiedPairingInverse:
         )
         assert str(face) in captured.err
         assert captured.err.count("\n") == 1
+
+
+class TestUncertifiedTraceCertificate:
+    """A flipped bubble in the facet element of the 3-cube, at the
+    square's vertex (+1, +1), fails part (iii) of the trace certificate:
+    continuity names it, in a FAIL row of verify or one stderr line and
+    exit 1, while the 3-cube's own pairing still holds."""
+
+    culprit = (
+        "continuity at n=3, r=4 is not certified: facet element: the pairing at "
+        "n=2, r=4 is not certified: bubble: along x1 the bubble of face(x1=+1, x2=+1) "
+        "has the factor (1, -1, 0), not (1, 1, 0) (coefficients of 1, t, t^2)"
+    )
+
+    def test_certificate_names_part_iii(self, monkeypatch, fresh_caches):
+        flip_vertex_bubble(monkeypatch)
+        assert assembly.trace_certificate(3, 4) == self.culprit.split(" is not certified: ", 1)[1]
+        for axis in range(3):
+            with pytest.raises(dofs.SingularMatrixError) as err:
+                assembly.check_continuity(3, 4, axis=axis)
+            assert str(err.value) == self.culprit
+
+    def test_verify_fail_row_names_the_part_and_face(self, capfd, monkeypatch, fresh_caches):
+        flip_vertex_bubble(monkeypatch)
+        code = main(["verify", "--n", "3", "--r", "4", "--jobs", "1", "--format", "json"])
+        captured = capfd.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.err
+        rows = {row["check"]: row for row in json.loads(captured.out)["results"]}
+        assert [check for check, row in rows.items() if not row["ok"]] == ["continuity"]
+        assert rows["continuity"]["detail"] == f"raised SingularMatrixError: {self.culprit}"
+
+    @pytest.mark.parametrize("axis", ["1", "3"])
+    def test_continuity_exits_1_naming_the_part_and_face(
+        self, capfd, monkeypatch, fresh_caches, axis
+    ):
+        flip_vertex_bubble(monkeypatch)
+        code = main(["continuity", "--n", "3", "--r", "4", "--axis", axis])
+        captured = capfd.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"serendipity continuity: failed: {self.culprit}\n"
 
 
 class TestCertifiedChecksSkipDenseRank:

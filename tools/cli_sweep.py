@@ -18,7 +18,8 @@ through ``decompose --method solve|both`` and the solve decomposition
 export at (3, 6); the certified checks (unisolvence, direct sum, facet
 kernel) at (4, 12), (5, 8) and (6, 6); the decompose methods with
 default, ``--alpha`` and ``--poly`` input;
-continuity on every axis; ``verify`` with ``--jobs 1`` and ``--jobs
+continuity on every axis, through ``verify`` at (4, 8) and (5, 6), and
+on the last axis at (4, 6); ``verify`` with ``--jobs 1`` and ``--jobs
 2``; usage errors; and every ``--help``.  Prints each difference and a
 total, and exits 1 if any invocation differs.
 """
@@ -85,6 +86,10 @@ def invocations(inputs: Path) -> list[list[str]]:
     # the certified checks near the caps, where they need no dense rank
     runs += [["verify", *cell(n, r), "--checks", "unisolvence,direct-sum,facet-kernel",
               "--jobs", "1"] for n, r in ((4, 12), (5, 8), (6, 6))]
+    # continuity past the small cells, on the first and the last axis
+    runs += [["verify", *cell(n, r), "--checks", "continuity", "--jobs", "1"]
+             for n, r in ((4, 8), (5, 6))]
+    runs.append(["continuity", *cell(4, 6), "--axis", "4"])
     runs += [
         ["continuity", *cell(3, 4), "--axis", "2", "--seed", "9", "--trials", "4"],
         ["decompose", *cell(2, 3), "--alpha", "1,3", "--method", "both"],
