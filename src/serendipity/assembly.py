@@ -14,6 +14,7 @@ are 0-based here and 1-based in serialized reports.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,45 +66,31 @@ class ElementPair:
         }
 
 
-def _mirror_face(face: Face, axis: int) -> Face:
-    """Same face with the glue-axis constraint flipped in sign."""
-    flipped = tuple(
-        (i, -s) if i == axis else (i, s) for i, s in face.fixed
-    )
-    return Face(face.n, flipped)
-
-
 def shared_dof_pairs(
     n: int, r: int, axis: int = 0
 ) -> tuple[tuple[DofFunctional, DofFunctional], ...]:
-    """Pair each left DOF on the shared facet with its right counterpart.
+    """Pair the left element's DOFs on the shared facet with the right
+    element's, face by face, in the left DOFs' order.
 
-    Both sides carry the same weight monomial in the n - 1 shared
-    coordinates; the pairing is a bijection, and ``trace_certificate``
-    checks that its left side is the DOF set of the (n - 1)-element.
+    Each face F of the index ``face_monomials(n, r)`` pinned at
+    x_axis = +1 has a mirror F', the same face pinned at -1.  F' has the
+    same free axes, so the index gives it the same weights in the same
+    order, and the pairs are the DOF ranges of F and F' zipped.  So the
+    pairing is a bijection with equal weights by construction;
+    ``trace_certificate`` checks that its left side is the DOF set of
+    the (n - 1)-element.
     """
-    pair = ElementPair(n, axis)
-    functionals = dofs_S(n, r)
-    left = [
-        L for L in functionals if face_contains(pair.left_shared_face, L.face)
-    ]
-    right_lookup = {
-        (R.face, R.exponents): R
-        for R in functionals
-        if face_contains(pair.right_shared_face, R.face)
+    ElementPair(n, axis)  # ValueError for an axis out of range
+    functionals = iter(dofs_S(n, r))
+    on_face = {
+        face: tuple(itertools.islice(functionals, len(weights)))
+        for face, weights in face_monomials(n, r).items()
     }
     pairs = []
-    for L in left:
-        key = (_mirror_face(L.face, axis), L.exponents)
-        R = right_lookup.pop(key, None)
-        if R is None:
-            raise AssertionError(f"no right-side partner for {L}")
-        pairs.append((L, R))
-    if right_lookup:
-        raise AssertionError(
-            f"{len(right_lookup)} unmatched right-side DOFs remain, "
-            f"first {next(iter(right_lookup.values()))}"
-        )
+    for face, left in on_face.items():
+        if face.signs[axis] > 0:
+            mirror = Face(n, tuple((i, -s if i == axis else s) for i, s in face.fixed))
+            pairs += zip(left, on_face[mirror])
     return tuple(pairs)
 
 
@@ -125,10 +112,12 @@ def trace_certificate(n: int, r: int) -> Optional[str]:
 
     (i) restriction: every monomial of S_r(n) with x_a dropped is in
         S_r(n - 1), so both traces lie in the facet element's space;
-    (ii) facet DOFs: the left DOFs of ``shared_dof_pairs(n, r, a)``, in
-        the coordinates without x_a, are exactly the index
-        ``face_monomials(n - 1, r)``, the same faces with the same
-        weights; at n = 1 the one shared DOF is the vertex value;
+    (ii) facet DOFs: the faces of the index ``face_monomials(n, r)``
+        pinned at x_a = +1, with their weights, in the coordinates
+        without x_a, are exactly the index ``face_monomials(n - 1, r)``;
+        at n = 1 the one such face is the vertex, weighted by 1.  These
+        are the left DOFs of ``shared_dof_pairs(n, r, a)``, and each is
+        paired with the DOF of the same weight on the mirror face;
     (iii) facet element: ``certify_pairing(n - 1, r)`` holds, so that
         element is unisolvent.
 
@@ -137,17 +126,17 @@ def trace_certificate(n: int, r: int) -> Optional[str]:
     the same value on the two traces.  The traces then differ by a member
     of S_r(n - 1) whose DOFs all vanish, which is zero.
     """
+    index = face_monomials(n, r)
     if n == 1:
-        pairs = shared_dof_pairs(1, r, 0)
         vertex = ElementPair(1, 0).left_shared_face
-        if [(L.face, L.exponents) for L, _ in pairs] != [(vertex, (0,))]:
+        if index.get(vertex) != ((0,),):
             return f"facet DOFs on axis 1: the shared DOFs are not the value at {vertex}"
         return None
     culprit = certify_pairing(n - 1, r)
     if culprit is not None:
         return f"facet element: the pairing at n={n - 1}, r={r} is not certified: {culprit}"
     facet_basis = set(basis_S(n - 1, r))
-    index = face_monomials(n - 1, r)
+    facet_index = face_monomials(n - 1, r)
     for axis in range(n):
         for e in basis_S(n, r):
             if e[:axis] + e[axis + 1 :] not in facet_basis:
@@ -155,16 +144,13 @@ def trace_certificate(n: int, r: int) -> Optional[str]:
                     f"restriction on axis {axis + 1}: the trace of {monomial_str(e)} on "
                     f"{ElementPair(n, axis).left_shared_face} is not in S_{r} of the facet element"
                 )
-        try:
-            pairs = shared_dof_pairs(n, r, axis)
-        except AssertionError as err:
-            return f"facet DOFs on axis {axis + 1}: {err}"
-        on_face: dict[Face, list[Exponents]] = {}
-        for L, _ in pairs:
-            on_face.setdefault(L.face, []).append(L.exponents)
-        got = dict(_facet_coordinates(face, ws, axis) for face, ws in on_face.items())
-        for face in [*index, *got]:
-            weights, expected = got.get(face, ()), index.get(face, ())
+        got = dict(
+            _facet_coordinates(face, weights, axis)
+            for face, weights in index.items()
+            if face.signs[axis] > 0
+        )
+        for face in [*facet_index, *got]:
+            weights, expected = got.get(face, ()), facet_index.get(face, ())
             if weights != expected:
                 return (
                     f"facet DOFs on axis {axis + 1}: the shared DOFs on {face} of the "

@@ -10,7 +10,8 @@ Each JSON artifact has one builder: ``export --what basis|dofs|decomposition``
 writes the payload of ``basis``, ``dofs`` or ``decompose --format json``
 with ``what`` set and ``command`` set to ``export`` (``decompose`` kept).
 
-Supported ranges are hard-capped at n <= 6 and r <= 12.  The
+Supported ranges are hard-capped at n <= 6 and r <= 12, and --trials
+at 10^6 (a JSON report holds one boolean per trial).  The
 unisolvence, direct-sum and facet-kernel checks reach the caps in
 seconds (under 2 s for each n at r = 12 on a shared 2-vCPU machine);
 whatever reads the pairing inverse behind the nodal basis
@@ -19,7 +20,7 @@ with the space dimension and can take minutes or more near the caps,
 because all arithmetic is exact.  Continuity certifies the trace
 argument on every axis, builds the nodal basis and traces only the
 2 dim S_r(n - 1) nodal functions of the shared DOFs: at (6, 6) the three
-take 0.3-0.4 s, 2.7 s and 4.6 s.  The evalgrid export groups each nodal
+take under 0.1 s, 2.7 s and 4.6 s.  The evalgrid export groups each nodal
 function's terms for Horner evaluation once, so each grid point costs one
 float pass over those terms.  Axes in flags and reports are 1-based,
 matching the serialized face convention; the Python API is 0-based.
@@ -59,6 +60,7 @@ __all__ = ["build_parser", "main"]
 HARD_MAX_N = 6
 HARD_MAX_R = 12
 DEFAULT_TRIALS = 25
+MAX_TRIALS = 10**6
 VERIFY_CHECKS = (
     "dimension",
     "inclusion",
@@ -636,8 +638,11 @@ def _config_from_args(parser: argparse.ArgumentParser, args: Namespace) -> None:
     if command == "continuity" and not 1 <= args.axis <= args.n:
         parser.error(f"axis must be in 1..{args.n}")
 
-    if getattr(args, "trials", DEFAULT_TRIALS) < 1:
+    trials = getattr(args, "trials", DEFAULT_TRIALS)
+    if trials < 1:
         parser.error("trials must be >= 1")
+    if trials > MAX_TRIALS:
+        parser.error(f"trials must be <= {MAX_TRIALS}")
 
     raw_alpha = getattr(args, "alpha", None)
     if raw_alpha is not None:

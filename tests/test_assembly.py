@@ -44,6 +44,11 @@ def leak_cube_bubble(monkeypatch, n):
     )
 
 
+def mirror_face(face, axis):
+    """The face with its pin on the glue axis flipped in sign."""
+    return Face(face.n, tuple((i, -s) if i == axis else (i, s) for i, s in face.fixed))
+
+
 def added_interpolant(values, n, r):
     """Oracle: the interpolant as a running sum of value * nodal function."""
     total = Polynomial.zero(n)
@@ -157,24 +162,31 @@ class TestSharedDofPairs:
             by_dim[L.face.dim] = by_dim.get(L.face.dim, 0) + 1
         assert by_dim == {0: 4, 1: 12, 2: 1}
 
-    def test_unmatched_right_dof_is_named(self, monkeypatch):
-        pair = ElementPair(2, 0)
-        functionals = dofs_S(2, 3)
-        dropped = next(
-            L for L in functionals
-            if L.face.dim == 1 and face_contains(pair.left_shared_face, L.face)
-        )
-        partner = next(
-            R for R in functionals
-            if R.face == pair.right_shared_face and R.exponents == dropped.exponents
-        )
-        monkeypatch.setattr(
-            assembly, "dofs_S",
-            lambda n, r: tuple(L for L in dofs_S(n, r) if L is not dropped),
-        )
-        with pytest.raises(AssertionError) as err:
-            shared_dof_pairs(2, 3, 0)
-        assert str(err.value) == f"1 unmatched right-side DOFs remain, first {partner}"
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_per_dof_mirror_oracle(self, n):
+        # oracle: each left-facet DOF matched one at a time to the DOF on
+        # its mirrored face with equal exponents
+        for r in range(1, 9):
+            functionals = dofs_S(n, r)
+            for axis in range(n):
+                pair = ElementPair(n, axis)
+                right = {
+                    (R.face, R.exponents): R
+                    for R in functionals
+                    if face_contains(pair.right_shared_face, R.face)
+                }
+                expected = [
+                    (L, right.pop((mirror_face(L.face, axis), L.exponents)))
+                    for L in functionals
+                    if face_contains(pair.left_shared_face, L.face)
+                ]
+                assert not right, (n, r, axis)
+                assert shared_dof_pairs(n, r, axis) == tuple(expected), (n, r, axis)
+
+    @pytest.mark.parametrize("axis", [2, -1])
+    def test_rejects_out_of_range_axis(self, axis):
+        with pytest.raises(ValueError, match=f"axis {axis} out of range for n=2"):
+            shared_dof_pairs(2, 2, axis)
 
 
 class TestInterpolate:
@@ -375,15 +387,6 @@ class TestTraceCertificate:
             check_continuity(2, 3)
         assert str(err.value) == (
             f"continuity at n=2, r=3 is not certified: {trace_certificate(2, 3)}"
-        )
-
-    def test_unpaired_dof_fails_ii(self, monkeypatch, fresh_caches):
-        dropped = next(L for L in dofs_S(2, 3) if L.face == Face(2, ((0, 1),)))
-        monkeypatch.setattr(
-            assembly, "dofs_S", lambda n, r: tuple(L for L in dofs_S(n, r) if L is not dropped)
-        )
-        assert trace_certificate(2, 3).startswith(
-            "facet DOFs on axis 1: 1 unmatched right-side DOFs remain, first "
         )
 
 

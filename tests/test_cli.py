@@ -297,6 +297,30 @@ class TestContinuityCommand:
             main(["continuity", "--n", "2", "--r", "2", "--axis", "3"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("command", ["continuity", "verify"])
+    def test_trials_above_the_cap_is_usage_error(self, capsys, monkeypatch, command):
+        # rejected before any check runs, so nothing is allocated per trial
+        monkeypatch.setattr(cli, "check_continuity", None)
+        with pytest.raises(SystemExit) as err:
+            main([command, "--n", "2", "--r", "2", "--trials", str(cli.MAX_TRIALS + 1)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert errors == ["serendipity: error: trials must be <= 1000000"]
+
+    def test_trials_at_the_cap_is_accepted(self, capsys, monkeypatch):
+        # the check sees the full count; it runs one trial, not 10^6
+        seen = []
+
+        def recording(n, r, axis, trials, seed):
+            seen.append(trials)
+            return assembly.check_continuity(n, r, axis, 1, seed)
+
+        monkeypatch.setattr(cli, "check_continuity", recording)
+        code, _ = run_cli(capsys, "continuity", "--n", "2", "--r", "2", "--trials", str(cli.MAX_TRIALS))
+        assert code == 0 and seen == [cli.MAX_TRIALS]
+
 
 class TestExport:
     def test_nodal_to_file(self, capsys, tmp_path):

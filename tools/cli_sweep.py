@@ -18,10 +18,12 @@ through ``decompose --method solve|both`` and the solve decomposition
 export at (3, 6); the certified checks (unisolvence, direct sum, facet
 kernel) at (4, 12), (5, 8) and (6, 6); the decompose methods with
 default, ``--alpha`` and ``--poly`` input;
-continuity on every axis, through ``verify`` at (4, 8) and (5, 6), and
-on the last axis at (4, 6); ``verify`` with ``--jobs 1`` and ``--jobs
-2``; usage errors; and every ``--help``.  Prints each difference and a
-total, and exits 1 if any invocation differs.
+continuity on every axis, through ``verify`` at (4, 8) and (5, 6), on
+the last axis at (4, 6) and (5, 6), and on axis 6 at (6, 3) and axis 3
+at (6, 4), which read the mirror pairing beyond n = 4 and off axis 1;
+``verify`` with ``--jobs 1`` and ``--jobs 2``; usage errors, among them
+``--trials`` above its cap of 10^6; and every ``--help``.  Prints each
+difference and a total, and exits 1 if any invocation differs.
 """
 
 from __future__ import annotations
@@ -86,10 +88,11 @@ def invocations(inputs: Path) -> list[list[str]]:
     # the certified checks near the caps, where they need no dense rank
     runs += [["verify", *cell(n, r), "--checks", "unisolvence,direct-sum,facet-kernel",
               "--jobs", "1"] for n, r in ((4, 12), (5, 8), (6, 6))]
-    # continuity past the small cells, on the first and the last axis
+    # continuity past the small cells, on the first, the last and a middle axis
     runs += [["verify", *cell(n, r), "--checks", "continuity", "--jobs", "1"]
              for n, r in ((4, 8), (5, 6))]
-    runs.append(["continuity", *cell(4, 6), "--axis", "4"])
+    runs += [["continuity", *cell(n, r), "--axis", str(a)]
+             for n, r, a in ((4, 6, 4), (5, 6, 5), (6, 3, 6), (6, 4, 3))]
     runs += [
         ["continuity", *cell(3, 4), "--axis", "2", "--seed", "9", "--trials", "4"],
         ["decompose", *cell(2, 3), "--alpha", "1,3", "--method", "both"],
@@ -119,6 +122,8 @@ def invocations(inputs: Path) -> list[list[str]]:
         ["verify", "--checks", ","],
         ["verify", "--jobs", "-1"],
         ["verify", "--trials", "0"],
+        ["verify", *cell(2, 2), "--checks", "continuity", "--jobs", "1", "--trials", "1000001"],
+        ["continuity", *cell(2, 2), "--trials", "1000001"],
         ["continuity", *cell(2, 2), "--axis", "3"],
         ["continuity", *cell(2, 2), "--axis", "0"],
         ["continuity", *cell(2, 2), "--format", "csv"],
