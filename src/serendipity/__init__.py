@@ -47,7 +47,6 @@ from .decomp import (
     FaceComponent,
     bubble,
     decompose,
-    expand_monomial,
     facet_kernel_check,
     recompose,
     verify_direct_sum,
@@ -93,7 +92,6 @@ __all__ = [
     "FaceComponent",
     "bubble",
     "decompose",
-    "expand_monomial",
     "facet_kernel_check",
     "recompose",
     "verify_direct_sum",

@@ -504,9 +504,11 @@ def build_parser() -> argparse.ArgumentParser:
     ) -> argparse.ArgumentParser:
         """A subcommand bound to its handler, with the flags every command
         shares; grid commands take (n, r) ranges, the others one cell, and
-        only commands with trials use the seed."""
+        only commands with trials use the seed.  The subcommand's own parser
+        is kept as ``command_parser``, so usage errors found after parsing
+        print its usage, as argparse's own errors do."""
         p = sub.add_parser(name, help=help)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, command_parser=p)
         for v in ("n", "r"):
             if grid:
                 one = f"single {v}, or range start with --{v}-max"
@@ -660,7 +662,7 @@ def _config_from_args(parser: argparse.ArgumentParser, args: Namespace) -> None:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _config_from_args(parser, args)
+    _config_from_args(args.command_parser, args)
     try:
         return args.handler(args)
     except InputError as err:

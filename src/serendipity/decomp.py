@@ -12,16 +12,21 @@ Two independent ways to split a polynomial across faces are provided:
 
 * solve: take its DOF values and map them through the inverse X of
   the pairing K described below, or
-* construct: expand each monomial through the per-axis identities
+* construct: split it one axis at a time through the per-axis identities
 
       1    = (1 + x)/2 + (1 - x)/2
       x    = (1 + x)/2 - (1 - x)/2
       x^a  = (1 + x)/2 + (-1)^a (1 - x)/2 + (1 - x^2) q_a(x),  a >= 2,
 
   where q_a(x) = -(x^a' + x^(a'-2) + ... ) with a' = a - 2, taking
-  every second power down to x or 1.  Distributing the product over one
-  choice per axis sends each resulting term to a distinct face: picked
-  sign factors pin axes, picked quotient factors stay free.
+  every second power down to x or 1.  A picked sign factor pins its
+  axis, a picked quotient factor leaves it free, so one choice per axis
+  lands on one face.  The identities act on one axis each, so the split
+  is a tensor product of 1-D maps and is applied as n passes (sum
+  factorisation): pass j sends every term of every part, its pins so
+  far, to its choices along x_j, and terms that meet add up.  The terms
+  are integers over the lcm of p's denominators, the halves deferred to
+  one division per term at the end.
 
 Pairing the DOFs with the components gives the paper's unisolvence
 proof.  Let K = D C, where D is the DOF matrix and C the component
@@ -71,7 +76,7 @@ from .cubegeom import (
     restrict_to_face,
 )
 from .dofs import RationalMatrix, SingularMatrixError
-from .exactpoly import Exponents, Polynomial, Scalar, grlex_key, superlinear_degree
+from .exactpoly import Exponents, Polynomial, Scalar, grlex_key
 from .spaces import (
     basis_S,
     dim_P,
@@ -93,7 +98,6 @@ __all__ = [
     "pairing_inverse",
     "DirectSumResult",
     "verify_direct_sum",
-    "expand_monomial",
     "decompose",
     "recompose",
     "FacetKernelResult",
@@ -420,91 +424,34 @@ def verify_direct_sum(n: int, r: int) -> DirectSumResult:
     )
 
 
-@lru_cache(maxsize=None)
-def _superlinear_split(alpha: int) -> tuple[Fraction, Fraction, tuple[Fraction, ...]]:
-    """Coefficients (c_plus, c_minus, q) with
-    t^alpha = c_plus (1 + t) + c_minus (1 - t) + (1 - t^2) q(t).
+def _split_axis(state: dict[tuple, dict[Exponents, int]], j: int) -> Iterable[tuple]:
+    """One pass of the construct method, along x_j.  Each part, its pins
+    so far mapped to integer terms, splits every term c x^e by
 
-    q is returned as dense coefficients, lowest power first; it is the
-    zero tuple only for alpha < 2, and has degree alpha - 2 otherwise.
-    """
-    if alpha < 0:
-        raise ValueError("exponent must be non-negative")
-    half = Fraction(1, 2)
-    if alpha == 0:
-        return half, half, ()
-    if alpha == 1:
-        return half, -half, ()
-    c_minus = half if alpha % 2 == 0 else -half
-    # t^alpha - 1 = -(1 - t^2)(1 + t^2 + ...) and t^alpha - t likewise,
-    # so q collects every second power from alpha - 2 down, negated
-    q = [Fraction(0)] * (alpha - 1)
-    for k in range(alpha - 2, -1, -2):
-        q[k] = Fraction(-1)
-    # exactness guard: re-expand and compare
-    check = [Fraction(0)] * (alpha + 1)
-    check[0] += half + c_minus
-    check[1] += half - c_minus
-    for k, c in enumerate(q):
-        check[k] += c
-        check[k + 2] -= c
-    expected = [Fraction(0)] * (alpha + 1)
-    expected[alpha] = Fraction(1)
-    if check != expected:
-        raise AssertionError(f"split identity failed for exponent {alpha}")
-    return half, c_minus, tuple(q)
+        t^a = (1 + t)/2 + (-1)^a (1 - t)/2 + (1 - t^2) q_a(t),
 
-
-def expand_monomial(exponents: Exponents, r: int) -> tuple[FaceComponent, ...]:
-    """Split one monomial into face components, constructively.
-
-    Each axis contributes a choice: a pinned sign with a scalar factor,
-    or (for exponent >= 2) the free quotient factor.  Every choice
-    combination lands on a different face, so the result has no face
-    repeated.  Requires superlinear degree <= r so the pieces stay
-    inside the degree budget of their faces.
-    """
-    exponents = tuple(exponents)
-    n = len(exponents)
-    if n < 1 or r < 1:
-        raise ValueError("expansion requires n >= 1 and r >= 1")
-    if superlinear_degree(exponents) > r:
-        raise ValueError(
-            f"monomial {exponents} has superlinear degree "
-            f"{superlinear_degree(exponents)} > r = {r}"
-        )
-    # each choice pins the axis to a sign, or leaves it free, and lists
-    # the (exponent, factor) terms it contributes along that axis
-    choice_lists = []
-    for axis, alpha in enumerate(exponents):
-        c_plus, c_minus, q = _superlinear_split(alpha)
-        choices = [((axis, 1), ((0, c_plus),)), ((axis, -1), ((0, c_minus),))]
-        if alpha >= 2:
-            choices.append((None, tuple((k, c) for k, c in enumerate(q) if c)))
-        choice_lists.append(choices)
-
-    out: list[FaceComponent] = []
-    seen_faces: set[Face] = set()
-    for combo in itertools.product(*choice_lists):
-        face = Face(n, tuple(pin for pin, _ in combo if pin))
-        if face in seen_faces:
-            raise AssertionError("expansion revisited a face")
-        seen_faces.add(face)
-        coeff = Polynomial(
-            n,
-            (
-                (tuple(k for k, _ in picks), prod(c for _, c in picks))
-                for picks in itertools.product(*(terms for _, terms in combo))
-            ),
-        )
-        budget = r - 2 * face.dim
-        if coeff.degree() > budget:
-            raise AssertionError(
-                f"expansion coefficient degree {coeff.degree()} exceeds "
-                f"budget {budget} on {face}"
-            )
-        out.append(FaceComponent(face, coeff))
-    return tuple(out)
+    its halves deferred: c goes to the pin (j, 1) and (-1)^a c to the pin
+    (j, -1), both at x_j^0, and -c stays on the part's pins at each
+    x_j^(a-2), x_j^(a-4), ... down to x_j or 1.  Terms that meet add up."""
+    for pins, part in state.items():
+        plus: dict[Exponents, int] = {}
+        minus: dict[Exponents, int] = {}
+        stay: dict[Exponents, int] = {}
+        for e, c in part.items():
+            if not c:
+                continue
+            head, a, tail = e[:j], e[j], e[j + 1 :]
+            e0 = head + (0,) + tail
+            plus[e0] = plus.get(e0, 0) + c
+            minus[e0] = minus.get(e0, 0) + (-c if a % 2 else c)
+            for k in range(a - 2, -1, -2):
+                ek = head + (k,) + tail
+                stay[ek] = stay.get(ek, 0) - c
+        if plus:
+            yield pins + ((j, 1),), plus
+            yield pins + ((j, -1),), minus
+        if stay:
+            yield pins, stay
 
 
 def decompose(
@@ -522,6 +469,11 @@ def decompose(
     exponent sum.  That trace is read from the trace on the face above H,
     the one with the last pin of H released: a restriction of a trace is
     the trace, and far smaller than p.  ``_multipliers`` maps the values.
+
+    The construct method clears p's coefficients over their lcm, den,
+    and runs ``_split_axis`` along x_1, ..., x_n, starting from the one
+    part with no pins.  A face with k pins then holds den 2^k times its
+    coefficient, which must fit the face's degree budget r - 2d.
     """
     n = p.n
     if n < 1 or r < 1:
@@ -549,11 +501,17 @@ def decompose(
         for face, terms in multipliers.items():
             acc[face] = [(q, Fraction(y, den)) for q, y in terms.items() if y]
     elif method == "construct":
-        for exps, coeff in p.terms():
-            for fc in expand_monomial(exps, r):
-                acc.setdefault(fc.face, []).extend(
-                    (e2, coeff * c2) for e2, c2 in fc.coefficient.terms()
-                )
+        terms = p.terms()
+        den = lcm(*(c.denominator for _, c in terms))
+        state = {(): {e: c.numerator * (den // c.denominator) for e, c in terms}}
+        for j in range(n):
+            state = dict(_split_axis(state, j))
+        for pins, part in state.items():
+            face, scale = Face(n, pins), den << len(pins)
+            budget = r - 2 * face.dim
+            if any(sum(e) > budget for e, y in part.items() if y):
+                raise AssertionError(f"a coefficient on {face} exceeds its degree budget {budget}")
+            acc[face] = [(e, Fraction(y, scale)) for e, y in part.items() if y]
     else:
         raise ValueError(f"unknown method {method!r}")
     coefficients = {face: Polynomial(n, terms) for face, terms in acc.items()}
@@ -561,8 +519,22 @@ def decompose(
 
 
 def recompose(components: dict[Face, FaceComponent], n: int) -> Polynomial:
-    """Sum of the components; inverse of decompose."""
-    return Polynomial(n, (t for fc in components.values() for t in fc.component.terms()))
+    """Sum of the components; inverse of decompose.  Each b_F m_F is
+    added up in integers, the coefficients of every m_F cleared over one
+    lcm, and divided by it once per term, as ``_expand`` does."""
+    if any(fc.face.n != n or fc.coefficient.n != n for fc in components.values()):
+        raise ValueError(f"components must all live in n = {n} variables")
+    coefficients = [(fc.face, fc.coefficient.terms()) for fc in components.values()]
+    den = lcm(*(c.denominator for _, terms in coefficients for _, c in terms))
+    acc: dict[Exponents, int] = {}
+    for face, terms in coefficients:
+        bubble_terms = [(e, c.numerator) for e, c in bubble(face).terms()]
+        for q, c in terms:
+            y = c.numerator * (den // c.denominator)
+            for e, b in bubble_terms:
+                key = tuple(map(add, e, q))
+                acc[key] = acc.get(key, 0) + b * y
+    return Polynomial(n, ((e, Fraction(v, den)) for e, v in acc.items() if v))
 
 
 @dataclass(frozen=True)

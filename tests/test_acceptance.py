@@ -20,7 +20,6 @@ from serendipity.cli import main
 from serendipity.cubegeom import all_faces, enumerate_faces, face_contains, restrict_to_face
 from serendipity.decomp import (
     decompose,
-    expand_monomial,
     facet_kernel_check,
     recompose,
     verify_direct_sum,
@@ -213,9 +212,7 @@ def test_c08_geometric_decomposition(capsys):
         for r in range(1, 6):
             for m in basis_S(n, r).monomials:
                 solved = decompose(Polynomial.from_monomial(m), r, method="solve")
-                constructed = {
-                    fc.face: fc for fc in expand_monomial(m, r)
-                }
+                constructed = decompose(Polynomial.from_monomial(m), r, method="construct")
                 if set(solved) != set(constructed) or any(
                     solved[f].coefficient != constructed[f].coefficient
                     for f in solved

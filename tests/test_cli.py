@@ -307,7 +307,8 @@ class TestContinuityCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         errors = [line for line in captured.err.splitlines() if "error:" in line]
-        assert errors == ["serendipity: error: trials must be <= 1000000"]
+        assert errors == [f"serendipity {command}: error: trials must be <= 1000000"]
+        assert captured.err.startswith(f"usage: serendipity {command} [-h]")
 
     def test_trials_at_the_cap_is_accepted(self, capsys, monkeypatch):
         # the check sees the full count; it runs one trial, not 10^6
@@ -460,6 +461,32 @@ class TestUsageErrors:
         assert errors == [
             f"serendipity {argv[0]}: error: argument --alpha: not allowed with argument --poly"
         ]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["table1", "--n", "7"], "n=7 outside the supported range 1..6"),
+            (["dims", "--r", "3", "--r-max", "2"], "empty r range"),
+            (["basis", "--n", "2"], "basis requires --n and --r"),
+            (["verify", "--jobs", "-1"], "jobs must be >= 0"),
+            (["verify", "--checks", ","], "no checks selected"),
+            (["continuity", "--n", "2", "--r", "2", "--axis", "3"], "axis must be in 1..2"),
+            (["continuity", "--n", "2", "--r", "2", "--trials", "0"], "trials must be >= 1"),
+            (["decompose", "--n", "2", "--r", "2", "--alpha", "1,x"],
+             "cannot parse exponents from '1,x'"),
+            (["export", "--what", "evalgrid", "--n", "2", "--r", "2", "--points", "1"],
+             "evalgrid needs at least 2 points per axis"),
+        ],
+    )
+    def test_checks_after_parsing_print_the_subcommand_usage(self, capsys, argv, message):
+        # as argparse's own errors in a subcommand do
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: serendipity {argv[0]} [-h]")
+        assert captured.err.endswith(f"\nserendipity {argv[0]}: error: {message}\n")
 
 
 class TestHelp:

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import copy
 import itertools
+import os
 import pickle
 import random
 import re
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from math import comb, lcm
 from operator import add
@@ -24,13 +28,11 @@ from serendipity.cubegeom import (
 )
 from serendipity import decomp
 from serendipity.decomp import (
-    _superlinear_split,
     all_components,
     bubble,
     certify_pairing,
     component_matrix,
     decompose,
-    expand_monomial,
     facet_kernel_check,
     pairing_block,
     recompose,
@@ -64,6 +66,25 @@ def box_integral_oracle(p: Polynomial) -> Fraction:
     return total
 
 
+def superlinear_split_oracle(alpha: int) -> tuple[Fraction, Fraction, tuple[Fraction, ...]]:
+    """The earlier 1-D split, kept as an oracle: (c_plus, c_minus, q) with
+    t^alpha = c_plus (1 + t) + c_minus (1 - t) + (1 - t^2) q(t), q dense
+    from the lowest power, checked by re-expanding."""
+    half = Fraction(1, 2)
+    c_minus = half if alpha % 2 == 0 else -half
+    q = [Fraction(0)] * max(alpha - 1, 0)
+    for k in range(alpha - 2, -1, -2):
+        q[k] = Fraction(-1)
+    check = [Fraction(0)] * (max(alpha, 1) + 2)
+    check[0] += half + c_minus
+    check[1] += half - c_minus
+    for k, c in enumerate(q):
+        check[k] += c
+        check[k + 2] -= c
+    assert check == [Fraction(int(k == alpha)) for k in range(len(check))], alpha
+    return half, c_minus, tuple(q)
+
+
 def stack_expand_oracle(exponents: tuple[int, ...], r: int) -> dict[Face, Polynomial]:
     """The earlier depth-first expansion, kept as an oracle: one explicit
     stack entry per partial choice of signs and quotients, the quotient
@@ -71,7 +92,7 @@ def stack_expand_oracle(exponents: tuple[int, ...], r: int) -> dict[Face, Polyno
     n = len(exponents)
     choice_lists = []
     for alpha in exponents:
-        c_plus, c_minus, q = _superlinear_split(alpha)
+        c_plus, c_minus, q = superlinear_split_oracle(alpha)
         choices = [(1, c_plus, None), (-1, c_minus, None)]
         if alpha >= 2:
             choices.append((0, Fraction(1), q))
@@ -186,6 +207,28 @@ def random_space_member(rng: random.Random, n: int, r: int) -> Polynomial:
             for m in basis_S(n, r).monomials
         },
     )
+
+
+def mixed_space_member(rng: random.Random, n: int, r: int) -> Polynomial:
+    """A member of S_r whose coefficients carry mixed denominators."""
+    return Polynomial(
+        n,
+        {
+            m: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 12)))
+            for m in basis_S(n, r).monomials
+        },
+    )
+
+
+def construct_monomial(m: tuple[int, ...], r: int) -> tuple:
+    """The construct method's components of the monomial x^m."""
+    return tuple(decompose(Polynomial.from_monomial(m), r, method="construct").values())
+
+
+def fraction_recompose_oracle(components: dict, n: int) -> Polynomial:
+    """The earlier recompose, kept as an oracle: every component formed
+    as a Fraction polynomial and their terms summed."""
+    return Polynomial(n, (t for fc in components.values() for t in fc.component.terms()))
 
 
 class TestBubble:
@@ -704,7 +747,7 @@ class TestDirectSum:
 
 class TestExpandMonomial:
     def test_constant_splits_across_vertices(self):
-        comps = expand_monomial((0,), 1)
+        comps = construct_monomial((0,), 1)
         by_face = {fc.face: fc for fc in comps}
         plus = Face(1, ((0, 1),))
         minus = Face(1, ((0, -1),))
@@ -713,7 +756,7 @@ class TestExpandMonomial:
         assert len(comps) == 2
 
     def test_linear_splits_with_opposite_signs(self):
-        comps = expand_monomial((1,), 1)
+        comps = construct_monomial((1,), 1)
         by_face = {fc.face: fc for fc in comps}
         assert by_face[Face(1, ((0, 1),))].coefficient == Polynomial.constant(
             1, Fraction(1, 2)
@@ -724,7 +767,7 @@ class TestExpandMonomial:
 
     def test_square_uses_unit_remainder(self):
         # x^2 = 1 - (1 - x^2): interior coefficient is exactly -1
-        comps = expand_monomial((2,), 2)
+        comps = construct_monomial((2,), 2)
         by_face = {fc.face: fc for fc in comps}
         interior = by_face[full_cube(1)]
         assert interior.coefficient == Polynomial.constant(1, -1)
@@ -734,7 +777,7 @@ class TestExpandMonomial:
         assert total == Polynomial.from_monomial((2,))
 
     def test_trilinear_monomial_hits_all_eight_vertices(self):
-        comps = expand_monomial((1, 1, 1), 1)
+        comps = construct_monomial((1, 1, 1), 1)
         assert len(comps) == 8
         assert all(fc.face.dim == 0 for fc in comps)
         signs = {fc.face: fc.coefficient.coefficient((0, 0, 0)) for fc in comps}
@@ -746,7 +789,7 @@ class TestExpandMonomial:
             assert value == Fraction(parity, 8)
 
     def test_faces_are_never_repeated(self):
-        comps = expand_monomial((2, 3, 1), 6)
+        comps = construct_monomial((2, 3, 1), 6)
         faces = [fc.face for fc in comps]
         assert len(faces) == len(set(faces))
 
@@ -754,7 +797,7 @@ class TestExpandMonomial:
         for n in range(1, 4):
             for r in range(1, 5):
                 for m in basis_S(n, r).monomials:
-                    comps = expand_monomial(m, r)
+                    comps = construct_monomial(m, r)
                     total = Polynomial.zero(n)
                     for fc in comps:
                         total = total + fc.component
@@ -766,14 +809,122 @@ class TestExpandMonomial:
         for n in range(1, 4):
             for r in range(1, 6):
                 for m in basis_S(n, r).monomials:
-                    comps = expand_monomial(m, r)
+                    comps = construct_monomial(m, r)
                     got = {fc.face: fc.coefficient for fc in comps}
                     assert len(got) == len(comps)
                     assert got == stack_expand_oracle(m, r), (n, r, m)
 
     def test_rejects_monomials_outside_space(self):
         with pytest.raises(ValueError):
-            expand_monomial((3, 2), 4)
+            construct_monomial((3, 2), 4)
+
+
+class TestConstruct:
+    @staticmethod
+    def oracle(p: Polynomial, r: int) -> dict[Face, Polynomial]:
+        """The sum over p's terms c x^e of c times the stack expansion of x^e."""
+        acc: dict[Face, Polynomial] = {}
+        for e, c in p.terms():
+            for face, coeff in stack_expand_oracle(e, r).items():
+                acc[face] = acc.get(face, Polynomial.zero(p.n)) + coeff * c
+        return {face: coeff for face, coeff in acc.items() if coeff}
+
+    @pytest.mark.parametrize(
+        "n, r", [(n, r) for n in range(1, 4) for r in range(1, 7)] + [(4, 8)]
+    )
+    def test_matches_the_stack_oracle_term_by_term(self, n, r):
+        rng = random.Random(100 * n + r)
+        monomial = rng.choice(basis_S(n, r).monomials)
+        for p in (
+            mixed_space_member(rng, n, r),
+            random_space_member(rng, n, r),
+            Polynomial.from_monomial(monomial, Fraction(-5, 6)),
+        ):
+            parts = decompose(p, r, method="construct")
+            assert all(fc.face == face for face, fc in parts.items())
+            assert {face: fc.coefficient for face, fc in parts.items()} == self.oracle(p, r)
+
+    @pytest.mark.parametrize("n, r", [(1, 1), (3, 6)])
+    def test_zero_polynomial_gives_no_component(self, n, r):
+        assert decompose(Polynomial.zero(n), r, method="construct") == {}
+
+    def test_cancelling_terms_leave_no_face(self):
+        # the vertex parts of 3 and -3 x^2 cancel; only the interior is left
+        x = Polynomial.variable(1, 0)
+        parts = decompose((1 - x**2) * 3, 2, method="construct")
+        assert list(parts) == [full_cube(1)]
+        assert parts[full_cube(1)].coefficient == Polynomial.constant(1, 3)
+
+    def test_rejects_outside_members(self):
+        x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+        with pytest.raises(ValueError):
+            decompose(x**3 * y**2 + Fraction(1, 3), 4, method="construct")
+        with pytest.raises(ValueError):
+            decompose(x, 0, method="construct")
+
+    def test_budget_check_raises_under_optimize(self):
+        # a pass that moves every term up one power on its last axis breaks
+        # the budget; the check must raise even with asserts compiled out
+        broken = textwrap.dedent(
+            """
+            import serendipity.decomp as d
+            from serendipity import Polynomial
+            assert False, "asserts are live"
+            split = d._split_axis
+
+            def shifted(state, j):
+                for pins, part in split(state, j):
+                    yield pins, {e[:-1] + (e[-1] + 2,): c for e, c in part.items()}
+
+            d._split_axis = shifted
+            try:
+                d.decompose(Polynomial.from_monomial((2, 1)), 2, method="construct")
+            except AssertionError as err:
+                print("raised:", err)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", broken],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.startswith("raised: a coefficient on "), run.stdout
+        assert "exceeds its degree budget" in run.stdout
+
+
+class TestRecompose:
+    @pytest.mark.parametrize("n, r", [(1, 5), (2, 4), (3, 6), (4, 5)])
+    @pytest.mark.parametrize("method", ["solve", "construct"])
+    def test_matches_the_fraction_sum(self, n, r, method):
+        rng = random.Random(200 * n + r)
+        for p in (mixed_space_member(rng, n, r), random_space_member(rng, n, r)):
+            parts = decompose(p, r, method=method)
+            assert recompose(parts, n) == fraction_recompose_oracle(parts, n) == p
+
+    def test_empty_is_zero(self):
+        assert recompose({}, 3) == fraction_recompose_oracle({}, 3) == Polynomial.zero(3)
+
+    def test_mixed_denominators_across_components(self):
+        # components that are no decomposition of anything in particular
+        x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+        coefficients = {
+            full_cube(2): x * Fraction(3, 4) - Fraction(1, 6),
+            Face(2, ((0, 1),)): y * Fraction(-2, 9) + Fraction(5, 7),
+            Face(2, ((0, -1), (1, 1))): Polynomial.constant(2, Fraction(11, 10)),
+        }
+        parts = {face: decomp.FaceComponent(face, c) for face, c in coefficients.items()}
+        assert recompose(parts, 2) == fraction_recompose_oracle(parts, 2)
+
+    def test_mismatched_n_raises(self):
+        parts = decompose(random_space_member(random.Random(39), 3, 3), 3)
+        with pytest.raises(ValueError):
+            recompose(parts, 2)
+        with pytest.raises(ValueError):
+            recompose(parts, 4)
+        odd = {full_cube(2): decomp.FaceComponent(full_cube(2), Polynomial.one(3))}
+        with pytest.raises(ValueError):
+            recompose(odd, 2)
 
 
 class TestFacetKernel:

@@ -9,7 +9,10 @@ covers every command and format over n <= 3, r <= 5; every export
 artifact and family; the nodal, decomposition and evalgrid exports at
 (3, 6) and (3, 8); ``decompose --method solve`` at (4, 6), (5, 6),
 (6, 4) and (4, 10), the last with the largest denominator of the pairing
-inverse among them; the nodal export at (4, 8), which prints every
+inverse among them; ``decompose --method construct`` and
+``--method both`` at (4, 8) and (5, 6), and the construct decomposition
+export at (4, 6), which split the default member one axis at a time;
+the nodal export at (4, 8), which prints every
 coefficient derived from the pairing inverse at n = 4; the solve
 decomposition export of
 x1^2 x2 x4 x5^2 at (5, 6), where the pairing inverse's blocks are mapped
@@ -82,6 +85,10 @@ def invocations(inputs: Path) -> list[list[str]]:
         runs.append(["export", "--what", "evalgrid", *cell(n, r), "--points", "3"])
     runs += [["decompose", *cell(n, r), "--method", "solve"]
              for n, r in ((4, 6), (5, 6), (6, 4), (4, 10))]
+    # the construct method's per-axis passes on the default member
+    runs += [["decompose", *cell(n, r), "--method", m]
+             for n, r in ((4, 8), (5, 6)) for m in ("construct", "both")]
+    runs.append(["export", "--what", "decomposition", *cell(4, 6), "--method", "construct"])
     runs.append(["export", "--what", "nodal", *cell(4, 8)])
     runs.append(["export", "--what", "decomposition", *cell(5, 6), "--method", "solve",
                  "--alpha", "2,1,0,1,2"])
