@@ -57,7 +57,6 @@ from .assembly import (
     check_continuity,
     interpolate,
     shared_dof_pairs,
-    trace_locality_check,
 )
 
 __version__ = "0.1.0"
@@ -100,6 +99,5 @@ __all__ = [
     "check_continuity",
     "interpolate",
     "shared_dof_pairs",
-    "trace_locality_check",
     "__version__",
 ]

@@ -15,12 +15,13 @@ at 10^6 (a JSON report holds one boolean per trial).  The
 unisolvence, direct-sum and facet-kernel checks reach the caps in
 seconds (under 2 s for each n at r = 12 on a shared 2-vCPU machine);
 whatever reads the pairing inverse behind the nodal basis
-(continuity, decompose, nodal, decomposition and evalgrid exports) grows
+(decompose, nodal, decomposition and evalgrid exports) grows
 with the space dimension and can take minutes or more near the caps,
-because all arithmetic is exact.  Continuity certifies the trace
-argument on every axis, builds the nodal basis and traces only the
-2 dim S_r(n - 1) nodal functions of the shared DOFs: at (6, 6) the three
-take under 0.1 s, 2.7 s and 4.6 s.  The evalgrid export groups each nodal
+because all arithmetic is exact.  Continuity reads its report off the
+pairing and trace certificates, so it builds no nodal basis and traces
+nothing: its trials and controls are certified, not sampled, and the
+cap cell (6, 12) takes about 1.3 s.  Every ``verify`` check runs in this
+one process.  The evalgrid export groups each nodal
 function's terms for Horner evaluation once, so each grid point costs one
 float pass over those terms.  Axes in flags and reports are 1-based,
 matching the serialized face convention; the Python API is 0-based.
@@ -335,14 +336,13 @@ def cmd_dofs(args: Namespace) -> int:
     return 0
 
 
-def _run_verify_cell(item: tuple[int, int, str, int, int]) -> dict:
-    """One (n, r, check) verification cell; must stay importable for pools.
+def _run_verify_cell(n: int, r: int, check: str, trials: int, seed: int) -> dict:
+    """One (n, r, check) verification cell.
 
     A check that raises is a failing cell: its row names the exception
     and the traceback goes to stderr, so the other cells still report.
     An uncertified pairing inverse names its culprit and needs no traceback.
     """
-    n, r, check, trials, seed = item
     try:
         ok, detail = _verify_check(n, r, check, trials, seed)
     except SingularMatrixError as err:
@@ -393,21 +393,12 @@ def _verify_check(n: int, r: int, check: str, trials: int, seed: int) -> tuple[b
 
 def cmd_verify(args: Namespace) -> int:
     """Run the selected property checks over the (n, r) grid."""
-    items = [
-        (n, r, check, args.trials, args.seed)
+    results = [
+        _run_verify_cell(n, r, check, args.trials, args.seed)
         for n in args.n_values
         for r in args.r_values
         for check in args.checks
     ]
-    workers = min(args.jobs, len(items))
-    if workers > 1:
-        # imported here, so that no other command loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_verify_cell, items))
-    else:
-        results = [_run_verify_cell(item) for item in items]
     all_ok = all(res["ok"] for res in results)
     headers = ["n", "r", "check", "status", "detail"]
     rows = [
@@ -450,7 +441,7 @@ def cmd_decompose(args: Namespace) -> int:
 
 
 def cmd_continuity(args: Namespace) -> int:
-    """Two-element trace equality trials with perturbation controls."""
+    """Two-element trace equality: certified trials and perturbation controls."""
     report = check_continuity(
         args.n, args.r, axis=args.axis - 1, trials=args.trials, seed=args.seed
     )
@@ -526,11 +517,11 @@ def build_parser() -> argparse.ArgumentParser:
             help="output format: " + ", ".join(formats),
         )
         p.add_argument("--out", type=Path, default=None, help="write output to this file instead of stdout")
-        seed = "seed recorded in reports" + (" and used for random trials" if trials else "")
+        seed = "seed recorded in reports" + ("; trials draw nothing" if trials else "")
         p.add_argument("--seed", type=int, default=0, help=seed)
         if trials:
             p.add_argument(
-                "--trials", type=int, default=DEFAULT_TRIALS, help="number of random trials"
+                "--trials", type=int, default=DEFAULT_TRIALS, help="number of trials reported, certified not sampled"
             )
         return p
 
@@ -551,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(VERIFY_CHECKS),
         help="comma-separated subset of: " + ", ".join(VERIFY_CHECKS),
     )
-    p.add_argument("--jobs", type=int, default=0, help="worker processes (0 = auto)")
+    p.add_argument("--jobs", type=int, default=0, help="accepted for compatibility; checks run in one process")
 
     p = add_command(
         "decompose", cmd_decompose, "split a polynomial into face components",
@@ -563,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("solve", "construct", "both"), default="both")
 
     p = add_command(
-        "continuity", cmd_continuity, "two-element trace equality trials",
+        "continuity", cmd_continuity, "two-element trace equality, certified",
         formats=("text", "json"), trials=True,
     )
     p.add_argument("--axis", type=int, default=1, help="glue axis, 1-based")
@@ -606,7 +597,7 @@ def _resolve_range(
 
 def _config_from_args(parser: argparse.ArgumentParser, args: Namespace) -> None:
     """Validate the parsed arguments in place: add n_values and r_values,
-    parse --checks and --alpha, and cap --jobs by the usable CPUs."""
+    and parse --checks and --alpha."""
     command = args.command
     grid_defaults = {
         "table1": (tuple(range(1, 6)), tuple(range(1, 9))),
@@ -633,9 +624,6 @@ def _config_from_args(parser: argparse.ArgumentParser, args: Namespace) -> None:
             parser.error("no checks selected")
         if args.jobs < 0:
             parser.error("jobs must be >= 0")
-        # taskset or a cpuset can leave this process fewer CPUs than the host
-        affinity = getattr(os, "sched_getaffinity", None)
-        args.jobs = min(args.jobs or 4, len(affinity(0)) if affinity else os.cpu_count() or 1)
 
     if command == "continuity" and not 1 <= args.axis <= args.n:
         parser.error(f"axis must be in 1..{args.n}")

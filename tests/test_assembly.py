@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from serendipity import assembly, decomp
+from serendipity import assembly, decomp, dofs
 from serendipity.assembly import (
     ContinuityReport,
     ElementPair,
@@ -17,13 +17,12 @@ from serendipity.assembly import (
     interpolate,
     shared_dof_pairs,
     trace_certificate,
-    trace_locality_check,
 )
 from serendipity.cli import main
 from serendipity.cubegeom import Face, face_contains, full_cube, restrict_to_face
 from serendipity.dofs import SingularMatrixError, dofs_S, nodal_basis
 from serendipity.exactpoly import Polynomial, monomial_str
-from serendipity.spaces import dim_S_formula
+from serendipity.spaces import dim_S_formula, face_monomials
 
 
 def leak_cube_bubble(monkeypatch, n):
@@ -47,6 +46,22 @@ def leak_cube_bubble(monkeypatch, n):
 def mirror_face(face, axis):
     """The face with its pin on the glue axis flipped in sign."""
     return Face(face.n, tuple((i, -s) if i == axis else (i, s) for i, s in face.fixed))
+
+
+# every n <= 3, r <= 6, and two cells at n = 4
+LEMMA_CELLS = [(n, r) for n in range(1, 4) for r in range(1, 7)] + [(4, 4), (4, 6)]
+
+
+def trace_locality_check(phis, n, r, axis):
+    """Oracle: every DOF away from the shared facet has a nodal function in
+    ``phis`` with zero trace there, so zeroing those DOFs never changes the
+    trace.  It traces every such function."""
+    face = ElementPair(n, axis).left_shared_face
+    return not any(
+        restrict_to_face(phi, face)
+        for L, phi in zip(dofs_S(n, r), phis)
+        if not face_contains(face, L.face)
+    )
 
 
 def added_interpolant(values, n, r):
@@ -309,43 +324,38 @@ class TestContinuity:
         b = check_continuity(2, 3, axis=0, trials=6, seed=42)
         assert a == b
 
-    def test_conforming_gaps_read_no_trace_term(self, monkeypatch):
-        # every defect is zero, so no gap is formed and no value is drawn
-        read, drawn = [], []
-        combine, draw = assembly._combination, assembly._random_values
-
-        def recording(n, values, polys):
-            read.append(sum(len(p) for p in polys))
-            return combine(n, values, polys)
-
-        def drawing(rng, count):
-            drawn.append(count)
-            return draw(rng, count)
-
-        monkeypatch.setattr(assembly, "_combination", recording)
-        monkeypatch.setattr(assembly, "_random_values", drawing)
-        report = check_continuity(3, 4, axis=1, trials=6, seed=2)
-        assert report.ok
-        assert read == [] and drawn == []
-
-    @pytest.mark.parametrize("n, r", [(1, 4), (2, 5), (3, 6), (4, 4)])
-    def test_traces_only_the_shared_functions(self, monkeypatch, n, r):
-        traced = []
-        restrict = assembly.restrict_to_face
-
-        def counting(p, face):
-            traced.append(face)
-            return restrict(p, face)
-
-        monkeypatch.setattr(assembly, "restrict_to_face", counting)
+    @pytest.mark.parametrize("n, r", LEMMA_CELLS)
+    def test_traces_only_the_shared_functions(self, n, r):
+        # the lemma behind the certified report, on the real basis: each
+        # shared pair traces alike, so every trial passes, and not to zero,
+        # so every control is detected
+        phis = nodal_basis(n, r)
         for axis in range(n):
-            traced.clear()
-            assert check_continuity(n, r, axis=axis, trials=3, seed=4).ok
             pair = ElementPair(n, axis)
-            shared = len(shared_dof_pairs(n, r, axis))
-            assert shared == (dim_S_formula(n - 1, r) if n > 1 else 1)
-            assert list(dict.fromkeys(traced)) == [pair.right_shared_face, pair.left_shared_face]
-            assert len(traced) == 2 * shared
+            pairs = shared_dof_pairs(n, r, axis)
+            for L, R in pairs:
+                right = restrict_to_face(phis[R.index], pair.right_shared_face)
+                assert right, (axis, R)
+                assert restrict_to_face(phis[L.index], pair.left_shared_face) == right
+            report = check_continuity(n, r, axis=axis, trials=3, seed=4)
+            assert report.ok
+            assert report.shared_count == len(pairs) == (dim_S_formula(n - 1, r) if n > 1 else 1)
+
+    @pytest.mark.parametrize("n, r", [(3, 4), (6, 8)])
+    def test_builds_no_nodal_basis_and_traces_nothing(self, monkeypatch, fresh_caches, n, r):
+        # the report is read off the two certificates
+        def forbidden(*args):
+            raise AssertionError("continuity traced a polynomial or drew a value")
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("serendipity")]:
+            if hasattr(module, "restrict_to_face"):
+                monkeypatch.setattr(module, "restrict_to_face", forbidden)
+        monkeypatch.setattr(random, "Random", forbidden)
+        for axis in range(n):
+            report = check_continuity(n, r, axis=axis, trials=6, seed=2)
+            assert report.ok and report.shared_count == dim_S_formula(n - 1, r)
+        assert nodal_basis.cache_info().misses == 0
+        assert decomp.pairing_inverse.cache_info().misses == 0
 
 
 class TestTraceCertificate:
@@ -391,10 +401,10 @@ class TestTraceCertificate:
 
 
 class TestTraceLocality:
-    @pytest.mark.parametrize("n, r", [(2, 2), (2, 4), (3, 3)])
+    @pytest.mark.parametrize("n, r", LEMMA_CELLS)
     def test_off_face_dofs_never_touch_the_trace(self, n, r):
         for axis in range(n):
-            assert trace_locality_check(n, r, axis=axis)
+            assert trace_locality_check(nodal_basis(n, r), n, r, axis)
 
 
 class TestNonLocalNodalFunction:
@@ -407,13 +417,11 @@ class TestNonLocalNodalFunction:
             phi + Polynomial.one(n) if i == interior else phi
             for i, phi in enumerate(nodal_basis(n, r))
         )
-        with monkeypatch.context() as patch:
-            patch.setattr("serendipity.assembly.nodal_basis", lambda n, r: broken)
-            for axis in range(n):
-                assert not trace_locality_check(n, r, axis=axis)
-        # continuity traces the shared functions only; what would make an
-        # interior function leak, a cube bubble that does not vanish on the
-        # facet, fails the certificate it rests on
+        for axis in range(n):
+            assert not trace_locality_check(broken, n, r, axis)
+        # continuity reads no nodal function; what would make an interior
+        # function leak, a cube bubble that does not vanish on the facet,
+        # fails the certificate it rests on
         culprit = leak_cube_bubble(monkeypatch, n)
         fresh_caches()
         for axis in range(n):
@@ -423,26 +431,11 @@ class TestNonLocalNodalFunction:
 
 
 class TestFailingReportsMatchOracle:
-    """A broken nodal basis gives a failing report that agrees with the
-    oracle field by field, not only in being not ok; a broken bubble fails
-    the certificate, which names it."""
+    """A defect that would make the traces differ, so that a traced check
+    would report failing trials, fails the pairing certificate, which
+    names it."""
 
     n, r = 2, 4
-
-    def broken_basis(self, monkeypatch, index, extra):
-        broken = tuple(
-            phi + extra if i == index else phi
-            for i, phi in enumerate(nodal_basis(self.n, self.r))
-        )
-        monkeypatch.setattr("serendipity.assembly.nodal_basis", lambda n, r: broken)
-        # the oracle reads the name imported into this module
-        monkeypatch.setattr(sys.modules[__name__], "nodal_basis", lambda n, r: broken)
-
-    def assert_matches_oracle(self, axis):
-        for seed in (0, 1, 7):
-            report = check_continuity(self.n, self.r, axis=axis, trials=4, seed=seed)
-            assert not report.ok
-            assert report == reinterpolated_continuity(self.n, self.r, axis, 4, seed)
 
     def test_stray_defect(self, capsys, monkeypatch, fresh_caches):
         # a cube bubble that does not vanish on the facet would add a trace
@@ -460,53 +453,57 @@ class TestFailingReportsMatchOracle:
             f"raised SingularMatrixError: pairing at n=2, r=4 is not certified: {culprit}"
         )
 
-    def test_pair_defect(self, monkeypatch):
-        for axis in range(self.n):
-            _, R = shared_dof_pairs(self.n, self.r, axis)[0]
-            x = [Polynomial.variable(self.n, j) for j in range(self.n)]
-            # (1 - x_a) x_b is zero on the left facet x_a = +1, so phi_R
-            # changes on the right element's shared facet only
+    def test_pair_defect(self, monkeypatch, fresh_caches):
+        # the mirror edge's weights in reverse order pair DOFs of different
+        # weights across the facet, so the traces would differ
+        n, r = self.n, self.r
+        real = dict(face_monomials(n, r))
+        for axis in range(n):
+            mirror = ElementPair(n, axis).right_shared_face
+            index = {**real, mirror: real[mirror][::-1]}
             with monkeypatch.context() as patch:
-                self.broken_basis(patch, R.index, (1 - x[axis]) * x[1 - axis])
-                self.assert_matches_oracle(axis)
+                for module in (assembly, decomp, dofs):
+                    patch.setattr(module, "face_monomials", lambda *cell: index)
+                fresh_caches()
+                assert any(L.weight != R.weight for L, R in shared_dof_pairs(n, r, axis))
+                with pytest.raises(SingularMatrixError) as err:
+                    check_continuity(n, r, axis=axis, trials=4, seed=1)
+            assert str(err.value) == (
+                f"pairing at n=2, r=4 is not certified: index: the weights of {mirror} "
+                "are not distinct in graded lex order"
+            )
+            fresh_caches()
 
 
 class TestControlSign:
-    """A bump the gap happens to cancel goes undetected: the control for R
-    compares R's right trace with the gap tr_left - tr_right itself."""
+    """A control rests on L_R(phi_R) = 1 with L_R reading the right trace
+    only: a bubble that vanishes on its own face leaves the face's DOFs
+    blind to its components, and fails the pairing certificate."""
 
-    n, r, axis = 2, 3, 0
+    n, r = 2, 3
 
-    def test_cancelled_bump_is_undetected(self, monkeypatch):
-        n, r, axis = self.n, self.r, self.axis
-        pair = ElementPair(n, axis)
-        pairs = shared_dof_pairs(n, r, axis)
-        L, R = pairs[0]
-        phis = list(nodal_basis(n, r))
-        # mirrored in x_axis, phi_R traces on the left facet as phi_R on the right
-        mirror = Polynomial(
-            n, {e: c * (-1) ** e[axis] for e, c in phis[R.index].terms()}
-        )
-        phis[L.index] = phis[L.index] + mirror
-        broken = tuple(phis)
-        monkeypatch.setattr("serendipity.assembly.nodal_basis", lambda n, r: broken)
-        monkeypatch.setattr(sys.modules[__name__], "nodal_basis", lambda n, r: broken)
-        # one trial in which only L is nonzero: its gap is phi_R's right trace
-        left = [Fraction(int(k == L.index)) for k in range(len(phis))]
-        draws = iter([left, [Fraction(0)] * len(phis)])
-        monkeypatch.setattr(assembly, "_random_values", lambda rng, count: next(draws))
-        report = check_continuity(n, r, axis=axis, trials=1)
+    def test_vanishing_right_trace_fails_the_certificate(self, monkeypatch, fresh_caches):
+        n, r = self.n, self.r
+        real = decomp._bubble_factors
+        for axis in range(n):
+            mirror = ElementPair(n, axis).right_shared_face
 
-        right = [Fraction(0)] * len(phis)
-        for L2, R2 in pairs:
-            right[R2.index] = left[L2.index]
-        trace_left = restrict_to_face(added_interpolant(left, n, r), pair.left_shared_face)
-        detected = []
-        for _, R2 in pairs:
-            bumped = list(right)
-            bumped[R2.index] += 1
-            trace = restrict_to_face(added_interpolant(bumped, n, r), pair.right_shared_face)
-            detected.append(trace != trace_left)
-        assert report.trial_traces_equal == (False,)
-        assert detected[0] is False
-        assert report.perturbations_detected == tuple(detected)
+            def vanishing(face):
+                # 1 + t in place of 1 - t along the glue axis: zero at x_axis = -1
+                factors = list(real(face))
+                if face == mirror:
+                    factors[axis] = (1, 1, 0)
+                return tuple(factors)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(decomp, "_bubble_factors", vanishing)
+                fresh_caches()
+                assert not restrict_to_face(decomp.bubble(mirror), mirror)
+                with pytest.raises(SingularMatrixError) as err:
+                    check_continuity(n, r, axis=axis)
+            assert str(err.value) == (
+                f"pairing at n=2, r=3 is not certified: bubble: along x{axis + 1} the bubble "
+                f"of {mirror} has the factor (1, 1, 0), not (1, -1, 0) "
+                "(coefficients of 1, t, t^2)"
+            )
+            fresh_caches()

@@ -150,10 +150,18 @@ class TestVerify:
         assert serial == parallel
 
     @pytest.mark.parametrize(
-        "jobs, cpus, workers",
-        [("5000", 8, 4), ("5000", 3, 3), ("2", 8, 2), ("5000", None, None), ("0", 1, None)],
+        "jobs, cpus",
+        [
+            # ids are jobs-cpus-workers, workers being the pool size a cap by
+            # cells and CPUs would pick; verify starts no pool at any of them
+            pytest.param("5000", 8, id="5000-8-4"),
+            pytest.param("5000", 3, id="5000-3-3"),
+            pytest.param("2", 8, id="2-8-2"),
+            pytest.param("5000", None, id="5000-None-None"),
+            pytest.param("0", 1, id="0-1-None"),
+        ],
     )
-    def test_pool_capped_by_cells_and_cpus(self, capsys, monkeypatch, jobs, cpus, workers):
+    def test_pool_capped_by_cells_and_cpus(self, capsys, monkeypatch, jobs, cpus):
         # cpus is the affinity set's size, under a host that has 8 CPUs; None
         # is a platform without affinity whose CPU count is unknown
         started = []
@@ -171,7 +179,6 @@ class TestVerify:
             def map(self, fn, items):
                 return map(fn, items)
 
-        # cmd_verify imports the pool class from here when it makes a pool
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         if cpus is None:
             monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
@@ -183,16 +190,40 @@ class TestVerify:
             monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
         args = ("verify", "--n", "2", "--r", "2", "--r-max", "3",
                 "--checks", "dimension,inclusion", "--format", "json")
-        _, pooled = run_cli(capsys, *args, "--jobs", jobs)
-        assert started == ([workers] if workers else [])
+        code, pooled = run_cli(capsys, *args, "--jobs", jobs)
+        assert code == 0
+        assert started == []
         _, serial = run_cli(capsys, *args, "--jobs", "1")
         assert pooled == serial
 
     def test_import_loads_no_process_pool(self):
-        # only verify --jobs 2 or more makes a pool; --help and the rest never load it
+        # --help and every command run in one process
         probe = (
             "import sys, serendipity.cli; "
             "print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out == "[]\n"
+
+    def test_no_command_loads_a_process_pool(self):
+        # --jobs is accepted and selects nothing: every check runs in this process
+        runs = [
+            ["table1"], ["dims"], ["basis", "--n", "2", "--r", "2"],
+            ["dofs", "--n", "2", "--r", "2"], ["verify", "--jobs", "0"],
+            ["verify", "--n-max", "2", "--r-max", "3", "--jobs", "2"],
+            ["decompose", "--n", "2", "--r", "2"], ["continuity", "--n", "2", "--r", "2"],
+            ["export", "--what", "evalgrid", "--n", "2", "--r", "2", "--points", "3"],
+        ]
+        probe = (
+            "import contextlib, io, sys; from serendipity.cli import main\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('concurrent', 'multiprocessing')))"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         out = subprocess.run(
@@ -523,8 +554,11 @@ class TestHelp:
         text = self.help_text(capsys, command)
         with_trials = command in ("verify", "continuity")
         assert "seed recorded in reports" in text
-        assert ("used for random trials" in text) == with_trials
-        assert ("--trials TRIALS number of random trials" in text) == with_trials
+        assert "random" not in text
+        assert ("; trials draw nothing" in text) == with_trials
+        assert (
+            "--trials TRIALS number of trials reported, certified not sampled" in text
+        ) == with_trials
 
 
 class TestBadInput:
