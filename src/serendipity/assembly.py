@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .cubegeom import Face
-from .decomp import _expand, _multipliers, certify_pairing
+from .decomp import _merge, _multipliers, certify_pairing
 from .dofs import DofFunctional, SingularMatrixError, dofs_S
 from .exactpoly import Exponents, Polynomial, Scalar, monomial_str
 from .spaces import basis_S, face_monomials
@@ -169,7 +169,7 @@ def interpolate(values: Sequence[Scalar], n: int, r: int) -> Polynomial:
         if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
             raise TypeError(f"DOF value {v!r} is not an int or a Fraction")
     den, multipliers = _multipliers(values, n, r)
-    return _expand(n, r, ((face, terms.items()) for face, terms in multipliers.items()), den)
+    return _merge(n, multipliers, den)
 
 
 @dataclass(frozen=True)

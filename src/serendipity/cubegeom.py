@@ -11,8 +11,9 @@ Faces of each dimension are enumerated in a fixed deterministic order:
 lexicographic on the set of pinned axes, then lexicographic on the sign
 pattern with -1 before +1.
 
-Every face moment of the package is read from ``face_moment``, as a
-product over the axes of a point value at a pin or a 1-D moment.
+``face_moment`` integrates over one face against per-axis factors, for
+the pairing K, the facet-kernel Gram, ``apply_dof`` and ``dof_matrix``;
+``decomp``'s split pass takes a polynomial's DOF values on every face.
 """
 
 from __future__ import annotations
@@ -184,7 +185,9 @@ def face_moment(
     along a free axis it is integrated over [-1, 1], where t^k has the
     moment 2 / (k + 1) for even k and 0 for odd k.  A vertex uses the
     counting measure, so its moment is plain point evaluation.  The
-    axes are multiplied in integers and divided once at the end.
+    axes are multiplied in integers and divided once at the end.  Each
+    caller pairs one face and weight with one product of factors, which
+    a pass over all faces at once (``decomp._dof_values``) would not save.
     """
     if len(exponents) != face.n:
         raise ValueError(f"{face} needs {face.n} exponents, got {exponents!r}")

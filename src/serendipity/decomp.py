@@ -8,25 +8,17 @@ degree family of degree r - 2d on the face (d = face dimension) gives
 the face's component space, and these spaces sum directly to the whole
 serendipity space.
 
-Two independent ways to split a polynomial across faces are provided:
-
-* solve: take its DOF values and map them through the inverse X of
-  the pairing K described below, or
-* construct: split it one axis at a time through the per-axis identities
-
-      1    = (1 + x)/2 + (1 - x)/2
-      x    = (1 + x)/2 - (1 - x)/2
-      x^a  = (1 + x)/2 + (-1)^a (1 - x)/2 + (1 - x^2) q_a(x),  a >= 2,
-
-  where q_a(x) = -(x^a' + x^(a'-2) + ... ) with a' = a - 2, taking
-  every second power down to x or 1.  A picked sign factor pins its
-  axis, a picked quotient factor leaves it free, so one choice per axis
-  lands on one face.  The identities act on one axis each, so the split
-  is a tensor product of 1-D maps and is applied as n passes (sum
-  factorisation): pass j sends every term of every part, its pins so
-  far, to its choices along x_j, and terms that meet add up.  The terms
-  are integers over the lcm of p's denominators, the halves deferred to
-  one division per term at the end.
+The split and the merge between a polynomial and its face data are
+per-axis passes (sum factorisation) on integers over one lcm.  Split
+pass j (``_split_axis``) sends each term c x^e of each part, its pins
+so far, to x_j = 1 (c), to x_j = -1 ((-1)^(e_j) c), and through a free
+map to the part itself; terms that meet add up.  The construct method's
+free map is the quotient q_a of x^a = (1 + x)/2 + (-1)^a (1 - x)/2 +
+(1 - x^2) q_a(x), which lands each term on the faces; the solve
+method's, the 1-D moments, gives the DOF values of p, which the inverse
+X of the pairing K below maps to the multipliers.  Merge pass j
+(``_merge``) multiplies each part by its bubble's factor along x_j, so
+the n passes form the sum of b_F m_F.
 
 Pairing the DOFs with the components gives the paper's unisolvence
 proof.  Let K = D C, where D is the DOF matrix and C the component
@@ -73,7 +65,6 @@ from .cubegeom import (
     face_moment,
     face_symmetry,
     full_cube,
-    restrict_to_face,
 )
 from .dofs import RationalMatrix, SingularMatrixError
 from .exactpoly import Exponents, Polynomial, Scalar, grlex_key
@@ -358,19 +349,24 @@ def _multipliers(values: Sequence[Scalar], n: int, r: int) -> tuple[int, dict[Fa
     return den * scale, out
 
 
-def _expand(n: int, r: int, multipliers: Iterable[tuple[Face, Iterable]], den: int) -> Polynomial:
-    """The sum of b_F m_F, each m_F given as its terms (q, den times the
-    coefficient of x^q), added up in integers on the basis of S_r (it holds
-    each b_F x^q by the certificate) and divided by den once per term."""
-    basis = basis_S(n, r)
-    acc = [0] * basis.dim
-    for face, terms in multipliers:
-        bubble_terms = [(e, c.numerator) for e, c in bubble(face).terms()]
-        for q, y in terms:
-            if y:
-                for e, c in bubble_terms:
-                    acc[basis.index_of(tuple(map(add, e, q)))] += c * y
-    return Polynomial(n, ((m, Fraction(v, den)) for m, v in zip(basis, acc) if v))
+def _merge(n: int, multipliers: dict[Face, dict[Exponents, int]], den: int) -> Polynomial:
+    """The sum of b_F m_F, each m_F given as den times its coefficients,
+    by passes from x_n down to x_1: a part pinned at x_j = s is
+    multiplied by 1 + s x_j and drops the pin, any other part by
+    1 - x_j^2, and parts that meet add up.  Divided by den at the end."""
+    state = {f.fixed: {q: y for q, y in m.items() if y} for f, m in multipliers.items()}
+    for j in reversed(range(n)):
+        merged: dict[tuple, dict[Exponents, int]] = {}
+        for pins, part in state.items():
+            pinned = bool(pins) and pins[-1][0] == j
+            s, step = (pins[-1][1], 1) if pinned else (-1, 2)
+            out = merged.setdefault(pins[:-1] if pinned else pins, {})
+            for e, c in part.items():
+                up = e[:j] + (e[j] + step,) + e[j + 1 :]
+                out[e] = out.get(e, 0) + c
+                out[up] = out.get(up, 0) + s * c
+        state = merged
+    return Polynomial(n, ((e, Fraction(v, den)) for e, v in state.get((), {}).items() if v))
 
 
 @dataclass(frozen=True)
@@ -424,15 +420,12 @@ def verify_direct_sum(n: int, r: int) -> DirectSumResult:
     )
 
 
-def _split_axis(state: dict[tuple, dict[Exponents, int]], j: int) -> Iterable[tuple]:
-    """One pass of the construct method, along x_j.  Each part, its pins
-    so far mapped to integer terms, splits every term c x^e by
-
-        t^a = (1 + t)/2 + (-1)^a (1 - t)/2 + (1 - t^2) q_a(t),
-
-    its halves deferred: c goes to the pin (j, 1) and (-1)^a c to the pin
-    (j, -1), both at x_j^0, and -c stays on the part's pins at each
-    x_j^(a-2), x_j^(a-4), ... down to x_j or 1.  Terms that meet add up."""
+def _split_axis(state: dict[tuple, dict[Exponents, int]], j: int, free) -> Iterable[tuple]:
+    """One split pass, along x_j.  Each part, its pins so far mapped to
+    integer terms, sends every term c x^e with a = e_j to three places:
+    c to the pin (j, 1) and (-1)^a c to the pin (j, -1), both at x_j^0,
+    and f c to x_j^k on its own pins for each (k, f) in the free map
+    ``free(pins, e[:j], a)``.  Terms that meet add up."""
     for pins, part in state.items():
         plus: dict[Exponents, int] = {}
         minus: dict[Exponents, int] = {}
@@ -444,14 +437,45 @@ def _split_axis(state: dict[tuple, dict[Exponents, int]], j: int) -> Iterable[tu
             e0 = head + (0,) + tail
             plus[e0] = plus.get(e0, 0) + c
             minus[e0] = minus.get(e0, 0) + (-c if a % 2 else c)
-            for k in range(a - 2, -1, -2):
+            for k, f in free(pins, head, a):
                 ek = head + (k,) + tail
-                stay[ek] = stay.get(ek, 0) - c
+                stay[ek] = stay.get(ek, 0) + f * c
         if plus:
             yield pins + ((j, 1),), plus
             yield pins + ((j, -1),), minus
         if stay:
             yield pins, stay
+
+
+def _split(p: Polynomial, free) -> tuple[int, dict[tuple, dict[Exponents, int]]]:
+    """(den, parts): p cleared over den, the lcm of its denominators, and
+    split along x_1, ..., x_n with the free map."""
+    terms = p.terms()
+    den = lcm(*(c.denominator for _, c in terms))
+    state = {(): {e: c.numerator * (den // c.denominator) for e, c in terms}}
+    for j in range(p.n):
+        state = dict(_split_axis(state, j, free))
+    return den, state
+
+
+def _dof_values(p: Polynomial, r: int) -> tuple[int, list[int]]:
+    """(den, D p): the DOF values of p in DOF order, integers over den.
+    L_{F,w}(p) is the sum over p's terms c x^e of c times, per axis, s^e_j
+    along a pin at s and mu(e_j + w_j) along a free axis, mu(k) = 2/(k + 1)
+    for even k and 0 for odd k.  So the free map sends x^a to each weight
+    w of a's parity with M mu(a + w), M = lcm(1, 3, ..., 2r + 1), up to the
+    room r - 2 (free axes so far + 1) - |e[:j]| left to a face's weights,
+    and a d-face holds its values at its weights, over den M^d."""
+    n, M = p.n, lcm(*range(1, 2 * r + 2, 2))
+
+    def free(pins, head, a):
+        room = r - 2 * (len(head) - len(pins) + 1) - sum(head)
+        return [(w, 2 * M // (a + w + 1)) for w in range(a % 2, room + 1, 2)]
+
+    den, parts = _split(p, free)
+    index = face_monomials(n, r).items()
+    values = [parts.get(f.fixed, {}).get(w, 0) * M ** (n - f.dim) for f, ws in index for w in ws]
+    return den * M**n, values
 
 
 def decompose(
@@ -460,20 +484,11 @@ def decompose(
     """Split a member of the serendipity space into its face components.
 
     Returns only faces with a nonzero component.  The two methods are
-    algorithmically independent and must agree; both are exact.  The
-    solve method reads the component coordinates C^-1 p as X (D p): the
-    DOF values of p, face by face, mapped through the pairing inverse
-    X = K^-1, whose block X[F, H] sends the values on H to multipliers on
-    each face F containing H.  The moments on H are summed term by term
-    over the trace of p on H, with one ``face_moment`` per distinct
-    exponent sum.  That trace is read from the trace on the face above H,
-    the one with the last pin of H released: a restriction of a trace is
-    the trace, and far smaller than p.  ``_multipliers`` maps the values.
-
-    The construct method clears p's coefficients over their lcm, den,
-    and runs ``_split_axis`` along x_1, ..., x_n, starting from the one
-    part with no pins.  A face with k pins then holds den 2^k times its
-    coefficient, which must fit the face's degree budget r - 2d.
+    algorithmically independent and must agree; both are exact.  Solve
+    reads the component coordinates C^-1 p as X (D p), ``_dof_values``
+    mapped by ``_multipliers``.  Construct splits p by the quotient map,
+    and a face with k pins then holds den 2^k times its coefficient,
+    which must fit the face's degree budget r - 2d.
     """
     n = p.n
     if n < 1 or r < 1:
@@ -482,59 +497,39 @@ def decompose(
         raise ValueError(
             f"polynomial has superlinear degree {p.superlinear_degree()} > r = {r}"
         )
-    acc: dict[Face, list[tuple[Exponents, Scalar]]] = {}
     if method == "solve":
-        index = face_monomials(n, r)
-        traces = {full_cube(n): p}
-
-        def trace(face: Face) -> Polynomial:
-            if face not in traces:
-                traces[face] = restrict_to_face(trace(Face(n, face.fixed[:-1])), face)
-            return traces[face]
-
-        values = []
-        for col, weights in index.items():
-            terms = trace(col).terms()
-            moment = cache(partial(face_moment, col))
-            values.extend(sum(c * moment(tuple(map(add, e, w))) for e, c in terms) for w in weights)
-        den, multipliers = _multipliers(values, n, r)
-        for face, terms in multipliers.items():
-            acc[face] = [(q, Fraction(y, den)) for q, y in terms.items() if y]
+        den, values = _dof_values(p, r)
+        scale, multipliers = _multipliers(values, n, r)
+        parts = {face: (terms, den * scale) for face, terms in multipliers.items()}
     elif method == "construct":
-        terms = p.terms()
-        den = lcm(*(c.denominator for _, c in terms))
-        state = {(): {e: c.numerator * (den // c.denominator) for e, c in terms}}
-        for j in range(n):
-            state = dict(_split_axis(state, j))
-        for pins, part in state.items():
-            face, scale = Face(n, pins), den << len(pins)
+        den, split = _split(p, lambda pins, head, a: ((k, -1) for k in range(a - 2, -1, -2)))
+        parts = {Face(n, pins): (terms, den << len(pins)) for pins, terms in split.items()}
+        for face, (terms, _) in parts.items():
             budget = r - 2 * face.dim
-            if any(sum(e) > budget for e, y in part.items() if y):
+            if any(sum(e) > budget for e, y in terms.items() if y):
                 raise AssertionError(f"a coefficient on {face} exceeds its degree budget {budget}")
-            acc[face] = [(e, Fraction(y, scale)) for e, y in part.items() if y]
     else:
         raise ValueError(f"unknown method {method!r}")
-    coefficients = {face: Polynomial(n, terms) for face, terms in acc.items()}
+    coefficients = {
+        face: Polynomial(n, ((e, Fraction(y, scale)) for e, y in terms.items() if y))
+        for face, (terms, scale) in parts.items()
+    }
     return {face: FaceComponent(face, c) for face, c in coefficients.items() if c}
 
 
 def recompose(components: dict[Face, FaceComponent], n: int) -> Polynomial:
-    """Sum of the components; inverse of decompose.  Each b_F m_F is
-    added up in integers, the coefficients of every m_F cleared over one
-    lcm, and divided by it once per term, as ``_expand`` does."""
+    """Sum of the components; inverse of decompose.  The coefficients are
+    cleared over one lcm and ``_merge`` sums the b_F m_F."""
     if any(fc.face.n != n or fc.coefficient.n != n for fc in components.values()):
         raise ValueError(f"components must all live in n = {n} variables")
-    coefficients = [(fc.face, fc.coefficient.terms()) for fc in components.values()]
-    den = lcm(*(c.denominator for _, terms in coefficients for _, c in terms))
-    acc: dict[Exponents, int] = {}
-    for face, terms in coefficients:
-        bubble_terms = [(e, c.numerator) for e, c in bubble(face).terms()]
-        for q, c in terms:
-            y = c.numerator * (den // c.denominator)
-            for e, b in bubble_terms:
-                key = tuple(map(add, e, q))
-                acc[key] = acc.get(key, 0) + b * y
-    return Polynomial(n, ((e, Fraction(v, den)) for e, v in acc.items() if v))
+    terms = [(fc.face, fc.coefficient.terms()) for fc in components.values()]
+    den = lcm(*(c.denominator for _, t in terms for _, c in t))
+    multipliers: dict[Face, dict[Exponents, int]] = {}
+    for face, t in terms:
+        part = multipliers.setdefault(face, {})
+        for q, c in t:
+            part[q] = part.get(q, 0) + c.numerator * (den // c.denominator)
+    return _merge(n, multipliers, den)
 
 
 @dataclass(frozen=True)

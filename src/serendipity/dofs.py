@@ -350,7 +350,7 @@ def nodal_basis(n: int, r: int) -> tuple[Polynomial, ...]:
 
     ``decomp.pairing_inverse`` holds the columns of the first face H0 of
     each dimension only, and only those are expanded into monomials, by
-    the integer bubble expansion that interpolation uses too.
+    the merge pass ``decomp._merge`` that interpolation uses too.
     For any other face H, the cube symmetry sigma with
     sigma H0 = H (``cubegeom.face_symmetry``) maps the DOFs of H0 to
     those of H in order and each bubble b_F to b_{sigma F}, lemmas of
@@ -367,7 +367,7 @@ def nodal_basis(n: int, r: int) -> tuple[Polynomial, ...]:
     for h0, blocks in columns.items():
         by_column = [(f, list(zip(*block))) for f, block in blocks.items()]
         expanded[h0.dim] = [
-            decomp._expand(n, r, ((f, zip(index[f], c[i])) for f, c in by_column), den)
+            decomp._merge(n, {f: dict(zip(index[f], c[i])) for f, c in by_column}, den)
             for i in range(len(index[h0]))
         ]
     polys: list[Polynomial] = []

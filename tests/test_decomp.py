@@ -637,22 +637,23 @@ class TestPairingInverse:
 
 
 class TestDecomposeTraces:
-    def test_input_restricted_to_facets_only(self, monkeypatch):
-        # every lower face is traced from a face above it, not from p
-        p = random_space_member(random.Random(36), 3, 5)
-        real = cubegeom.restrict_to_face
-        from_input = []
+    @pytest.mark.parametrize("n, r", [(3, 5), (5, 6)])
+    def test_solve_traces_and_integrates_nothing(self, monkeypatch, n, r):
+        # D p comes from the per-axis split pass: no trace, no face moment
+        p = mixed_space_member(random.Random(36), n, r)
+        decomp.pairing_inverse(n, r)  # the blocks of K are face moments
+        calls = []
+        for name in ("restrict_to_face", "face_moment"):
+            def spy(*args, name=name, real=getattr(cubegeom, name), **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
 
-        def spy(poly, face):
-            if poly is p:
-                from_input.append(face)
-            return real(poly, face)
-
-        monkeypatch.setattr(cubegeom, "restrict_to_face", spy)
-        monkeypatch.setattr(decomp, "restrict_to_face", spy)
-        parts = decompose(p, 5, method="solve")
-        assert from_input and all(len(face.fixed) <= 1 for face in from_input)
-        assert recompose(parts, 3) == p
+            for module in (cubegeom, decomp):
+                monkeypatch.setattr(module, name, spy, raising=False)
+        parts = decompose(p, r, method="solve")
+        assert calls == []
+        monkeypatch.undo()
+        assert recompose(parts, n) == p
 
     @pytest.mark.parametrize("n, r", [(2, 4), (3, 5), (4, 6)])
     def test_matches_restriction_of_the_input(self, n, r):
@@ -872,8 +873,8 @@ class TestConstruct:
             assert False, "asserts are live"
             split = d._split_axis
 
-            def shifted(state, j):
-                for pins, part in split(state, j):
+            def shifted(state, j, free):
+                for pins, part in split(state, j, free):
                     yield pins, {e[:-1] + (e[-1] + 2,): c for e, c in part.items()}
 
             d._split_axis = shifted
@@ -893,14 +894,53 @@ class TestConstruct:
         assert "exceeds its degree budget" in run.stdout
 
 
+class TestDofValues:
+    @staticmethod
+    def odd_members(rng: random.Random, n: int, r: int) -> list[Polynomial]:
+        """Per axis, a member with mixed denominators whose every term is
+        odd along that axis."""
+        return [
+            Polynomial(n, {m: Fraction(rng.randint(1, 9), rng.choice((1, 5, 6)))
+                           for m in basis_S(n, r).monomials if m[j] % 2})
+            for j in range(n)
+        ]
+
+    @pytest.mark.parametrize(
+        "n, r", [(n, r) for n in range(1, 4) for r in range(1, 7)] + [(4, 8)]
+    )
+    def test_match_the_face_moments(self, n, r):
+        # the earlier route: one face moment per (DOF, term), summed as Fraction
+        rng = random.Random(300 * n + r)
+        members = [mixed_space_member(rng, n, r), *self.odd_members(rng, n, r)]
+        for p in members if n < 4 else members[-1:]:
+            den, values = decomp._dof_values(p, r)
+            expected = [apply_dof(L, p) for L in dofs_S(n, r)]
+            assert [Fraction(v, den) for v in values] == expected, (n, r, p)
+
+
 class TestRecompose:
-    @pytest.mark.parametrize("n, r", [(1, 5), (2, 4), (3, 6), (4, 5)])
+    @pytest.mark.parametrize("n, r", [(1, 5), (2, 4), (3, 6), (4, 5), (5, 6), (6, 4)])
     @pytest.mark.parametrize("method", ["solve", "construct"])
     def test_matches_the_fraction_sum(self, n, r, method):
         rng = random.Random(200 * n + r)
         for p in (mixed_space_member(rng, n, r), random_space_member(rng, n, r)):
             parts = decompose(p, r, method=method)
             assert recompose(parts, n) == fraction_recompose_oracle(parts, n) == p
+
+    @pytest.mark.parametrize("n, r", [(2, 1), (3, 2), (4, 3)])
+    def test_accepts_any_components(self, n, r):
+        # faces outside the index, coefficients over their degree budget and
+        # exponents on pinned axes: recompose sums whatever it is given
+        rng = random.Random(210 * n + r)
+        index = face_monomials(n, r)
+        parts = {}
+        for face in all_faces(n):
+            terms = {tuple(rng.randint(0, 4) for _ in range(n)):
+                     Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) for _ in range(3)}
+            parts[face] = decomp.FaceComponent(face, Polynomial(n, terms))
+        assert any(face not in index for face in parts)
+        assert any(fc.coefficient.degree() > r for fc in parts.values())
+        assert recompose(parts, n) == fraction_recompose_oracle(parts, n)
 
     def test_empty_is_zero(self):
         assert recompose({}, 3) == fraction_recompose_oracle({}, 3) == Polynomial.zero(3)

@@ -9,7 +9,10 @@ covers every command and format over n <= 3, r <= 5; every export
 artifact and family; the nodal, decomposition and evalgrid exports at
 (3, 6) and (3, 8); ``decompose --method solve`` at (4, 6), (5, 6),
 (6, 4) and (4, 10), the last with the largest denominator of the pairing
-inverse among them; ``decompose --method construct`` and
+inverse among them, and at (1, 12), (2, 12) and (6, 6), where the DOF
+values' per-axis pass meets the largest moment scale and the most
+faces; ``decompose --method both`` of x1^3 x2 x3^2 at (3, 6), odd on
+two axes; ``decompose --method construct`` and
 ``--method both`` at (4, 8) and (5, 6), and the construct decomposition
 export at (4, 6), which split the default member one axis at a time;
 the nodal export at (4, 8), which prints every
@@ -86,7 +89,9 @@ def invocations(inputs: Path) -> list[list[str]]:
         runs += [["export", "--what", what, *cell(n, r)] for what in ("nodal", "decomposition")]
         runs.append(["export", "--what", "evalgrid", *cell(n, r), "--points", "3"])
     runs += [["decompose", *cell(n, r), "--method", "solve"]
-             for n, r in ((4, 6), (5, 6), (6, 4), (4, 10))]
+             for n, r in ((4, 6), (5, 6), (6, 4), (4, 10), (1, 12), (2, 12), (6, 6))]
+    # odd exponents on two axes: the moments' parity rule on every face
+    runs.append(["decompose", *cell(3, 6), "--method", "both", "--alpha", "3,1,2"])
     # the construct method's per-axis passes on the default member
     runs += [["decompose", *cell(n, r), "--method", m]
              for n, r in ((4, 8), (5, 6)) for m in ("construct", "both")]
