@@ -19,10 +19,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Optional, Sequence
 
 from .cubegeom import Face
-from .decomp import _merge, _multipliers, certify_pairing
+from .decomp import _polynomial, _solve, certify_pairing
 from .dofs import DofFunctional, SingularMatrixError, dofs_S
 from .exactpoly import Exponents, Polynomial, Scalar, monomial_str
 from .spaces import basis_S, face_monomials
@@ -160,16 +161,18 @@ def trace_certificate(n: int, r: int) -> Optional[str]:
 
 def interpolate(values: Sequence[Scalar], n: int, r: int) -> Polynomial:
     """The unique member of the space with the prescribed DOF values: the
-    sum of b_F m_F with the multipliers m = X v of the pairing inverse, so
-    no nodal function is expanded.  A float or bool value raises TypeError."""
+    sum of b_F m_F with the multipliers m = K^-1 v that ``decomp._solve``
+    finds face dimension by face dimension, so no nodal function is
+    expanded.  A float or bool value raises TypeError."""
     count = len(dofs_S(n, r))
     if len(values) != count:
         raise ValueError(f"expected {count} DOF values, got {len(values)}")
     for v in values:
         if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
             raise TypeError(f"DOF value {v!r} is not an int or a Fraction")
-    den, multipliers = _multipliers(values, n, r)
-    return _merge(n, multipliers, den)
+    den = lcm(*(v.denominator for v in values))
+    scale, _, total = _solve(n, r, den, [v.numerator * (den // v.denominator) for v in values])
+    return _polynomial(n, total, scale)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 Commands: table1, dims, basis, dofs, verify, decompose, continuity,
 export.  Exit status is 0 on success, 1 when a verification command
-found a failing property or a command's pairing inverse could not be
-certified (one stderr line names the culprit), 2 on usage errors and
+found a failing property or the pairing a command solves over could not
+be certified (one stderr line names the culprit), 2 on usage errors and
 unusable input.
 
 Each JSON artifact has one builder: ``export --what basis|dofs|decomposition``
@@ -14,10 +14,11 @@ Supported ranges are hard-capped at n <= 6 and r <= 12, and --trials
 at 10^6 (a JSON report holds one boolean per trial).  The
 unisolvence, direct-sum and facet-kernel checks reach the caps in
 seconds (under 2 s for each n at r = 12 on a shared 2-vCPU machine);
-whatever reads the pairing inverse behind the nodal basis
-(decompose, nodal, decomposition and evalgrid exports) grows
-with the space dimension and can take minutes or more near the caps,
-because all arithmetic is exact.  Continuity reads its report off the
+whatever solves over the pairing, by forward substitution over face
+dimension (decompose, nodal, decomposition and evalgrid exports), grows
+with the space dimension, because all arithmetic is exact: the solve
+decomposition of the default member at (6, 12) takes about 20 s, and
+the nodal exports near the caps minutes or more.  Continuity reads its report off the
 pairing and trace certificates, so it builds no nodal basis and traces
 nothing: its trials and controls are certified, not sampled, and the
 cap cell (6, 12) takes about 1.3 s.  Every ``verify`` check runs in this
@@ -199,7 +200,8 @@ def _load_input_polynomial(args: Namespace) -> Polynomial:
             return Polynomial.from_json_obj(args.n, json.loads(args.poly_path.read_text()))
         except OSError as err:
             raise InputError(f"cannot read --poly {args.poly_path}: {err.strerror}") from None
-        except (ValueError, ZeroDivisionError, KeyError, TypeError) as err:
+        # json.loads raises RecursionError on deeply nested arrays
+        except (ValueError, ZeroDivisionError, KeyError, TypeError, RecursionError) as err:
             raise InputError(f"bad polynomial in {args.poly_path}: {err!r}") from None
     if args.alpha is not None:
         return Polynomial.from_monomial(args.alpha)
@@ -341,7 +343,7 @@ def _run_verify_cell(n: int, r: int, check: str, trials: int, seed: int) -> dict
 
     A check that raises is a failing cell: its row names the exception
     and the traceback goes to stderr, so the other cells still report.
-    An uncertified pairing inverse names its culprit and needs no traceback.
+    An uncertified pairing names its culprit and needs no traceback.
     """
     try:
         ok, detail = _verify_check(n, r, check, trials, seed)

@@ -13,7 +13,8 @@ pattern with -1 before +1.
 
 ``face_moment`` integrates over one face against per-axis factors, for
 the pairing K, the facet-kernel Gram, ``apply_dof`` and ``dof_matrix``;
-``decomp``'s split pass takes a polynomial's DOF values on every face.
+``decomp``'s split pass takes a polynomial's DOF values on every face,
+or on the faces of one dimension when pruned to them.
 """
 
 from __future__ import annotations
@@ -187,7 +188,7 @@ def face_moment(
     counting measure, so its moment is plain point evaluation.  The
     axes are multiplied in integers and divided once at the end.  Each
     caller pairs one face and weight with one product of factors, which
-    a pass over all faces at once (``decomp._dof_values``) would not save.
+    a pass over all faces at once (``decomp._split``) would not save.
     """
     if len(exponents) != face.n:
         raise ValueError(f"{face} needs {face.n} exponents, got {exponents!r}")

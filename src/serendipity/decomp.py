@@ -15,8 +15,9 @@ so far, to x_j = 1 (c), to x_j = -1 ((-1)^(e_j) c), and through a free
 map to the part itself; terms that meet add up.  The construct method's
 free map is the quotient q_a of x^a = (1 + x)/2 + (-1)^a (1 - x)/2 +
 (1 - x^2) q_a(x), which lands each term on the faces; the solve
-method's, the 1-D moments, gives the DOF values of p, which the inverse
-X of the pairing K below maps to the multipliers.  Merge pass j
+method's, the 1-D moments, gives the DOF values of p.  Pruned to the
+d-faces (no pins past n - d, no weights past d free axes), the moment
+passes give the DOF values on the d-faces alone.  Merge pass j
 (``_merge``) multiplies each part by its bubble's factor along x_j, so
 the n passes form the sum of b_F m_F.
 
@@ -28,16 +29,13 @@ positive definite diagonal blocks.  It follows that K is block lower
 triangular over faces with one diagonal block per face dimension, so
 K, hence D and C, is nonsingular without an N x N elimination.
 
-The cube's symmetries, axis permutations with sign flips, act
-transitively on the faces of each dimension and keep every face moment.
-By the certificate they map each face's index and bubble onto the image
-face's, so they permute the rows and columns of K, with signs.  The
-inverse X = K^-1 is therefore solved and held for the n + 1 columns of
-the first face of each dimension only, as integers over one common
-denominator.  One multiplier map, shared by ``decompose`` and
-``assembly.interpolate``, maps every other column from one of those as
-it reads it; the nodal basis likewise expands n + 1 columns into
-monomials and rewrites the rest.
+The multipliers m = K^-1 v of DOF values v follow the proof's induction
+on face dimension (``_solve``).  K[F, G] vanishes unless G is a subface
+of F, so the rows of a d-face F read K[F, F] m_F = v_F - L_F(s), with s
+the sum of b_G m_G over the faces G of lower dimension: one pruned
+moment pass over s per dimension, and one inverted diagonal block per
+dimension.  Those n + 1 Bareiss solves are the only elimination, and no
+column of K^-1 is formed.
 
 The facet kernel check characterizes the functions whose trace vanishes
 on the whole boundary: exactly the full-cube bubble times total degree
@@ -54,20 +52,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, partial
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import add, mul
 from typing import Iterable, Literal, Optional, Sequence
 
-from .cubegeom import (
-    Face,
-    enumerate_faces,
-    face_contains,
-    face_moment,
-    face_symmetry,
-    full_cube,
-)
+from .cubegeom import Face, enumerate_faces, face_moment, full_cube
 from .dofs import RationalMatrix, SingularMatrixError
-from .exactpoly import Exponents, Polynomial, Scalar, grlex_key
+from .exactpoly import Exponents, Polynomial, grlex_key
 from .spaces import (
     basis_S,
     dim_P,
@@ -76,8 +67,6 @@ from .spaces import (
     monomials_total_degree_at_most,
 )
 
-Block = tuple[tuple[Fraction, ...], ...]
-IntBlock = tuple[tuple[int, ...], ...]
 
 __all__ = [
     "FaceComponent",
@@ -86,7 +75,6 @@ __all__ = [
     "component_matrix",
     "pairing_block",
     "certify_pairing",
-    "pairing_inverse",
     "DirectSumResult",
     "verify_direct_sum",
     "decompose",
@@ -257,104 +245,80 @@ def certify_pairing(n: int, r: int) -> Optional[str]:
     return None
 
 
-def _product(a: Block, b: Block, scale: int = 1) -> Block:
-    """scale times the product of two blocks given as rows, skipping zero
-    factors."""
-    cols = list(zip(*b))
-    return tuple(
-        tuple(scale * sum((x * y for x, y in zip(row, col) if x and y), Fraction(0)) for col in cols)
-        for row in a
-    )
-
-
 @lru_cache(maxsize=None)
-def pairing_inverse(n: int, r: int) -> tuple[int, dict[Face, dict[Face, IntBlock]]]:
-    """The n + 1 columns of X = K^-1 at the first face H0 of each
-    dimension, ``enumerate_faces(n, d)[0]``, as (den, columns): each H0 in
-    the index, in DOF order, maps every face F containing H0 to the block
-    den X[F, H0] of integers, den the least common denominator of these
-    columns.  X is block lower triangular like K.
-
-    Block forward substitution finds them, subfaces first:
-
-        X[H0, H0] = K[H0, H0]^-1,
-        X[F, H0] = -K[F, F]^-1 sum over H0 <= G < F of K[F, G] X[G, H0],
-
-    the sum formed as one product of the blocks K[F, G] side by side with
-    the blocks X[G, H0] stacked.  The certificate must hold: it makes the
-    blocks off G <= F zero and every diagonal block of dimension d equal
-    to one representative, so the diagonal inverses are one solve per
-    face dimension.  Every other column is the image of one of these
-    under a cube symmetry; ``_multipliers`` maps the blocks as it reads them.
-    """
+def _diagonal_inverses(n: int, r: int) -> dict[int, tuple[int, tuple]]:
+    """The inverse of the diagonal block K[H0, H0] at the first face
+    H0 = ``enumerate_faces(n, d)[0]`` of each face dimension d in the
+    index, as d -> (den, rows): integers over den, their least common
+    denominator.  The certificate must hold: it makes every diagonal
+    block of dimension d equal to K[H0, H0], weight by weight in order."""
     culprit = certify_pairing(n, r)
     if culprit is not None:
         raise SingularMatrixError(f"pairing at n={n}, r={r} is not certified: {culprit}")
-    index = face_monomials(n, r)
-    first = [face for face in index if face == enumerate_faces(n, face.dim)[0]]
-    diagonal: dict[int, Block] = {}
-    for h0 in first:
-        block = pairing_block(h0, h0, r)
-        inverse = block.solve(RationalMatrix.identity(block.rows))
-        diagonal[h0.dim] = tuple(inverse.row(i) for i in range(inverse.rows))
-    out: dict[Face, dict[Face, Block]] = {}
-    for h0 in first:
-        column = out[h0] = {h0: diagonal[h0.dim]}
-        for face in sorted(index, key=lambda face: face.dim):  # subfaces first
-            if face == h0 or not face_contains(face, h0):
-                continue
-            inner = [g for g in column if face_contains(face, g)]
-            blocks = [pairing_block(face, g, r) for g in inner]
-            left = [sum((k.row(i) for k in blocks), ()) for i in range(len(index[face]))]
-            right = [row for g in inner for row in column[g]]
-            column[face] = _product(diagonal[face.dim], _product(left, right), scale=-1)
-    den = lcm(*(v.denominator for c in out.values() for b in c.values() for row in b for v in row))
-    for column in out.values():
-        for face, block in column.items():
-            column[face] = tuple(tuple(int(v * den) for v in row) for row in block)
-    return den, out
+    out = {}
+    for face in face_monomials(n, r):
+        if face == enumerate_faces(n, face.dim)[0]:
+            block = pairing_block(face, face, r)
+            inverse = block.solve(RationalMatrix.identity(block.rows)).to_lists()
+            den = lcm(*(v.denominator for row in inverse for v in row))
+            out[face.dim] = den, tuple(tuple(int(v * den) for v in row) for row in inverse)
+    return out
 
 
-def _multipliers(values: Sequence[Scalar], n: int, r: int) -> tuple[int, dict[Face, dict]]:
-    """The multipliers m = X v for DOF values v in DOF order, as (den, m):
-    each indexed face, in index order, maps its weight q to den times the
-    multiplier of b_F x^q.  The values are cleared to integers with one lcm,
-    and faces whose values are all zero are skipped.  The cube symmetry
-    sigma with sigma H0 = H (``cubegeom.face_symmetry``) keeps every face
-    moment, so X[sigma F, H] row sigma q is sign(sigma q) X[F, H0] row q,
-    with H's weights in H0's order and unsigned: y = X[F, H0] times the
-    values on H adds y_q to the multiplier of x^e' on sigma F, where
-    e'[perm[i]] = q[i], negated when e' is odd over the flipped axes.
+def _solve(n: int, r: int, den: int, values: Sequence[int]) -> tuple[int, dict, dict]:
+    """The multipliers m = K^-1 v for DOF values v, given in DOF order as
+    integers over den, as (scale, parts, total): each face with a nonzero
+    residual, keyed by its pins, maps its weight q to scale times the
+    multiplier of b_F x^q, and total holds scale times the sum of b_F m_F.
+
+    Forward substitution over face dimension, the paper's induction:
+    for d = 0, 1, ..., n the residual on the d-faces is v less the DOF
+    values of the sum of b_G m_G found so far, read off one split pass
+    pruned to the d-faces, and each d-face F takes m_F = K[H0, H0]^-1
+    times its residual.  The new multipliers are merged into the sum,
+    and all integers are kept over one scale, reduced by the gcd after
+    each dimension.
     """
-    den, columns = pairing_inverse(n, r)
-    columns = {h0.dim: column for h0, column in columns.items()}
     index = face_monomials(n, r)
-    scale = lcm(*(v.denominator for v in values))
-    cleared = iter([v.numerator * (scale // v.denominator) for v in values])
-    out = {face: dict.fromkeys(exps, 0) for face, exps in index.items()}
-    for col, weights in index.items():
-        on_col = list(itertools.islice(cleared, len(weights)))
-        if not any(on_col):
+    inverses = _diagonal_inverses(n, r)
+    M = lcm(*range(1, 2 * r + 2, 2))
+    cleared = iter(values)
+    by_dim: dict[int, list] = {}
+    for face, weights in index.items():
+        on_face = list(itertools.islice(cleared, len(weights)))
+        by_dim.setdefault(face.dim, []).append((face.fixed, weights, on_face))
+    scale, parts, total = 1, {}, {}
+    for d in sorted(by_dim):
+        got = _split({(): total}, n, partial(_moments, r), d)  # over scale M^d
+        kden, inverse = inverses[d]
+        lift, new = scale * M**d, {}
+        for pins, weights, on_face in by_dim[d]:
+            part = got.get(pins, {})
+            res = [v * lift - den * part.get(w, 0) for w, v in zip(weights, on_face)]
+            if any(res):
+                new[pins] = {q: sum(map(mul, row, res)) for q, row in zip(weights, inverse)}
+        if not new:
             continue
-        perm, flips = face_symmetry(col)
-        source = sorted(range(n), key=perm.__getitem__)
-        for face, block in columns[col.dim].items():
-            pins = sorted((perm[i], -s if perm[i] in flips else s) for i, s in face.fixed)
-            image = out[Face(n, tuple(pins))]
-            for q, row in zip(index[face], block):
-                y = sum(map(mul, row, on_col))
-                if y:
-                    e = tuple(q[i] for i in source)
-                    image[e] += -y if sum(e[j] for j in flips) % 2 else y
-    return den * scale, out
+        step = den * M**d * kden  # new is over den * lift * kden = scale * step
+        parts = {pins: {q: y * step for q, y in part.items()} for pins, part in parts.items()} | new
+        total = {e: c * step for e, c in total.items()}
+        for e, c in _merge(n, new).get((), {}).items():
+            total[e] = total.get(e, 0) + c
+        # the sum is an integer combination of the multipliers, so g divides it
+        g = gcd(scale * step, *(y for part in parts.values() for y in part.values()))
+        scale = scale * step // g
+        parts = {pins: {q: y // g for q, y in part.items()} for pins, part in parts.items()}
+        total = {e: c // g for e, c in total.items()}
+    return scale, parts, total
 
 
-def _merge(n: int, multipliers: dict[Face, dict[Exponents, int]], den: int) -> Polynomial:
-    """The sum of b_F m_F, each m_F given as den times its coefficients,
-    by passes from x_n down to x_1: a part pinned at x_j = s is
+def _merge(n: int, parts: dict[tuple, dict[Exponents, int]]) -> dict[tuple, dict[Exponents, int]]:
+    """The sum of b_F m_F, each m_F given as integer terms keyed by F's
+    pins, by passes from x_n down to x_1: a part pinned at x_j = s is
     multiplied by 1 + s x_j and drops the pin, any other part by
-    1 - x_j^2, and parts that meet add up.  Divided by den at the end."""
-    state = {f.fixed: {q: y for q, y in m.items() if y} for f, m in multipliers.items()}
+    1 - x_j^2, and parts that meet add up.  The sum is the one part left,
+    keyed by no pins."""
+    state = {pins: {q: y for q, y in m.items() if y} for pins, m in parts.items()}
     for j in reversed(range(n)):
         merged: dict[tuple, dict[Exponents, int]] = {}
         for pins, part in state.items():
@@ -366,7 +330,12 @@ def _merge(n: int, multipliers: dict[Face, dict[Exponents, int]], den: int) -> P
                 out[e] = out.get(e, 0) + c
                 out[up] = out.get(up, 0) + s * c
         state = merged
-    return Polynomial(n, ((e, Fraction(v, den)) for e, v in state.get((), {}).items() if v))
+    return state
+
+
+def _polynomial(n: int, terms: dict[Exponents, int], den: int) -> Polynomial:
+    """Integer terms over den as a polynomial."""
+    return Polynomial(n, ((e, Fraction(v, den)) for e, v in terms.items() if v))
 
 
 @dataclass(frozen=True)
@@ -420,13 +389,17 @@ def verify_direct_sum(n: int, r: int) -> DirectSumResult:
     )
 
 
-def _split_axis(state: dict[tuple, dict[Exponents, int]], j: int, free) -> Iterable[tuple]:
+def _split_axis(
+    state: dict[tuple, dict[Exponents, int]], j: int, free, pin_cap: int, free_cap: int
+) -> Iterable[tuple]:
     """One split pass, along x_j.  Each part, its pins so far mapped to
     integer terms, sends every term c x^e with a = e_j to three places:
     c to the pin (j, 1) and (-1)^a c to the pin (j, -1), both at x_j^0,
-    and f c to x_j^k on its own pins for each (k, f) in the free map
-    ``free(pins, e[:j], a)``.  Terms that meet add up."""
+    unless the part has pin_cap pins, and f c to x_j^k on its own pins
+    for each (k, f) in the free map ``free(j - len(pins), sum(e[:j]), a)``,
+    unless the part has free_cap free axes.  Terms that meet add up."""
     for pins, part in state.items():
+        pin, axes = len(pins) < pin_cap, j - len(pins)
         plus: dict[Exponents, int] = {}
         minus: dict[Exponents, int] = {}
         stay: dict[Exponents, int] = {}
@@ -434,12 +407,14 @@ def _split_axis(state: dict[tuple, dict[Exponents, int]], j: int, free) -> Itera
             if not c:
                 continue
             head, a, tail = e[:j], e[j], e[j + 1 :]
-            e0 = head + (0,) + tail
-            plus[e0] = plus.get(e0, 0) + c
-            minus[e0] = minus.get(e0, 0) + (-c if a % 2 else c)
-            for k, f in free(pins, head, a):
-                ek = head + (k,) + tail
-                stay[ek] = stay.get(ek, 0) + f * c
+            if pin:
+                e0 = head + (0,) + tail
+                plus[e0] = plus.get(e0, 0) + c
+                minus[e0] = minus.get(e0, 0) + (-c if a % 2 else c)
+            if axes < free_cap:
+                for k, f in free(axes, sum(head), a):
+                    ek = head + (k,) + tail
+                    stay[ek] = stay.get(ek, 0) + f * c
         if plus:
             yield pins + ((j, 1),), plus
             yield pins + ((j, -1),), minus
@@ -447,32 +422,45 @@ def _split_axis(state: dict[tuple, dict[Exponents, int]], j: int, free) -> Itera
             yield pins, stay
 
 
-def _split(p: Polynomial, free) -> tuple[int, dict[tuple, dict[Exponents, int]]]:
-    """(den, parts): p cleared over den, the lcm of its denominators, and
-    split along x_1, ..., x_n with the free map."""
+def _split(
+    state: dict[tuple, dict[Exponents, int]], n: int, free, d: Optional[int] = None
+) -> dict[tuple, dict[Exponents, int]]:
+    """The split passes along x_1, ..., x_n with the free map.  With d
+    given they keep the d-faces only: a part with n - d pins is not
+    pinned further, and one with d free axes makes no weights."""
+    caps = (n, n) if d is None else (n - d, d)
+    for j in range(n):
+        state = dict(_split_axis(state, j, free, *caps))
+    return state
+
+
+def _cleared(p: Polynomial) -> tuple[int, dict[tuple, dict[Exponents, int]]]:
+    """(den, state): p over den, the lcm of its denominators, as integer
+    terms in the one part keyed by no pins."""
     terms = p.terms()
     den = lcm(*(c.denominator for _, c in terms))
-    state = {(): {e: c.numerator * (den // c.denominator) for e, c in terms}}
-    for j in range(p.n):
-        state = dict(_split_axis(state, j, free))
-    return den, state
+    return den, {(): {e: c.numerator * (den // c.denominator) for e, c in terms}}
+
+
+@cache
+def _moments(r: int, axes: int, degree: int, a: int) -> tuple[tuple[int, int], ...]:
+    """The moment free map at x^a after free axes whose weights sum to
+    degree: each weight w of a's parity within the room left to a face's
+    weights, with M mu(a + w), mu(k) = 2/(k + 1) for even k and 0 for odd
+    k, M = lcm(1, 3, ..., 2r + 1).  L_{F,w}(p) is the sum over p's terms
+    c x^e of c times, per axis, s^(e_j) along a pin at s and
+    mu(e_j + w_j) along a free axis, so a d-face holds its values over M^d."""
+    M = lcm(*range(1, 2 * r + 2, 2))
+    room = r - 2 * (axes + 1) - degree
+    return tuple((w, 2 * M // (a + w + 1)) for w in range(a % 2, room + 1, 2))
 
 
 def _dof_values(p: Polynomial, r: int) -> tuple[int, list[int]]:
-    """(den, D p): the DOF values of p in DOF order, integers over den.
-    L_{F,w}(p) is the sum over p's terms c x^e of c times, per axis, s^e_j
-    along a pin at s and mu(e_j + w_j) along a free axis, mu(k) = 2/(k + 1)
-    for even k and 0 for odd k.  So the free map sends x^a to each weight
-    w of a's parity with M mu(a + w), M = lcm(1, 3, ..., 2r + 1), up to the
-    room r - 2 (free axes so far + 1) - |e[:j]| left to a face's weights,
-    and a d-face holds its values at its weights, over den M^d."""
+    """(den, D p): the DOF values of p in DOF order, integers over den,
+    from the unpruned moment passes."""
     n, M = p.n, lcm(*range(1, 2 * r + 2, 2))
-
-    def free(pins, head, a):
-        room = r - 2 * (len(head) - len(pins) + 1) - sum(head)
-        return [(w, 2 * M // (a + w + 1)) for w in range(a % 2, room + 1, 2)]
-
-    den, parts = _split(p, free)
+    den, state = _cleared(p)
+    parts = _split(state, n, partial(_moments, r))
     index = face_monomials(n, r).items()
     values = [parts.get(f.fixed, {}).get(w, 0) * M ** (n - f.dim) for f, ws in index for w in ws]
     return den * M**n, values
@@ -485,10 +473,11 @@ def decompose(
 
     Returns only faces with a nonzero component.  The two methods are
     algorithmically independent and must agree; both are exact.  Solve
-    reads the component coordinates C^-1 p as X (D p), ``_dof_values``
-    mapped by ``_multipliers``.  Construct splits p by the quotient map,
-    and a face with k pins then holds den 2^k times its coefficient,
-    which must fit the face's degree budget r - 2d.
+    reads the component coordinates C^-1 p as K^-1 (D p): ``_dof_values``
+    solved face dimension by face dimension by ``_solve``.  Construct
+    splits p by the quotient map, and a face with k pins then holds
+    den 2^k times its coefficient, which must fit the face's degree
+    budget r - 2d.
     """
     n = p.n
     if n < 1 or r < 1:
@@ -498,11 +487,11 @@ def decompose(
             f"polynomial has superlinear degree {p.superlinear_degree()} > r = {r}"
         )
     if method == "solve":
-        den, values = _dof_values(p, r)
-        scale, multipliers = _multipliers(values, n, r)
-        parts = {face: (terms, den * scale) for face, terms in multipliers.items()}
+        scale, multipliers, _ = _solve(n, r, *_dof_values(p, r))
+        parts = {Face(n, pins): (terms, scale) for pins, terms in multipliers.items()}
     elif method == "construct":
-        den, split = _split(p, lambda pins, head, a: ((k, -1) for k in range(a - 2, -1, -2)))
+        den, state = _cleared(p)
+        split = _split(state, n, lambda axes, degree, a: ((k, -1) for k in range(a - 2, -1, -2)))
         parts = {Face(n, pins): (terms, den << len(pins)) for pins, terms in split.items()}
         for face, (terms, _) in parts.items():
             budget = r - 2 * face.dim
@@ -510,10 +499,7 @@ def decompose(
                 raise AssertionError(f"a coefficient on {face} exceeds its degree budget {budget}")
     else:
         raise ValueError(f"unknown method {method!r}")
-    coefficients = {
-        face: Polynomial(n, ((e, Fraction(y, scale)) for e, y in terms.items() if y))
-        for face, (terms, scale) in parts.items()
-    }
+    coefficients = {face: _polynomial(n, terms, scale) for face, (terms, scale) in parts.items()}
     return {face: FaceComponent(face, c) for face, c in coefficients.items() if c}
 
 
@@ -524,12 +510,12 @@ def recompose(components: dict[Face, FaceComponent], n: int) -> Polynomial:
         raise ValueError(f"components must all live in n = {n} variables")
     terms = [(fc.face, fc.coefficient.terms()) for fc in components.values()]
     den = lcm(*(c.denominator for _, t in terms for _, c in t))
-    multipliers: dict[Face, dict[Exponents, int]] = {}
+    multipliers: dict[tuple, dict[Exponents, int]] = {}
     for face, t in terms:
-        part = multipliers.setdefault(face, {})
+        part = multipliers.setdefault(face.fixed, {})
         for q, c in t:
             part[q] = part.get(q, 0) + c.numerator * (den // c.denominator)
-    return _merge(n, multipliers, den)
+    return _polynomial(n, _merge(n, multipliers).get((), {}), den)
 
 
 @dataclass(frozen=True)

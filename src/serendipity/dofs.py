@@ -55,7 +55,7 @@ __all__ = [
 
 class SingularMatrixError(ArithmeticError):
     """Raised when an exact solve meets a rank-deficient matrix, or when
-    the pairing inverse cannot be certified (``decomp.pairing_inverse``)."""
+    a solve over the pairing finds it uncertified (``decomp.certify_pairing``)."""
 
 
 def _bareiss(
@@ -343,35 +343,31 @@ def nodal_basis(n: int, r: int) -> tuple[Polynomial, ...]:
     """The dual basis: polynomial j takes value 1 on DOF j and 0 on the rest.
 
     With K = D C the pairing of the DOFs with the bubble components, the
-    inverse of the DOF matrix is C K^-1: the nodal function of the DOF
-    with weight index i on face H is the sum, over the faces F containing
-    H, of b_F times the multipliers in column i of the block X[F, H] of
-    X = K^-1.
+    inverse of the DOF matrix is C K^-1: the nodal function of a DOF is
+    the sum of b_F m_F with the multipliers m = K^-1 of its unit vector,
+    which ``decomp._solve`` finds face dimension by face dimension and
+    the merge pass ``decomp._merge`` sums, as interpolation does.
 
-    ``decomp.pairing_inverse`` holds the columns of the first face H0 of
-    each dimension only, and only those are expanded into monomials, by
-    the merge pass ``decomp._merge`` that interpolation uses too.
-    For any other face H, the cube symmetry sigma with
-    sigma H0 = H (``cubegeom.face_symmetry``) maps the DOFs of H0 to
-    those of H in order and each bubble b_F to b_{sigma F}, lemmas of
-    the certificate that ``pairing_inverse`` requires.  So the function
-    of weight i on H is that of weight i on H0 composed with sigma^-1:
-    each term c x^e becomes +-c x^e', with e'[perm[k]] = e[k], negated
-    when e' is odd over the flipped axes, rewriting exponents and signs.
+    Only the DOFs of the first face H0 of each dimension are solved for.
+    For any other face H, the cube symmetry sigma with sigma H0 = H
+    (``cubegeom.face_symmetry``) maps the DOFs of H0 to those of H in
+    order and each bubble b_F to b_{sigma F}, lemmas of the certificate
+    that the solve requires.  So the function of weight i on H is that of
+    weight i on H0 composed with sigma^-1: each term c x^e becomes
+    +-c x^e', with e'[perm[k]] = e[k], negated when e' is odd over the
+    flipped axes, rewriting exponents and signs.
     """
     from . import decomp
 
-    index = face_monomials(n, r)
-    den, columns = decomp.pairing_inverse(n, r)
+    functionals = dofs_S(n, r)
     expanded: dict[int, list[Polynomial]] = {}
-    for h0, blocks in columns.items():
-        by_column = [(f, list(zip(*block))) for f, block in blocks.items()]
-        expanded[h0.dim] = [
-            decomp._merge(n, {f: dict(zip(index[f], c[i])) for f, c in by_column}, den)
-            for i in range(len(index[h0]))
-        ]
+    for L in functionals:
+        if L.face == enumerate_faces(n, L.face.dim)[0]:
+            unit = [int(k == L.index) for k in range(len(functionals))]
+            den, _, total = decomp._solve(n, r, 1, unit)
+            expanded.setdefault(L.face.dim, []).append(decomp._polynomial(n, total, den))
     polys: list[Polynomial] = []
-    for col in index:
+    for col in face_monomials(n, r):
         perm, flips = face_symmetry(col)
         polys.extend(phi.transformed(perm, flips) for phi in expanded[col.dim])
     return tuple(polys)

@@ -21,6 +21,7 @@ first, then lexicographically on the exponent tuple itself.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -35,6 +36,9 @@ __all__ = [
     "grlex_key",
     "superlinear_degree",
 ]
+
+
+_COEFF = re.compile(r"[-+]?(\d+(/\d+)?|\d+\.\d*|\.\d+)", re.ASCII)
 
 
 def grlex_key(exponents: Exponents) -> tuple[int, Exponents]:
@@ -321,6 +325,9 @@ class Polynomial:
             # a JSON float is already rounded, and a bool is no coefficient
             if not isinstance(coeff, (int, str)) or isinstance(coeff, bool):
                 raise TypeError(f"coefficient {coeff!r} is not an integer or a string")
+            # exponent notation such as "1e999999999" would build the power
+            if isinstance(coeff, str) and not _COEFF.fullmatch(coeff):
+                raise ValueError(f"coefficient {coeff!r} is not an integer, p/q or decimal string")
             terms.append((exps, Fraction(coeff)))
         return cls(n, terms)
 

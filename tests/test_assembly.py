@@ -355,7 +355,7 @@ class TestContinuity:
             report = check_continuity(n, r, axis=axis, trials=6, seed=2)
             assert report.ok and report.shared_count == dim_S_formula(n - 1, r)
         assert nodal_basis.cache_info().misses == 0
-        assert decomp.pairing_inverse.cache_info().misses == 0
+        assert decomp._diagonal_inverses.cache_info().misses == 0
 
 
 class TestTraceCertificate:

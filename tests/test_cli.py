@@ -582,6 +582,26 @@ class TestBadInput:
     def test_malformed_json(self, capsys, tmp_path):
         assert "JSONDecodeError" in self.decompose_file(capsys, tmp_path, "[{")
 
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        # json.loads gives up with RecursionError: bad input, not a failed property
+        err = self.decompose_file(capsys, tmp_path, "[" * 200_000)
+        assert err.startswith("serendipity decompose: error: bad polynomial in ")
+        assert "RecursionError" in err
+
+    def test_exponent_notation_is_rejected_at_once(self, tmp_path):
+        # Fraction would build 10^999999999 and never finish
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps([{"exponents": [1, 0], "coeff": "1e999999999"}]))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        run = subprocess.run(
+            [sys.executable, "-m", "serendipity.cli", "decompose", "--n", "2", "--r", "2",
+             "--poly", str(path)],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert run.returncode == 2 and run.stdout == ""
+        assert run.stderr.count("\n") == 1
+        assert "bad polynomial" in run.stderr and "1e999999999" in run.stderr
+
     def test_wrong_arity(self, capsys, tmp_path):
         text = json.dumps([{"exponents": [1, 0, 0], "coeff": "1"}])
         assert "length 2" in self.decompose_file(capsys, tmp_path, text)

@@ -7,12 +7,12 @@ import itertools
 import os
 import pickle
 import random
-import re
 import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from math import comb, lcm
+from functools import partial
+from math import comb, gcd
 from operator import add
 
 import pytest
@@ -38,6 +38,7 @@ from serendipity.decomp import (
     recompose,
     verify_direct_sum,
 )
+from serendipity.assembly import interpolate
 from serendipity.dofs import (
     DofFunctional,
     RationalMatrix,
@@ -500,9 +501,20 @@ class TestPairing:
         )
 
 
+def product(a: tuple, b: tuple, scale: int = 1) -> tuple:
+    """scale times the product of two blocks given as rows, skipping zero
+    factors."""
+    cols = list(zip(*b))
+    return tuple(
+        tuple(scale * sum((x * y for x, y in zip(row, col) if x and y), Fraction(0)) for col in cols)
+        for row in a
+    )
+
+
 def all_columns_inverse(n: int, r: int) -> dict[Face, dict[Face, tuple]]:
-    """The earlier pairing inverse, kept as an oracle: block forward
-    substitution run for every one of the 3^n columns, no symmetry."""
+    """The earlier pairing inverse X = K^-1, kept as an oracle: block
+    forward substitution run for every one of the 3^n columns, no symmetry,
+    X[F, H] = -K[F, F]^-1 sum over H <= G < F of K[F, G] X[G, H]."""
     index = face_monomials(n, r)
     diagonal = {}
     for d in range(n + 1):
@@ -521,15 +533,9 @@ def all_columns_inverse(n: int, r: int) -> dict[Face, dict[Face, tuple]]:
             blocks = [pairing_block(face, g, r) for g in inner]
             left = [sum((k.row(i) for k in blocks), ()) for i in range(len(index[face]))]
             right = [row for g in inner for row in column[g]]
-            column[face] = decomp._product(diagonal[face.dim], decomp._product(left, right), scale=-1)
+            column[face] = product(diagonal[face.dim], product(left, right), scale=-1)
         out[col] = column
     return out
-
-
-def scaled(column: dict[Face, tuple], den: int) -> dict[Face, tuple]:
-    """Each block of a column times den, exactly: equal to integer blocks
-    only where every product is an integer."""
-    return {face: tuple(tuple(v * den for v in row) for row in block) for face, block in column.items()}
 
 
 def all_columns_nodal_basis(n: int, r: int) -> tuple[Polynomial, ...]:
@@ -549,27 +555,63 @@ def all_columns_nodal_basis(n: int, r: int) -> tuple[Polynomial, ...]:
     return tuple(polys)
 
 
+def unit(n: int, r: int, i: int) -> list[int]:
+    """DOF values 1 on DOF i and 0 on the rest."""
+    return [int(k == i) for k in range(len(dofs_S(n, r)))]
+
+
+def solved(n: int, r: int, values: list[int]) -> dict[tuple, dict]:
+    """The solver's nonzero multipliers as Fractions, keyed by pins."""
+    scale, parts, _ = decomp._solve(n, r, 1, values)
+    out = {pins: {q: Fraction(y, scale) for q, y in part.items() if y} for pins, part in parts.items()}
+    return {pins: part for pins, part in out.items() if part}
+
+
+def assert_uncertified(n: int, r: int, culprit: str) -> None:
+    """The diagonal inverses, the nodal basis, interpolation and the solve
+    method all stop with the pairing's culprit."""
+    message = f"pairing at n={n}, r={r} is not certified: {culprit}"
+    with pytest.raises(SingularMatrixError) as err:
+        decomp._diagonal_inverses(n, r)
+    assert str(err.value) == message
+    for attempt in (
+        lambda: nodal_basis(n, r),
+        lambda: interpolate([0] * len(dofs_S(n, r)), n, r),
+        lambda: decompose(random_space_member(random.Random(35), n, r), r, method="solve"),
+    ):
+        with pytest.raises(SingularMatrixError) as err:
+            attempt()
+        assert str(err.value) == message
+
+
 class TestPairingInverse:
-    """X = K^-1 from n + 1 substituted columns and the cube symmetry."""
+    """K^-1 applied by forward substitution over face dimension."""
 
     @pytest.mark.parametrize("n, r", PAIRING_CELLS + [(4, 6), (4, 8)])
     def test_matches_all_columns_substitution(self, n, r):
-        (den, x), oracle = decomp.pairing_inverse(n, r), all_columns_inverse(n, r)
-        for col, column in x.items():
-            assert list(column) == list(oracle[col]), col
-            assert column == scaled(oracle[col], den), col
-        # den is the least common denominator of the held columns
-        assert den == lcm(
-            *(v.denominator for col in x for block in oracle[col].values() for row in block for v in row)
-        )
+        # every column of K^-1: the solve of each unit vector
+        index, oracle = face_monomials(n, r), all_columns_inverse(n, r)
+        for L in dofs_S(n, r):
+            k = index[L.face].index(L.exponents)
+            expected = {
+                face.fixed: {q: row[k] for q, row in zip(index[face], block) if row[k]}
+                for face, block in oracle[L.face].items()
+            }
+            assert solved(n, r, unit(n, r, L.index)) == {f: b for f, b in expected.items() if b}, L
 
     @pytest.mark.parametrize("n, r", PAIRING_CELLS)
     def test_holds_the_canonical_columns_in_dof_order(self, n, r):
+        # the columns the nodal basis solves for, those of the first face of
+        # each dimension: integer parts in DOF order over their least scale
         first = {enumerate_faces(n, d)[0] for d in range(n + 1)}
-        den, x = decomp.pairing_inverse(n, r)
-        assert list(x) == [face for face in face_monomials(n, r) if face in first]
-        assert all(type(v) is int for column in x.values() for block in column.values()
-                   for row in block for v in row)
+        order = [face.fixed for face in face_monomials(n, r)]
+        for L in dofs_S(n, r):
+            if L.face in first:
+                scale, parts, _ = decomp._solve(n, r, 1, unit(n, r, L.index))
+                assert list(parts) == [pins for pins in order if pins in parts]
+                numbers = [scale, *(y for part in parts.values() for y in part.values())]
+                assert all(type(y) is int for y in numbers)
+                assert gcd(*numbers) == 1
 
     @pytest.mark.parametrize("n, r", [(3, 8), (4, 6)])
     def test_nodal_basis_matches_all_columns_expansion(self, n, r):
@@ -578,19 +620,16 @@ class TestPairingInverse:
     def test_faces_listed_out_of_dimension_order_keep_x(self, monkeypatch, fresh_caches):
         # K is nonsingular in any face order, so the certificate holds, and
         # the substitution must still reach each face after its subfaces
-        expected_den, expected = decomp.pairing_inverse(2, 4)
-        decomp.pairing_inverse.cache_clear()
+        rng = random.Random(38)
         real = face_monomials(2, 4)
+        values = {(face, w): rng.randint(-9, 9) for face, ws in real.items() for w in ws}
+        expected = solved(2, 4, list(values.values()))
         index = {full_cube(2): real[full_cube(2)], **real}
         monkeypatch.setattr(decomp, "face_monomials", lambda n_, r_: index)
         assert certify_pairing(2, 4) is None
-        den, x = decomp.pairing_inverse(2, 4)
-        assert den == expected_den
-        assert list(x) == [face for face in index if face in expected]
-        for col, column in x.items():
-            reached = sorted((face for face in index if face in column), key=lambda f: f.dim)
-            assert list(column) == reached
-            assert column == expected[col], col
+        got = solved(2, 4, [values[face, w] for face, ws in index.items() for w in ws])
+        assert got == expected
+        assert [len(pins) for pins in got] == sorted((len(pins) for pins in got), reverse=True)
 
     def test_moved_weight_fails_index_symmetry(self, monkeypatch, fresh_caches):
         # the edge x1=+1 gives its top weight x2^2 up for x1: the counts
@@ -600,28 +639,21 @@ class TestPairingInverse:
         monkeypatch.setattr(decomp, "face_monomials", lambda n_, r_: index)
         culprit = f"index: the weight (1, 0) of {EDGE} is not in P_2 of its free axes"
         assert certify_pairing(2, 4) == culprit
-        with pytest.raises(SingularMatrixError) as err:
-            decomp.pairing_inverse(2, 4)
-        assert str(err.value) == f"pairing at n=2, r=4 is not certified: {culprit}"
-        with pytest.raises(SingularMatrixError, match=f"not certified: {re.escape(culprit)}"):
-            nodal_basis(2, 4)
-        with pytest.raises(SingularMatrixError, match=f"not certified: {re.escape(culprit)}"):
-            decompose(random_space_member(random.Random(35), 2, 4), 4, method="solve")
+        assert_uncertified(2, 4, culprit)
         # the dense ranks agree: the components are dependent, and so are
         # the DOFs once they carry the same index
         assert verify_direct_sum(2, 4).rank == 16
         monkeypatch.setattr("serendipity.dofs.face_monomials", lambda n_, r_: index)
+        fresh_caches()  # the DOFs were listed from the real index above
         assert check_unisolvence(2, 4).rank == 16
 
     def test_flipped_bubble_fails_with_the_face(self, monkeypatch, fresh_caches):
         vertex = Face(2, ((0, 1), (1, 1)))
         flip_bubble_sign(monkeypatch, vertex)
-        with pytest.raises(SingularMatrixError) as err:
-            decomp.pairing_inverse(2, 4)
-        assert str(err.value) == (
-            f"pairing at n=2, r=4 is not certified: bubble: along x1 the bubble of {vertex} "
-            "has the factor (1, -1, 0), not (1, 1, 0) (coefficients of 1, t, t^2)"
-        )
+        assert_uncertified(2, 4, (
+            f"bubble: along x1 the bubble of {vertex} has the factor (1, -1, 0), "
+            "not (1, 1, 0) (coefficients of 1, t, t^2)"
+        ))
 
     def test_reordered_weights_fail_column_order(self, monkeypatch, fresh_caches):
         # a face's weights must come in graded lex order, as its first face's do
@@ -631,9 +663,21 @@ class TestPairingInverse:
         monkeypatch.setattr(decomp, "face_monomials", lambda n_, r_: index)
         culprit = f"index: the weights of {edge} are not distinct in graded lex order"
         assert certify_pairing(2, 4) == culprit
-        with pytest.raises(SingularMatrixError) as err:
-            decomp.pairing_inverse(2, 4)
-        assert str(err.value).endswith(culprit)
+        assert_uncertified(2, 4, culprit)
+
+
+class TestPrunedPass:
+    @pytest.mark.parametrize("n, r", PAIRING_CELLS + [(4, 8)])
+    def test_equals_the_unpruned_pass_on_the_d_faces(self, n, r):
+        # the pin cap n - d and no weights past d free axes drop exactly
+        # the parts that end on faces of other dimensions
+        p = mixed_space_member(random.Random(400 * n + r), n, r)
+        _, state = decomp._cleared(p)
+        moments = partial(decomp._moments, r)
+        full = decomp._split(state, n, moments)
+        for d in range(n + 1):
+            pruned = decomp._split(state, n, moments, d)
+            assert pruned == {pins: part for pins, part in full.items() if len(pins) == n - d}, d
 
 
 class TestDecomposeTraces:
@@ -641,7 +685,7 @@ class TestDecomposeTraces:
     def test_solve_traces_and_integrates_nothing(self, monkeypatch, n, r):
         # D p comes from the per-axis split pass: no trace, no face moment
         p = mixed_space_member(random.Random(36), n, r)
-        decomp.pairing_inverse(n, r)  # the blocks of K are face moments
+        decomp._diagonal_inverses(n, r)  # the diagonal blocks of K are face moments
         calls = []
         for name in ("restrict_to_face", "face_moment"):
             def spy(*args, name=name, real=getattr(cubegeom, name), **kwargs):
@@ -873,8 +917,8 @@ class TestConstruct:
             assert False, "asserts are live"
             split = d._split_axis
 
-            def shifted(state, j, free):
-                for pins, part in split(state, j, free):
+            def shifted(state, j, free, *caps):
+                for pins, part in split(state, j, free, *caps):
                     yield pins, {e[:-1] + (e[-1] + 2,): c for e, c in part.items()}
 
             d._split_axis = shifted

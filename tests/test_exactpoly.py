@@ -543,3 +543,22 @@ class TestSerialization:
     def test_integers_and_strings_read_exactly(self, coeff, value):
         data = [{"exponents": [1], "coeff": coeff}]
         assert Polynomial.from_json_obj(1, data) == Polynomial(1, {(1,): value})
+
+    @pytest.mark.parametrize(
+        "coeff, value",
+        [("+3", Fraction(3)), ("5/1", Fraction(5)), (".5", Fraction(1, 2)),
+         ("2.", Fraction(2)), ("-0.25", Fraction(-1, 4))],
+    )
+    def test_every_documented_string_form_reads(self, coeff, value):
+        data = [{"exponents": [1], "coeff": coeff}]
+        assert Polynomial.from_json_obj(1, data) == Polynomial(1, {(1,): value})
+
+    @pytest.mark.parametrize(
+        "coeff", ["1e999999999", "1E3", "2.5e-1", " 1", "1 ", "1_000", "1/2/3", "1/-2",
+                  "1.5/2", "inf", "nan", "", "-", "0x10", "\u0663"],
+    )
+    def test_other_string_forms_are_rejected(self, coeff):
+        # only an integer, "p/q" or a decimal string; exponent notation
+        # would make Fraction build the power of ten
+        with pytest.raises(ValueError, match="coefficient"):
+            Polynomial.from_json_obj(1, [{"exponents": [1], "coeff": coeff}])

@@ -8,18 +8,19 @@ with each tree's ``src/`` on ``PYTHONPATH``, each in a fresh interpreter
 covers every command and format over n <= 3, r <= 5; every export
 artifact and family; the nodal, decomposition and evalgrid exports at
 (3, 6) and (3, 8); ``decompose --method solve`` at (4, 6), (5, 6),
-(6, 4) and (4, 10), the last with the largest denominator of the pairing
-inverse among them, and at (1, 12), (2, 12) and (6, 6), where the DOF
-values' per-axis pass meets the largest moment scale and the most
-faces; ``decompose --method both`` of x1^3 x2 x3^2 at (3, 6), odd on
+(6, 4) and (4, 10), the last with the largest multiplier denominators
+among them, at (1, 12), (2, 12) and (6, 6), where the DOF values'
+per-axis pass meets the largest moment scale and the most faces, and at
+(4, 12) and (5, 12), where the forward substitution over face dimension
+costs most; ``decompose --method both`` of x1^3 x2 x3^2 at (3, 6), odd on
 two axes; ``decompose --method construct`` and
 ``--method both`` at (4, 8) and (5, 6), and the construct decomposition
 export at (4, 6), which split the default member one axis at a time;
 the nodal export at (4, 8), which prints every
-coefficient derived from the pairing inverse at n = 4; the solve
-decomposition export of
-x1^2 x2 x4 x5^2 at (5, 6), where the pairing inverse's blocks are mapped
-as they are read; an n = 3 ``--poly`` member with mixed denominators
+coefficient of the solves at n = 4, and at (5, 4) and (6, 4), where the
+cube symmetry maps the solved functions beyond n = 4; the solve
+decomposition export of x1^2 x2 x4 x5^2 at (5, 6), which substitutes
+through five face dimensions; an n = 3 ``--poly`` member with mixed denominators
 through ``decompose --method solve|both`` and the solve decomposition
 export at (3, 6); the certified checks (unisolvence, direct sum, facet
 kernel) at (4, 12), (5, 8) and (6, 6); the decompose methods with
@@ -30,8 +31,12 @@ at (6, 4), which read the mirror pairing beyond n = 4 and off axis 1,
 and on axis 1 at (5, 8) and (6, 8), which the certificates reach without
 a nodal basis; ``verify`` with ``--jobs 1`` and ``--jobs 2``, which runs
 every check in one process all the same; usage errors, among them
-``--trials`` above its cap of 10^6; and every ``--help``.  Prints each
-difference and a total, and exits 1 if any invocation differs.
+``--trials`` above its cap of 10^6 and ``--poly`` files nested too deep
+for the JSON reader or with a coefficient in exponent notation; and every
+``--help``.  An invocation that runs past two minutes on either tree is
+stopped and counts as a difference, also when both trees time out.
+Prints each difference and a total, and exits 1 if any invocation
+differs.
 """
 
 from __future__ import annotations
@@ -84,19 +89,20 @@ def invocations(inputs: Path) -> list[list[str]]:
         runs.append(["verify", "--jobs", jobs])
         runs.append(["verify", "--n", "2", "--r", "3", "--checks", "continuity,dimension",
                      "--seed", "5", "--trials", "3", "--jobs", jobs])
-    # larger cells, where most columns of the pairing inverse are mapped
+    # larger cells, where the nodal basis maps most functions by the cube symmetry
     for n, r in ((3, 6), (3, 8)):
         runs += [["export", "--what", what, *cell(n, r)] for what in ("nodal", "decomposition")]
         runs.append(["export", "--what", "evalgrid", *cell(n, r), "--points", "3"])
     runs += [["decompose", *cell(n, r), "--method", "solve"]
-             for n, r in ((4, 6), (5, 6), (6, 4), (4, 10), (1, 12), (2, 12), (6, 6))]
+             for n, r in ((4, 6), (5, 6), (6, 4), (4, 10), (1, 12), (2, 12), (6, 6),
+                          (4, 12), (5, 12))]
     # odd exponents on two axes: the moments' parity rule on every face
     runs.append(["decompose", *cell(3, 6), "--method", "both", "--alpha", "3,1,2"])
     # the construct method's per-axis passes on the default member
     runs += [["decompose", *cell(n, r), "--method", m]
              for n, r in ((4, 8), (5, 6)) for m in ("construct", "both")]
     runs.append(["export", "--what", "decomposition", *cell(4, 6), "--method", "construct"])
-    runs.append(["export", "--what", "nodal", *cell(4, 8)])
+    runs += [["export", "--what", "nodal", *cell(n, r)] for n, r in ((4, 8), (5, 4), (6, 4))]
     runs.append(["export", "--what", "decomposition", *cell(5, 6), "--method", "solve",
                  "--alpha", "2,1,0,1,2"])
     # the certified checks near the caps, where they need no dense rank
@@ -181,14 +187,23 @@ def write_inputs(inputs: Path) -> None:
     for name, terms in files.items():
         (inputs / name).write_text(json.dumps(terms))
     (inputs / "malformed.json").write_text("[{")
+    # rejected; trees without those checks print a traceback, or build 10^999999999
+    (inputs / "nested.json").write_text("[" * 200_000)
+    (inputs / "exponent.json").write_text(json.dumps([{"exponents": [1, 0], "coeff": "1e999999999"}]))
 
 
-def run(root: Path, argv: list[str], workdir: Path) -> tuple[str, str, int]:
+TIMEOUT_S = 120
+
+
+def run(root: Path, argv: list[str], workdir: Path) -> tuple[str, str, int | None]:
     env = dict(os.environ, PYTHONPATH=str(root / "src"), COLUMNS="80")
-    proc = subprocess.run(
-        [sys.executable, "-m", "serendipity.cli", *argv],
-        cwd=workdir, env=env, capture_output=True, text=True, timeout=600,
-    )
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "serendipity.cli", *argv],
+            cwd=workdir, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return "", f"timed out after {TIMEOUT_S} s", None
     # a traceback names the tree's own files
     return proc.stdout, proc.stderr.replace(str(root), "ROOT"), proc.returncode
 
@@ -217,6 +232,9 @@ def main(argv: list[str] | None = None) -> int:
         for k, run_argv in enumerate(runs):
             before, after = outcomes[2 * k], outcomes[2 * k + 1]
             fields = [name for name, a, b in zip(("stdout", "stderr", "exit"), before, after) if a != b]
+            if None in (before[2], after[2]) and "exit" not in fields:
+                # timed out on both sides: nothing was compared
+                fields.append("exit")
             if fields:
                 differ += 1
                 print(f"DIFF serendipity {' '.join(run_argv)}: {', '.join(fields)}")
