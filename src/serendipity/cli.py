@@ -22,9 +22,11 @@ the nodal exports near the caps minutes or more.  Continuity reads its report of
 pairing and trace certificates, so it builds no nodal basis and traces
 nothing: its trials and controls are certified, not sampled, and the
 cap cell (6, 12) takes about 1.3 s.  Every ``verify`` check runs in this
-one process.  The evalgrid export groups each nodal
-function's terms for Horner evaluation once, so each grid point costs one
-float pass over those terms.  Axes in flags and reports are 1-based,
+one process.  The evalgrid export compiles each nodal function's
+float Horner scheme into straight-line code at its first grid point
+(a fraction of a millisecond per function), so each later point costs
+one call of that code; it writes at most 10^6 values (points^n times
+dim S).  Axes in flags and reports are 1-based,
 matching the serialized face convention; the Python API is 0-based.
 """
 
@@ -63,6 +65,7 @@ HARD_MAX_N = 6
 HARD_MAX_R = 12
 DEFAULT_TRIALS = 25
 MAX_TRIALS = 10**6
+MAX_EVALGRID_VALUES = 10**6
 VERIFY_CHECKS = (
     "dimension",
     "inclusion",
@@ -568,7 +571,10 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--alpha", default=None, help="monomial exponents for decomposition export")
     source.add_argument("--poly", dest="poly_path", type=Path, default=None)
     p.add_argument("--method", choices=("solve", "construct", "both"), default="both")
-    p.add_argument("--points", type=int, default=11, help="grid points per axis for evalgrid")
+    p.add_argument(
+        "--points", type=int, default=11,
+        help="grid points per axis for evalgrid; points^n * dim S values at most 10^6",
+    )
 
     return parser
 
@@ -645,8 +651,15 @@ def _config_from_args(parser: argparse.ArgumentParser, args: Namespace) -> None:
         if len(args.alpha) != args.n or any(a < 0 for a in args.alpha):
             parser.error("--alpha needs one non-negative exponent per variable")
 
-    if command == "export" and args.what == "evalgrid" and args.points < 2:
-        parser.error("evalgrid needs at least 2 points per axis")
+    if command == "export" and args.what == "evalgrid":
+        if args.points < 2:
+            parser.error("evalgrid needs at least 2 points per axis")
+        values = args.points**args.n * dim_S_formula(args.n, args.r)
+        if values > MAX_EVALGRID_VALUES:
+            parser.error(
+                f"evalgrid would write points^n * dim S = {values} values, "
+                f"more than the cap of {MAX_EVALGRID_VALUES}"
+            )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -283,8 +283,8 @@ class Polynomial:
         Fraction computed term by term.  If any coordinate is a float,
         everything is converted to float and evaluated with a nested
         Horner scheme, one variable at a time, for numerical stability.
-        The per-axis term grouping and the float coefficients depend only on
-        the polynomial, so they are built on the first float call and reused.
+        The first float call compiles that scheme into straight-line code,
+        the same float operations in the same order; later calls run it.
         """
         if len(point) != self._n:
             raise ValueError(f"point has {len(point)} coordinates, expected {self._n}")
@@ -293,8 +293,8 @@ class Polynomial:
                 return 0.0
             if self._plan is None:
                 items = [(e, float(c)) for e, c in self._terms.items()]
-                object.__setattr__(self, "_plan", _build_plan(items, 0))
-            return _walk_plan(self._plan, [float(v) for v in point], 0)
+                object.__setattr__(self, "_plan", _compile_horner(items, self._n))
+            return self._plan(*[float(v) for v in point])
         values = [Fraction(v) for v in point]
         total = Fraction(0)
         for exps, coeff in self._terms.items():
@@ -332,31 +332,31 @@ class Polynomial:
         return cls(n, terms)
 
 
-def _build_plan(items: list[tuple[Exponents, float]], axis: int):
-    """Group a nonempty float term list by exponent on each axis from axis on.
+def _compile_horner(items: list[tuple[Exponents, float]], n: int):
+    """Compile the nested Horner scheme of nonempty float terms to a function
+    of the n coordinates.  Per axis, each exponent group e, descending, adds
+    its inner value to acc * x ** (prev - e), the axis ends with acc * x **
+    prev and a leaf is 0 + c; one statement per step, so nothing nests."""
+    lines: list[str] = []
 
-    The result is ((e, child), ...) with e descending; on the last axis
-    each child is the float coefficient of the one term it groups.
-    """
-    if axis == len(items[0][0]):
-        # One term per leaf; sum() is 0 + c, so a -0.0 coefficient gives 0.0.
-        return sum(c for _, c in items)
-    groups: dict[int, list[tuple[Exponents, float]]] = {}
-    for exps, c in items:
-        groups.setdefault(exps[axis], []).append((exps, c))
-    return tuple(
-        (e, _build_plan(groups[e], axis + 1)) for e in sorted(groups, reverse=True)
-    )
+    def emit(group, axis: int, target: str) -> None:
+        prev = None
+        for e, sub in itertools.groupby(group, lambda term: term[0][axis]):
+            if axis + 1 == n:  # one term per leaf; 0 + -0.0 is 0.0
+                inner = repr(0 + next(sub)[1])
+            else:  # the first group's value is built in target itself
+                inner = target if prev is None else f"a{axis + 1}"
+                emit(sub, axis + 1, inner)
+            if prev is not None:
+                lines.append(f"{target} = {target} * x{axis} ** {prev - e} + {inner}")
+            elif inner != target:
+                lines.append(f"{target} = {inner}")
+            prev = e
+        if prev:
+            lines.append(f"{target} = {target} * x{axis} ** {prev}")
 
-
-def _walk_plan(plan, xs: list[float], axis: int) -> float:
-    """Evaluate a ``_build_plan`` result at xs, nesting Horner steps axis by axis."""
-    x = xs[axis]
-    last = axis + 1 == len(xs)
-    acc, prev = 0.0, None
-    for e, child in plan:
-        inner = child if last else _walk_plan(child, xs, axis + 1)
-        acc = inner if prev is None else acc * x ** (prev - e) + inner
-        prev = e
-    return acc * x**prev if prev else acc
-
+    emit(sorted(items, reverse=True), 0, "a0")
+    namespace: dict = {"__builtins__": {}}
+    args = ", ".join(f"x{i}" for i in range(n))
+    exec(f"def plan({args}):\n " + "\n ".join(lines) + "\n return a0\n", namespace)
+    return namespace.pop("plan")  # no cycle through its globals

@@ -383,6 +383,33 @@ class TestExport:
                 exact = phi.evaluate((Fraction(x),))
                 assert abs(sample - float(exact)) <= 1e-12 * max(1.0, abs(float(exact)))
 
+    def test_evalgrid_above_the_value_cap_is_usage_error(self, capsys, monkeypatch):
+        # rejected before any grid or basis is built
+        monkeypatch.setattr(cli, "nodal_basis", None)
+        with pytest.raises(SystemExit) as err:
+            main(["export", "--what", "evalgrid", "--n", "2", "--r", "2", "--points", "100000000"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert errors == [
+            "serendipity export: error: evalgrid would write points^n * dim S = "
+            f"{10**16 * dim_S_formula(2, 2)} values, more than the cap of 1000000"
+        ]
+
+    @pytest.mark.parametrize("points, accepted", [(500_000, True), (500_001, False)])
+    def test_evalgrid_value_cap_counts_every_value(self, points, accepted):
+        # parsed and validated only: at (1, 1) the cap is 500,000 points of 2 functions
+        args = cli.build_parser().parse_args(
+            ["export", "--what", "evalgrid", "--n", "1", "--r", "1", "--points", str(points)]
+        )
+        assert (points * dim_S_formula(1, 1) <= cli.MAX_EVALGRID_VALUES) == accepted
+        if accepted:
+            cli._config_from_args(args.command_parser, args)
+        else:
+            with pytest.raises(SystemExit):
+                cli._config_from_args(args.command_parser, args)
+
     def test_decomposition_export(self, capsys, tmp_path):
         out_path = tmp_path / "dec.json"
         code, _ = run_cli(

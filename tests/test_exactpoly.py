@@ -401,9 +401,18 @@ class TestEvaluation:
         assert Polynomial.zero(2).evaluate((0.3, -0.7)) == 0.0
 
 
+class Coordinate(float):
+    """A float subclass: the float path must read it as its float value."""
+
+
+def special_or_random(rng: random.Random) -> float:
+    specials = [0.0, -0.0, 1.0, -1.0, 1e-200, -1e200, 1e200, 0.75]
+    return rng.choice(specials) if rng.random() < 0.6 else rng.uniform(-2, 2)
+
+
 class TestFloatPlan:
-    """The float path walks a grouping built once; it must match the
-    regrouping oracle bit for bit, overflow included."""
+    """The float path runs code compiled on the first float call; it must
+    match the regrouping oracle bit for bit, overflow included."""
 
     def test_nodal_functions_match_oracle_bitwise(self):
         grid = [-1.0 + 2.0 * i / 4 for i in range(5)]
@@ -415,12 +424,17 @@ class TestFloatPlan:
                         assert got == oracle_bits(phi, point), (n, r, phi, point)
 
     def test_random_polynomials_match_oracle_bitwise(self):
-        rng = random.Random(8)
-        specials = [0.0, -0.0, 1.0, -1.0, 1e-200, -1e200, 1e200, 0.75]
+        rng, mix = random.Random(8), random.Random(9)
         tiny, huge = Fraction(-1, 10**400), Fraction(10**400, 3)
         # tiny rounds to -0.0; the oracle's leaf sum 0 + c makes that 0.0
         p = Polynomial(1, {(0,): tiny, (1,): tiny})
         assert float_bits(lambda: p.evaluate((0.5,))) == struct.pack("<d", 0.0)
+        # a coefficient past the float range raises on the first float call,
+        # before any code is built, and again on the next
+        p = Polynomial(2, {(1, 0): huge, (0, 0): 1})
+        for _ in range(2):
+            with pytest.raises(OverflowError):
+                p.evaluate((0.5, 0.25))
         overflowed = 0
         for _ in range(400):
             n = rng.randint(1, 4)
@@ -433,15 +447,39 @@ class TestFloatPlan:
                 for _ in range(rng.randint(1, 8))
             }
             p = Polynomial(n, terms)
-            for _ in range(6):
-                point = tuple(
-                    rng.choice(specials) if rng.random() < 0.6 else rng.uniform(-2, 2)
-                    for _ in range(n)
-                )
+            points = [tuple(special_or_random(rng) for _ in range(n)) for _ in range(6)]
+            # one float kept, the other coordinates an int, a Fraction or a float subclass
+            for _ in range(2):
+                point = [special_or_random(mix) for _ in range(n)]
+                for i in mix.sample(range(n), n - 1):
+                    point[i] = mix.choice([
+                        mix.randint(-2, 2),
+                        Fraction(mix.randint(-9, 9), mix.randint(1, 9)),
+                        Coordinate(point[i]),
+                    ])
+                points.append(tuple(point))
+            for point in points:
                 expected = oracle_bits(p, point)
                 overflowed += expected == "OverflowError"
                 assert float_bits(lambda: p.evaluate(point)) == expected, (p, point)
         assert overflowed
+
+    @pytest.mark.parametrize("shape", ["deep", "wide"])
+    def test_large_plans_compile_and_match_oracle_bitwise(self, shape):
+        # deep: one variable with 300 distinct exponents, unevenly spaced;
+        # wide: six variables with every exponent 0..12 on every axis
+        rng = random.Random(shape)
+        if shape == "deep":
+            n, keys = 1, [(e,) for e in rng.sample(range(900), 300)]
+        else:
+            n = 6
+            keys = [(e,) * n for e in range(13)]
+            keys += [tuple(rng.randint(0, 12) for _ in range(n)) for _ in range(400)]
+        p = Polynomial(n, {k: Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for k in keys})
+        points = [(v,) * n for v in (0.0, -0.0, 1.0, -1.0, 0.75, 1e-200, 1e200)]
+        points += [tuple(special_or_random(rng) for _ in range(n)) for _ in range(40)]
+        for point in points:
+            assert float_bits(lambda: p.evaluate(point)) == oracle_bits(p, point), point
 
     def test_reused_plan_is_not_stale(self):
         x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
@@ -520,7 +558,7 @@ class TestSerialization:
         q = clone(p)
         assert q == p and hash(q) == hash(p) and q.n == p.n
         assert q.evaluate((0.5, -0.25)) == value
-        # the float grouping built by evaluate stays out of the pickle
+        # the float code compiled by evaluate stays out of the pickle
         assert pickle.dumps(p) == pickle.dumps(never_evaluated)
 
     def test_duplicate_records_accumulate(self):

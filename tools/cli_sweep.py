@@ -7,9 +7,10 @@ with each tree's ``src/`` on ``PYTHONPATH``, each in a fresh interpreter
 (two at a time), and compares stdout, stderr and exit code.  The list
 covers every command and format over n <= 3, r <= 5; every export
 artifact and family; the nodal, decomposition and evalgrid exports at
-(3, 6) and (3, 8); ``decompose --method solve`` at (4, 6), (5, 6),
-(6, 4) and (4, 10), the last with the largest multiplier denominators
-among them, at (1, 12), (2, 12) and (6, 6), where the DOF values'
+(3, 6) and (3, 8), the evalgrid export also at its default 11 points per
+axis there and at 2 points at (4, 6); ``decompose --method solve`` at
+(4, 6), (5, 6), (6, 4) and (4, 10), the last with the largest multiplier
+denominators among them, at (1, 12), (2, 12) and (6, 6), where the DOF values'
 per-axis pass meets the largest moment scale and the most faces, and at
 (4, 12) and (5, 12), where the forward substitution over face dimension
 costs most; ``decompose --method both`` of x1^3 x2 x3^2 at (3, 6), odd on
@@ -31,8 +32,10 @@ at (6, 4), which read the mirror pairing beyond n = 4 and off axis 1,
 and on axis 1 at (5, 8) and (6, 8), which the certificates reach without
 a nodal basis; ``verify`` with ``--jobs 1`` and ``--jobs 2``, which runs
 every check in one process all the same; usage errors, among them
-``--trials`` above its cap of 10^6 and ``--poly`` files nested too deep
-for the JSON reader or with a coefficient in exponent notation; and every
+``--trials`` above its cap of 10^6, an evalgrid one grid point past its
+cap of 10^6 values (which trees without that cap write out), and
+``--poly`` files nested too deep for the JSON reader or with a
+coefficient in exponent notation; and every
 ``--help``.  An invocation that runs past two minutes on either tree is
 stopped and counts as a difference, also when both trees time out.
 Prints each difference and a total, and exits 1 if any invocation
@@ -93,6 +96,8 @@ def invocations(inputs: Path) -> list[list[str]]:
     for n, r in ((3, 6), (3, 8)):
         runs += [["export", "--what", what, *cell(n, r)] for what in ("nodal", "decomposition")]
         runs.append(["export", "--what", "evalgrid", *cell(n, r), "--points", "3"])
+        runs.append(["export", "--what", "evalgrid", *cell(n, r)])
+    runs.append(["export", "--what", "evalgrid", *cell(4, 6), "--points", "2"])
     runs += [["decompose", *cell(n, r), "--method", "solve"]
              for n, r in ((4, 6), (5, 6), (6, 4), (4, 10), (1, 12), (2, 12), (6, 6),
                           (4, 12), (5, 12))]
@@ -157,6 +162,7 @@ def invocations(inputs: Path) -> list[list[str]]:
         ["export", "--what", "dofs", *cell(2, 2), "--family", "P"],
         ["export", "--what", "nodal", *cell(2, 2), "--family", "Q"],
         ["export", "--what", "evalgrid", *cell(2, 2), "--points", "1"],
+        ["export", "--what", "evalgrid", *cell(1, 1), "--points", "500001"],
         ["export", "--what", "decomposition", *cell(2, 2), "--family", "P"],
         ["export", "--what", "nosuch", *cell(2, 2)],
         ["table1", "--out", str(inputs / "absent" / "table.txt")],
