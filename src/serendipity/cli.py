@@ -26,8 +26,11 @@ one process.  The evalgrid export compiles each nodal function's
 float Horner scheme into straight-line code at its first grid point
 (a fraction of a millisecond per function), so each later point costs
 one call of that code; it writes at most 10^6 values (points^n times
-dim S).  Axes in flags and reports are 1-based,
-matching the serialized face convention; the Python API is 0-based.
+dim S).  A DOF listing (``dofs`` as text or json, ``export --what
+dofs``) builds at most 10^6 functionals, which only the Q family's
+(r+1)^n can pass; ``dofs --format csv`` prints the layout alone.  Axes
+in flags and reports are 1-based, matching the serialized face
+convention; the Python API is 0-based.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ HARD_MAX_R = 12
 DEFAULT_TRIALS = 25
 MAX_TRIALS = 10**6
 MAX_EVALGRID_VALUES = 10**6
+MAX_DOF_FUNCTIONALS = 10**6
 VERIFY_CHECKS = (
     "dimension",
     "inclusion",
@@ -537,7 +541,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=("S", "Q", "P"), default="S")
 
     p = add_command("dofs", cmd_dofs, "degree-of-freedom layout and functional list")
-    p.add_argument("--family", choices=("S", "Q"), default="S")
+    p.add_argument(
+        "--family", choices=("S", "Q"), default="S",
+        help="Q lists (r+1)^n functionals, at most 10^6 (csv prints the layout only)",
+    )
 
     p = add_command(
         "verify", cmd_verify, "run exact property checks over a grid", grid=True, trials=True
@@ -566,7 +573,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("export", cmd_export, "write a JSON artifact", formats=("json",))
     p.add_argument("--what", choices=tuple(EXPORT_FAMILIES), default="basis")
-    p.add_argument("--family", choices=("S", "Q", "P"), default="S")
+    p.add_argument(
+        "--family", choices=("S", "Q", "P"), default="S",
+        help="dofs of Q list (r+1)^n functionals, at most 10^6",
+    )
     source = p.add_mutually_exclusive_group()
     source.add_argument("--alpha", default=None, help="monomial exponents for decomposition export")
     source.add_argument("--poly", dest="poly_path", type=Path, default=None)
@@ -650,6 +660,14 @@ def _config_from_args(parser: argparse.ArgumentParser, args: Namespace) -> None:
             parser.error(f"cannot parse exponents from {raw_alpha!r}")
         if len(args.alpha) != args.n or any(a < 0 for a in args.alpha):
             parser.error("--alpha needs one non-negative exponent per variable")
+
+    if (command == "dofs" and args.fmt != "csv") or (command == "export" and args.what == "dofs"):
+        count = (dim_Q if args.family == "Q" else dim_S_formula)(args.n, args.r)
+        if count > MAX_DOF_FUNCTIONALS:
+            parser.error(
+                f"the {args.family} DOF listing would build {count} functionals, "
+                f"more than the cap of {MAX_DOF_FUNCTIONALS}"
+            )
 
     if command == "export" and args.what == "evalgrid":
         if args.points < 2:

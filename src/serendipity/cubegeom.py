@@ -12,9 +12,9 @@ lexicographic on the set of pinned axes, then lexicographic on the sign
 pattern with -1 before +1.
 
 ``face_moment`` integrates over one face against per-axis factors, for
-the pairing K, the facet-kernel Gram, ``apply_dof`` and ``dof_matrix``;
-``decomp``'s split pass takes a polynomial's DOF values on every face,
-or on the faces of one dimension when pruned to them.
+the pairing K, ``apply_dof`` and ``dof_matrix``; ``decomp``'s split
+pass takes a polynomial's DOF values on every face, or on the faces of
+one dimension when pruned to them.
 """
 
 from __future__ import annotations

@@ -17,18 +17,33 @@ from math import comb
 
 from serendipity.assembly import check_continuity, trace_certificate
 from serendipity.cli import main
-from serendipity.cubegeom import all_faces, enumerate_faces, face_contains, restrict_to_face
+from serendipity.cubegeom import (
+    all_faces,
+    enumerate_faces,
+    face_contains,
+    full_cube,
+    restrict_to_face,
+)
 from serendipity.decomp import (
+    bubble,
     decompose,
     facet_kernel_check,
     recompose,
     verify_direct_sum,
 )
-from serendipity.dofs import apply_dof, check_unisolvence, dof_layout, dofs_S, nodal_basis
+from serendipity.dofs import (
+    RationalMatrix,
+    apply_dof,
+    check_unisolvence,
+    dof_layout,
+    dofs_S,
+    nodal_basis,
+)
 from serendipity.exactpoly import Polynomial
 from serendipity.spaces import (
     basis_S,
     dim_S_formula,
+    face_monomials,
     has_superlinear_degree_at_most,
     is_linear_outside_degree_budget,
     serendipity_exponents,
@@ -233,8 +248,6 @@ def test_c08_geometric_decomposition(capsys):
 
 
 def test_c09_bubble_properties(capsys):
-    from serendipity.decomp import bubble
-
     probes = (Fraction(-1, 2), Fraction(0), Fraction(1, 2))
     failures = []
     for n in range(1, 5):
@@ -260,15 +273,39 @@ def test_c09_bubble_properties(capsys):
     assert ok, failures[:5]
 
 
+def _cube_integral(p: Polynomial) -> Fraction:
+    """Integral over [-1, 1]^n, term by term: t^k has moment 2/(k + 1)
+    for even k and 0 for odd k."""
+    total = Fraction(0)
+    for exps, coeff in p.terms():
+        if not any(e % 2 for e in exps):
+            for e in exps:
+                coeff *= Fraction(2, e + 1)
+            total += coeff
+    return total
+
+
 def test_c10_facet_vanishing_subspace(capsys):
     failures = []
     for n in range(1, 4):
+        cube = full_cube(n)
+        b = bubble(cube)
         for r in range(1, 9):
             result = facet_kernel_check(n, r)
             if not result.ok:
                 failures.append((n, r, result.kernel_dim, result.expected_dim))
             if r < 2 * n and result.kernel_dim != 0:
                 failures.append((n, r, "expected empty"))
+            # the candidates b x^q are independent: their L2 Gram is positive definite
+            candidates = [
+                b * Polynomial.from_monomial(q) for q in face_monomials(n, r).get(cube, ())
+            ]
+            if candidates:
+                gram = RationalMatrix(
+                    [[_cube_integral(u * v) for v in candidates] for u in candidates]
+                )
+                if not gram.is_positive_definite():
+                    failures.append((n, r, "Gram not positive definite"))
     ok = not failures
     with capsys.disabled():
         _report(

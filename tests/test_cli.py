@@ -16,9 +16,9 @@ import pytest
 
 from serendipity import assembly, cli, decomp, dofs
 from serendipity.cli import main
-from serendipity.cubegeom import Face
+from serendipity.cubegeom import Face, full_cube
 from serendipity.exactpoly import Polynomial
-from serendipity.spaces import dim_S_formula
+from serendipity.spaces import dim_S_formula, face_monomials
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -129,6 +129,44 @@ class TestDofsCommand:
     def test_text_output_lists_every_functional(self, capsys):
         code, out = run_cli(capsys, "dofs", "--n", "2", "--r", "2")
         assert out.count("dof ") == dim_S_formula(2, 2)
+
+    @pytest.mark.parametrize("r, accepted", [(9, True), (10, False)])
+    @pytest.mark.parametrize(
+        "argv", [["dofs"], ["dofs", "--format", "json"], ["export", "--what", "dofs"]]
+    )
+    def test_q_listing_cap_counts_every_functional(self, monkeypatch, argv, r, accepted):
+        # parsed and validated only: (r + 1)^6 is exactly 10^6 at r = 9
+        monkeypatch.setattr(cli, "dofs_Q", None)
+        args = cli.build_parser().parse_args([*argv, "--family", "Q", "--n", "6", "--r", str(r)])
+        assert ((r + 1) ** 6 <= cli.MAX_DOF_FUNCTIONALS) == accepted
+        if accepted:
+            cli._config_from_args(args.command_parser, args)
+        else:
+            with pytest.raises(SystemExit):
+                cli._config_from_args(args.command_parser, args)
+
+    @pytest.mark.parametrize("command", ["dofs", "export"])
+    def test_q_listing_above_the_cap_is_usage_error(self, capsys, monkeypatch, command):
+        # rejected before any DOF is built
+        monkeypatch.setattr(cli, "dofs_Q", None)
+        argv = [command] + (["--what", "dofs"] if command == "export" else [])
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--family", "Q", "--n", "6", "--r", "12"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: serendipity {command} ")
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert errors == [
+            f"serendipity {command}: error: the Q DOF listing would build {13**6} "
+            "functionals, more than the cap of 1000000"
+        ]
+
+    def test_csv_layout_is_not_capped(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "dofs_Q", None)
+        code, out = run_cli(capsys, "dofs", "--n", "6", "--r", "12", "--family", "Q", "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[-1] == f"6,1,{11**6},{11**6}"
 
 
 class TestVerify:
@@ -587,6 +625,10 @@ class TestHelp:
             "--trials TRIALS number of trials reported, certified not sampled" in text
         ) == with_trials
 
+    @pytest.mark.parametrize("command", ["dofs", "export"])
+    def test_q_listing_cap_is_stated(self, capsys, command):
+        assert "(r+1)^n functionals, at most 10^6" in self.help_text(capsys, command)
+
 
 class TestBadInput:
     """Unusable input exits 2 with one line on stderr, never a traceback."""
@@ -897,7 +939,7 @@ class TestCertifiedChecksSkipDenseRank:
     @pytest.mark.parametrize("n, r", [(2, 6), (3, 8)])
     def test_pass_with_rank_disabled(self, capsys, monkeypatch, fresh_caches, n, r):
         # both cells have facet-kernel candidates, whose independence
-        # comes from the Gram matrix, not from a rank
+        # comes from the pairing certificate, not from a rank
         def no_rank(self):
             raise AssertionError("dense rank called")
 
@@ -907,7 +949,7 @@ class TestCertifiedChecksSkipDenseRank:
                             "--format", "json")
         assert code == 0
         assert all(row["ok"] for row in json.loads(out)["results"])
-        assert decomp.facet_kernel_check(n, r).gram.rows > 0
+        assert full_cube(n) in face_monomials(n, r)
 
 
 class TestGoldenOutput:

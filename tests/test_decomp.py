@@ -26,7 +26,7 @@ from serendipity.cubegeom import (
     full_cube,
     restrict_to_face,
 )
-from serendipity import decomp
+from serendipity import decomp, spaces
 from serendipity.decomp import (
     all_components,
     bubble,
@@ -1011,12 +1011,27 @@ class TestRecompose:
             recompose(odd, 2)
 
 
+def candidate_gram_oracle(n: int, r: int) -> RationalMatrix:
+    """The Gram matrix of the cube's candidates b x^q (b the cube bubble,
+    q its weights), kept as an oracle: the cube integral of each product
+    of two candidates, term by term."""
+    b = bubble(full_cube(n))
+    candidates = [b * Polynomial.from_monomial(q) for q in face_monomials(n, r)[full_cube(n)]]
+    return RationalMatrix([[box_integral_oracle(u * v) for v in candidates] for u in candidates])
+
+
+def cube_weight_count(n: int, r: int) -> int:
+    return len(face_monomials(n, r).get(full_cube(n), ()))
+
+
 class TestFacetKernel:
     def test_first_nontrivial_square_case(self):
         result = facet_kernel_check(2, 4)
         assert result.ok
-        assert result.kernel_dim == result.expected_dim == 1
-        assert result.gram.entry(0, 0) == Fraction(256, 225)
+        assert result.kernel_dim == result.expected_dim == cube_weight_count(2, 4) == 1
+        gram = candidate_gram_oracle(2, 4)
+        assert gram.to_lists() == [[Fraction(256, 225)]]
+        assert gram.is_positive_definite()
         # independent integral oracle for the same Gram entry
         x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
         cand = (1 - x**2) * (1 - y**2)
@@ -1031,60 +1046,80 @@ class TestFacetKernel:
     def test_cube_case(self):
         result = facet_kernel_check(3, 6)
         assert result.ok
-        assert result.kernel_dim == 1
-        assert result.gram.entry(0, 0) == Fraction(4096, 3375)
+        assert result.kernel_dim == cube_weight_count(3, 6) == 1
+        gram = candidate_gram_oracle(3, 6)
+        assert gram.to_lists() == [[Fraction(4096, 3375)]]
+        assert gram.is_positive_definite()
 
     def test_growing_kernel(self):
         result = facet_kernel_check(2, 6)
         assert result.ok
         # bubble times total degree 2 in two variables
-        assert result.kernel_dim == 6
-        assert result.gram.rows == 6
-        assert result.gram_positive_definite
+        assert result.kernel_dim == cube_weight_count(2, 6) == 6
+        gram = candidate_gram_oracle(2, 6)
+        assert gram.rows == 6
+        assert gram.is_positive_definite()
 
-    def test_gram_forms_one_product_beyond_the_candidates(self, fresh_caches, monkeypatch):
-        products = []
-        multiply = Polynomial.__mul__
+    def test_forms_no_product_or_matrix_once_the_certificate_is_warm(
+        self, fresh_caches, monkeypatch
+    ):
+        assert certify_pairing(2, 6) is None
+        calls = []
 
-        def counting(self, other):
-            products.append(other)
-            return multiply(self, other)
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
 
-        monkeypatch.setattr(Polynomial, "__mul__", counting)
+            return wrapper
+
+        monkeypatch.setattr(Polynomial, "__mul__", counting("mul", Polynomial.__mul__))
+        monkeypatch.setattr(RationalMatrix, "__init__", counting("matrix", RationalMatrix.__init__))
+        for module in (cubegeom, decomp):
+            monkeypatch.setattr(module, "face_moment", counting("moment", module.face_moment))
         result = facet_kernel_check(2, 6)
-        assert result.ok
-        assert len(products) <= result.gram.rows + 1
+        assert result.ok and result.kernel_dim == 6
+        assert calls == []
 
     def test_gram_oracle_on_larger_case(self):
         result = facet_kernel_check(2, 5)
-        assert result.ok and result.kernel_dim == 3
+        assert result.ok and result.kernel_dim == cube_weight_count(2, 5) == 3
         x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
         b = (1 - x**2) * (1 - y**2)
         cands = [b, b * x, b * y]
+        gram = candidate_gram_oracle(2, 5)
+        assert gram.is_positive_definite()
         for i in range(3):
             for j in range(3):
-                assert result.gram.entry(i, j) == box_integral_oracle(
-                    cands[i] * cands[j]
-                )
+                assert gram.entry(i, j) == box_integral_oracle(cands[i] * cands[j])
 
     def test_kernel_members_vanish_on_all_facets(self):
-        # reconstruct kernel vectors directly and verify the defining property
-        result = facet_kernel_check(2, 4)
-        assert result.candidates_contained and result.candidates_independent
+        # the candidates are read off the index; each restricts to zero on every facet
+        for n, r in [(1, 2), (1, 5), (2, 4), (2, 7), (3, 6), (3, 8), (4, 9)]:
+            weights = face_monomials(n, r)[full_cube(n)]
+            assert facet_kernel_check(n, r).kernel_dim == len(weights)
+            b = bubble(full_cube(n))
+            for q in weights:
+                member = b * Polynomial.from_monomial(q)
+                for facet in enumerate_faces(n, n - 1):
+                    assert restrict_to_face(member, facet).is_zero(), (n, r, q, facet)
 
     def test_duplicated_multiplier_is_dependent(self, fresh_caches, monkeypatch):
-        real = decomp.monomials_total_degree_at_most
+        # a repeated cube weight makes two candidates equal: the index no
+        # longer certifies, and the check fails with the certificate's culprit
+        real = spaces.monomials_total_degree_at_most
 
         def doubled(n, axes, s):
-            found = tuple(real(n, axes, s))
-            return found + found[:1]
+            found = real(n, axes, s)
+            return found + found[:1] if len(axes) == n else found
 
-        monkeypatch.setattr(decomp, "monomials_total_degree_at_most", doubled)
+        basis_S(2, 5)  # enumerated, and cached, before the index is patched
+        monkeypatch.setattr(spaces, "monomials_total_degree_at_most", doubled)
+        assert len(face_monomials(2, 5)[full_cube(2)]) == 4
         result = facet_kernel_check(2, 5)
-        assert result.gram.rows == 4
-        assert not result.candidates_independent
-        assert not result.gram_positive_definite
-        assert result.candidates_contained
+        assert result.culprit is not None
+        assert result.culprit == certify_pairing(2, 5)
+        assert result.kernel_dim is None
         assert not result.ok
 
     def test_bubble_off_a_facet_is_not_contained(self, fresh_caches, monkeypatch):
@@ -1102,26 +1137,45 @@ class TestFacetKernel:
         monkeypatch.setattr(decomp, "_bubble_factors", leaky)
         for r in leaks:
             result = facet_kernel_check(2, r)
-            assert not result.candidates_contained
+            assert result.culprit == certify_pairing(2, r)
+            assert result.culprit.startswith("bubble: along x2 the bubble of")
+            assert result.kernel_dim is None
             assert not result.ok
 
     @pytest.mark.parametrize("n, r", [(2, 4), (3, 8), (4, 10)])
     def test_gram_matches_moments_of_the_squared_bubble(self, n, r):
         # the earlier Gram, kept as an oracle: the cube bubble expanded into
-        # monomials, squared, and integrated term by term
+        # monomials, squared, and integrated term by term; it equals the
+        # Gram of the candidates' products and is positive definite
         result = facet_kernel_check(n, r)
         b = bubble(full_cube(n))
         assert not any(restrict_to_face(b, f) for f in enumerate_faces(n, n - 1))
-        assert result.candidates_contained
-        weights = decomp.monomials_total_degree_at_most(n, tuple(range(n)), r - 2 * n)
+        weights = face_monomials(n, r)[full_cube(n)]
+        assert result.ok and result.kernel_dim == len(weights)
         square = b * b
-        assert result.gram.to_lists() == [
+        gram = candidate_gram_oracle(n, r)
+        assert gram.to_lists() == [
             [box_integral_oracle(square * Polynomial.from_monomial(tuple(map(add, w, q))))
              for q in weights]
             for w in weights
         ]
+        assert gram.is_positive_definite()
+
+    def test_reads_the_certificate_on_every_cell(self):
+        for n in range(1, 7):
+            for r in range(1, 13):
+                result = facet_kernel_check(n, r)
+                assert result.ok == (certify_pairing(n, r) is None), (n, r)
+                assert result.kernel_dim == cube_weight_count(n, r), (n, r)
 
     def test_serialization(self):
         obj = facet_kernel_check(2, 4).to_json_obj()
-        assert obj["ok"] is True
-        assert obj["gram"] == [["256/225"]]
+        assert obj == {
+            "n": 2,
+            "r": 4,
+            "space_dim": 17,
+            "kernel_dim": 1,
+            "expected_dim": 1,
+            "ok": True,
+            "culprit": None,
+        }

@@ -24,7 +24,9 @@ decomposition export of x1^2 x2 x4 x5^2 at (5, 6), which substitutes
 through five face dimensions; an n = 3 ``--poly`` member with mixed denominators
 through ``decompose --method solve|both`` and the solve decomposition
 export at (3, 6); the certified checks (unisolvence, direct sum, facet
-kernel) at (4, 12), (5, 8) and (6, 6); the decompose methods with
+kernel) at (4, 12), (5, 8) and (6, 6), and unisolvence and facet kernel
+as JSON over every cell n <= 6, r <= 12; the Q DOF layout as csv at
+(5, 12), which no functional cap bounds; the decompose methods with
 default, ``--alpha`` and ``--poly`` input;
 continuity on every axis, through ``verify`` at (4, 8) and (5, 6), on
 the last axis at (4, 6) and (5, 6), and on axis 6 at (6, 3) and axis 3
@@ -113,6 +115,10 @@ def invocations(inputs: Path) -> list[list[str]]:
     # the certified checks near the caps, where they need no dense rank
     runs += [["verify", *cell(n, r), "--checks", "unisolvence,direct-sum,facet-kernel",
               "--jobs", "1"] for n, r in ((4, 12), (5, 8), (6, 6))]
+    runs.append(["verify", "--n-max", "6", "--r-max", "12", "--checks",
+                 "unisolvence,facet-kernel", "--format", "json"])
+    # the Q layout alone, which no functional cap bounds
+    runs.append(["dofs", *cell(5, 12), "--family", "Q", "--format", "csv"])
     # continuity past the small cells, on the first, the last and a middle axis
     runs += [["verify", *cell(n, r), "--checks", "continuity", "--jobs", "1"]
              for n, r in ((4, 8), (5, 6))]
