@@ -3,8 +3,9 @@
 Commands: table1, dims, basis, dofs, verify, decompose, continuity,
 export.  Exit status is 0 on success, 1 when a verification command
 found a failing property or the pairing a command solves over could not
-be certified (one stderr line names the culprit), 2 on usage errors and
-unusable input.
+be certified (one stderr line names the culprit), 2 on usage errors,
+unusable input and output that cannot be written (a full disk, or a
+reader that closed the pipe).
 
 Each JSON artifact has one builder: ``export --what basis|dofs|decomposition``
 writes the payload of ``basis``, ``dofs`` or ``decompose --format json``
@@ -16,9 +17,14 @@ unisolvence, direct-sum and facet-kernel checks reach the caps in
 seconds (under 2 s for each n at r = 12 on a shared 2-vCPU machine);
 whatever solves over the pairing, by forward substitution over face
 dimension (decompose, nodal, decomposition and evalgrid exports), grows
-with the space dimension, because all arithmetic is exact: the solve
-decomposition of the default member at (6, 12) takes about 20 s, and
-the nodal exports near the caps minutes or more.  Continuity reads its report off the
+with the space dimension, because all arithmetic is exact.  Term lists
+are written straight to JSON text and the nodal functions one at a
+time, so on a shared 2-vCPU machine the solve decomposition of the
+default member at (6, 12) takes 12.6 s, 103 MB (18.5 s, 199 MB when
+the JSON went through dicts and the ``json`` encoder), and the nodal
+export 1.8 s, 23 MB at (5, 8) (6.6 s, 230 MB) and 12.8 s, 37 MB at
+(6, 8) (49 s, 1.4 GB); (6, 10) took 52 s, 63 MB, for 1.4 GB of JSON.
+Continuity reads its report off the
 pairing and trace certificates, so it builds no nodal basis and traces
 nothing: its trials and controls are certified, not sampled, and the
 cap cell (6, 12) takes about 1.3 s.  Every ``verify`` check runs in this
@@ -48,9 +54,17 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .assembly import check_continuity
-from .cubegeom import Face, all_faces, full_cube
-from .decomp import decompose, facet_kernel_check, recompose, verify_direct_sum
-from .dofs import SingularMatrixError, check_unisolvence, dof_layout, dofs_Q, dofs_S, nodal_basis
+from .cubegeom import all_faces, full_cube
+from .decomp import FaceComponent, decompose, facet_kernel_check, recompose, verify_direct_sum
+from .dofs import (
+    DofFunctional,
+    SingularMatrixError,
+    check_unisolvence,
+    dof_layout,
+    dofs_Q,
+    dofs_S,
+    nodal_functions,
+)
 from .exactpoly import Polynomial, monomial_str
 from .spaces import (
     basis_P,
@@ -117,17 +131,81 @@ def _csv_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
 
 
 def _json_chunks(payload: dict) -> Iterator[str]:
-    """The JSON text in pieces, so that it is never held whole."""
-    yield from json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
-    yield "\n"
+    """The payload's JSON text, as ``json.JSONEncoder(indent=2,
+    sort_keys=True)`` writes it, in pieces, so that it is never held whole.
+    A value that is an iterator yields its own text at depth 1
+    (``_list_chunks``); the encoder writes the others."""
+    encoder = json.JSONEncoder(indent=2, sort_keys=True)
+    sep = "{\n  "
+    for key in sorted(payload):
+        yield f'{sep}"{key}": '
+        sep = ",\n  "
+        value = payload[key]
+        if isinstance(value, Iterator):
+            yield from value
+        else:
+            for chunk in encoder.iterencode(value):
+                yield chunk.replace("\n", "\n  ")
+    yield "\n}\n"
+
+
+def _dumps(obj: object, level: int) -> str:
+    """A small object's JSON text at depth level."""
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + "  " * level)
+
+
+def _list_chunks(items: Iterable[str], level: int) -> Iterator[str]:
+    """A JSON list at depth level, item by item: each item is its own JSON
+    text at depth level + 1."""
+    indent = "\n" + "  " * (level + 1)
+    sep = "[" + indent
+    for item in items:
+        yield sep + item
+        sep = "," + indent
+    yield "[]" if sep[0] == "[" else "\n" + "  " * level + "]"
+
+
+def _term_writer(level: int) -> Callable[[Iterable[tuple]], str]:
+    """A writer of term lists, as ``Polynomial.terms()`` gives them, at depth
+    level: the JSON text of ``Polynomial.to_json_obj()``, one f-string per
+    term, with the text after each coefficient cached per exponent tuple."""
+    i0, i1, i2, i3 = ("\n" + "  " * (level + k) for k in range(4))
+    head, tails = "{" + i2 + '"coeff": "', {}
+
+    def tail(e: tuple) -> str:
+        exponents = "[" + i3 + ("," + i3).join(map(str, e)) + i2 + "]" if e else "[]"
+        tails[e] = text = f'",{i2}"exponents": {exponents}{i1}}}'
+        return text
+
+    def write(terms: Iterable[tuple]) -> str:
+        items = [f"{head}{c.numerator}/{c.denominator}{tails.get(e) or tail(e)}" for e, c in terms]
+        return "[" + i1 + ("," + i1).join(items) + i0 + "]" if items else "[]"
+
+    return write
+
+
+def _functional_items(functionals: Iterable[DofFunctional]) -> Iterator[str]:
+    """Each DOF's JSON object at depth 2, its face's text written once."""
+    weight, faces = _term_writer(3), {}
+    for L in functionals:
+        face = faces.get(L.face)
+        if face is None:
+            face = faces[L.face] = f'{{\n      "face": {_dumps(L.face.to_json_obj(), 3)},\n      "index": '
+        yield f'{face}{L.index},\n      "weight": {weight([(L.exponents, 1)])}\n    }}'
 
 
 def _emit(args: Namespace, chunks: Iterable[str]) -> None:
     """Write the chunks to stdout, or to --out atomically: a temporary file
     in the target's directory replaces the target only once fully written."""
     if args.out is None:
-        for chunk in chunks:
-            sys.stdout.write(chunk)
+        try:
+            for chunk in chunks:
+                sys.stdout.write(chunk)
+            sys.stdout.flush()
+        except BrokenPipeError as err:
+            # the reader has gone: what is still buffered goes to devnull at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise InputError(f"cannot write to stdout: {err.strerror}") from None
         return
     tmp = args.out.with_name(f".{args.out.name}.{os.getpid()}.tmp")
     try:
@@ -186,18 +264,19 @@ def _dofs_payload(args: Namespace) -> tuple[dict, bool]:
     return {
         "seed": args.seed,
         "layout": dof_layout(args.n, args.r, args.family).to_json_obj(),
-        "functionals": [L.to_json_obj() for L in _resolve_dofs(args)],
+        "functionals": _list_chunks(_functional_items(_resolve_dofs(args)), 1),
     }, True
 
 
 def _nodal_payload(args: Namespace) -> tuple[dict, bool]:
+    poly = _term_writer(2)
     return {
         "seed": args.seed,
         "n": args.n,
         "r": args.r,
         "family": "S",
-        "functionals": [L.to_json_obj() for L in dofs_S(args.n, args.r)],
-        "polynomials": [phi.to_json_obj() for phi in nodal_basis(args.n, args.r)],
+        "functionals": _list_chunks(_functional_items(dofs_S(args.n, args.r)), 1),
+        "polynomials": _list_chunks((poly(phi.terms()) for phi in nodal_functions(args.n, args.r)), 1),
     }, True
 
 
@@ -216,7 +295,9 @@ def _load_input_polynomial(args: Namespace) -> Polynomial:
     return Polynomial(args.n, dict.fromkeys(basis_S(args.n, args.r).monomials, 1))
 
 
-def _decomposition_payload(args: Namespace) -> tuple[dict, bool]:
+def _decomposition(args: Namespace) -> tuple[Polynomial, list[FaceComponent], bool, bool]:
+    """The input, its components in face order, whether they sum to it and
+    whether the two methods agree (True for one method)."""
     n, r = args.n, args.r
     p = _load_input_polynomial(args)
     methods = ["solve", "construct"] if args.method == "both" else [args.method]
@@ -232,16 +313,31 @@ def _decomposition_payload(args: Namespace) -> tuple[dict, bool]:
         )
     chosen = per_method[methods[0]]
     face_order = {face: i for i, face in enumerate(all_faces(n))}
-    ordered = sorted(chosen.items(), key=lambda kv: face_order[kv[0]])
-    sum_matches = recompose(chosen, n) == p
+    ordered = [chosen[face] for face in sorted(chosen, key=face_order.__getitem__)]
+    return p, ordered, recompose(chosen, n) == p, agree
+
+
+def _component_items(components: Iterable[FaceComponent]) -> Iterator[str]:
+    """Each component's JSON object at depth 2."""
+    terms = _term_writer(3)
+    for fc in components:
+        yield (
+            f'{{\n      "coefficient": {terms(fc.coefficient.terms())},'
+            f'\n      "component": {terms(fc.component.terms())},'
+            f'\n      "face": {_dumps(fc.face.to_json_obj(), 3)}\n    }}'
+        )
+
+
+def _decomposition_payload(args: Namespace) -> tuple[dict, bool]:
+    p, components, sum_matches, agree = _decomposition(args)
     payload = {
         "command": "decompose",
         "seed": args.seed,
-        "n": n,
-        "r": r,
+        "n": args.n,
+        "r": args.r,
         "method": args.method,
-        "input": p.to_json_obj(),
-        "components": [fc.to_json_obj() for _, fc in ordered],
+        "input": iter([_term_writer(1)(p.terms())]),
+        "components": _list_chunks(_component_items(components), 1),
         "sum_matches": sum_matches,
         "methods_agree": agree,
     }
@@ -252,7 +348,7 @@ def _evalgrid_payload(args: Namespace) -> tuple[dict, bool]:
     k = args.points
     grid = [-1.0 + 2.0 * i / (k - 1) for i in range(k)]
     points = list(itertools.product(grid, repeat=args.n))
-    values = [[phi.evaluate(x) for x in points] for phi in nodal_basis(args.n, args.r)]
+    rows = ([phi.evaluate(x) for x in points] for phi in nodal_functions(args.n, args.r))
     return {
         "seed": args.seed,
         "n": args.n,
@@ -260,7 +356,7 @@ def _evalgrid_payload(args: Namespace) -> tuple[dict, bool]:
         "points_per_axis": k,
         "grid": grid,
         "point_order": "itertools.product over axes, axis 1 slowest",
-        "values": values,
+        "values": _list_chunks((_dumps(row, 2) for row in rows), 1),
     }, True
 
 
@@ -435,18 +531,15 @@ def cmd_decompose(args: Namespace) -> int:
     """Face-by-face splitting of one polynomial, with exact round-trip."""
     if args.fmt == "json":
         return _emit_artifact(args, "decomposition")
-    payload, ok = _decomposition_payload(args)
+    _, components, sum_matches, agree = _decomposition(args)
     lines = [f"decomposition over faces (n={args.n}, r={args.r}, method={args.method})\n"]
-    for comp in payload["components"]:
-        label = _face_label(Face.from_json_obj(comp["face"]))
-        terms = ", ".join(
-            f"{t['coeff']}*x^{tuple(t['exponents'])}" for t in comp["coefficient"]
-        )
-        lines.append(f"  {label}: {terms}\n")
-    lines.append(f"sum matches input: {payload['sum_matches']}\n")
-    lines.append(f"methods agree: {payload['methods_agree']}\n")
+    for fc in components:
+        terms = ", ".join(f"{c.numerator}/{c.denominator}*x^{e}" for e, c in fc.coefficient.terms())
+        lines.append(f"  {_face_label(fc.face)}: {terms}\n")
+    lines.append(f"sum matches input: {sum_matches}\n")
+    lines.append(f"methods agree: {agree}\n")
     _emit(args, lines)
-    return 0 if ok else 1
+    return 0 if sum_matches and agree else 1
 
 
 def cmd_continuity(args: Namespace) -> int:

@@ -85,15 +85,8 @@ class FaceComponent:
 
     @property
     def component(self) -> Polynomial:
-        """The summand itself, formed on each read."""
-        return self.coefficient * bubble(self.face)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "face": self.face.to_json_obj(),
-            "coefficient": self.coefficient.to_json_obj(),
-            "component": self.component.to_json_obj(),
-        }
+        """The summand itself, formed on each read by the merge pass."""
+        return recompose({self.face: self}, self.face.n)
 
 
 def _bubble_factors(face: Face) -> tuple[tuple[int, int, int], ...]:
@@ -132,7 +125,10 @@ def all_components(n: int, r: int) -> tuple[FaceComponent, ...]:
 
 @lru_cache(maxsize=None)
 def component_matrix(n: int, r: int) -> RationalMatrix:
-    """Columns are the components in the serendipity monomial coordinates.
+    """Columns are the components in the serendipity monomial coordinates,
+    each the product of its monomial with ``bubble``, the definition that
+    part (iii) of ``certify_pairing`` checks, so a bubble that fails it
+    shows in this matrix's rank.
 
     Raises if any component leaves the space, which would falsify the
     membership claim deg2(component) <= r.
@@ -141,7 +137,7 @@ def component_matrix(n: int, r: int) -> RationalMatrix:
     comps = all_components(n, r)
     rows = [[Fraction(0)] * len(comps) for _ in range(basis.dim)]
     for col, fc in enumerate(comps):
-        for exps, coeff in fc.component.terms():
+        for exps, coeff in (fc.coefficient * bubble(fc.face)).terms():
             try:
                 rows[basis.index_of(exps)][col] = coeff
             except KeyError:

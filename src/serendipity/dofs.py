@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import add
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .cubegeom import Face, enumerate_faces, face_moment, face_symmetry
 from .exactpoly import Exponents, Polynomial, monomial_str
@@ -46,6 +46,7 @@ __all__ = [
     "dof_matrix",
     "UnisolvenceResult",
     "check_unisolvence",
+    "nodal_functions",
     "nodal_basis",
     "LayoutRow",
     "LayoutReport",
@@ -223,13 +224,6 @@ class DofFunctional:
     def __str__(self) -> str:
         return f"dof[{self.index}] on {self.face}: weight {monomial_str(self.exponents)}"
 
-    def to_json_obj(self) -> dict:
-        return {
-            "index": self.index,
-            "face": self.face.to_json_obj(),
-            "weight": self.weight.to_json_obj(),
-        }
-
 
 @lru_cache(maxsize=None)
 def dofs_S(n: int, r: int) -> tuple[DofFunctional, ...]:
@@ -338,9 +332,12 @@ def check_unisolvence(n: int, r: int) -> UnisolvenceResult:
     )
 
 
-@lru_cache(maxsize=None)
-def nodal_basis(n: int, r: int) -> tuple[Polynomial, ...]:
-    """The dual basis: polynomial j takes value 1 on DOF j and 0 on the rest.
+def nodal_functions(n: int, r: int) -> Iterator[Polynomial]:
+    """The dual basis in DOF order: polynomial j takes value 1 on DOF j and
+    0 on the rest.  The solve runs at the call, so an uncertified pairing
+    raises before any function is yielded; each function is formed as it
+    is read, so a caller that writes and drops them holds only the solved
+    ones.
 
     With K = D C the pairing of the DOFs with the bubble components, the
     inverse of the DOF matrix is C K^-1: the nodal function of a DOF is
@@ -366,11 +363,18 @@ def nodal_basis(n: int, r: int) -> tuple[Polynomial, ...]:
             unit = [int(k == L.index) for k in range(len(functionals))]
             den, _, total = decomp._solve(n, r, 1, unit)
             expanded.setdefault(L.face.dim, []).append(decomp._polynomial(n, total, den))
-    polys: list[Polynomial] = []
-    for col in face_monomials(n, r):
-        perm, flips = face_symmetry(col)
-        polys.extend(phi.transformed(perm, flips) for phi in expanded[col.dim])
-    return tuple(polys)
+    return (
+        phi.transformed(perm, flips)
+        for face in face_monomials(n, r)
+        for perm, flips in [face_symmetry(face)]
+        for phi in expanded[face.dim]
+    )
+
+
+@lru_cache(maxsize=None)
+def nodal_basis(n: int, r: int) -> tuple[Polynomial, ...]:
+    """``nodal_functions(n, r)`` as a tuple, kept for later calls."""
+    return tuple(nodal_functions(n, r))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from serendipity import assembly, cli, decomp, dofs
 from serendipity.cli import main
@@ -423,7 +425,7 @@ class TestExport:
 
     def test_evalgrid_above_the_value_cap_is_usage_error(self, capsys, monkeypatch):
         # rejected before any grid or basis is built
-        monkeypatch.setattr(cli, "nodal_basis", None)
+        monkeypatch.setattr(cli, "nodal_functions", None)
         with pytest.raises(SystemExit) as err:
             main(["export", "--what", "evalgrid", "--n", "2", "--r", "2", "--points", "100000000"])
         assert err.value.code == 2
@@ -754,6 +756,50 @@ class TestAtomicOut:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestStdoutPipe:
+    def test_reader_closing_the_pipe_is_one_line_and_exit_2(self):
+        # the (3, 8) nodal export is megabytes, far more than a pipe holds
+        argv = [sys.executable, "-m", "serendipity.cli", "export", "--what", "nodal", "--n", "3", "--r", "8"]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.read(10) == b'{\n  "comma'
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert code == 2
+        assert err == b"serendipity export: error: cannot write to stdout: Broken pipe\n"
+
+
+@st.composite
+def polynomials(draw) -> Polynomial:
+    """Up to eight terms in 1 to 6 variables, the all-zero exponent among the
+    candidates, with numerators of either sign up to 10^40 and denominators
+    up to 10^30."""
+    n = draw(st.integers(1, 6))
+    exponents = st.tuples(*[st.integers(0, 12)] * n) | st.just((0,) * n)
+    coefficients = st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**30))
+    return Polynomial(n, draw(st.dictionaries(exponents, coefficients, max_size=8)))
+
+
+class TestTermWriter:
+    """The term-list text is what the JSON encoder writes for the dict form."""
+
+    @given(polynomials(), st.sampled_from([1, 2, 3]))
+    @example(Polynomial(3, {}), 2)
+    @example(Polynomial(1, {(0,): Fraction(-(10**50), 7)}), 3)
+    def test_matches_the_json_encoder_at_every_payload_depth(self, p, level):
+        nested = p.to_json_obj()
+        for _ in range(level):
+            nested = [nested]
+        expected = "".join(json.JSONEncoder(indent=2, sort_keys=True).iterencode(nested))
+        head = "".join("[\n" + "  " * (k + 1) for k in range(level))
+        tail = "".join("\n" + "  " * k + "]" for k in reversed(range(level)))
+        write = cli._term_writer(level)
+        assert head + write(p.terms()) + tail == expected
+        # again, with every exponent tuple's text cached
+        assert head + write(p.terms()) + tail == expected
+
+
 class TestVerifyFailures:
     """A failing cell names its cause; the other cells still report."""
 
@@ -1053,6 +1099,14 @@ class TestGoldenOutput:
                 ["export", "--what", "decomposition", "--n", "5", "--r", "6",
                  "--method", "solve", "--alpha", "2,1,0,1,2"],
                 "22b01e28b08428c3aab732246280173153caad5eaa4d34f5e776c9b9528170d6",
+            ),
+            (
+                ["dofs", "--family", "Q", "--n", "3", "--r", "4", "--format", "json"],
+                "1b7a8e269d28749b5578ec8003cb6269de1ff39dd8bba911cc7356eb198934fb",
+            ),
+            (
+                ["decompose", "--n", "3", "--r", "6", "--format", "json", "--method", "both"],
+                "8d77f14ea2911865855acc4c4e61ecb9e5d882d7dbef7440e8e70a18f51e63ef",
             ),
         ],
     )

@@ -295,6 +295,21 @@ class TestComponentSpaces:
         x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
         assert comps[0].component == (1 + x) * (1 - y)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_component_is_the_product_with_the_bubble(self, n):
+        # the merge pass over one common denominator, against the product
+        rng = random.Random(n)
+        for face in all_faces(n):
+            terms = {
+                tuple(rng.randrange(4) if j in face.free_indices else 0 for j in range(n)):
+                Fraction(rng.randint(-99, 99), rng.choice([1, 2, 3, 7, 11, 3**20, 10**15 + 37]))
+                for _ in range(6)
+            }
+            coefficient = Polynomial(n, terms)
+            component = decomp.FaceComponent(face, coefficient).component
+            assert component == coefficient * bubble(face)
+        assert decomp.FaceComponent(full_cube(n), Polynomial.zero(n)).component.is_zero()
+
     def test_interior_empty_below_threshold(self):
         for r, expected in ((3, 0), (4, 1)):
             faces = [fc.face for fc in all_components(2, r)]

@@ -18,15 +18,17 @@ two axes; ``decompose --method construct`` and
 ``--method both`` at (4, 8) and (5, 6), and the construct decomposition
 export at (4, 6), which split the default member one axis at a time;
 the nodal export at (4, 8), which prints every
-coefficient of the solves at n = 4, and at (5, 4) and (6, 4), where the
-cube symmetry maps the solved functions beyond n = 4; the solve
+coefficient of the solves at n = 4, at (5, 4) and (6, 4), where the
+cube symmetry maps the solved functions beyond n = 4, and at (5, 8),
+where its streamed term lists reach 60 MB; the solve
 decomposition export of x1^2 x2 x4 x5^2 at (5, 6), which substitutes
 through five face dimensions; an n = 3 ``--poly`` member with mixed denominators
 through ``decompose --method solve|both`` and the solve decomposition
 export at (3, 6); the certified checks (unisolvence, direct sum, facet
 kernel) at (4, 12), (5, 8) and (6, 6), and unisolvence and facet kernel
 as JSON over every cell n <= 6, r <= 12; the Q DOF layout as csv at
-(5, 12), which no functional cap bounds; the decompose methods with
+(5, 12), which no functional cap bounds, and the Q DOF listing as JSON
+at (4, 12), whose 28,561 streamed functionals reuse each face's text; the decompose methods with
 default, ``--alpha`` and ``--poly`` input;
 continuity on every axis, through ``verify`` at (4, 8) and (5, 6), on
 the last axis at (4, 6) and (5, 6), and on axis 6 at (6, 3) and axis 3
@@ -109,7 +111,7 @@ def invocations(inputs: Path) -> list[list[str]]:
     runs += [["decompose", *cell(n, r), "--method", m]
              for n, r in ((4, 8), (5, 6)) for m in ("construct", "both")]
     runs.append(["export", "--what", "decomposition", *cell(4, 6), "--method", "construct"])
-    runs += [["export", "--what", "nodal", *cell(n, r)] for n, r in ((4, 8), (5, 4), (6, 4))]
+    runs += [["export", "--what", "nodal", *cell(n, r)] for n, r in ((4, 8), (5, 4), (6, 4), (5, 8))]
     runs.append(["export", "--what", "decomposition", *cell(5, 6), "--method", "solve",
                  "--alpha", "2,1,0,1,2"])
     # the certified checks near the caps, where they need no dense rank
@@ -119,6 +121,7 @@ def invocations(inputs: Path) -> list[list[str]]:
                  "unisolvence,facet-kernel", "--format", "json"])
     # the Q layout alone, which no functional cap bounds
     runs.append(["dofs", *cell(5, 12), "--family", "Q", "--format", "csv"])
+    runs.append(["dofs", *cell(4, 12), "--family", "Q", "--format", "json"])
     # continuity past the small cells, on the first, the last and a middle axis
     runs += [["verify", *cell(n, r), "--checks", "continuity", "--jobs", "1"]
              for n, r in ((4, 8), (5, 6))]
