@@ -433,11 +433,11 @@ def cmd_dofs(args: Namespace) -> int:
     if args.fmt == "csv":
         _emit(args, [_csv_table(headers, rows)])
         return 0
-    lines = [_text_table(headers, rows), f"total: {layout.total}\n"] + [
+    lines = (
         f"dof {L.index}: {_face_label(L.face)} weight {monomial_str(L.exponents)}\n"
         for L in _resolve_dofs(args)
-    ]
-    _emit(args, lines)
+    )
+    _emit(args, itertools.chain([_text_table(headers, rows), f"total: {layout.total}\n"], lines))
     return 0
 
 

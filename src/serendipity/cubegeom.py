@@ -11,10 +11,10 @@ Faces of each dimension are enumerated in a fixed deterministic order:
 lexicographic on the set of pinned axes, then lexicographic on the sign
 pattern with -1 before +1.
 
-``face_moment`` integrates over one face against per-axis factors, for
-the pairing K, ``apply_dof`` and ``dof_matrix``; ``decomp``'s split
-pass takes a polynomial's DOF values on every face, or on the faces of
-one dimension when pruned to them.
+``face_moment`` integrates a monomial over one face, for ``apply_dof``
+and ``dof_matrix``; ``decomp``'s split pass takes a polynomial's DOF
+values on every face, or on the faces of one dimension when pruned to
+them.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
-from typing import Mapping, Optional, Sequence
+from typing import Mapping
 
 from .exactpoly import Exponents, Polynomial
 
@@ -175,36 +175,22 @@ def restrict_to_face(p: Polynomial, face: Face) -> Polynomial:
     return Polynomial(p.n, ((tuple(map(mul, e, keep)), c) for e, c in signed))
 
 
-def face_moment(
-    face: Face, exponents: Exponents, factors: Optional[Sequence[Sequence[int]]] = None
-) -> Fraction:
-    """Integral over a face of x^e times, when given, a product of one
-    factor per axis: factors[j] holds the integer coefficients of 1, t,
-    t^2, ... of a polynomial in x_j alone.
-
-    Along an axis pinned at s the integrand t^e f(t) is evaluated at s,
-    along a free axis it is integrated over [-1, 1], where t^k has the
-    moment 2 / (k + 1) for even k and 0 for odd k.  A vertex uses the
-    counting measure, so its moment is plain point evaluation.  The
-    axes are multiplied in integers and divided once at the end.  Each
-    caller pairs one face and weight with one product of factors, which
-    a pass over all faces at once (``decomp._split``) would not save.
-    """
+def face_moment(face: Face, exponents: Exponents) -> Fraction:
+    """Integral of x^e over a face: along an axis pinned at s, t^e is
+    evaluated at s; along a free axis it is integrated over [-1, 1],
+    where t^k has the moment 2 / (k + 1) for even k and 0 for odd k.  A
+    vertex uses the counting measure, so its moment is plain point
+    evaluation.  The axes are multiplied in integers and divided once at
+    the end."""
     if len(exponents) != face.n:
         raise ValueError(f"{face} needs {face.n} exponents, got {exponents!r}")
-    if factors is not None and len(factors) != face.n:
-        raise ValueError(f"{face} needs {face.n} factors, got {len(factors)}")
     num = den = 1
-    for j, (s, e) in enumerate(zip(face.signs, exponents)):
-        terms = ((e, 1),) if factors is None else enumerate(factors[j], e)
-        if s:
-            num *= sum(-c if s < 0 and k % 2 else c for k, c in terms)
-        else:
-            top, bottom = 0, 1
-            for k, c in terms:
-                if c and not k % 2:
-                    top, bottom = top * (k + 1) + 2 * c * bottom, bottom * (k + 1)
-            num, den = num * top, den * bottom
-        if not num:
-            return Fraction(0)
+    for s, e in zip(face.signs, exponents):
+        if not s:
+            if e % 2:
+                return Fraction(0)
+            den *= e + 1
+            num *= 2
+        elif s < 0 and e % 2:
+            num = -num
     return Fraction(num, den)

@@ -24,24 +24,25 @@ the n passes form the sum of b_F m_F.
 Pairing the DOFs with the components gives the paper's unisolvence
 proof.  Let K = D C, where D is the DOF matrix and C the component
 matrix on the monomial basis, so K[(F, w), (G, q)] = L_{F,w}(b_G x^q).
-``certify_pairing`` checks each face's index and bubble once and n + 1
-positive definite diagonal blocks.  It follows that K is block lower
-triangular over faces with one diagonal block per face dimension, so
-K, hence D and C, is nonsingular without an N x N elimination.
+``certify_pairing`` checks each face's index and bubble once, and the
+orthogonal polynomials of the weight 1 - t^2 in one variable.  It
+follows that K is block lower triangular over faces and each diagonal
+block is 2^(n-d) T lam T^T, T unit lower triangular and lam positive
+diagonal, so K, hence D and C, is nonsingular without any elimination.
 
 The multipliers m = K^-1 v of DOF values v follow the proof's induction
 on face dimension (``_solve``).  K[F, G] vanishes unless G is a subface
 of F, so the rows of a d-face F read K[F, F] m_F = v_F - L_F(s), with s
 the sum of b_G m_G over the faces G of lower dimension: one pruned
 moment pass over s per dimension, and one inverted diagonal block per
-dimension.  Those n + 1 Bareiss solves are the only elimination, and no
-column of K^-1 is formed.
+dimension, which the 1-D factors give in closed form.  Nothing is
+eliminated, and no column of K^-1 is formed.
 
 The facet kernel check is the paper's boundary lemma, read off the same
 certificate: the members vanishing on the whole boundary are exactly
 the cube's components b x^q, contained because the cube bubble's factors
 vanish at both ends, independent because the cube's diagonal block is
-positive definite, and all of them because K is triangular.
+nonsingular, and all of them because K is triangular.
 """
 
 from __future__ import annotations
@@ -51,10 +52,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from math import gcd, lcm, prod
-from operator import add, mul
+from operator import mul
 from typing import Iterable, Literal, Optional, Sequence
 
-from .cubegeom import Face, enumerate_faces, face_moment
+from .cubegeom import Face, enumerate_faces
 from .dofs import RationalMatrix, SingularMatrixError
 from .exactpoly import Exponents, Polynomial, grlex_key
 from .spaces import basis_S, dim_P, dim_S_formula, face_monomials
@@ -65,7 +66,6 @@ __all__ = [
     "bubble",
     "all_components",
     "component_matrix",
-    "pairing_block",
     "certify_pairing",
     "DirectSumResult",
     "verify_direct_sum",
@@ -147,20 +147,38 @@ def component_matrix(n: int, r: int) -> RationalMatrix:
     return RationalMatrix(rows)
 
 
-@lru_cache(maxsize=None)
-def pairing_block(face: Face, other: Face, r: int) -> RationalMatrix:
-    """The block K[F, G] of the pairing: row w, column q holds the DOF of
-    face F with weight x^w applied to the component b_G x^q of face G.
+@cache
+def _orthogonal(m: int) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[Fraction, ...]]:
+    """(U, lam): the monic orthogonal polynomials J_0, ..., J_m for the
+    weight 1 - t^2 on [-1, 1], Gegenbauer C^(3/2) up to scale, as their
+    coefficients J_k = sum of U[k][a] t^a, and their norms lam_k, by the
+    recurrence J_(k+1) = t J_k - beta_k J_(k-1) with beta_k =
+    k (k + 2) / ((2k + 1)(2k + 3)), lam_0 = 4/3 and lam_k = lam_(k-1) beta_k."""
+    U, lam = [(Fraction(1),), (Fraction(0), Fraction(1))], [Fraction(4, 3)]
+    for k in range(1, m + 1):
+        beta = Fraction(k * (k + 2), (2 * k + 1) * (2 * k + 3))
+        U.append(tuple(a - beta * b for a, b in zip((0, *U[k]), (*U[k - 1], 0, 0))))
+        lam.append(lam[k - 1] * beta)
+    return tuple(U[: m + 1]), tuple(lam[: m + 1])
 
-    Each entry is the moment over F of x^(w + q) times the factors of
-    b_G, one per axis, so it depends on w + q only and is computed once
-    per sum.
-    """
-    index = face_monomials(face.n, r)
-    moment = cache(partial(face_moment, face, factors=_bubble_factors(other)))
-    return RationalMatrix(
-        [[moment(tuple(map(add, w, q))) for q in index[other]] for w in index[face]]
-    )
+
+@cache
+def _weight_culprit(m: int) -> Optional[str]:
+    """Part (iv) of ``certify_pairing`` for degrees up to m = r - 2, in
+    O(m^3): the inner products <J_k, t^a> = sum over b of U[k][b] mu(a + b)
+    with the moments mu(j) = 4 / ((j + 1)(j + 3)) of 1 - t^2, 0 for odd j."""
+    U, lam = _orthogonal(m)
+    mu = [Fraction(0 if j % 2 else 4, (j + 1) * (j + 3)) for j in range(2 * m + 1)]
+    for k in range(m + 1):
+        if len(U[k]) != k + 1 or U[k][k] != 1:
+            return f"Gram block: J_{k} is not monic of degree {k}"
+        if not lam[k] > 0:
+            return f"Gram block: the norm lam_{k} = {lam[k]} is not positive"
+        for a in range(k + 1):
+            inner, want = sum(c * mu[a + b] for b, c in enumerate(U[k])), lam[k] if a == k else 0
+            if inner != want:
+                return f"Gram block: <J_{k}, t^{a}> = {inner} under 1 - t^2, not {want}"
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -178,7 +196,10 @@ def certify_pairing(n: int, r: int) -> Optional[str]:
     (iii) bubble: its factor is 1 - t^2 along a free axis (constant term
         1, zero at both ends) and 1 + s t along an axis pinned at s
         (linear, 0 at -s, 2 at s);
-    (iv) the representative block of each dimension is positive definite.
+    (iv) Gram block: the polynomials J_0, ..., J_{r-2} of ``_orthogonal``
+        are monic of degrees 0, 1, ..., r - 2 and, under the moments mu of
+        the weight 1 - t^2, <J_k, t^a> is 0 for a < k and lam_k > 0 for
+        a = k: a check in one variable, no matrix formed.
 
     The rest are lemmas.  By (i) and (ii) every face with a nonempty
     P_{r-2d} is indexed, as the closed form sums dim P_{r-2d} over all
@@ -188,7 +209,13 @@ def certify_pairing(n: int, r: int) -> Optional[str]:
     lower triangular with faces ordered by dimension.  On its own d-face
     b_F is 2^(n-d) times the product of (1 - x_i^2) over the free axes,
     and every d-face has the same weights over its free axes in the same
-    order, so each diagonal block equals its dimension's representative.
+    order, so each diagonal block equals its dimension's representative:
+    2^(n-d) times the d-th tensor power of M[a, b] = mu(a + b) restricted
+    to S = P_{r-2d}.  By (iv) U M, U the coefficients of the J_k, is upper
+    triangular with diagonal lam, so U M U^T = lam and M = T lam T^T with
+    T = U^-1 unit lower triangular.  S is closed under lowering an
+    exponent, so the tensor power T_S of T restricted to S is the block's
+    triangular factor: K[H, H] = 2^(n-d) T_S lam_S T_S^T > 0.
     A cube symmetry keeps degrees and sends free axes to free axes and
     factors to factors, so it maps each index and bubble onto the image
     face's; the weights go in order and unsigned when it keeps the free
@@ -224,13 +251,7 @@ def certify_pairing(n: int, r: int) -> Optional[str]:
                     f"bubble: along x{j + 1} the bubble of {face} has the factor "
                     f"{factor}, not {expected} (coefficients of 1, t, t^2)"
                 )
-    for d in range(n + 1):
-        representative = enumerate_faces(n, d)[0]
-        if representative in index and not pairing_block(
-            representative, representative, r
-        ).is_positive_definite():
-            return f"Gram block: the diagonal block of face dimension {d} is not positive definite"
-    return None
+    return _weight_culprit(r - 2)
 
 
 @lru_cache(maxsize=None)
@@ -239,17 +260,33 @@ def _diagonal_inverses(n: int, r: int) -> dict[int, tuple[int, tuple]]:
     H0 = ``enumerate_faces(n, d)[0]`` of each face dimension d in the
     index, as d -> (den, rows): integers over den, their least common
     denominator.  The certificate must hold: it makes every diagonal
-    block of dimension d equal to K[H0, H0], weight by weight in order."""
+    block of dimension d equal to K[H0, H0], weight by weight in order,
+    with the inverse 2^(d-n) U_S^T lam_S^-1 U_S: the sum over weights k of
+    u_k u_k^T / (2^(n-d) lam_k), u_k[w] and lam_k the products over free
+    axes j of U[k_j][w_j] and lam_(k_j), zero unless w <= k, k - w even."""
     culprit = certify_pairing(n, r)
     if culprit is not None:
         raise SingularMatrixError(f"pairing at n={n}, r={r} is not certified: {culprit}")
+    U, lam = _orthogonal(r - 2)
+    D = lcm(*(c.denominator for row in U for c in row))
+    cleared = [[int(c * D) for c in row] for row in U]
     out = {}
-    for face in face_monomials(n, r):
+    for face, weights in face_monomials(n, r).items():
         if face == enumerate_faces(n, face.dim)[0]:
-            block = pairing_block(face, face, r)
-            inverse = block.solve(RationalMatrix.identity(block.rows)).to_lists()
-            den = lcm(*(v.denominator for row in inverse for v in row))
-            out[face.dim] = den, tuple(tuple(int(v * den) for v in row) for row in inverse)
+            free, at = face.free_indices, {w: i for i, w in enumerate(weights)}
+            # D^d u_k in integers, its outer product over 2^(n-d) D^(2d) lam_k
+            base = 2 ** (n - face.dim) * D ** (2 * face.dim)
+            scales = [Fraction(1, base * prod(lam[k[j]] for j in free)) for k in weights]
+            Q = lcm(*(s.denominator for s in scales))
+            inverse = [[0] * len(weights) for _ in weights]
+            for k, s in zip(weights, scales):
+                u = [(at[w], prod(cleared[k[j]][w[j]] for j in free)) for w in weights
+                     if all(w[j] <= k[j] and (k[j] - w[j]) % 2 == 0 for j in free)]
+                for i, a in u:
+                    for l, b in u:
+                        inverse[i][l] += s.numerator * (Q // s.denominator) * a * b
+            g = gcd(Q, *(v for row in inverse for v in row))
+            out[face.dim] = Q // g, tuple(tuple(v // g for v in row) for row in inverse)
     return out
 
 
@@ -542,9 +579,9 @@ def facet_kernel_check(n: int, r: int) -> FacetKernelResult:
 
     containment: part (iii) gives b the factor 1 - t^2 along every axis,
         zero at both ends, so each b x^q vanishes on the 2n facets;
-    independence: part (iv) at d = n makes the cube's diagonal block, the
-        moments of x^(w + q) b, positive definite, so no nonzero
-        combination of the b x^q vanishes;
+    independence: part (iv) makes the cube's diagonal block, the moments
+        of x^(w + q) b, T_S lam_S T_S^T with T_S unit triangular and
+        lam_S positive, so no nonzero combination of the b x^q vanishes;
     dimension: a boundary-vanishing member has zero DOFs on every proper
         face, and K is block lower triangular with nonsingular diagonal
         blocks, so its proper components vanish.

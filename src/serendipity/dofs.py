@@ -12,10 +12,10 @@ dimensional faces carry weights of degree at most r - 2 in each free
 variable.  DOFs are ordered by face dimension, then by the canonical
 face order, then by graded lex on the weight monomial.
 
-Ranks, solves and the positive definiteness test share one fraction-free
-Bareiss pass over denominator-cleared integer rows, so every
-intermediate value is an exact integer minor.  No floating point enters
-any decision.
+Ranks and solves share one fraction-free Bareiss pass over integer rows,
+so every intermediate value is an exact integer minor.  No floating
+point enters any decision.  A certified pairing (``decomp``) needs no
+elimination: ``rank`` serves only an uncertified one.
 """
 
 from __future__ import annotations
@@ -61,18 +61,15 @@ class SingularMatrixError(ArithmeticError):
 
 def _bareiss(
     rows: Iterable[Sequence[Fraction]], pivot_cols: int
-) -> tuple[list[list[int]], list[int], bool]:
+) -> tuple[list[list[int]], list[int]]:
     """Fraction-free forward elimination (Bareiss 1968) of the rows, each
     first scaled to integers by the lcm of its denominators.
 
-    Scaling rows by positive integers changes neither the rank nor the
-    sign of any leading principal minor.  Pivots are taken from the first
+    Scaling rows changes no rank.  Pivots are taken from the first
     pivot_cols columns, skipping any column with no nonzero candidate;
     every column is updated.  Each update divides exactly by the previous
-    pivot, so every entry stays an integer minor, and without row
-    exchanges the pivot of row i is the leading principal minor of order
-    i + 1.  Returns the echelon rows, the pivot columns and whether any
-    rows were exchanged.
+    pivot, so every entry stays an integer minor.  Returns the echelon
+    rows and the pivot columns.
     """
     m = []
     for row in rows:
@@ -83,7 +80,6 @@ def _bareiss(
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots: list[int] = []
-    exchanged = False
     prev = 1
     for c in range(pivot_cols):
         r = len(pivots)
@@ -92,9 +88,7 @@ def _bareiss(
         piv = next((i for i in range(r, nrows) if m[i][c]), None)
         if piv is None:
             continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-            exchanged = True
+        m[r], m[piv] = m[piv], m[r]
         pivot = m[r][c]
         base = m[r]
         for i in range(r + 1, nrows):
@@ -109,7 +103,7 @@ def _bareiss(
             row[c] = 0
         prev = pivot
         pivots.append(c)
-    return m, pivots, exchanged
+    return m, pivots
 
 
 class RationalMatrix:
@@ -134,10 +128,6 @@ class RationalMatrix:
 
     def __reduce__(self):
         return (RationalMatrix, (self._rows,))
-
-    @classmethod
-    def identity(cls, k: int) -> "RationalMatrix":
-        return cls([[Fraction(int(i == j)) for j in range(k)] for i in range(k)])
 
     def entry(self, i: int, j: int) -> Fraction:
         return self._rows[i][j]
@@ -176,7 +166,7 @@ class RationalMatrix:
         if rhs.rows != self.rows:
             raise ValueError("right hand side has the wrong number of rows")
         k = self.rows
-        m, pivots, _ = _bareiss((a + b for a, b in zip(self._rows, rhs._rows)), k)
+        m, pivots = _bareiss((a + b for a, b in zip(self._rows, rhs._rows)), k)
         if len(pivots) < k:
             raise SingularMatrixError(f"matrix of size {k} is singular")
         d = m[k - 1][k - 1] if k else 1
@@ -194,18 +184,6 @@ class RationalMatrix:
                     raise AssertionError("integer back-substitution left a remainder")
                 dx[i].append(q)
         return RationalMatrix([[Fraction(v, d) for v in row] for row in dx])
-
-    def is_positive_definite(self) -> bool:
-        """Whether the matrix is symmetric positive definite.
-
-        Sylvester's criterion, read off one Bareiss pass: no row exchange
-        and every pivot, a leading principal minor, is positive.
-        """
-        if self._rows != tuple(zip(*self._rows)):
-            return False
-        m, pivots, exchanged = _bareiss(self._rows, self.cols)
-        positive = all(m[i][i] > 0 for i in pivots)
-        return positive and not exchanged and len(pivots) == self.rows
 
 
 @dataclass(frozen=True)
@@ -234,22 +212,20 @@ def dofs_S(n: int, r: int) -> tuple[DofFunctional, ...]:
     return tuple(DofFunctional(face, w, i) for i, (face, w) in enumerate(pairs))
 
 
-@lru_cache(maxsize=None)
-def dofs_Q(n: int, r: int) -> tuple[DofFunctional, ...]:
+def dofs_Q(n: int, r: int) -> Iterator[DofFunctional]:
     """Tensor-product DOF set: vertex values plus per-axis degree r - 2
-    moments on positive dimensional faces."""
+    moments on positive dimensional faces.  The arguments are checked at
+    the call and each functional is formed as it is read, so a caller
+    that writes and drops them holds one face's weights at a time."""
     if n < 1 or r < 1:
         raise ValueError("tensor-product DOFs require n >= 1 and r >= 1")
-    out: list[DofFunctional] = []
-    for d in range(n + 1):
-        for face in enumerate_faces(n, d):
-            if d == 0:
-                weights = [(0,) * n]
-            else:
-                weights = monomials_max_degree_at_most(n, face.free_indices, r - 2)
-            for exps in weights:
-                out.append(DofFunctional(face, exps, len(out)))
-    return tuple(out)
+    pairs = (
+        (face, w)
+        for d in range(n + 1)
+        for face in enumerate_faces(n, d)
+        for w in (monomials_max_degree_at_most(n, face.free_indices, r - 2) if d else [(0,) * n])
+    )
+    return (DofFunctional(face, w, i) for i, (face, w) in enumerate(pairs))
 
 
 def apply_dof(functional: DofFunctional, p: Polynomial) -> Fraction:

@@ -998,6 +998,32 @@ class TestCertifiedChecksSkipDenseRank:
         assert full_cube(n) in face_monomials(n, r)
 
 
+class TestCertifiedPathEliminatesNothing:
+    def test_no_bareiss_pass_and_no_dense_solve(self, capsys, monkeypatch, fresh_caches):
+        # with the pairing certified, the checks, the solve decomposition,
+        # interpolation and the nodal export read the diagonal inverses off
+        # the 1-D basis: no elimination runs, cold caches included
+        calls = []
+
+        def spy(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(dofs, "_bareiss", spy("_bareiss", dofs._bareiss))
+        monkeypatch.setattr(dofs.RationalMatrix, "solve", spy("solve", dofs.RationalMatrix.solve))
+        for argv in (
+            ["verify", "--n-max", "4", "--r-max", "6", "--jobs", "1"],
+            ["decompose", "--n", "4", "--r", "8", "--method", "solve"],
+            ["export", "--what", "nodal", "--n", "3", "--r", "6"],
+        ):
+            assert run_cli(capsys, *argv)[0] == 0, argv
+        assembly.interpolate(list(range(dim_S_formula(5, 6))), 5, 6)
+        assert calls == []
+
+
 class TestGoldenOutput:
     """SHA-256 of stdout, pinned so that rewrites keep every byte."""
 

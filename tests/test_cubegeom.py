@@ -278,31 +278,11 @@ class TestFaceIntegration:
                 assert direct == moment_oracle(p, face, w)
 
     def test_mismatched_n_raises(self):
-        # an exponent or factor per axis, no more and no fewer
+        # an exponent per axis, no more and no fewer
         with pytest.raises(ValueError, match="needs 1 exponents"):
             face_moment(Face(1, ()), (2, 5))
         with pytest.raises(ValueError, match="needs 3 exponents"):
             face_moment(Face(3, ((0, 1),)), (2, 0))
-        for factors in (((1,),) * 2, ((1,),) * 4):
-            with pytest.raises(ValueError, match="needs 3 factors"):
-                face_moment(full_cube(3), (0, 0, 0), factors)
-
-    def test_factors_match_the_expanded_product(self):
-        # x^e times one random factor per axis, against the oracle on the
-        # product expanded into monomials; vertices included
-        rng = random.Random(5)
-        for n in (1, 2, 3):
-            for face in all_faces(n):
-                for _ in range(4):
-                    factors = [
-                        [rng.randint(-3, 3) for _ in range(rng.randint(1, 4))] for _ in range(n)
-                    ]
-                    product = Polynomial.one(n)
-                    for j, f in enumerate(factors):
-                        t = Polynomial.variable(n, j)
-                        product *= sum((c * t**k for k, c in enumerate(f)), Polynomial.zero(n))
-                    e = tuple(rng.randint(0, 3) for _ in range(n))
-                    assert face_moment(face, e, factors) == moment_oracle(product, face, e)
 
     def test_face_moment_odd_free_exponent_vanishes(self):
         face = Face(3, ((0, 1),))

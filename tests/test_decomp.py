@@ -11,8 +11,8 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from functools import partial
-from math import comb, gcd
+from functools import cache, partial
+from math import comb, gcd, lcm, prod
 from operator import add
 
 import pytest
@@ -26,7 +26,7 @@ from serendipity.cubegeom import (
     full_cube,
     restrict_to_face,
 )
-from serendipity import decomp, spaces
+from serendipity import decomp, dofs, spaces
 from serendipity.decomp import (
     all_components,
     bubble,
@@ -34,7 +34,6 @@ from serendipity.decomp import (
     component_matrix,
     decompose,
     facet_kernel_check,
-    pairing_block,
     recompose,
     verify_direct_sum,
 )
@@ -156,6 +155,47 @@ def flip_bubble_sign(monkeypatch, face: Face) -> None:
     monkeypatch.setattr(decomp, "_bubble_factors", flipped)
 
 
+def pairing_block(outer: Face, inner: Face, r: int) -> list[list[Fraction]]:
+    """The block K[F, G] of the pairing, kept as an oracle: b_G expanded
+    into monomials and traced onto F, each entry a DOF applied term by
+    term, once per weight sum w + q."""
+    index = face_monomials(outer.n, r)
+    trace = restrict_to_face(bubble(inner), outer)
+    moment = cache(lambda e: apply_dof(DofFunctional(outer, e, 0), trace))
+    return [[moment(tuple(map(add, w, q))) for q in index[inner]] for w in index[outer]]
+
+
+def dense_inverse(block: list[list[Fraction]]) -> RationalMatrix:
+    """The inverse by one Bareiss solve against the identity."""
+    size = range(len(block))
+    return RationalMatrix(block).solve(RationalMatrix([[int(i == j) for j in size] for i in size]))
+
+
+def weight_inner(p, q) -> Fraction:
+    """The integral of p q (1 - t^2) over [-1, 1], p and q given by their
+    coefficients from t^0 up."""
+    return sum(
+        (a * b * (Fraction(2, i + j + 1) - Fraction(2, i + j + 3))
+         for i, a in enumerate(p) for j, b in enumerate(q) if not (i + j) % 2),
+        Fraction(0),
+    )
+
+
+def gram_schmidt(m: int) -> tuple[tuple, tuple]:
+    """Exact Gram-Schmidt of 1, t, ..., t^m under ``weight_inner``, kept
+    as an oracle: (U, lam) as ``decomp._orthogonal`` gives them, J_k =
+    t^k less its projections onto J_0, ..., J_(k-1)."""
+    U = []
+    for k in range(m + 1):
+        power = [Fraction(0)] * k + [Fraction(1)]
+        J = list(power)
+        for prev in U:
+            c = weight_inner(power, prev) / weight_inner(prev, prev)
+            J = [x - c * y for x, y in zip(J, prev + [0] * (k + 1 - len(prev)))]
+        U.append(J)
+    return tuple(map(tuple, U)), tuple(weight_inner(J, J) for J in U)
+
+
 EDGE = Face(2, ((0, 1),))  # the edge x1=+1: weights 1, x2, x2^2 at (2, 4)
 
 
@@ -196,6 +236,36 @@ INDEX_MUTATIONS = {
         drop_and_add,
         "index: face(x1=-1) has 2 weights, not dim P_2 = 3",
         None,
+    ),
+}
+
+
+def _with_norm(lam: list, k: int, value) -> list:
+    return lam[:k] + [value] + lam[k + 1 :]
+
+
+# mutation: (edit of the 1-D basis (U, lam) at r = 4, given as lists, and
+# the culprit of part (iv)); J_2 = t^2 - 1/5 and lam_1 = 4/15
+BASIS_MUTATIONS = {
+    "perturbed coefficient": (
+        lambda U, lam: (U[:2] + [(U[2][0] + Fraction(1, 7), *U[2][1:])], lam),
+        "Gram block: <J_2, t^0> = 4/21 under 1 - t^2, not 0",
+    ),
+    "perturbed norm": (
+        lambda U, lam: (U, _with_norm(lam, 1, lam[1] + 1)),
+        "Gram block: <J_1, t^1> = 4/15 under 1 - t^2, not 19/15",
+    ),
+    "scaled polynomial": (
+        lambda U, lam: (U[:1] + [tuple(2 * c for c in U[1])] + U[2:], lam),
+        "Gram block: J_1 is not monic of degree 1",
+    ),
+    "zero norm": (
+        lambda U, lam: (U, _with_norm(lam, 1, Fraction(0))),
+        "Gram block: the norm lam_1 = 0 is not positive",
+    ),
+    "negated norm": (
+        lambda U, lam: (U, _with_norm(lam, 1, -lam[1])),
+        "Gram block: the norm lam_1 = -4/15 is not positive",
     ),
 }
 
@@ -372,20 +442,22 @@ class TestPairing:
 
     @pytest.mark.parametrize("n, r", [(n, r) for n in (1, 2, 3) for r in range(1, 7)] + [(4, 8)])
     def test_blocks_match_the_bubble_trace(self, n, r):
-        # the earlier pairing block, kept as an oracle: b_G expanded into
-        # monomials and traced onto F, each entry a DOF applied term by term
-        index = face_monomials(n, r)
-        for outer in index:
-            for inner in index:
-                if not face_contains(outer, inner):
-                    continue
-                trace = restrict_to_face(bubble(inner), outer)
-                expected = [
-                    [apply_dof(DofFunctional(outer, tuple(map(add, w, q)), 0), trace)
-                     for q in index[inner]]
-                    for w in index[outer]
-                ]
-                assert pairing_block(outer, inner, r).to_lists() == expected, (outer, inner)
+        # the lemma of part (iv): each diagonal block is 2^(n-d) T_S lam_S
+        # T_S^T, T[a][k] = <t^a, J_k> / lam_k the tensor factor over the
+        # free axes, with J and lam from the Gram-Schmidt oracle
+        U, lam = gram_schmidt(r - 2)
+        T = [[weight_inner([0] * a + [1], J) / lam[k] for k, J in enumerate(U)] for a in range(r - 1)]
+        for face, weights in face_monomials(n, r).items():
+            free = face.free_indices
+            factor = [[prod(T[w[j]][k[j]] for j in free) for k in weights] for w in weights]
+            expected = [
+                [2 ** (n - face.dim) * sum(
+                    (x * y * prod(lam[k[j]] for j in free)
+                     for x, y, k in zip(row, col, weights)), Fraction(0))
+                 for col in factor]
+                for row in factor
+            ]
+            assert pairing_block(face, face, r) == expected, face
 
     @pytest.mark.parametrize("n, r", [(1, 3), (2, 3), (2, 4), (3, 3)])
     def test_blocks_are_slices_of_dof_times_component_matrix(self, n, r):
@@ -400,9 +472,9 @@ class TestPairing:
             for inner in index:
                 cols = range(start[inner], start[inner] + len(index[inner]))
                 block = pairing_block(outer, inner, r)
-                assert block.to_lists() == [[k[i][j] for j in cols] for i in rows]
+                assert block == [[k[i][j] for j in cols] for i in rows]
                 if not face_contains(outer, inner):
-                    assert block.rank() == 0
+                    assert not any(map(any, block))
 
     def test_flipped_bubble_sign_fails_vanishing(self, monkeypatch, fresh_caches):
         vertex = Face(2, ((0, -1), (1, -1)))
@@ -414,7 +486,7 @@ class TestPairing:
         )
         # the factor no longer vanishes at x1=+1, so the block of the
         # vertex (+1, -1) against it is no longer zero
-        assert pairing_block(Face(2, ((0, 1), (1, -1))), vertex, 3).rank() == 1
+        assert pairing_block(Face(2, ((0, 1), (1, -1))), vertex, 3) == [[4]]
         result = check_unisolvence(2, 3)
         assert result.culprit == culprit and not result.unisolvent
         with pytest.raises(SingularMatrixError):
@@ -503,17 +575,54 @@ class TestPairing:
         with pytest.raises(AssertionError, match="escapes the space"):
             component_matrix(2, 3)
 
-    def test_indefinite_block_fails_gram(self, monkeypatch, fresh_caches):
-        real = decomp.pairing_block
+    @pytest.mark.parametrize("mutation", sorted(BASIS_MUTATIONS))
+    def test_weight_basis_mutation_fails_gram(self, monkeypatch, fresh_caches, mutation):
+        # part (iv) at (2, 4), where the 1-D basis runs to J_2 = t^2 - 1/5
+        edit, culprit = BASIS_MUTATIONS[mutation]
+        real = decomp._orthogonal
+        monkeypatch.setattr(decomp, "_orthogonal", lambda m: edit(*map(list, real(m))))
+        assert certify_pairing(2, 4) == culprit
+        assert_uncertified(2, 4, culprit)
+        # the certificate is one-sided: K itself is still nonsingular
+        assert verify_direct_sum(2, 4).rank == dim_S_formula(2, 4)
 
-        def negated(face, other, r):
-            block = real(face, other, r)
-            return RationalMatrix([[-v for v in row] for row in block.to_lists()])
-
-        monkeypatch.setattr(decomp, "pairing_block", negated)
-        assert certify_pairing(2, 3) == (
-            "Gram block: the diagonal block of face dimension 0 is not positive definite"
+    def test_weight_basis_check_runs_under_optimize(self):
+        # the check is made of ifs, not asserts
+        script = textwrap.dedent(
+            """
+            import serendipity.decomp as d
+            assert False, "asserts are live"
+            U, lam = d._orthogonal(2)
+            d._orthogonal = lambda m: (U, (lam[0], -lam[1], lam[2]))
+            print(d.certify_pairing(2, 4))
+            """
         )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == BASIS_MUTATIONS["negated norm"][1] + "\n"
+
+    @pytest.mark.parametrize("m", [-1, 0, 1, 10])
+    def test_orthogonal_matches_gram_schmidt(self, m):
+        assert decomp._orthogonal(m) == gram_schmidt(m)
+        assert decomp._weight_culprit(m) is None
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_diagonal_inverses_match_the_dense_inverse(self, n):
+        # the closed form against one Bareiss solve of the traced block, over
+        # the least common denominator, on every cell r <= 12
+        for r in range(1, 13):
+            expected = {}
+            for d in range(n + 1):
+                face = enumerate_faces(n, d)[0]
+                if face in face_monomials(n, r):
+                    inverse = dense_inverse(pairing_block(face, face, r)).to_lists()
+                    den = lcm(*(v.denominator for row in inverse for v in row))
+                    expected[d] = den, tuple(tuple(int(v * den) for v in row) for row in inverse)
+            assert decomp._diagonal_inverses(n, r) == expected, (n, r)
 
 
 def product(a: tuple, b: tuple, scale: int = 1) -> tuple:
@@ -530,13 +639,12 @@ def all_columns_inverse(n: int, r: int) -> dict[Face, dict[Face, tuple]]:
     """The earlier pairing inverse X = K^-1, kept as an oracle: block
     forward substitution run for every one of the 3^n columns, no symmetry,
     X[F, H] = -K[F, F]^-1 sum over H <= G < F of K[F, G] X[G, H]."""
-    index = face_monomials(n, r)
+    index, block = face_monomials(n, r), cache(pairing_block)
     diagonal = {}
     for d in range(n + 1):
         representative = enumerate_faces(n, d)[0]
         if representative in index:
-            block = pairing_block(representative, representative, r)
-            inverse = block.solve(RationalMatrix.identity(block.rows))
+            inverse = dense_inverse(pairing_block(representative, representative, r))
             diagonal[d] = tuple(inverse.row(i) for i in range(inverse.rows))
     out = {}
     for col in index:
@@ -545,8 +653,8 @@ def all_columns_inverse(n: int, r: int) -> dict[Face, dict[Face, tuple]]:
             if face == col or not face_contains(face, col):
                 continue
             inner = [g for g in column if face_contains(face, g)]
-            blocks = [pairing_block(face, g, r) for g in inner]
-            left = [sum((k.row(i) for k in blocks), ()) for i in range(len(index[face]))]
+            blocks = [block(face, g, r) for g in inner]
+            left = [sum((tuple(k[i]) for k in blocks), ()) for i in range(len(index[face]))]
             right = [row for g in inner for row in column[g]]
             column[face] = product(diagonal[face.dim], product(left, right), scale=-1)
         out[col] = column
@@ -700,7 +808,6 @@ class TestDecomposeTraces:
     def test_solve_traces_and_integrates_nothing(self, monkeypatch, n, r):
         # D p comes from the per-axis split pass: no trace, no face moment
         p = mixed_space_member(random.Random(36), n, r)
-        decomp._diagonal_inverses(n, r)  # the diagonal blocks of K are face moments
         calls = []
         for name in ("restrict_to_face", "face_moment"):
             def spy(*args, name=name, real=getattr(cubegeom, name), **kwargs):
@@ -1040,13 +1147,13 @@ def cube_weight_count(n: int, r: int) -> int:
 
 
 class TestFacetKernel:
-    def test_first_nontrivial_square_case(self):
+    def test_first_nontrivial_square_case(self, positive_definite):
         result = facet_kernel_check(2, 4)
         assert result.ok
         assert result.kernel_dim == result.expected_dim == cube_weight_count(2, 4) == 1
         gram = candidate_gram_oracle(2, 4)
         assert gram.to_lists() == [[Fraction(256, 225)]]
-        assert gram.is_positive_definite()
+        assert positive_definite(gram.to_lists())
         # independent integral oracle for the same Gram entry
         x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
         cand = (1 - x**2) * (1 - y**2)
@@ -1058,22 +1165,22 @@ class TestFacetKernel:
             assert result.ok
             assert result.kernel_dim == result.expected_dim == 0
 
-    def test_cube_case(self):
+    def test_cube_case(self, positive_definite):
         result = facet_kernel_check(3, 6)
         assert result.ok
         assert result.kernel_dim == cube_weight_count(3, 6) == 1
         gram = candidate_gram_oracle(3, 6)
         assert gram.to_lists() == [[Fraction(4096, 3375)]]
-        assert gram.is_positive_definite()
+        assert positive_definite(gram.to_lists())
 
-    def test_growing_kernel(self):
+    def test_growing_kernel(self, positive_definite):
         result = facet_kernel_check(2, 6)
         assert result.ok
         # bubble times total degree 2 in two variables
         assert result.kernel_dim == cube_weight_count(2, 6) == 6
         gram = candidate_gram_oracle(2, 6)
         assert gram.rows == 6
-        assert gram.is_positive_definite()
+        assert positive_definite(gram.to_lists())
 
     def test_forms_no_product_or_matrix_once_the_certificate_is_warm(
         self, fresh_caches, monkeypatch
@@ -1090,20 +1197,20 @@ class TestFacetKernel:
 
         monkeypatch.setattr(Polynomial, "__mul__", counting("mul", Polynomial.__mul__))
         monkeypatch.setattr(RationalMatrix, "__init__", counting("matrix", RationalMatrix.__init__))
-        for module in (cubegeom, decomp):
+        for module in (cubegeom, dofs):
             monkeypatch.setattr(module, "face_moment", counting("moment", module.face_moment))
         result = facet_kernel_check(2, 6)
         assert result.ok and result.kernel_dim == 6
         assert calls == []
 
-    def test_gram_oracle_on_larger_case(self):
+    def test_gram_oracle_on_larger_case(self, positive_definite):
         result = facet_kernel_check(2, 5)
         assert result.ok and result.kernel_dim == cube_weight_count(2, 5) == 3
         x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
         b = (1 - x**2) * (1 - y**2)
         cands = [b, b * x, b * y]
         gram = candidate_gram_oracle(2, 5)
-        assert gram.is_positive_definite()
+        assert positive_definite(gram.to_lists())
         for i in range(3):
             for j in range(3):
                 assert gram.entry(i, j) == box_integral_oracle(cands[i] * cands[j])
@@ -1158,7 +1265,7 @@ class TestFacetKernel:
             assert not result.ok
 
     @pytest.mark.parametrize("n, r", [(2, 4), (3, 8), (4, 10)])
-    def test_gram_matches_moments_of_the_squared_bubble(self, n, r):
+    def test_gram_matches_moments_of_the_squared_bubble(self, positive_definite, n, r):
         # the earlier Gram, kept as an oracle: the cube bubble expanded into
         # monomials, squared, and integrated term by term; it equals the
         # Gram of the candidates' products and is positive definite
@@ -1174,7 +1281,7 @@ class TestFacetKernel:
              for q in weights]
             for w in weights
         ]
-        assert gram.is_positive_definite()
+        assert positive_definite(gram.to_lists())
 
     def test_reads_the_certificate_on_every_cell(self):
         for n in range(1, 7):
