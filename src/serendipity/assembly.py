@@ -16,16 +16,15 @@ traces nothing.  Axes are 0-based here and 1-based in serialized reports.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Optional, Sequence
 
 from .cubegeom import Face
 from .decomp import _polynomial, _solve, certify_pairing
 from .dofs import DofFunctional, SingularMatrixError, dofs_S
-from .exactpoly import Exponents, Polynomial, Scalar, monomial_str
+from .exactpoly import Exponents, Polynomial, Record, Scalar, monomial_str
 from .spaces import basis_S, face_monomials
 
 __all__ = [
@@ -38,8 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ElementPair:
+class ElementPair(Record):
     """Two unit cubes adjacent along one axis (right = left shifted by 2)."""
 
     n: int
@@ -105,7 +103,7 @@ def _facet_coordinates(
 
 
 @lru_cache(maxsize=None)
-def trace_certificate(n: int, r: int) -> Optional[str]:
+def trace_certificate(n: int, r: int) -> str | None:
     """Certify the paper's trace argument on every glue axis a: matching
     shared DOF values force equal traces.  Returns None when every part
     holds, else names the first failure with its axis and face:
@@ -175,8 +173,7 @@ def interpolate(values: Sequence[Scalar], n: int, r: int) -> Polynomial:
     return _polynomial(n, total, scale)
 
 
-@dataclass(frozen=True)
-class ContinuityReport:
+class ContinuityReport(Record):
     n: int
     r: int
     axis: int

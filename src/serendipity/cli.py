@@ -47,11 +47,9 @@ import itertools
 import json
 import os
 import sys
-import traceback
 from argparse import Namespace
-from csv import writer as csv_writer
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .assembly import check_continuity
 from .cubegeom import all_faces, full_cube
@@ -122,6 +120,7 @@ def _text_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str
 
 
 def _csv_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+    from csv import writer as csv_writer  # only the csv format needs it
     buf = io.StringIO()
     w = csv_writer(buf, lineterminator="\n")
     w.writerow(headers)
@@ -165,16 +164,19 @@ def _list_chunks(items: Iterable[str], level: int) -> Iterator[str]:
     yield "[]" if sep[0] == "[" else "\n" + "  " * level + "]"
 
 
-def _term_writer(level: int) -> Callable[[Iterable[tuple]], str]:
+def _term_writer(level: int, cache: bool = True) -> Callable[[Iterable[tuple]], str]:
     """A writer of term lists, as ``Polynomial.terms()`` gives them, at depth
     level: the JSON text of ``Polynomial.to_json_obj()``, one f-string per
-    term, with the text after each coefficient cached per exponent tuple."""
+    term, with the text after each coefficient cached per exponent tuple
+    unless cache is false (a DOF listing's weights rarely repeat)."""
     i0, i1, i2, i3 = ("\n" + "  " * (level + k) for k in range(4))
     head, tails = "{" + i2 + '"coeff": "', {}
 
     def tail(e: tuple) -> str:
         exponents = "[" + i3 + ("," + i3).join(map(str, e)) + i2 + "]" if e else "[]"
-        tails[e] = text = f'",{i2}"exponents": {exponents}{i1}}}'
+        text = f'",{i2}"exponents": {exponents}{i1}}}'
+        if cache:
+            tails[e] = text
         return text
 
     def write(terms: Iterable[tuple]) -> str:
@@ -186,7 +188,7 @@ def _term_writer(level: int) -> Callable[[Iterable[tuple]], str]:
 
 def _functional_items(functionals: Iterable[DofFunctional]) -> Iterator[str]:
     """Each DOF's JSON object at depth 2, its face's text written once."""
-    weight, faces = _term_writer(3), {}
+    weight, faces = _term_writer(3, cache=False), {}
     for L in functionals:
         face = faces.get(L.face)
         if face is None:
@@ -227,7 +229,7 @@ def _tabular(
     args: Namespace,
     headers: Sequence[str],
     rows: Sequence[Sequence[object]],
-    payload: Optional[dict] = None,
+    payload: dict | None = None,
 ) -> None:
     if args.fmt == "json":
         _emit(args, _json_chunks(payload))
@@ -453,6 +455,7 @@ def _run_verify_cell(n: int, r: int, check: str, trials: int, seed: int) -> dict
     except SingularMatrixError as err:
         ok, detail = False, f"raised SingularMatrixError: {err}"
     except Exception as err:
+        import traceback  # only a failing cell needs it
         traceback.print_exc()
         ok, detail = False, f"raised {type(err).__name__}: {err}"
     return {"n": n, "r": r, "check": check, "ok": ok, "detail": detail}
@@ -684,8 +687,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_range(
     parser: argparse.ArgumentParser,
-    single: Optional[int],
-    maximum: Optional[int],
+    single: int | None,
+    maximum: int | None,
     default: tuple[int, ...],
     cap: int,
     label: str,
@@ -773,7 +776,7 @@ def _config_from_args(parser: argparse.ArgumentParser, args: Namespace) -> None:
             )
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _config_from_args(args.command_parser, args)

@@ -20,13 +20,12 @@ them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
-from typing import Mapping
 
-from .exactpoly import Exponents, Polynomial
+from .exactpoly import Exponents, Polynomial, Record
 
 __all__ = [
     "Face",
@@ -40,26 +39,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(Record):
     """A face of [-1, 1]^n given by its pinned coordinates."""
 
     n: int
     fixed: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, fixed: tuple[tuple[int, int], ...]) -> None:
+        if n < 1:
             raise ValueError("faces require n >= 1")
-        fixed = tuple((int(i), int(s)) for i, s in self.fixed)
+        fixed = tuple([(int(i), int(s)) for i, s in fixed])
         axes = [i for i, _ in fixed]
         if axes != sorted(set(axes)):
             raise ValueError(f"pinned axes must be sorted and distinct: {fixed!r}")
         for i, s in fixed:
-            if not 0 <= i < self.n:
-                raise ValueError(f"axis {i} out of range for n={self.n}")
+            if not 0 <= i < n:
+                raise ValueError(f"axis {i} out of range for n={n}")
             if s not in (-1, 1):
                 raise ValueError(f"sign for axis {i} must be -1 or +1, got {s}")
-        object.__setattr__(self, "fixed", fixed)
+        self.__dict__.update(n=n, fixed=fixed, _hash=hash((n, fixed)))
+
+    def __hash__(self) -> int:  # faces key most caches, so it is kept
+        return self._hash
 
     @property
     def dim(self) -> int:

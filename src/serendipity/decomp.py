@@ -48,16 +48,15 @@ nonsingular, and all of them because K is triangular.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Iterable, Literal, Optional, Sequence
 
 from .cubegeom import Face, enumerate_faces
 from .dofs import RationalMatrix, SingularMatrixError
-from .exactpoly import Exponents, Polynomial, grlex_key
+from .exactpoly import Exponents, Polynomial, Record, grlex_key
 from .spaces import basis_S, dim_P, dim_S_formula, face_monomials
 
 
@@ -76,12 +75,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FaceComponent:
+class FaceComponent(Record):
     """One summand of a decomposition: coefficient times the face bubble."""
 
     face: Face
     coefficient: Polynomial
+
+    def __init__(self, face: Face, coefficient: Polynomial) -> None:
+        self.__dict__.update(face=face, coefficient=coefficient)
 
     @property
     def component(self) -> Polynomial:
@@ -163,7 +164,7 @@ def _orthogonal(m: int) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[Fractio
 
 
 @cache
-def _weight_culprit(m: int) -> Optional[str]:
+def _weight_culprit(m: int) -> str | None:
     """Part (iv) of ``certify_pairing`` for degrees up to m = r - 2, in
     O(m^3): the inner products <J_k, t^a> = sum over b of U[k][b] mu(a + b)
     with the moments mu(j) = 4 / ((j + 1)(j + 3)) of 1 - t^2, 0 for odd j."""
@@ -182,7 +183,7 @@ def _weight_culprit(m: int) -> Optional[str]:
 
 
 @lru_cache(maxsize=None)
-def certify_pairing(n: int, r: int) -> Optional[str]:
+def certify_pairing(n: int, r: int) -> str | None:
     """Certify that the pairing K = D C is nonsingular, which proves the
     DOFs unisolvent and the components a basis of S_r at once.
 
@@ -363,14 +364,13 @@ def _polynomial(n: int, terms: dict[Exponents, int], den: int) -> Polynomial:
     return Polynomial(n, ((e, Fraction(v, den)) for e, v in terms.items() if v))
 
 
-@dataclass(frozen=True)
-class DirectSumResult:
+class DirectSumResult(Record):
     n: int
     r: int
     space_dim: int
     component_count: int
     rank: int
-    culprit: Optional[str] = None
+    culprit: str | None = None
 
     @property
     def dims_match(self) -> bool:
@@ -448,7 +448,7 @@ def _split_axis(
 
 
 def _split(
-    state: dict[tuple, dict[Exponents, int]], n: int, free, d: Optional[int] = None
+    state: dict[tuple, dict[Exponents, int]], n: int, free, d: int | None = None
 ) -> dict[tuple, dict[Exponents, int]]:
     """The split passes along x_1, ..., x_n with the free map.  With d
     given they keep the d-faces only: a part with n - d pins is not
@@ -492,7 +492,7 @@ def _dof_values(p: Polynomial, r: int) -> tuple[int, list[int]]:
 
 
 def decompose(
-    p: Polynomial, r: int, method: Literal["solve", "construct"] = "solve"
+    p: Polynomial, r: int, method: str = "solve"
 ) -> dict[Face, FaceComponent]:
     """Split a member of the serendipity space into its face components.
 
@@ -543,16 +543,15 @@ def recompose(components: dict[Face, FaceComponent], n: int) -> Polynomial:
     return _polynomial(n, _merge(n, multipliers).get((), {}), den)
 
 
-@dataclass(frozen=True)
-class FacetKernelResult:
+class FacetKernelResult(Record):
     """Outcome of characterizing the boundary-vanishing subspace."""
 
     n: int
     r: int
     space_dim: int
-    kernel_dim: Optional[int]
+    kernel_dim: int | None
     expected_dim: int
-    culprit: Optional[str] = None
+    culprit: str | None = None
 
     @property
     def ok(self) -> bool:

@@ -20,15 +20,14 @@ elimination: ``rank`` serves only an uncertified one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import add
-from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .cubegeom import Face, enumerate_faces, face_moment, face_symmetry
-from .exactpoly import Exponents, Polynomial, monomial_str
+from .exactpoly import Exponents, Polynomial, Record, monomial_str
 from .spaces import (
     basis_S,
     dim_P,
@@ -111,7 +110,7 @@ class RationalMatrix:
 
     __slots__ = ("_rows", "rows", "cols")
 
-    def __init__(self, entries: Sequence[Sequence[Union[int, Fraction]]]) -> None:
+    def __init__(self, entries: Sequence[Sequence[int | Fraction]]) -> None:
         rows = tuple(tuple(Fraction(v) for v in row) for row in entries)
         if rows:
             width = len(rows[0])
@@ -186,13 +185,15 @@ class RationalMatrix:
         return RationalMatrix([[Fraction(v, d) for v in row] for row in dx])
 
 
-@dataclass(frozen=True)
-class DofFunctional:
+class DofFunctional(Record):
     """Moment of the argument against a weight monomial over one face."""
 
     face: Face
     exponents: Exponents
     index: int
+
+    def __init__(self, face: Face, exponents: Exponents, index: int) -> None:
+        self.__dict__.update(face=face, exponents=exponents, index=index)
 
     @property
     def weight(self) -> Polynomial:
@@ -249,14 +250,13 @@ def dof_matrix(basis: Iterable[Exponents], functionals: Iterable[DofFunctional])
     )
 
 
-@dataclass(frozen=True)
-class UnisolvenceResult:
+class UnisolvenceResult(Record):
     n: int
     r: int
     dim: int
     rank: int
     facet_factor_ok: bool
-    culprit: Optional[str] = None
+    culprit: str | None = None
 
     @property
     def matrix_full_rank(self) -> bool:
@@ -353,8 +353,7 @@ def nodal_basis(n: int, r: int) -> tuple[Polynomial, ...]:
     return tuple(nodal_functions(n, r))
 
 
-@dataclass(frozen=True)
-class LayoutRow:
+class LayoutRow(Record):
     face_dim: int
     face_count: int
     per_face: int
@@ -364,8 +363,7 @@ class LayoutRow:
         return self.face_count * self.per_face
 
 
-@dataclass(frozen=True)
-class LayoutReport:
+class LayoutReport(Record):
     family: str
     n: int
     r: int

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from operator import add
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from operator import add, attrgetter
 
 Exponents = tuple[int, ...]
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 __all__ = [
     "Exponents",
@@ -63,6 +63,56 @@ def monomial_str(exponents: Exponents) -> str:
     """Render a monomial as x1^2*x2, or 1 for the constant."""
     parts = [f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}" for i, e in enumerate(exponents) if e]
     return "*".join(parts) or "1"
+
+
+class Record:
+    """Frozen value record: what ``@dataclass(frozen=True)`` gives, without
+    importing ``dataclasses``.  A subclass annotates its fields in order,
+    trailing defaults as class attributes.  Construction takes them by
+    position or keyword, then runs ``__post_init__``; equality holds within
+    one class, the hash is the field tuple's, the repr ``Name(field=value,
+    ...)``, and assignment or deletion raises ``AttributeError``.  The
+    ``__dict__`` stays, for ``cached_property``, pickle and ``copy``; a hot
+    class may write its own ``__init__`` that fills it."""
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+        cls._key = attrgetter(*cls._fields)  # the field tuple; needs two fields
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            defaults = vars(type(self))
+            try:
+                rest = [kwargs.pop(f) if f in kwargs else defaults[f] for f in fields[len(args) :]]
+            except KeyError as missing:
+                raise TypeError(f"{type(self).__name__}() missing field {missing}") from None
+            if kwargs or len(args) > len(fields):
+                raise TypeError(f"{type(self).__name__}() takes the fields {fields}")
+            args += tuple(rest)
+        self.__dict__.update(zip(fields, args))
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        pairs = zip(self._fields, self._key(self))
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in pairs)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class Polynomial:
@@ -170,7 +220,7 @@ class Polynomial:
                 f"polynomials live in different variable counts: {self._n} vs {other._n}"
             )
 
-    def __add__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
+    def __add__(self, other: Polynomial | Scalar) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self._n, other)
         if not isinstance(other, Polynomial):
@@ -183,7 +233,7 @@ class Polynomial:
     def __neg__(self) -> "Polynomial":
         return Polynomial(self._n, {e: -c for e, c in self._terms.items()})
 
-    def __sub__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
+    def __sub__(self, other: Polynomial | Scalar) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self._n, other)
         if not isinstance(other, Polynomial):
@@ -193,7 +243,7 @@ class Polynomial:
     def __rsub__(self, other: Scalar) -> "Polynomial":
         return (-self) + other
 
-    def __mul__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
+    def __mul__(self, other: Polynomial | Scalar) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Polynomial.zero(self._n)
@@ -276,7 +326,7 @@ class Polynomial:
 
     # -- evaluation --------------------------------------------------
 
-    def evaluate(self, point: Sequence[Union[Scalar, float]]) -> Union[Fraction, float]:
+    def evaluate(self, point: Sequence[Scalar | float]) -> Fraction | float:
         """Evaluate at a point.
 
         If every coordinate is an int or Fraction the result is an exact
@@ -288,13 +338,14 @@ class Polynomial:
         """
         if len(point) != self._n:
             raise ValueError(f"point has {len(point)} coordinates, expected {self._n}")
-        if any(isinstance(v, float) for v in point):
-            if not self._terms:
-                return 0.0
-            if self._plan is None:
-                items = [(e, float(c)) for e, c in self._terms.items()]
-                object.__setattr__(self, "_plan", _compile_horner(items, self._n))
-            return self._plan(*[float(v) for v in point])
+        for v in point:
+            if isinstance(v, float):
+                if not self._terms:
+                    return 0.0
+                if self._plan is None:
+                    items = [(e, float(c)) for e, c in self._terms.items()]
+                    object.__setattr__(self, "_plan", _compile_horner(items, self._n))
+                return self._plan(*map(float, point))
         values = [Fraction(v) for v in point]
         total = Fraction(0)
         for exps, coeff in self._terms.items():
@@ -305,7 +356,7 @@ class Polynomial:
             total += term
         return total
 
-    def __call__(self, *point: Union[Scalar, float]) -> Union[Fraction, float]:
+    def __call__(self, *point: Scalar | float) -> Fraction | float:
         return self.evaluate(point)
 
     # -- serialization -----------------------------------------------

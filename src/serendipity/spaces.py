@@ -24,12 +24,11 @@ face components.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
 
 from .cubegeom import Face, all_faces, full_cube
-from .exactpoly import Exponents, grlex_key, superlinear_degree
+from .exactpoly import Exponents, Record, grlex_key, superlinear_degree
 
 __all__ = [
     "SpaceBasis",
@@ -50,8 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SpaceBasis:
+class SpaceBasis(Record):
     """An ordered monomial basis for one family on one face; each
     monomial is its exponent tuple."""
 
@@ -266,8 +264,7 @@ def basis_S(n: int, r: int) -> SpaceBasis:
     return basis
 
 
-@dataclass(frozen=True)
-class InclusionReport:
+class InclusionReport(Record):
     """Sandwich of the serendipity family between two total-degree families."""
 
     n: int

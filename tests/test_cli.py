@@ -248,6 +248,19 @@ class TestVerify:
         ).stdout
         assert out == "[]\n"
 
+    def test_import_loads_no_start_up_weight(self):
+        # python -S preloads nothing, so each module seen here is the package's
+        probe = (
+            "import sys, serendipity.cli; print(sorted(m for m in sys.modules if m in "
+            "('dataclasses', 'inspect', 'typing', 'csv', 'traceback')))"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True,
+            check=True,
+        ).stdout
+        assert out == "[]\n"
+
     def test_no_command_loads_a_process_pool(self):
         # --jobs is accepted and selects nothing: every check runs in this process
         runs = [

@@ -42,8 +42,9 @@ cap of 10^6 values (which trees without that cap write out), and
 coefficient in exponent notation; and every
 ``--help``.  An invocation that runs past two minutes on either tree is
 stopped and counts as a difference, also when both trees time out.
-Prints each difference and a total, and exits 1 if any invocation
-differs.
+Prints each difference and a total, with each tree's summed child wall
+time (both trees run under the same contention, so a drift in start-up
+shows there), and exits 1 if any invocation differs.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -210,17 +212,20 @@ def write_inputs(inputs: Path) -> None:
 TIMEOUT_S = 120
 
 
-def run(root: Path, argv: list[str], workdir: Path) -> tuple[str, str, int | None]:
+def run(root: Path, argv: list[str], workdir: Path) -> tuple[str, str, int | None, float]:
+    """stdout, stderr, exit code (None on a timeout) and wall seconds."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), COLUMNS="80")
+    start = time.perf_counter()
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "serendipity.cli", *argv],
             cwd=workdir, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
         )
     except subprocess.TimeoutExpired:
-        return "", f"timed out after {TIMEOUT_S} s", None
+        return "", f"timed out after {TIMEOUT_S} s", None, time.perf_counter() - start
     # a traceback names the tree's own files
-    return proc.stdout, proc.stderr.replace(str(root), "ROOT"), proc.returncode
+    stderr = proc.stderr.replace(str(root), "ROOT")
+    return proc.stdout, stderr, proc.returncode, time.perf_counter() - start
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -257,7 +262,9 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"  exit {before[2]} -> {after[2]}")
                 if "stderr" in fields:
                     print(f"  stderr {before[1]!r} -> {after[1]!r}")
-        print(f"{len(runs)} invocations, {differ} differ")
+        parent_s, change_s = (sum(outcome[3] for outcome in outcomes[k::2]) for k in (0, 1))
+        print(f"{len(runs)} invocations, {differ} differ; "
+              f"child wall time parent {parent_s:.1f} s, change {change_s:.1f} s")
     return 1 if differ else 0
 
 
