@@ -160,8 +160,8 @@ def trace_certificate(n: int, r: int) -> str | None:
 def interpolate(values: Sequence[Scalar], n: int, r: int) -> Polynomial:
     """The unique member of the space with the prescribed DOF values: the
     sum of b_F m_F with the multipliers m = K^-1 v that ``decomp._solve``
-    finds face dimension by face dimension, so no nodal function is
-    expanded.  A float or bool value raises TypeError."""
+    finds by per-axis passes in the orthogonal coordinates, so no nodal
+    function is expanded.  A float or bool value raises TypeError."""
     count = len(dofs_S(n, r))
     if len(values) != count:
         raise ValueError(f"expected {count} DOF values, got {len(values)}")

@@ -15,15 +15,13 @@ Supported ranges are hard-capped at n <= 6 and r <= 12, and --trials
 at 10^6 (a JSON report holds one boolean per trial).  The
 unisolvence, direct-sum and facet-kernel checks reach the caps in
 seconds (under 2 s for each n at r = 12 on a shared 2-vCPU machine);
-whatever solves over the pairing, by forward substitution over face
-dimension (decompose, nodal, decomposition and evalgrid exports), grows
-with the space dimension, because all arithmetic is exact.  Term lists
-are written straight to JSON text and the nodal functions one at a
-time, so on a shared 2-vCPU machine the solve decomposition of the
-default member at (6, 12) takes 12.6 s, 103 MB (18.5 s, 199 MB when
-the JSON went through dicts and the ``json`` encoder), and the nodal
-export 1.8 s, 23 MB at (5, 8) (6.6 s, 230 MB) and 12.8 s, 37 MB at
-(6, 8) (49 s, 1.4 GB); (6, 10) took 52 s, 63 MB, for 1.4 GB of JSON.
+whatever solves over the pairing, by per-axis passes in the orthogonal
+coordinates (decompose, nodal, decomposition and evalgrid exports),
+grows with the space dimension, because all arithmetic is exact.  Term
+lists are written straight to JSON text and the nodal functions one at
+a time, so on a shared 2-vCPU machine the solve decomposition of the
+default member at (6, 12) takes about 6 s, 87 MB, and the nodal export
+at (6, 8) about 15 s, 36 MB, for 422 MB of JSON.
 Continuity reads its report off the
 pairing and trace certificates, so it builds no nodal basis and traces
 nothing: its trials and controls are certified, not sampled, and the

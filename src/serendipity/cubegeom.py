@@ -13,8 +13,7 @@ pattern with -1 before +1.
 
 ``face_moment`` integrates a monomial over one face, for ``apply_dof``
 and ``dof_matrix``; ``decomp``'s split pass takes a polynomial's DOF
-values on every face, or on the faces of one dimension when pruned to
-them.
+values on every face.
 """
 
 from __future__ import annotations

@@ -15,9 +15,7 @@ so far, to x_j = 1 (c), to x_j = -1 ((-1)^(e_j) c), and through a free
 map to the part itself; terms that meet add up.  The construct method's
 free map is the quotient q_a of x^a = (1 + x)/2 + (-1)^a (1 - x)/2 +
 (1 - x^2) q_a(x), which lands each term on the faces; the solve
-method's, the 1-D moments, gives the DOF values of p.  Pruned to the
-d-faces (no pins past n - d, no weights past d free axes), the moment
-passes give the DOF values on the d-faces alone.  Merge pass j
+method's, the 1-D moments, gives the DOF values of p.  Merge pass j
 (``_merge``) multiplies each part by its bubble's factor along x_j, so
 the n passes form the sum of b_F m_F.
 
@@ -30,13 +28,14 @@ follows that K is block lower triangular over faces and each diagonal
 block is 2^(n-d) T lam T^T, T unit lower triangular and lam positive
 diagonal, so K, hence D and C, is nonsingular without any elimination.
 
-The multipliers m = K^-1 v of DOF values v follow the proof's induction
-on face dimension (``_solve``).  K[F, G] vanishes unless G is a subface
-of F, so the rows of a d-face F read K[F, F] m_F = v_F - L_F(s), with s
-the sum of b_G m_G over the faces G of lower dimension: one pruned
-moment pass over s per dimension, and one inverted diagonal block per
-dimension, which the 1-D factors give in closed form.  Nothing is
-eliminated, and no column of K^-1 is formed.
+The multipliers m = K^-1 v of DOF values v are found in the orthogonal
+coordinates (``_solve``).  With the weights J_w and the components
+b_G J_k, K is a product over axes: 2 along an axis that F pins, lam_w
+(w = k) along one that G leaves free, and eta_s(w), the integral of
+(1 + s t) J_w, along one that F leaves free and G pins at s.  So 3n
+integer passes, one per axis for each step, take v into J weights,
+apply the inverse factors and take the multipliers back to monomials.
+Nothing is eliminated, and no column of K^-1 is formed.
 
 The facet kernel check is the paper's boundary lemma, read off the same
 certificate: the members vanishing on the whole boundary are exactly
@@ -52,9 +51,8 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from math import gcd, lcm, prod
-from operator import mul
 
-from .cubegeom import Face, enumerate_faces
+from .cubegeom import Face
 from .dofs import RationalMatrix, SingularMatrixError
 from .exactpoly import Exponents, Polynomial, Record, grlex_key
 from .spaces import basis_S, dim_P, dim_S_formula, face_monomials
@@ -255,87 +253,90 @@ def certify_pairing(n: int, r: int) -> str | None:
     return _weight_culprit(r - 2)
 
 
-@lru_cache(maxsize=None)
-def _diagonal_inverses(n: int, r: int) -> dict[int, tuple[int, tuple]]:
-    """The inverse of the diagonal block K[H0, H0] at the first face
-    H0 = ``enumerate_faces(n, d)[0]`` of each face dimension d in the
-    index, as d -> (den, rows): integers over den, their least common
-    denominator.  The certificate must hold: it makes every diagonal
-    block of dimension d equal to K[H0, H0], weight by weight in order,
-    with the inverse 2^(d-n) U_S^T lam_S^-1 U_S: the sum over weights k of
-    u_k u_k^T / (2^(n-d) lam_k), u_k[w] and lam_k the products over free
-    axes j of U[k_j][w_j] and lam_(k_j), zero unless w <= k, k - w even."""
-    culprit = certify_pairing(n, r)
-    if culprit is not None:
-        raise SingularMatrixError(f"pairing at n={n}, r={r} is not certified: {culprit}")
+def _over_lcm(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
+    """(D, rows times D): the rows cleared by D, their least common denominator."""
+    D = lcm(*(c.denominator for row in rows for c in row))
+    return D, [[c.numerator * (D // c.denominator) for c in row] for row in rows]
+
+
+@cache
+def _pair_passes(r: int) -> tuple[tuple, tuple, tuple]:
+    """The three kinds of axis pass of ``_solve``, as (D, free, pinned,
+    drop), each table cleared by its lcm D: along x_j a part free there
+    sends x_j^a to x_j^k times f for each (k, f) in free(room, a), room
+    the weight budget it has left; a part pinned there at s is multiplied
+    by pinned, and with drop also sends x_j^0 to the part without the pin
+    by drop(s, room, 0).  With (U, lam) of ``_orthogonal(r - 2)`` and
+    eta_s(k) the integral of (1 + s t) J_k over [-1, 1], from U:
+
+    into J weights, x^a to the J_k >= it: free f = D U[k][a], pinned D;
+    pairing inverse: free f = D / lam_a at k = a, pinned D / 2, and
+        drop f = -D eta_s(k) / (2 lam_k) for every k within the room;
+    back to monomials, J_a to the x^q <= it: free f = D U[a][q], pinned D.
+    """
     U, lam = _orthogonal(r - 2)
-    D = lcm(*(c.denominator for row in U for c in row))
-    cleared = [[int(c * D) for c in row] for row in U]
-    out = {}
-    for face, weights in face_monomials(n, r).items():
-        if face == enumerate_faces(n, face.dim)[0]:
-            free, at = face.free_indices, {w: i for i, w in enumerate(weights)}
-            # D^d u_k in integers, its outer product over 2^(n-d) D^(2d) lam_k
-            base = 2 ** (n - face.dim) * D ** (2 * face.dim)
-            scales = [Fraction(1, base * prod(lam[k[j]] for j in free)) for k in weights]
-            Q = lcm(*(s.denominator for s in scales))
-            inverse = [[0] * len(weights) for _ in weights]
-            for k, s in zip(weights, scales):
-                u = [(at[w], prod(cleared[k[j]][w[j]] for j in free)) for w in weights
-                     if all(w[j] <= k[j] and (k[j] - w[j]) % 2 == 0 for j in free)]
-                for i, a in u:
-                    for l, b in u:
-                        inverse[i][l] += s.numerator * (Q // s.denominator) * a * b
-            g = gcd(Q, *(v for row in inverse for v in row))
-            out[face.dim] = Q // g, tuple(tuple(v // g for v in row) for row in inverse)
-    return out
+    eta = [[sum(c * Fraction(2 * s**a, a + 1 + a % 2) for a, c in enumerate(J)) for J in U]
+           for s in (1, -1)]
+    D, T = _over_lcm(U)
+    E, (half, inverse, plus, minus) = _over_lcm(
+        [[Fraction(1, 2)], [1 / l for l in lam], *([-e / (2 * l) for e, l in zip(row, lam)] for row in eta)]
+    )
+    return (
+        (D, cache(lambda room, a: tuple((k, T[k][a]) for k in range(a, a + room + 1, 2))), D, None),
+        (E, cache(lambda room, a: ((a, inverse[a]),)), half[0],
+         cache(lambda s, room, a: tuple(zip(range(room + 1), plus if s > 0 else minus)))),
+        (D, cache(lambda room, a: tuple((q, T[a][q]) for q in range(a % 2, a + 1, 2))), D, None),
+    )
+
+
+def _pair_axis(state: dict, j: int, n: int, r: int, free, pinned: int, drop) -> dict:
+    """One pass of ``_solve`` along x_j with the maps of ``_pair_passes``;
+    terms that meet add up, and only parts with a nonzero term are kept."""
+    out: dict[tuple, dict[Exponents, int]] = {}
+    for pins, part in state.items():
+        s = dict(pins).get(j)
+        if s is not None:
+            out[pins] = {e: pinned * c for e, c in part.items()}
+            if drop is None:
+                continue
+            pins, step = tuple(p for p in pins if p[0] != j), partial(drop, s)
+        else:
+            step = free
+        budget, target = r - 2 * (n - len(pins)), out.setdefault(pins, {})
+        for e, c in part.items():
+            head, tail = e[:j], e[j + 1 :]
+            for k, f in step(budget - sum(e), e[j]):
+                ek = head + (k,) + tail
+                target[ek] = target.get(ek, 0) + f * c
+    return {pins: part for pins, part in out.items() if any(part.values())}
 
 
 def _solve(n: int, r: int, den: int, values: Sequence[int]) -> tuple[int, dict, dict]:
     """The multipliers m = K^-1 v for DOF values v, given in DOF order as
     integers over den, as (scale, parts, total): each face with a nonzero
-    residual, keyed by its pins, maps its weight q to scale times the
-    multiplier of b_F x^q, and total holds scale times the sum of b_F m_F.
+    multiplier, keyed by its pins in DOF order, maps its weight q to scale
+    times the multiplier of b_F x^q, and total holds scale times the sum
+    of b_F m_F.  The pairing must be certified; its culprit is raised.
 
-    Forward substitution over face dimension, the paper's induction:
-    for d = 0, 1, ..., n the residual on the d-faces is v less the DOF
-    values of the sum of b_G m_G found so far, read off one split pass
-    pruned to the d-faces, and each d-face F takes m_F = K[H0, H0]^-1
-    times its residual.  The new multipliers are merged into the sum,
-    and all integers are kept over one scale, reduced by the gcd after
-    each dimension.
+    In the weights J_w and the components b_G J_k, K is a product of one
+    factor per axis, so it is solved by passes along x_1, ..., x_n: n into
+    J weights, n through the inverse factors, n back to monomials
+    (``_pair_passes``).  Each pass multiplies every part by its table's
+    lcm, so all integers stay over one scale, reduced by the gcd at the end.
     """
-    index = face_monomials(n, r)
-    inverses = _diagonal_inverses(n, r)
-    M = lcm(*range(1, 2 * r + 2, 2))
-    cleared = iter(values)
-    by_dim: dict[int, list] = {}
-    for face, weights in index.items():
-        on_face = list(itertools.islice(cleared, len(weights)))
-        by_dim.setdefault(face.dim, []).append((face.fixed, weights, on_face))
-    scale, parts, total = 1, {}, {}
-    for d in sorted(by_dim):
-        got = _split({(): total}, n, partial(_moments, r), d)  # over scale M^d
-        kden, inverse = inverses[d]
-        lift, new = scale * M**d, {}
-        for pins, weights, on_face in by_dim[d]:
-            part = got.get(pins, {})
-            res = [v * lift - den * part.get(w, 0) for w, v in zip(weights, on_face)]
-            if any(res):
-                new[pins] = {q: sum(map(mul, row, res)) for q, row in zip(weights, inverse)}
-        if not new:
-            continue
-        step = den * M**d * kden  # new is over den * lift * kden = scale * step
-        parts = {pins: {q: y * step for q, y in part.items()} for pins, part in parts.items()} | new
-        total = {e: c * step for e, c in total.items()}
-        for e, c in _merge(n, new).get((), {}).items():
-            total[e] = total.get(e, 0) + c
-        # the sum is an integer combination of the multipliers, so g divides it
-        g = gcd(scale * step, *(y for part in parts.values() for y in part.values()))
-        scale = scale * step // g
-        parts = {pins: {q: y // g for q, y in part.items()} for pins, part in parts.items()}
-        total = {e: c // g for e, c in total.items()}
-    return scale, parts, total
+    culprit = certify_pairing(n, r)
+    if culprit is not None:
+        raise SingularMatrixError(f"pairing at n={n}, r={r} is not certified: {culprit}")
+    index, cleared = face_monomials(n, r), iter(values)
+    state = {face.fixed: {w: v for w, v in zip(weights, cleared) if v} for face, weights in index.items()}
+    state, scale = {pins: part for pins, part in state.items() if part}, den
+    for D, *maps in _pair_passes(r):
+        for j in range(n):
+            state = _pair_axis(state, j, n, r, *maps)
+        scale *= D**n
+    g = gcd(scale, *(y for part in state.values() for y in part.values()))
+    parts = {f.fixed: {q: y // g for q, y in state[f.fixed].items() if y} for f in index if f.fixed in state}
+    return scale // g, parts, _merge(n, parts).get((), {})
 
 
 def _merge(n: int, parts: dict[tuple, dict[Exponents, int]]) -> dict[tuple, dict[Exponents, int]]:
@@ -414,17 +415,14 @@ def verify_direct_sum(n: int, r: int) -> DirectSumResult:
     )
 
 
-def _split_axis(
-    state: dict[tuple, dict[Exponents, int]], j: int, free, pin_cap: int, free_cap: int
-) -> Iterable[tuple]:
+def _split_axis(state: dict[tuple, dict[Exponents, int]], j: int, free) -> Iterable[tuple]:
     """One split pass, along x_j.  Each part, its pins so far mapped to
     integer terms, sends every term c x^e with a = e_j to three places:
     c to the pin (j, 1) and (-1)^a c to the pin (j, -1), both at x_j^0,
-    unless the part has pin_cap pins, and f c to x_j^k on its own pins
-    for each (k, f) in the free map ``free(j - len(pins), sum(e[:j]), a)``,
-    unless the part has free_cap free axes.  Terms that meet add up."""
+    and f c to x_j^k on its own pins for each (k, f) in the free map
+    ``free(j - len(pins), sum(e[:j]), a)``.  Terms that meet add up."""
     for pins, part in state.items():
-        pin, axes = len(pins) < pin_cap, j - len(pins)
+        axes = j - len(pins)
         plus: dict[Exponents, int] = {}
         minus: dict[Exponents, int] = {}
         stay: dict[Exponents, int] = {}
@@ -432,14 +430,12 @@ def _split_axis(
             if not c:
                 continue
             head, a, tail = e[:j], e[j], e[j + 1 :]
-            if pin:
-                e0 = head + (0,) + tail
-                plus[e0] = plus.get(e0, 0) + c
-                minus[e0] = minus.get(e0, 0) + (-c if a % 2 else c)
-            if axes < free_cap:
-                for k, f in free(axes, sum(head), a):
-                    ek = head + (k,) + tail
-                    stay[ek] = stay.get(ek, 0) + f * c
+            e0 = head + (0,) + tail
+            plus[e0] = plus.get(e0, 0) + c
+            minus[e0] = minus.get(e0, 0) + (-c if a % 2 else c)
+            for k, f in free(axes, sum(head), a):
+                ek = head + (k,) + tail
+                stay[ek] = stay.get(ek, 0) + f * c
         if plus:
             yield pins + ((j, 1),), plus
             yield pins + ((j, -1),), minus
@@ -447,15 +443,10 @@ def _split_axis(
             yield pins, stay
 
 
-def _split(
-    state: dict[tuple, dict[Exponents, int]], n: int, free, d: int | None = None
-) -> dict[tuple, dict[Exponents, int]]:
-    """The split passes along x_1, ..., x_n with the free map.  With d
-    given they keep the d-faces only: a part with n - d pins is not
-    pinned further, and one with d free axes makes no weights."""
-    caps = (n, n) if d is None else (n - d, d)
+def _split(state: dict[tuple, dict[Exponents, int]], n: int, free) -> dict[tuple, dict[Exponents, int]]:
+    """The split passes along x_1, ..., x_n with the free map."""
     for j in range(n):
-        state = dict(_split_axis(state, j, free, *caps))
+        state = dict(_split_axis(state, j, free))
     return state
 
 
@@ -499,7 +490,7 @@ def decompose(
     Returns only faces with a nonzero component.  The two methods are
     algorithmically independent and must agree; both are exact.  Solve
     reads the component coordinates C^-1 p as K^-1 (D p): ``_dof_values``
-    solved face dimension by face dimension by ``_solve``.  Construct
+    solved by the per-axis passes of ``_solve``.  Construct
     splits p by the quotient map, and a face with k pins then holds
     den 2^k times its coefficient, which must fit the face's degree
     budget r - 2d.

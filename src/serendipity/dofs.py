@@ -318,8 +318,9 @@ def nodal_functions(n: int, r: int) -> Iterator[Polynomial]:
     With K = D C the pairing of the DOFs with the bubble components, the
     inverse of the DOF matrix is C K^-1: the nodal function of a DOF is
     the sum of b_F m_F with the multipliers m = K^-1 of its unit vector,
-    which ``decomp._solve`` finds face dimension by face dimension and
-    the merge pass ``decomp._merge`` sums, as interpolation does.
+    which ``decomp._solve`` finds by per-axis passes in the orthogonal
+    coordinates and the merge pass ``decomp._merge`` sums, as
+    interpolation does.
 
     Only the DOFs of the first face H0 of each dimension are solved for.
     For any other face H, the cube symmetry sigma with sigma H0 = H

@@ -1014,7 +1014,7 @@ class TestCertifiedChecksSkipDenseRank:
 class TestCertifiedPathEliminatesNothing:
     def test_no_bareiss_pass_and_no_dense_solve(self, capsys, monkeypatch, fresh_caches):
         # with the pairing certified, the checks, the solve decomposition,
-        # interpolation and the nodal export read the diagonal inverses off
+        # interpolation and the nodal export solve by per-axis passes in
         # the 1-D basis: no elimination runs, cold caches included
         calls = []
 

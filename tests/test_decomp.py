@@ -11,8 +11,8 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from functools import cache, partial
-from math import comb, gcd, lcm, prod
+from functools import cache
+from math import comb, factorial, gcd, prod
 from operator import add
 
 import pytest
@@ -610,20 +610,6 @@ class TestPairing:
         assert decomp._orthogonal(m) == gram_schmidt(m)
         assert decomp._weight_culprit(m) is None
 
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_diagonal_inverses_match_the_dense_inverse(self, n):
-        # the closed form against one Bareiss solve of the traced block, over
-        # the least common denominator, on every cell r <= 12
-        for r in range(1, 13):
-            expected = {}
-            for d in range(n + 1):
-                face = enumerate_faces(n, d)[0]
-                if face in face_monomials(n, r):
-                    inverse = dense_inverse(pairing_block(face, face, r)).to_lists()
-                    den = lcm(*(v.denominator for row in inverse for v in row))
-                    expected[d] = den, tuple(tuple(int(v * den) for v in row) for row in inverse)
-            assert decomp._diagonal_inverses(n, r) == expected, (n, r)
-
 
 def product(a: tuple, b: tuple, scale: int = 1) -> tuple:
     """scale times the product of two blocks given as rows, skipping zero
@@ -691,11 +677,11 @@ def solved(n: int, r: int, values: list[int]) -> dict[tuple, dict]:
 
 
 def assert_uncertified(n: int, r: int, culprit: str) -> None:
-    """The diagonal inverses, the nodal basis, interpolation and the solve
-    method all stop with the pairing's culprit."""
+    """The solver, the nodal basis, interpolation and the solve method all
+    stop with the pairing's culprit."""
     message = f"pairing at n={n}, r={r} is not certified: {culprit}"
     with pytest.raises(SingularMatrixError) as err:
-        decomp._diagonal_inverses(n, r)
+        decomp._solve(n, r, 1, [0] * len(dofs_S(n, r)))
     assert str(err.value) == message
     for attempt in (
         lambda: nodal_basis(n, r),
@@ -707,20 +693,107 @@ def assert_uncertified(n: int, r: int, culprit: str) -> None:
         assert str(err.value) == message
 
 
+def oracle_columns(n: int, r: int) -> list[dict[tuple, dict]]:
+    """Every column of K^-1 from the all-columns substitution, in DOF
+    order, as ``solved`` gives them."""
+    index, oracle, out = face_monomials(n, r), all_columns_inverse(n, r), []
+    for L in dofs_S(n, r):
+        k = index[L.face].index(L.exponents)
+        column = {
+            face.fixed: {q: row[k] for q, row in zip(index[face], block) if row[k]}
+            for face, block in oracle[L.face].items()
+        }
+        out.append({pins: part for pins, part in column.items() if part})
+    return out
+
+
+def legendre_eta_oracle(s: int, w: int) -> Fraction:
+    """eta_s(w) = 2 s^w / c_w, c_w = (w+1)(2w+2)! / (2^(w+1) ((w+1)!)^2)
+    the leading coefficient of P'_(w+1): the monic J_w is P'_(w+1) / c_w,
+    whose integral against 1 + s t is [P_(w+1) + s t P_(w+1)] at +-1."""
+    return Fraction(2 * s**w) * 2 ** (w + 1) * factorial(w + 1) ** 2 / ((w + 1) * factorial(2 * w + 2))
+
+
+def nudge_pass(monkeypatch, stage: int, slot: int, hit) -> None:
+    """Add 1 to the cleared entries f of one map of ``_pair_passes``
+    (stage 0 into J weights, 1 the pairing inverse, 2 back to monomials;
+    slot 1 the free map, 3 the drop map) where hit(*args, k) holds."""
+    real = decomp._pair_passes
+
+    def passes(r):
+        table = [list(p) for p in real(r)]
+        f = table[stage][slot]
+        table[stage][slot] = lambda *args: tuple((k, c + hit(*args, k)) for k, c in f(*args))
+        return tuple(map(tuple, table))
+
+    monkeypatch.setattr(decomp, "_pair_passes", passes)
+
+
 class TestPairingInverse:
-    """K^-1 applied by forward substitution over face dimension."""
+    """K^-1 applied by per-axis passes in the orthogonal coordinates."""
 
     @pytest.mark.parametrize("n, r", PAIRING_CELLS + [(4, 6), (4, 8)])
     def test_matches_all_columns_substitution(self, n, r):
         # every column of K^-1: the solve of each unit vector
-        index, oracle = face_monomials(n, r), all_columns_inverse(n, r)
-        for L in dofs_S(n, r):
-            k = index[L.face].index(L.exponents)
-            expected = {
-                face.fixed: {q: row[k] for q, row in zip(index[face], block) if row[k]}
-                for face, block in oracle[L.face].items()
-            }
-            assert solved(n, r, unit(n, r, L.index)) == {f: b for f, b in expected.items() if b}, L
+        for L, expected in zip(dofs_S(n, r), oracle_columns(n, r)):
+            assert solved(n, r, unit(n, r, L.index)) == expected, L
+
+    def test_eta_matches_the_legendre_oracle(self):
+        # read back from the drop map, which holds -E eta_s(k) / (2 lam_k)
+        E, _, _, drop = decomp._pair_passes(14)[1]
+        _, lam = decomp._orthogonal(12)
+        for s in (1, -1):
+            got = [(k, -2 * lam[k] * Fraction(f, E)) for k, f in drop(s, 12, 0)]
+            assert got == [(w, legendre_eta_oracle(s, w)) for w in range(13)], s
+
+    @pytest.mark.parametrize(
+        "stage, slot, hit",
+        [
+            (1, 3, lambda s, room, a, k: s == 1 and k == 0),
+            (1, 3, lambda s, room, a, k: s == -1 and k == 3),
+            (1, 1, lambda room, a, k: a == 1),
+            (0, 1, lambda room, a, k: (a, k) == (0, 2)),
+            (2, 1, lambda room, a, k: (a, k) == (3, 1)),
+        ],
+        ids=["eta_+1(0)", "eta_-1(3)", "1/lam_1", "U[2][0] into J", "U[3][1] back"],
+    )
+    def test_perturbed_pass_entry_changes_the_multipliers(self, monkeypatch, fresh_caches, stage, slot, hit):
+        # the certificate does not read the pass tables, so the oracle must
+        # see the change
+        expected = oracle_columns(2, 5)
+        nudge_pass(monkeypatch, stage, slot, hit)
+        assert certify_pairing(2, 5) is None
+        assert any(solved(2, 5, unit(2, 5, i)) != column for i, column in enumerate(expected))
+
+    @pytest.mark.parametrize("k, a", [(k, a) for k in range(4) for a in range(k + 1)])
+    def test_perturbed_weight_coefficient_fails_or_changes_the_multipliers(
+        self, monkeypatch, fresh_caches, k, a
+    ):
+        # eta and both triangular passes come from U: every entry of U
+        # up to J_3, the top at r = 5, either fails part (iv) or moves K^-1
+        expected, real = oracle_columns(2, 5), decomp._orthogonal
+
+        def nudged(m):
+            U, lam = real(m)
+            row = list(U[k])
+            row[a] += Fraction(1, 7)
+            return (*U[:k], tuple(row), *U[k + 1 :]), lam
+
+        monkeypatch.setattr(decomp, "_orthogonal", nudged)
+        culprit = certify_pairing(2, 5)
+        if culprit is not None:
+            assert_uncertified(2, 5, culprit)
+        else:
+            assert any(solved(2, 5, unit(2, 5, i)) != column for i, column in enumerate(expected))
+
+    @pytest.mark.parametrize("n, r", [(5, 8), (6, 6)])
+    def test_dense_values_round_trip_at_large_cells(self, n, r):
+        # past the dense oracle: the moment passes read the DOF values of
+        # the interpolant back, independently of the solve
+        rng = random.Random(10 * n + r)
+        values = [Fraction(rng.randint(-99, 99), rng.choice((1, 2, 3, 7, 12))) for _ in dofs_S(n, r)]
+        den, got = decomp._dof_values(interpolate(values, n, r), r)
+        assert [Fraction(v, den) for v in got] == values
 
     @pytest.mark.parametrize("n, r", PAIRING_CELLS)
     def test_holds_the_canonical_columns_in_dof_order(self, n, r):
@@ -742,7 +815,7 @@ class TestPairingInverse:
 
     def test_faces_listed_out_of_dimension_order_keep_x(self, monkeypatch, fresh_caches):
         # K is nonsingular in any face order, so the certificate holds, and
-        # the substitution must still reach each face after its subfaces
+        # the per-axis passes do not depend on the order of the faces
         rng = random.Random(38)
         real = face_monomials(2, 4)
         values = {(face, w): rng.randint(-9, 9) for face, ws in real.items() for w in ws}
@@ -752,7 +825,7 @@ class TestPairingInverse:
         assert certify_pairing(2, 4) is None
         got = solved(2, 4, [values[face, w] for face, ws in index.items() for w in ws])
         assert got == expected
-        assert [len(pins) for pins in got] == sorted((len(pins) for pins in got), reverse=True)
+        assert list(got) == [face.fixed for face in index if face.fixed in got]
 
     def test_moved_weight_fails_index_symmetry(self, monkeypatch, fresh_caches):
         # the edge x1=+1 gives its top weight x2^2 up for x1: the counts
@@ -787,20 +860,6 @@ class TestPairingInverse:
         culprit = f"index: the weights of {edge} are not distinct in graded lex order"
         assert certify_pairing(2, 4) == culprit
         assert_uncertified(2, 4, culprit)
-
-
-class TestPrunedPass:
-    @pytest.mark.parametrize("n, r", PAIRING_CELLS + [(4, 8)])
-    def test_equals_the_unpruned_pass_on_the_d_faces(self, n, r):
-        # the pin cap n - d and no weights past d free axes drop exactly
-        # the parts that end on faces of other dimensions
-        p = mixed_space_member(random.Random(400 * n + r), n, r)
-        _, state = decomp._cleared(p)
-        moments = partial(decomp._moments, r)
-        full = decomp._split(state, n, moments)
-        for d in range(n + 1):
-            pruned = decomp._split(state, n, moments, d)
-            assert pruned == {pins: part for pins, part in full.items() if len(pins) == n - d}, d
 
 
 class TestDecomposeTraces:

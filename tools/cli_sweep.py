@@ -12,9 +12,10 @@ axis there and at 2 points at (4, 6); ``decompose --method solve`` at
 (4, 6), (5, 6), (6, 4) and (4, 10), the last with the largest multiplier
 denominators among them, at (1, 12), (2, 12) and (6, 6), where the DOF values'
 per-axis pass meets the largest moment scale and the most faces, and at
-(4, 12) and (5, 12), where the forward substitution over face dimension
-costs most; ``decompose --method both`` of x1^3 x2 x3^2 at (3, 6), odd on
-two axes; ``decompose --method construct`` and
+(4, 12), (5, 12), (6, 8) and (6, 12), where the per-axis passes of the
+pairing solve carry the most parts and the largest integers;
+``decompose --method both`` of x1^3 x2 x3^2 at (3, 6), odd on two axes;
+``decompose --method construct`` and
 ``--method both`` at (4, 8) and (5, 6), and the construct decomposition
 export at (4, 6), which split the default member one axis at a time;
 the nodal export at (4, 8), which prints every
@@ -106,7 +107,7 @@ def invocations(inputs: Path) -> list[list[str]]:
     runs.append(["export", "--what", "evalgrid", *cell(4, 6), "--points", "2"])
     runs += [["decompose", *cell(n, r), "--method", "solve"]
              for n, r in ((4, 6), (5, 6), (6, 4), (4, 10), (1, 12), (2, 12), (6, 6),
-                          (4, 12), (5, 12))]
+                          (4, 12), (5, 12), (6, 8), (6, 12))]
     # odd exponents on two axes: the moments' parity rule on every face
     runs.append(["decompose", *cell(3, 6), "--method", "both", "--alpha", "3,1,2"])
     # the construct method's per-axis passes on the default member
