@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import lcm
 
 from .cubegeom import Face
-from .decomp import _polynomial, _solve, certify_pairing
+from .decomp import _merge, _polynomial, _solve, certify_pairing
 from .dofs import DofFunctional, SingularMatrixError, dofs_S
 from .exactpoly import Exponents, Polynomial, Record, Scalar, monomial_str
 from .spaces import basis_S, face_monomials
@@ -159,9 +159,10 @@ def trace_certificate(n: int, r: int) -> str | None:
 
 def interpolate(values: Sequence[Scalar], n: int, r: int) -> Polynomial:
     """The unique member of the space with the prescribed DOF values: the
-    sum of b_F m_F with the multipliers m = K^-1 v that ``decomp._solve``
-    finds by per-axis passes in the orthogonal coordinates, so no nodal
-    function is expanded.  A float or bool value raises TypeError."""
+    sum of b_F m_F, formed by ``decomp._merge``, with the multipliers
+    m = K^-1 v that ``decomp._solve`` finds by per-axis passes in the
+    orthogonal coordinates, so no nodal function is expanded.  A float or
+    bool value raises TypeError."""
     count = len(dofs_S(n, r))
     if len(values) != count:
         raise ValueError(f"expected {count} DOF values, got {len(values)}")
@@ -169,8 +170,8 @@ def interpolate(values: Sequence[Scalar], n: int, r: int) -> Polynomial:
         if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
             raise TypeError(f"DOF value {v!r} is not an int or a Fraction")
     den = lcm(*(v.denominator for v in values))
-    scale, _, total = _solve(n, r, den, [v.numerator * (den // v.denominator) for v in values])
-    return _polynomial(n, total, scale)
+    scale, parts = _solve(n, r, den, [v.numerator * (den // v.denominator) for v in values])
+    return _polynomial(n, _merge(n, parts).get((), {}), scale)
 
 
 class ContinuityReport(Record):

@@ -19,9 +19,11 @@ whatever solves over the pairing, by per-axis passes in the orthogonal
 coordinates (decompose, nodal, decomposition and evalgrid exports),
 grows with the space dimension, because all arithmetic is exact.  Term
 lists are written straight to JSON text and the nodal functions one at
-a time, so on a shared 2-vCPU machine the solve decomposition of the
-default member at (6, 12) takes about 6 s, 87 MB, and the nodal export
-at (6, 8) about 15 s, 36 MB, for 422 MB of JSON.
+a time, each image's text picked term by term from rows formed once
+per cube symmetry, so on a shared 2-vCPU machine the solve
+decomposition of the default member at (6, 12) takes about 5-7 s,
+88 MB, and the nodal export at (6, 8) about 1.5-2.2 s, 34 MB, for
+422 MB of JSON.
 Continuity reads its report off the
 pairing and trace certificates, so it builds no nodal basis and traces
 nothing: its trials and controls are certified, not sampled, and the
@@ -29,9 +31,11 @@ cap cell (6, 12) takes about 1.3 s.  Every ``verify`` check runs in this
 one process.  The evalgrid export compiles each nodal function's
 float Horner scheme into straight-line code at its first grid point
 (a fraction of a millisecond per function), so each later point costs
-one call of that code; it writes at most 10^6 values (points^n times
-dim S).  A DOF listing (``dofs`` as text or json, ``export --what
-dofs``) builds at most 10^6 functionals, which only the Q family's
+one call of that code, one power per distinct axis and exponent step;
+with 2 points at (6, 6) the compiles are most of its 9-16 s.  It
+writes at most 10^6 values (points^n times dim S).  A DOF listing
+(``dofs`` as text or json, ``export --what dofs``) builds at most 10^6
+functionals, which only the Q family's
 (r+1)^n can pass; ``dofs --format csv`` prints the layout alone.  Axes
 in flags and reports are 1-based, matching the serialized face
 convention; the Python API is 0-based.
@@ -55,6 +59,7 @@ from .decomp import FaceComponent, decompose, facet_kernel_check, recompose, ver
 from .dofs import (
     DofFunctional,
     SingularMatrixError,
+    _nodal_images,
     check_unisolvence,
     dof_layout,
     dofs_Q,
@@ -151,6 +156,19 @@ def _dumps(obj: object, level: int) -> str:
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + "  " * level)
 
 
+_ROW_SEP = ",\n" + "  " * 3
+_JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_row(row: list[float]) -> str:
+    """A list of floats as its JSON text at depth 2: each value's
+    ``float.__repr__``, with json's spellings of the non-finite values."""
+    text = _ROW_SEP.join(map(float.__repr__, row))
+    if "n" in text:  # no finite repr holds an n
+        text = _ROW_SEP.join(_JSON_SPECIAL.get(v, v) for v in map(float.__repr__, row))
+    return "[\n" + "  " * 3 + text + "\n" + "  " * 2 + "]" if row else "[]"
+
+
 def _list_chunks(items: Iterable[str], level: int) -> Iterator[str]:
     """A JSON list at depth level, item by item: each item is its own JSON
     text at depth level + 1."""
@@ -162,11 +180,12 @@ def _list_chunks(items: Iterable[str], level: int) -> Iterator[str]:
     yield "[]" if sep[0] == "[" else "\n" + "  " * level + "]"
 
 
-def _term_writer(level: int, cache: bool = True) -> Callable[[Iterable[tuple]], str]:
-    """A writer of term lists, as ``Polynomial.terms()`` gives them, at depth
-    level: the JSON text of ``Polynomial.to_json_obj()``, one f-string per
-    term, with the text after each coefficient cached per exponent tuple
-    unless cache is false (a DOF listing's weights rarely repeat)."""
+def _term_text(level: int, cache: bool = True) -> tuple[Callable, Callable]:
+    """(item, join) for term lists at depth level, the JSON text of
+    ``Polynomial.to_json_obj()``: item(e, coeff) is one term's object, its
+    coefficient text given, and join(items) the list of such objects.  The
+    text after each coefficient is cached per exponent tuple unless cache
+    is false (a DOF listing's weights rarely repeat)."""
     i0, i1, i2, i3 = ("\n" + "  " * (level + k) for k in range(4))
     head, tails = "{" + i2 + '"coeff": "', {}
 
@@ -177,11 +196,20 @@ def _term_writer(level: int, cache: bool = True) -> Callable[[Iterable[tuple]], 
             tails[e] = text
         return text
 
-    def write(terms: Iterable[tuple]) -> str:
-        items = [f"{head}{c.numerator}/{c.denominator}{tails.get(e) or tail(e)}" for e, c in terms]
+    def item(e: tuple, coeff: str) -> str:
+        return f"{head}{coeff}{tails.get(e) or tail(e)}"
+
+    def join(items: list[str]) -> str:
         return "[" + i1 + ("," + i1).join(items) + i0 + "]" if items else "[]"
 
-    return write
+    return item, join
+
+
+def _term_writer(level: int, cache: bool = True) -> Callable[[Iterable[tuple]], str]:
+    """A writer of term lists, as ``Polynomial.terms()`` gives them, at depth
+    level (``_term_text``), one f-string per term."""
+    item, join = _term_text(level, cache)
+    return lambda terms: join([item(e, f"{c.numerator}/{c.denominator}") for e, c in terms])
 
 
 def _functional_items(functionals: Iterable[DofFunctional]) -> Iterator[str]:
@@ -269,14 +297,16 @@ def _dofs_payload(args: Namespace) -> tuple[dict, bool]:
 
 
 def _nodal_payload(args: Namespace) -> tuple[dict, bool]:
-    poly = _term_writer(2)
+    item, join = _term_text(2)
+    # solved here, before any output; each term's text per sign once per perm
+    images = _nodal_images(args.n, args.r, lambda e, p, q: item(e, f"{p}/{q}"))
     return {
         "seed": args.seed,
         "n": args.n,
         "r": args.r,
         "family": "S",
         "functionals": _list_chunks(_functional_items(dofs_S(args.n, args.r)), 1),
-        "polynomials": _list_chunks((poly(phi.terms()) for phi in nodal_functions(args.n, args.r)), 1),
+        "polynomials": _list_chunks((join(texts) for _, texts in images), 1),
     }, True
 
 
@@ -356,7 +386,7 @@ def _evalgrid_payload(args: Namespace) -> tuple[dict, bool]:
         "points_per_axis": k,
         "grid": grid,
         "point_order": "itertools.product over axes, axis 1 slowest",
-        "values": _list_chunks((_dumps(row, 2) for row in rows), 1),
+        "values": _list_chunks(map(_float_row, rows), 1),
     }, True
 
 

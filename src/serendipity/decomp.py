@@ -311,12 +311,13 @@ def _pair_axis(state: dict, j: int, n: int, r: int, free, pinned: int, drop) -> 
     return {pins: part for pins, part in out.items() if any(part.values())}
 
 
-def _solve(n: int, r: int, den: int, values: Sequence[int]) -> tuple[int, dict, dict]:
+def _solve(n: int, r: int, den: int, values: Sequence[int]) -> tuple[int, dict]:
     """The multipliers m = K^-1 v for DOF values v, given in DOF order as
-    integers over den, as (scale, parts, total): each face with a nonzero
+    integers over den, as (scale, parts): each face with a nonzero
     multiplier, keyed by its pins in DOF order, maps its weight q to scale
-    times the multiplier of b_F x^q, and total holds scale times the sum
-    of b_F m_F.  The pairing must be certified; its culprit is raised.
+    times the multiplier of b_F x^q; ``_merge`` of the parts gives scale
+    times the sum of b_F m_F.  The pairing must be certified; its culprit
+    is raised.
 
     In the weights J_w and the components b_G J_k, K is a product of one
     factor per axis, so it is solved by passes along x_1, ..., x_n: n into
@@ -336,7 +337,7 @@ def _solve(n: int, r: int, den: int, values: Sequence[int]) -> tuple[int, dict, 
         scale *= D**n
     g = gcd(scale, *(y for part in state.values() for y in part.values()))
     parts = {f.fixed: {q: y // g for q, y in state[f.fixed].items() if y} for f in index if f.fixed in state}
-    return scale // g, parts, _merge(n, parts).get((), {})
+    return scale // g, parts
 
 
 def _merge(n: int, parts: dict[tuple, dict[Exponents, int]]) -> dict[tuple, dict[Exponents, int]]:
@@ -503,7 +504,7 @@ def decompose(
             f"polynomial has superlinear degree {p.superlinear_degree()} > r = {r}"
         )
     if method == "solve":
-        scale, multipliers, _ = _solve(n, r, *_dof_values(p, r))
+        scale, multipliers = _solve(n, r, *_dof_values(p, r))
         parts = {Face(n, pins): (terms, scale) for pins, terms in multipliers.items()}
     elif method == "construct":
         den, state = _cleared(p)

@@ -20,14 +20,15 @@ elimination: ``rank`` serves only an uncertified one.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+import itertools
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import add
 
 from .cubegeom import Face, enumerate_faces, face_moment, face_symmetry
-from .exactpoly import Exponents, Polynomial, Record, monomial_str
+from .exactpoly import Exponents, Polynomial, Record, grlex_key, monomial_str
 from .spaces import (
     basis_S,
     dim_P,
@@ -308,12 +309,14 @@ def check_unisolvence(n: int, r: int) -> UnisolvenceResult:
     )
 
 
-def nodal_functions(n: int, r: int) -> Iterator[Polynomial]:
-    """The dual basis in DOF order: polynomial j takes value 1 on DOF j and
-    0 on the rest.  The solve runs at the call, so an uncertified pairing
-    raises before any function is yielded; each function is formed as it
-    is read, so a caller that writes and drops them holds only the solved
-    ones.
+def _nodal_images(
+    n: int, r: int, form: Callable[[Exponents, int, int], object]
+) -> Iterator[tuple[list[Exponents], list]]:
+    """The dual basis in DOF order, each function as its exponent tuples in
+    graded lex order and, for the term p/q x^e (p/q reduced), form(e, p, q)
+    in the same order.  The solve runs at the call, so an uncertified
+    pairing raises before any function is read; the rest is formed as it
+    is read, one perm at a time.
 
     With K = D C the pairing of the DOFs with the bubble components, the
     inverse of the DOF matrix is C K^-1: the nodal function of a DOF is
@@ -322,30 +325,75 @@ def nodal_functions(n: int, r: int) -> Iterator[Polynomial]:
     coordinates and the merge pass ``decomp._merge`` sums, as
     interpolation does.
 
-    Only the DOFs of the first face H0 of each dimension are solved for.
-    For any other face H, the cube symmetry sigma with sigma H0 = H
+    Only the DOFs of the first face H0 of each dimension are solved for,
+    and each solved function is kept as integer terms over its scale.  For
+    any other face H, the cube symmetry sigma with sigma H0 = H
     (``cubegeom.face_symmetry``) maps the DOFs of H0 to those of H in
     order and each bubble b_F to b_{sigma F}, lemmas of the certificate
     that the solve requires.  So the function of weight i on H is that of
     weight i on H0 composed with sigma^-1: each term c x^e becomes
     +-c x^e', with e'[perm[k]] = e[k], negated when e' is odd over the
-    flipped axes, rewriting exponents and signs.
+    flipped axes.
+
+    Faces that share a perm come in runs (``enumerate_faces`` varies the
+    signs innermost), and flip only axes that the run pins.  Once per run,
+    each solved function of its dimension becomes a row of parallel lists
+    over its permuted terms in graded lex order: the exponents, form's
+    value for p/q, the value for -p/q where an exponent on a pinned axis
+    is odd, and the bitmask of those axes.  The image on a face of the run
+    takes the second value where that bitmask and the face's flipped axes
+    share an odd number of bits.
     """
     from . import decomp
 
     functionals = dofs_S(n, r)
-    expanded: dict[int, list[Polynomial]] = {}
+    solved: dict[int, list[tuple[int, dict[Exponents, int]]]] = {}
     for L in functionals:
         if L.face == enumerate_faces(n, L.face.dim)[0]:
             unit = [int(k == L.index) for k in range(len(functionals))]
-            den, _, total = decomp._solve(n, r, 1, unit)
-            expanded.setdefault(L.face.dim, []).append(decomp._polynomial(n, total, den))
-    return (
-        phi.transformed(perm, flips)
-        for face in face_monomials(n, r)
-        for perm, flips in [face_symmetry(face)]
-        for phi in expanded[face.dim]
-    )
+            scale, parts = decomp._solve(n, r, 1, unit)
+            solved.setdefault(L.face.dim, []).append((scale, decomp._merge(n, parts).get((), {})))
+
+    def row(scale: int, terms: dict, source: list[int], pinned: int) -> tuple[list, ...]:
+        exps, pos, neg, odds = [], [], [], []
+        permuted = ((tuple(e[i] for i in source), c) for e, c in terms.items() if c)
+        for e, c in sorted(permuted, key=lambda t: grlex_key(t[0])):
+            g = gcd(c, scale)
+            p, q = c // g, scale // g
+            odd = pinned & sum(1 << j for j, k in enumerate(e) if k & 1)
+            exps.append(e)
+            pos.append(form(e, p, q))
+            neg.append(form(e, -p, q) if odd else pos[-1])
+            odds.append(odd)
+        return exps, pos, neg, odds
+
+    def images() -> Iterator[tuple[list[Exponents], list]]:
+        symmetries = ((face.dim, *face_symmetry(face)) for face in face_monomials(n, r))
+        for (d, perm), run in itertools.groupby(symmetries, key=lambda s: s[:2]):
+            source = sorted(range(n), key=perm.__getitem__)
+            masks = [sum(1 << j for j in flips) for _, _, flips in run]
+            pinned = 0
+            for mask in masks:
+                pinned |= mask
+            for done in [k for k in solved if k < d]:  # faces come in dimension order
+                del solved[done]
+            rows = [row(scale, terms, source, pinned) for scale, terms in solved[d]]
+            for mask in masks:
+                for exps, pos, neg, odds in rows:
+                    yield exps, [b if (o & mask).bit_count() & 1 else a for a, b, o in zip(pos, neg, odds)]
+
+    return images()
+
+
+def nodal_functions(n: int, r: int) -> Iterator[Polynomial]:
+    """The dual basis in DOF order: polynomial j takes value 1 on DOF j and
+    0 on the rest.  The solve runs at the call, so an uncertified pairing
+    raises before any function is yielded; each function is formed as it
+    is read, so a caller that writes and drops them holds only the solved
+    ones and one perm's rows (``_nodal_images``), where the images of a
+    term share its Fraction of each sign."""
+    images = _nodal_images(n, r, lambda e, p, q: Fraction(p, q))
+    return (Polynomial._canonical(n, dict(zip(exps, values))) for exps, values in images)
 
 
 @lru_cache(maxsize=None)

@@ -174,6 +174,17 @@ class Polynomial:
         return cls(n, {exps: Fraction(1)})
 
     @classmethod
+    def _canonical(cls, n: int, terms: dict[Exponents, Fraction]) -> "Polynomial":
+        """The polynomial of terms already canonical: distinct exponent
+        tuples of n non-negative ints, each to a nonzero Fraction.  Nothing
+        is checked; the dict is kept, not copied."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "_n", n)
+        object.__setattr__(out, "_terms", terms)
+        object.__setattr__(out, "_plan", None)
+        return out
+
+    @classmethod
     def from_monomial(cls, exponents: Sequence[int], coeff: Scalar = 1) -> "Polynomial":
         exps = _validate_exponents(exponents)
         return cls(len(exps), {exps: Fraction(coeff)})
@@ -258,31 +269,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def transformed(self, perm: Sequence[int], flips: Iterable[int]) -> "Polynomial":
-        """The polynomial composed with the inverse of the signed axis map
-        sending axis i to axis perm[i] and then negating the axes in flips.
-
-        Each term c x^e becomes c x^e' with e'[perm[i]] = e[i], negated
-        when e' has an odd exponent sum over flips.  That is a bijection on
-        the terms, so the result is canonical without re-coercion.
-        """
-        flips = tuple(flips)
-        axes = range(self._n)
-        if sorted(perm) != list(axes) or not set(flips) <= set(axes):
-            raise ValueError(f"({perm}, {flips}) is no signed permutation of {self._n} axes")
-        source = [0] * self._n
-        for i, j in enumerate(perm):
-            source[j] = i
-        image: dict[Exponents, Fraction] = {}
-        for exps, coeff in self._terms.items():
-            key = tuple(exps[i] for i in source)
-            image[key] = -coeff if sum(key[j] for j in flips) % 2 else coeff
-        out = object.__new__(Polynomial)
-        object.__setattr__(out, "_n", self._n)
-        object.__setattr__(out, "_terms", image)
-        object.__setattr__(out, "_plan", None)
-        return out
-
     def __pow__(self, power: int) -> "Polynomial":
         if not isinstance(power, int) or power < 0:
             raise ValueError("only non-negative integer powers are supported")
@@ -335,6 +321,9 @@ class Polynomial:
         Horner scheme, one variable at a time, for numerical stability.
         The first float call compiles that scheme into straight-line code,
         the same float operations in the same order; later calls run it.
+        That code converts the coordinates itself and forms each distinct
+        power x_i ** k once, so a call costs one ``**`` per distinct power
+        and one multiply and add per Horner step.
         """
         if len(point) != self._n:
             raise ValueError(f"point has {len(point)} coordinates, expected {self._n}")
@@ -345,7 +334,7 @@ class Polynomial:
                 if self._plan is None:
                     items = [(e, float(c)) for e, c in self._terms.items()]
                     object.__setattr__(self, "_plan", _compile_horner(items, self._n))
-                return self._plan(*map(float, point))
+                return self._plan(*point)
         values = [Fraction(v) for v in point]
         total = Fraction(0)
         for exps, coeff in self._terms.items():
@@ -387,8 +376,16 @@ def _compile_horner(items: list[tuple[Exponents, float]], n: int):
     """Compile the nested Horner scheme of nonempty float terms to a function
     of the n coordinates.  Per axis, each exponent group e, descending, adds
     its inner value to acc * x ** (prev - e), the axis ends with acc * x **
-    prev and a leaf is 0 + c; one statement per step, so nothing nests."""
+    prev and a leaf is 0 + c; one statement per step, so nothing nests.
+    The function converts its coordinates to float and forms each distinct
+    power x ** k once, at its top, so a step reads a local."""
     lines: list[str] = []
+    powers: dict[str, str] = {}
+
+    def power(axis: int, k: int) -> str:
+        name = f"p{axis}_{k}"
+        powers[name] = f"x{axis} ** {k}"
+        return name
 
     def emit(group, axis: int, target: str) -> None:
         prev = None
@@ -399,15 +396,18 @@ def _compile_horner(items: list[tuple[Exponents, float]], n: int):
                 inner = target if prev is None else f"a{axis + 1}"
                 emit(sub, axis + 1, inner)
             if prev is not None:
-                lines.append(f"{target} = {target} * x{axis} ** {prev - e} + {inner}")
+                lines.append(f"{target} = {target} * {power(axis, prev - e)} + {inner}")
             elif inner != target:
                 lines.append(f"{target} = {inner}")
             prev = e
         if prev:
-            lines.append(f"{target} = {target} * x{axis} ** {prev}")
+            lines.append(f"{target} = {target} * {power(axis, prev)}")
 
     emit(sorted(items, reverse=True), 0, "a0")
-    namespace: dict = {"__builtins__": {}}
-    args = ", ".join(f"x{i}" for i in range(n))
-    exec(f"def plan({args}):\n " + "\n ".join(lines) + "\n return a0\n", namespace)
+    del emit  # emit's closure holds emit: unbound, the code's text goes with this call
+    args = [f"x{i}" for i in range(n)]
+    head = [f"{', '.join(args)} = {', '.join(f'float({x})' for x in args)}"]
+    head += [f"{name} = {value}" for name, value in powers.items()]
+    namespace: dict = {"__builtins__": {}, "float": float}
+    exec(f"def plan({', '.join(args)}):\n " + "\n ".join(head + lines) + "\n return a0\n", namespace)
     return namespace.pop("plan")  # no cycle through its globals

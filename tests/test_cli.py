@@ -813,6 +813,20 @@ class TestTermWriter:
         assert head + write(p.terms()) + tail == expected
 
 
+class TestFloatRow:
+    """An evalgrid row is written as ``json.dumps(row, indent=2)`` indented
+    to depth 2, non-finite spellings and signed zeros included."""
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)))
+    @example([0.0, -0.0])
+    @example([5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308])
+    @example([float("inf"), float("-inf"), float("nan"), -float("nan"), 1e16, 1.5e-7])
+    @example([])
+    def test_matches_the_json_encoder_at_depth_2(self, row):
+        expected = json.dumps(row, indent=2).replace("\n", "\n    ")
+        assert cli._float_row(row) == expected
+
+
 class TestVerifyFailures:
     """A failing cell names its cause; the other cells still report."""
 

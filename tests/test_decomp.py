@@ -671,7 +671,7 @@ def unit(n: int, r: int, i: int) -> list[int]:
 
 def solved(n: int, r: int, values: list[int]) -> dict[tuple, dict]:
     """The solver's nonzero multipliers as Fractions, keyed by pins."""
-    scale, parts, _ = decomp._solve(n, r, 1, values)
+    scale, parts = decomp._solve(n, r, 1, values)
     out = {pins: {q: Fraction(y, scale) for q, y in part.items() if y} for pins, part in parts.items()}
     return {pins: part for pins, part in out.items() if part}
 
@@ -803,7 +803,7 @@ class TestPairingInverse:
         order = [face.fixed for face in face_monomials(n, r)]
         for L in dofs_S(n, r):
             if L.face in first:
-                scale, parts, _ = decomp._solve(n, r, 1, unit(n, r, L.index))
+                scale, parts = decomp._solve(n, r, 1, unit(n, r, L.index))
                 assert list(parts) == [pins for pins in order if pins in parts]
                 numbers = [scale, *(y for part in parts.values() for y in part.values())]
                 assert all(type(y) is int for y in numbers)
@@ -879,6 +879,18 @@ class TestDecomposeTraces:
         assert calls == []
         monkeypatch.undo()
         assert recompose(parts, n) == p
+
+    def test_solve_runs_no_merge_pass(self, monkeypatch):
+        # the components are the multipliers; only recompose sums b_F m_F
+        p = mixed_space_member(random.Random(39), 3, 5)
+
+        def refuse(n, parts):
+            raise AssertionError("the solve method merged its multipliers")
+
+        monkeypatch.setattr(decomp, "_merge", refuse)
+        parts = decompose(p, 5, method="solve")
+        monkeypatch.undo()
+        assert recompose(parts, 3) == p
 
     @pytest.mark.parametrize("n, r", [(2, 4), (3, 5), (4, 6)])
     def test_matches_restriction_of_the_input(self, n, r):

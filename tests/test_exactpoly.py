@@ -3,25 +3,30 @@
 from __future__ import annotations
 
 import copy
+import dis
 import itertools
 import json
 import pickle
 import random
 import struct
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from serendipity.cubegeom import Face, face_moment, full_cube
-from serendipity.dofs import DofFunctional, apply_dof, nodal_basis
+from serendipity import dofs
+from serendipity.assembly import interpolate
+from serendipity.cubegeom import Face, enumerate_faces, face_moment, face_symmetry, full_cube
+from serendipity.dofs import DofFunctional, apply_dof, dofs_S, nodal_basis, nodal_functions
 from serendipity.exactpoly import (
     Polynomial,
     grlex_key,
     monomial_str,
     superlinear_degree,
 )
+from serendipity.spaces import face_monomials
 
 
 def box_moment_oracle(exponents) -> Fraction:
@@ -54,6 +59,23 @@ def horner_oracle(items, xs, axis):
             acc = acc * x ** (prev - e) + inner
         prev = e
     return acc * x**prev if prev else acc
+
+
+def horner_powers(items, axis, n) -> set[tuple[int, int]]:
+    """The (axis, power) pairs whose x ** power the Horner scheme of
+    ``horner_oracle`` forms, over all its steps."""
+    if axis == n:
+        return set()
+    groups = {}
+    for exps, c in items:
+        groups.setdefault(exps[axis], []).append((exps, c))
+    out, prev = set(), None
+    for e in sorted(groups, reverse=True):
+        out |= horner_powers(groups[e], axis + 1, n)
+        if prev is not None:
+            out.add((axis, prev - e))
+        prev = e
+    return out | {(axis, prev)} if prev else out
 
 
 def float_bits(evaluate):
@@ -297,38 +319,97 @@ class TestConstructor:
         assert dict(restrict_to_face(p, Face(n, pins)).terms()) == added_terms(trace)
 
 
+def substituted(p: Polynomial, perm, flips) -> Polynomial:
+    """p composed with the inverse of the signed axis map that sends axis i
+    to axis perm[i] and then negates the axes in flips, by substitution in
+    ring arithmetic: x_i becomes +-x_perm[i], negated when perm[i] flips."""
+    n = p.n
+    z = [Polynomial.variable(n, j) * (-1 if j in flips else 1) for j in perm]
+    out = Polynomial.zero(n)
+    for e, c in p.terms():
+        term = Polynomial.constant(n, c)
+        for zi, k in zip(z, e):
+            term = term * zi**k
+        out = out + term
+    return out
+
+
 class TestTransformed:
+    """The nodal functions of a face are images of the solved functions of
+    the first face of its dimension, formed from rows that permute each
+    solved function's exponents once per perm and pick each term's sign
+    per face (``dofs._nodal_images``)."""
+
+    CELLS = [(1, 3), (2, 4), (3, 5), (4, 4), (5, 3)]
+
+    @staticmethod
+    def images(n, r, calls=None):
+        """The images as (e, p, q) lists, counting the calls of form."""
+        def form(e, p, q):
+            if calls is not None:
+                calls.append(e)
+            return e, p, q
+
+        return (terms for _, terms in dofs._nodal_images(n, r, form))
+
     def test_composes_with_the_inverse_axis_map(self):
-        # (p o sigma^-1)(sigma x) = p(x), sigma x on axis perm[i] = +-x_i
-        rng = random.Random(12)
-        n, perm, flips = 3, (2, 0, 1), (0, 2)
-        p = Polynomial(
-            n, {tuple(rng.randint(0, 3) for _ in range(n)): rng.randint(-5, 5) for _ in range(9)}
-        )
-        q = p.transformed(perm, flips)
-        assert len(q) == len(p)
-        for _ in range(5):
-            x = [Fraction(rng.randint(-7, 7), rng.randint(1, 4)) for _ in range(n)]
-            y = [Fraction(0)] * n
-            for i, k in enumerate(perm):
-                y[k] = -x[i] if k in flips else x[i]
-            assert q.evaluate(y) == p.evaluate(x)
+        for n, r in self.CELLS:
+            self.assert_images_compose(n, r)
+
+    def assert_images_compose(self, n, r):
+        # each image equals the canonical function, solved independently by
+        # interpolating its unit DOF vector, composed with sigma^-1
+        index, count = face_monomials(n, r), len(dofs_S(n, r))
+        first = {d: enumerate_faces(n, d)[0] for d in range(n + 1)}
+        start, at = {}, 0
+        for face, weights in index.items():
+            start[face], at = at, at + len(weights)
+        canonical = {
+            d: [interpolate([int(k == start[h] + i) for k in range(count)], n, r)
+                for i in range(len(index[h]))]
+            for d, h in first.items() if h in index
+        }
+        calls = []
+        images = self.images(n, r, calls)
+        runs = {}
+        for face in index:
+            perm, flips = face_symmetry(face)
+            runs[face.dim, perm] = face.fixed_indices
+            for phi in canonical[face.dim]:
+                image = Polynomial(n, {e: Fraction(p, q) for e, p, q in next(images)})
+                assert image == substituted(phi, perm, flips), (face, phi)
+        assert next(images, None) is None
+        # form runs once per term and perm, not per image, and again for the
+        # negated term only where a face of the run can flip its sign
+        expected = 0
+        for (d, perm), pinned in runs.items():
+            for phi in canonical[d]:
+                for e, _ in phi.terms():
+                    expected += 1 + any(e[i] % 2 for i in range(n) if perm[i] in pinned)
+        assert len(calls) == expected
+
+    @pytest.mark.parametrize("n, r", CELLS)
+    def test_images_are_sorted_and_reduced(self, n, r):
+        for terms in self.images(n, r):
+            exponents = [e for e, _, _ in terms]
+            assert exponents == sorted(exponents, key=grlex_key)
+            assert len(set(exponents)) == len(exponents)
+            assert all(p and q > 0 and gcd(p, q) == 1 for _, p, q in terms)
 
     def test_result_is_canonical(self):
-        x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-        p = 3 * x**2 * y - Fraction(1, 2) * y + 1
-        # swap the axes, then negate the first: x^2 y -> -x y^2, y -> -x
-        q = p.transformed((1, 0), (0,))
-        assert q == -3 * x * y**2 + Fraction(1, 2) * x + 1
-        # swap back and negate the second: the inverse map
-        assert q.transformed((1, 0), (1,)) == p
-        assert hash(q) == hash(Polynomial(2, dict(q.terms())))
-        assert q.evaluate((0.5, 2.0)) == Polynomial(2, dict(q.terms())).evaluate((0.5, 2.0))
-
-    @pytest.mark.parametrize("perm, flips", [((0, 0), ()), ((0,), ()), ((1, 0), (2,))])
-    def test_rejects_other_maps(self, perm, flips):
-        with pytest.raises(ValueError, match="no signed permutation"):
-            Polynomial.variable(2, 0).transformed(perm, flips)
+        # the polynomials match their canonical rebuild: terms, hash, floats;
+        # the images of one term share one Fraction per sign
+        phis = list(nodal_functions(3, 4))
+        coefficients = {}
+        for phi in phis:
+            rebuilt = Polynomial(3, dict(phi.terms()))
+            assert phi == rebuilt and hash(phi) == hash(rebuilt)
+            assert phi.evaluate((0.5, -0.25, 2.0)) == rebuilt.evaluate((0.5, -0.25, 2.0))
+            for _, c in phi.terms():
+                coefficients.setdefault(c, set()).add(id(c))
+        assert phis == list(nodal_basis(3, 4))
+        assert len(phis) == len(dofs_S(3, 4))
+        assert sum(map(len, coefficients.values())) < sum(map(len, phis))
 
 
 class TestHash:
@@ -480,6 +561,41 @@ class TestFloatPlan:
         points += [tuple(special_or_random(rng) for _ in range(n)) for _ in range(40)]
         for point in points:
             assert float_bits(lambda: p.evaluate(point)) == oracle_bits(p, point), point
+
+    @pytest.mark.parametrize("n, r, stride", [(4, 6, 1), (5, 4, 3)])
+    def test_nodal_functions_match_oracle_bitwise_beyond_n_3(self, n, r, stride):
+        # the images of the symmetry rows, on the 3-point grid with its
+        # zeros; every third function at (5, 4), for time
+        grid = [-1.0, 0.0, 1.0]
+        points = list(itertools.product(grid, repeat=n))
+        for phi in nodal_basis(n, r)[::stride]:
+            items = [(e, float(c)) for e, c in phi.terms()]
+            for point in points:
+                expected = struct.pack("<d", horner_oracle(items, point, 0))
+                assert struct.pack("<d", phi.evaluate(point)) == expected, (phi, point)
+
+    @pytest.mark.parametrize("shape", ["nodal", "deep", "wide"])
+    def test_one_power_per_distinct_axis_and_exponent_step(self, shape):
+        # straight-line code: every instruction runs once, and the ** count
+        # is the number of distinct (axis, power) pairs the Horner steps use
+        rng = random.Random(shape)
+        if shape == "nodal":
+            polys = list(nodal_basis(3, 6))[::7]
+        else:
+            n = 1 if shape == "deep" else 4
+            polys = [
+                Polynomial(n, {tuple(rng.randint(0, 40 if n == 1 else 6) for _ in range(n)):
+                               Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(60)})
+                for _ in range(10)
+            ]
+        for p in polys:
+            p.evaluate((0.5,) * p.n)
+            code = p._plan.__code__
+            ops = list(dis.get_instructions(code))
+            assert not any("JUMP" in op.opname for op in ops)
+            assert len([op for op in ops if op.opname == "CALL"]) == p.n  # float(x_i)
+            pows = [op for op in ops if op.opname == "BINARY_OP" and op.argrepr == "**"]
+            assert len(pows) == len(horner_powers(sorted(p.terms()), 0, p.n))
 
     def test_reused_plan_is_not_stale(self):
         x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)

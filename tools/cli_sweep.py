@@ -4,7 +4,8 @@
 
 Runs a fixed list of invocations as ``python -m serendipity.cli ...``
 with each tree's ``src/`` on ``PYTHONPATH``, each in a fresh interpreter
-(two at a time), and compares stdout, stderr and exit code.  The list
+(two at a time), and compares stdout (by its SHA-256), stderr and exit
+code.  The list
 covers every command and format over n <= 3, r <= 5; every export
 artifact and family; the nodal, decomposition and evalgrid exports at
 (3, 6) and (3, 8), the evalgrid export also at its default 11 points per
@@ -20,8 +21,10 @@ pairing solve carry the most parts and the largest integers;
 export at (4, 6), which split the default member one axis at a time;
 the nodal export at (4, 8), which prints every
 coefficient of the solves at n = 4, at (5, 4) and (6, 4), where the
-cube symmetry maps the solved functions beyond n = 4, and at (5, 8),
-where its streamed term lists reach 60 MB; the solve
+cube symmetry maps the solved functions beyond n = 4, at (5, 8),
+where its streamed term lists reach 60 MB, and at (6, 6), 109 MB of
+image rows; the evalgrid export at (4, 6) with 7 points per axis,
+15 MB of float rows; the solve
 decomposition export of x1^2 x2 x4 x5^2 at (5, 6), which substitutes
 through five face dimensions; an n = 3 ``--poly`` member with mixed denominators
 through ``decompose --method solve|both`` and the solve decomposition
@@ -51,6 +54,7 @@ shows there), and exits 1 if any invocation differs.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -114,7 +118,9 @@ def invocations(inputs: Path) -> list[list[str]]:
     runs += [["decompose", *cell(n, r), "--method", m]
              for n, r in ((4, 8), (5, 6)) for m in ("construct", "both")]
     runs.append(["export", "--what", "decomposition", *cell(4, 6), "--method", "construct"])
-    runs += [["export", "--what", "nodal", *cell(n, r)] for n, r in ((4, 8), (5, 4), (6, 4), (5, 8))]
+    runs += [["export", "--what", "nodal", *cell(n, r)]
+             for n, r in ((4, 8), (5, 4), (6, 4), (5, 8), (6, 6))]
+    runs.append(["export", "--what", "evalgrid", *cell(4, 6), "--points", "7"])
     runs.append(["export", "--what", "decomposition", *cell(5, 6), "--method", "solve",
                  "--alpha", "2,1,0,1,2"])
     # the certified checks near the caps, where they need no dense rank
@@ -214,19 +220,26 @@ TIMEOUT_S = 120
 
 
 def run(root: Path, argv: list[str], workdir: Path) -> tuple[str, str, int | None, float]:
-    """stdout, stderr, exit code (None on a timeout) and wall seconds."""
+    """The SHA-256 of stdout, stderr, exit code (None on a timeout) and wall
+    seconds.  stdout goes to a temporary file and is hashed from there, so
+    no output of a hundred megabytes is held in memory."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), COLUMNS="80")
     start = time.perf_counter()
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "serendipity.cli", *argv],
-            cwd=workdir, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
-        )
-    except subprocess.TimeoutExpired:
-        return "", f"timed out after {TIMEOUT_S} s", None, time.perf_counter() - start
+    with tempfile.TemporaryFile(dir=workdir) as out:
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "serendipity.cli", *argv],
+                cwd=workdir, env=env, stdout=out, stderr=subprocess.PIPE, text=True, timeout=TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            return "", f"timed out after {TIMEOUT_S} s", None, time.perf_counter() - start
+        out.seek(0)
+        digest = hashlib.sha256()
+        for block in iter(lambda: out.read(1 << 20), b""):
+            digest.update(block)
     # a traceback names the tree's own files
     stderr = proc.stderr.replace(str(root), "ROOT")
-    return proc.stdout, stderr, proc.returncode, time.perf_counter() - start
+    return digest.hexdigest(), stderr, proc.returncode, time.perf_counter() - start
 
 
 def main(argv: list[str] | None = None) -> int:
