@@ -17,7 +17,6 @@ from .cubegeom import (
     Face,
     all_faces,
     enumerate_faces,
-    face_contains,
     full_cube,
     restrict_to_face,
 )
@@ -33,12 +32,9 @@ from .spaces import (
 )
 from .dofs import (
     DofFunctional,
-    RationalMatrix,
     SingularMatrixError,
-    apply_dof,
     check_unisolvence,
     dof_layout,
-    dof_matrix,
     dofs_Q,
     dofs_S,
     nodal_basis,
@@ -67,7 +63,6 @@ __all__ = [
     "Face",
     "all_faces",
     "enumerate_faces",
-    "face_contains",
     "full_cube",
     "restrict_to_face",
     "SpaceBasis",
@@ -79,12 +74,9 @@ __all__ = [
     "dim_Q",
     "dim_S_formula",
     "DofFunctional",
-    "RationalMatrix",
     "SingularMatrixError",
-    "apply_dof",
     "check_unisolvence",
     "dof_layout",
-    "dof_matrix",
     "dofs_Q",
     "dofs_S",
     "nodal_basis",

@@ -9,22 +9,21 @@ the face lattice ordering is reverse inclusion of constraint sets.
 
 Faces of each dimension are enumerated in a fixed deterministic order:
 lexicographic on the set of pinned axes, then lexicographic on the sign
-pattern with -1 before +1.
+pattern with -1 before +1.  ``face_symmetry`` gives the cube symmetry
+that maps the first face of a dimension onto any other.
 
-``face_moment`` integrates a monomial over one face, for ``apply_dof``
-and ``dof_matrix``; ``decomp``'s split pass takes a polynomial's DOF
-values on every face.
+No face integral is formed here: ``decomp``'s split pass takes a
+polynomial's DOF values on every face at once, axis by axis.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
 
-from .exactpoly import Exponents, Polynomial, Record
+from .exactpoly import Polynomial, Record
 
 __all__ = [
     "Face",
@@ -32,9 +31,7 @@ __all__ = [
     "enumerate_faces",
     "all_faces",
     "face_symmetry",
-    "face_contains",
     "restrict_to_face",
-    "face_moment",
 ]
 
 
@@ -148,17 +145,6 @@ def face_symmetry(face: Face) -> tuple[tuple[int, ...], frozenset[int]]:
     return tuple(perm), frozenset(j for j, s in face.fixed if s > 0)
 
 
-def face_contains(outer: Face, inner: Face) -> bool:
-    """Whether inner is a subface of outer (inclusion of point sets).
-
-    Holds exactly when every constraint of outer appears in inner.
-    """
-    if outer.n != inner.n:
-        raise ValueError("faces belong to cubes of different dimension")
-    inner_fixed = set(inner.fixed)
-    return all(pin in inner_fixed for pin in outer.fixed)
-
-
 def restrict_to_face(p: Polynomial, face: Face) -> Polynomial:
     """Substitute the pinned coordinate values of a face into p.
 
@@ -174,23 +160,3 @@ def restrict_to_face(p: Polynomial, face: Face) -> Polynomial:
     signed = ((e, -c if sum(e[i] for i in flip) % 2 else c) for e, c in p.terms())
     return Polynomial(p.n, ((tuple(map(mul, e, keep)), c) for e, c in signed))
 
-
-def face_moment(face: Face, exponents: Exponents) -> Fraction:
-    """Integral of x^e over a face: along an axis pinned at s, t^e is
-    evaluated at s; along a free axis it is integrated over [-1, 1],
-    where t^k has the moment 2 / (k + 1) for even k and 0 for odd k.  A
-    vertex uses the counting measure, so its moment is plain point
-    evaluation.  The axes are multiplied in integers and divided once at
-    the end."""
-    if len(exponents) != face.n:
-        raise ValueError(f"{face} needs {face.n} exponents, got {exponents!r}")
-    num = den = 1
-    for s, e in zip(face.signs, exponents):
-        if not s:
-            if e % 2:
-                return Fraction(0)
-            den *= e + 1
-            num *= 2
-        elif s < 0 and e % 2:
-            num = -num
-    return Fraction(num, den)

@@ -53,7 +53,7 @@ from functools import cache, lru_cache, partial
 from math import gcd, lcm, prod
 
 from .cubegeom import Face
-from .dofs import RationalMatrix, SingularMatrixError
+from .dofs import SingularMatrixError
 from .exactpoly import Exponents, Polynomial, Record, grlex_key
 from .spaces import basis_S, dim_P, dim_S_formula, face_monomials
 
@@ -61,8 +61,6 @@ from .spaces import basis_S, dim_P, dim_S_formula, face_monomials
 __all__ = [
     "FaceComponent",
     "bubble",
-    "all_components",
-    "component_matrix",
     "certify_pairing",
     "DirectSumResult",
     "verify_direct_sum",
@@ -108,42 +106,6 @@ def bubble(face: Face) -> Polynomial:
             for picks in itertools.product(*per_axis)
         ),
     )
-
-
-@lru_cache(maxsize=None)
-def all_components(n: int, r: int) -> tuple[FaceComponent, ...]:
-    """One component per (face, monomial) pair, in DOF order."""
-    if n < 1 or r < 1:
-        raise ValueError("decomposition requires n >= 1 and r >= 1")
-    return tuple(
-        FaceComponent(face, Polynomial.from_monomial(q))
-        for face, exps in face_monomials(n, r).items()
-        for q in exps
-    )
-
-
-@lru_cache(maxsize=None)
-def component_matrix(n: int, r: int) -> RationalMatrix:
-    """Columns are the components in the serendipity monomial coordinates,
-    each the product of its monomial with ``bubble``, the definition that
-    part (iii) of ``certify_pairing`` checks, so a bubble that fails it
-    shows in this matrix's rank.
-
-    Raises if any component leaves the space, which would falsify the
-    membership claim deg2(component) <= r.
-    """
-    basis = basis_S(n, r)
-    comps = all_components(n, r)
-    rows = [[Fraction(0)] * len(comps) for _ in range(basis.dim)]
-    for col, fc in enumerate(comps):
-        for exps, coeff in (fc.coefficient * bubble(fc.face)).terms():
-            try:
-                rows[basis.index_of(exps)][col] = coeff
-            except KeyError:
-                raise AssertionError(
-                    f"component monomial {exps} escapes the space at n={n}, r={r}"
-                ) from None
-    return RationalMatrix(rows)
 
 
 @cache
@@ -371,7 +333,7 @@ class DirectSumResult(Record):
     r: int
     space_dim: int
     component_count: int
-    rank: int
+    rank: int | None
     culprit: str | None = None
 
     @property
@@ -403,16 +365,16 @@ class DirectSumResult(Record):
 def verify_direct_sum(n: int, r: int) -> DirectSumResult:
     """Counts plus rank: together they certify the direct sum.
 
-    The rank is the dimension when the pairing certificate holds; when it
-    fails, the exact rank of the component matrix is reported with the
-    certificate's culprit.
+    The rank of the components is the dimension when the pairing
+    certificate holds.  The certificate is one-sided, so when it fails the
+    rank is unknown (None) and is reported with the certificate's culprit.
     """
     dim = basis_S(n, r).dim
     count = sum(map(len, face_monomials(n, r).values()))
     culprit = certify_pairing(n, r)
-    rank = dim if culprit is None else component_matrix(n, r).rank()
     return DirectSumResult(
-        n=n, r=r, space_dim=dim, component_count=count, rank=rank, culprit=culprit
+        n=n, r=r, space_dim=dim, component_count=count,
+        rank=dim if culprit is None else None, culprit=culprit,
     )
 
 

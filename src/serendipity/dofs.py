@@ -12,10 +12,12 @@ dimensional faces carry weights of degree at most r - 2 in each free
 variable.  DOFs are ordered by face dimension, then by the canonical
 face order, then by graded lex on the weight monomial.
 
-Ranks and solves share one fraction-free Bareiss pass over integer rows,
-so every intermediate value is an exact integer minor.  No floating
-point enters any decision.  A certified pairing (``decomp``) needs no
-elimination: ``rank`` serves only an uncertified one.
+Unisolvence and the nodal basis rest on the pairing certificate
+(``decomp.certify_pairing``), so no DOF matrix is formed and nothing is
+eliminated.  ``RationalMatrix`` is kept as the tests' dense reference:
+its ranks and solves share one fraction-free Bareiss pass over integer
+rows, so every intermediate value is an exact integer minor.  No
+floating point enters any decision.
 """
 
 from __future__ import annotations
@@ -25,9 +27,8 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add
 
-from .cubegeom import Face, enumerate_faces, face_moment, face_symmetry
+from .cubegeom import Face, enumerate_faces, face_symmetry
 from .exactpoly import Exponents, Polynomial, Record, grlex_key, monomial_str
 from .spaces import (
     basis_S,
@@ -42,8 +43,6 @@ __all__ = [
     "DofFunctional",
     "dofs_S",
     "dofs_Q",
-    "apply_dof",
-    "dof_matrix",
     "UnisolvenceResult",
     "check_unisolvence",
     "nodal_functions",
@@ -55,8 +54,9 @@ __all__ = [
 
 
 class SingularMatrixError(ArithmeticError):
-    """Raised when an exact solve meets a rank-deficient matrix, or when
-    a solve over the pairing finds it uncertified (``decomp.certify_pairing``)."""
+    """Raised when a solve over the pairing finds it uncertified
+    (``decomp.certify_pairing``), or when ``RationalMatrix.solve`` meets a
+    rank-deficient matrix."""
 
 
 def _bareiss(
@@ -107,7 +107,8 @@ def _bareiss(
 
 
 class RationalMatrix:
-    """Dense immutable matrix of Fractions with exact algorithms."""
+    """Dense immutable matrix of Fractions with exact algorithms: the
+    tests' exact reference, which nothing in the package builds."""
 
     __slots__ = ("_rows", "rows", "cols")
 
@@ -230,32 +231,11 @@ def dofs_Q(n: int, r: int) -> Iterator[DofFunctional]:
     return (DofFunctional(face, w, i) for i, (face, w) in enumerate(pairs))
 
 
-def apply_dof(functional: DofFunctional, p: Polynomial) -> Fraction:
-    """Evaluate one functional on a polynomial, exactly and term by term,
-    one ``cubegeom.face_moment`` per term."""
-    if p.n != functional.face.n:
-        raise ValueError("polynomial and functional have different variable counts")
-    face, w = functional.face, functional.exponents
-    return sum((c * face_moment(face, tuple(map(add, e, w))) for e, c in p.terms()), Fraction(0))
-
-
-def dof_matrix(basis: Iterable[Exponents], functionals: Iterable[DofFunctional]) -> RationalMatrix:
-    """Matrix with entry (i, j) = functional i applied to basis monomial j;
-    a SpaceBasis iterates over its monomials' exponent tuples."""
-    monomials = tuple(basis)
-    return RationalMatrix(
-        [
-            [face_moment(L.face, tuple(map(add, L.exponents, m))) for m in monomials]
-            for L in functionals
-        ]
-    )
-
-
 class UnisolvenceResult(Record):
     n: int
     r: int
     dim: int
-    rank: int
+    rank: int | None
     facet_factor_ok: bool
     culprit: str | None = None
 
@@ -283,11 +263,12 @@ class UnisolvenceResult(Record):
 def check_unisolvence(n: int, r: int) -> UnisolvenceResult:
     """Verify the serendipity DOFs determine the space uniquely.
 
-    The DOF matrix has full rank when the pairing certificate
-    (``decomp.certify_pairing``) holds; when it fails, the exact rank of
-    the DOF matrix is reported with the certificate's culprit.  The
-    joint kernel of all facet DOFs must also be the facet-bubble
-    multiples of the total degree r - 2n family (empty when r < 2n).
+    The DOF matrix has full rank, dim, when the pairing certificate
+    (``decomp.certify_pairing``) holds.  The certificate is one-sided, so
+    when it fails the rank is unknown (None) and is reported with the
+    certificate's culprit.  The joint kernel of all facet DOFs must also
+    be the facet-bubble multiples of the total degree r - 2n family
+    (empty when r < 2n).
     """
     from . import decomp
 
@@ -298,12 +279,11 @@ def check_unisolvence(n: int, r: int) -> UnisolvenceResult:
             f"{len(functionals)} functionals for a space of dimension {basis.dim}"
         )
     culprit = decomp.certify_pairing(n, r)
-    rank = basis.dim if culprit is None else dof_matrix(basis, functionals).rank()
     return UnisolvenceResult(
         n=n,
         r=r,
         dim=basis.dim,
-        rank=rank,
+        rank=basis.dim if culprit is None else None,
         facet_factor_ok=decomp.facet_kernel_check(n, r).ok,
         culprit=culprit,
     )

@@ -15,12 +15,12 @@ import time
 from fractions import Fraction
 from math import comb
 
+from dense import apply_dof, face_contains
 from serendipity.assembly import check_continuity, trace_certificate
 from serendipity.cli import main
 from serendipity.cubegeom import (
     all_faces,
     enumerate_faces,
-    face_contains,
     full_cube,
     restrict_to_face,
 )
@@ -32,7 +32,6 @@ from serendipity.decomp import (
     verify_direct_sum,
 )
 from serendipity.dofs import (
-    apply_dof,
     check_unisolvence,
     dof_layout,
     dofs_S,

@@ -18,8 +18,9 @@ from serendipity.assembly import (
     shared_dof_pairs,
     trace_certificate,
 )
+from dense import apply_dof, face_contains
 from serendipity.cli import main
-from serendipity.cubegeom import Face, face_contains, full_cube, restrict_to_face
+from serendipity.cubegeom import Face, full_cube, restrict_to_face
 from serendipity.dofs import SingularMatrixError, dofs_S, nodal_basis
 from serendipity.exactpoly import Polynomial, monomial_str
 from serendipity.spaces import dim_S_formula, face_monomials
@@ -206,8 +207,6 @@ class TestSharedDofPairs:
 
 class TestInterpolate:
     def test_reproduces_dof_values(self):
-        from serendipity.dofs import apply_dof
-
         rng = random.Random(40)
         n, r = 2, 3
         functionals = dofs_S(n, r)

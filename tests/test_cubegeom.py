@@ -1,4 +1,5 @@
-"""Face lattice of the cube: counts, order, incidence, restriction, integrals."""
+"""Face lattice of the cube: counts, order, symmetry, restriction, and the
+face inclusion and face integrals of the dense test oracles."""
 
 from __future__ import annotations
 
@@ -8,17 +9,16 @@ from math import comb
 
 import pytest
 
+from dense import apply_dof, face_contains, face_moment
 from serendipity.cubegeom import (
     Face,
     all_faces,
     enumerate_faces,
-    face_contains,
-    face_moment,
     face_symmetry,
     full_cube,
     restrict_to_face,
 )
-from serendipity.dofs import DofFunctional, apply_dof
+from serendipity.dofs import DofFunctional
 from serendipity.exactpoly import Polynomial
 
 

@@ -17,21 +17,19 @@ from operator import add
 
 import pytest
 
+from dense import all_components, apply_dof, component_matrix, dof_matrix, face_contains
 from serendipity import cubegeom
 from serendipity.cubegeom import (
     Face,
     all_faces,
     enumerate_faces,
-    face_contains,
     full_cube,
     restrict_to_face,
 )
-from serendipity import decomp, dofs, spaces
+from serendipity import decomp, spaces
 from serendipity.decomp import (
-    all_components,
     bubble,
     certify_pairing,
-    component_matrix,
     decompose,
     facet_kernel_check,
     recompose,
@@ -42,9 +40,7 @@ from serendipity.dofs import (
     DofFunctional,
     RationalMatrix,
     SingularMatrixError,
-    apply_dof,
     check_unisolvence,
-    dof_matrix,
     dofs_S,
     nodal_basis,
 )
@@ -489,6 +485,11 @@ class TestPairing:
         assert pairing_block(Face(2, ((0, 1), (1, -1))), vertex, 3) == [[4]]
         result = check_unisolvence(2, 3)
         assert result.culprit == culprit and not result.unisolvent
+        assert result.rank is None and verify_direct_sum(2, 3).rank is None
+        # the dense ranks: the DOFs do not involve the bubbles, while the
+        # flipped bubble repeats the bubble of the vertex (+1, -1)
+        assert dof_matrix(basis_S(2, 3), dofs_S(2, 3)).rank() == 12
+        assert component_matrix(2, 3).rank() == 11
         with pytest.raises(SingularMatrixError):
             nodal_basis(2, 3)
 
@@ -584,7 +585,7 @@ class TestPairing:
         assert certify_pairing(2, 4) == culprit
         assert_uncertified(2, 4, culprit)
         # the certificate is one-sided: K itself is still nonsingular
-        assert verify_direct_sum(2, 4).rank == dim_S_formula(2, 4)
+        assert component_matrix(2, 4).rank() == dim_S_formula(2, 4)
 
     def test_weight_basis_check_runs_under_optimize(self):
         # the check is made of ifs, not asserts
@@ -678,7 +679,10 @@ def solved(n: int, r: int, values: list[int]) -> dict[tuple, dict]:
 
 def assert_uncertified(n: int, r: int, culprit: str) -> None:
     """The solver, the nodal basis, interpolation and the solve method all
-    stop with the pairing's culprit."""
+    stop with the pairing's culprit, and the checks report it with no rank:
+    the certificate is one-sided."""
+    for result in (check_unisolvence(n, r), verify_direct_sum(n, r)):
+        assert (result.culprit, result.rank) == (culprit, None)
     message = f"pairing at n={n}, r={r} is not certified: {culprit}"
     with pytest.raises(SingularMatrixError) as err:
         decomp._solve(n, r, 1, [0] * len(dofs_S(n, r)))
@@ -838,10 +842,10 @@ class TestPairingInverse:
         assert_uncertified(2, 4, culprit)
         # the dense ranks agree: the components are dependent, and so are
         # the DOFs once they carry the same index
-        assert verify_direct_sum(2, 4).rank == 16
+        assert component_matrix(2, 4).rank() == 16
         monkeypatch.setattr("serendipity.dofs.face_monomials", lambda n_, r_: index)
         fresh_caches()  # the DOFs were listed from the real index above
-        assert check_unisolvence(2, 4).rank == 16
+        assert dof_matrix(basis_S(2, 4), dofs_S(2, 4)).rank() == 16
 
     def test_flipped_bubble_fails_with_the_face(self, monkeypatch, fresh_caches):
         vertex = Face(2, ((0, 1), (1, 1)))
@@ -865,16 +869,17 @@ class TestPairingInverse:
 class TestDecomposeTraces:
     @pytest.mark.parametrize("n, r", [(3, 5), (5, 6)])
     def test_solve_traces_and_integrates_nothing(self, monkeypatch, n, r):
-        # D p comes from the per-axis split pass: no trace, no face moment
+        # D p comes from the per-axis split pass: no trace, and the package
+        # has no face integral to call
         p = mixed_space_member(random.Random(36), n, r)
         calls = []
-        for name in ("restrict_to_face", "face_moment"):
-            def spy(*args, name=name, real=getattr(cubegeom, name), **kwargs):
-                calls.append(name)
-                return real(*args, **kwargs)
 
-            for module in (cubegeom, decomp):
-                monkeypatch.setattr(module, name, spy, raising=False)
+        def spy(*args, real=cubegeom.restrict_to_face, **kwargs):
+            calls.append("restrict_to_face")
+            return real(*args, **kwargs)
+
+        for module in (cubegeom, decomp):
+            monkeypatch.setattr(module, "restrict_to_face", spy, raising=False)
         parts = decompose(p, r, method="solve")
         assert calls == []
         monkeypatch.undo()
@@ -950,10 +955,10 @@ class TestDirectSum:
         assert all(a[face].coefficient == b[face].coefficient for face in a)
 
     def test_solve_builds_no_component_matrix(self, monkeypatch, fresh_caches):
-        def refuse(n, r):
-            raise AssertionError("decompose built the component matrix")
+        def refuse(self, entries):
+            raise AssertionError("decompose built a dense matrix")
 
-        monkeypatch.setattr(decomp, "component_matrix", refuse)
+        monkeypatch.setattr(RationalMatrix, "__init__", refuse)
         p = random_space_member(random.Random(33), 3, 4)
         a = decompose(p, 4, method="solve")
         b = decompose(p, 4, method="construct")
@@ -1268,8 +1273,6 @@ class TestFacetKernel:
 
         monkeypatch.setattr(Polynomial, "__mul__", counting("mul", Polynomial.__mul__))
         monkeypatch.setattr(RationalMatrix, "__init__", counting("matrix", RationalMatrix.__init__))
-        for module in (cubegeom, dofs):
-            monkeypatch.setattr(module, "face_moment", counting("moment", module.face_moment))
         result = facet_kernel_check(2, 6)
         assert result.ok and result.kernel_dim == 6
         assert calls == []

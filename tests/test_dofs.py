@@ -15,15 +15,14 @@ from fractions import Fraction
 
 import pytest
 
+from dense import apply_dof, dof_matrix, face_contains
 from serendipity.cubegeom import Face, full_cube
 from serendipity.dofs import (
     DofFunctional,
     RationalMatrix,
     SingularMatrixError,
-    apply_dof,
     check_unisolvence,
     dof_layout,
-    dof_matrix,
     dofs_Q,
     dofs_S,
     nodal_basis,
@@ -420,7 +419,7 @@ class TestTraceLocality:
     def test_facet_dofs_determine_facet_trace(self, n):
         # whenever all DOFs on a facet and its subfaces vanish, the trace
         # on that facet vanishes identically
-        from serendipity.cubegeom import enumerate_faces, face_contains, restrict_to_face
+        from serendipity.cubegeom import enumerate_faces, restrict_to_face
 
         for r in range(1, 6):
             basis = basis_S(n, r)

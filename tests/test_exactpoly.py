@@ -16,10 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense import apply_dof, face_moment
 from serendipity import dofs
 from serendipity.assembly import interpolate
-from serendipity.cubegeom import Face, enumerate_faces, face_moment, face_symmetry, full_cube
-from serendipity.dofs import DofFunctional, apply_dof, dofs_S, nodal_basis, nodal_functions
+from serendipity.cubegeom import Face, enumerate_faces, face_symmetry, full_cube
+from serendipity.dofs import DofFunctional, dofs_S, nodal_basis, nodal_functions
 from serendipity.exactpoly import (
     Polynomial,
     grlex_key,

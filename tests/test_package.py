@@ -22,6 +22,46 @@ def test_all_names_resolve(module):
         getattr(mod, name)
 
 
+def test_public_api_is_pinned():
+    """Any change to the package's exports shows up as a diff here."""
+    assert serendipity.__all__ == [
+        "Polynomial",
+        "superlinear_degree",
+        "Face",
+        "all_faces",
+        "enumerate_faces",
+        "full_cube",
+        "restrict_to_face",
+        "SpaceBasis",
+        "basis_P",
+        "basis_Q",
+        "basis_S",
+        "check_inclusions",
+        "dim_P",
+        "dim_Q",
+        "dim_S_formula",
+        "DofFunctional",
+        "SingularMatrixError",
+        "check_unisolvence",
+        "dof_layout",
+        "dofs_Q",
+        "dofs_S",
+        "nodal_basis",
+        "FaceComponent",
+        "bubble",
+        "decompose",
+        "facet_kernel_check",
+        "recompose",
+        "verify_direct_sum",
+        "ContinuityReport",
+        "ElementPair",
+        "check_continuity",
+        "interpolate",
+        "shared_dof_pairs",
+        "__version__",
+    ]
+
+
 @pytest.mark.parametrize("module", MODULES + ["__init__"])
 def test_no_assert_statements(module):
     """Internal consistency checks raise explicitly, so they still run
