@@ -163,15 +163,18 @@ def interpolate(values: Sequence[Scalar], n: int, r: int) -> Polynomial:
     m = K^-1 v that ``decomp._solve`` finds by per-axis passes in the
     orthogonal coordinates, so no nodal function is expanded.  A float or
     bool value raises TypeError."""
-    count = len(dofs_S(n, r))
+    index = face_monomials(n, r)
+    count = sum(map(len, index.values()))
     if len(values) != count:
         raise ValueError(f"expected {count} DOF values, got {len(values)}")
     for v in values:
         if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
             raise TypeError(f"DOF value {v!r} is not an int or a Fraction")
     den = lcm(*(v.denominator for v in values))
-    scale, parts = _solve(n, r, den, [v.numerator * (den // v.denominator) for v in values])
-    return _polynomial(n, _merge(n, parts).get((), {}), scale)
+    cleared = (v.numerator * (den // v.denominator) for v in values)
+    parts = {face.fixed: dict(zip(weights, cleared)) for face, weights in index.items()}
+    scale, multipliers = _solve(n, r, den, parts)
+    return _polynomial(n, _merge(n, multipliers), scale)
 
 
 class ContinuityReport(Record):
@@ -232,7 +235,7 @@ def check_continuity(
     culprit = trace_certificate(n, r)
     if culprit is not None:
         raise SingularMatrixError(f"continuity at n={n}, r={r} is not certified: {culprit}")
-    shared = len(shared_dof_pairs(n, r, axis))
+    shared = sum(len(ws) for face, ws in face_monomials(n, r).items() if face.signs[axis] > 0)
     return ContinuityReport(
         n=n,
         r=r,

@@ -273,9 +273,9 @@ def _pair_axis(state: dict, j: int, n: int, r: int, free, pinned: int, drop) -> 
     return {pins: part for pins, part in out.items() if any(part.values())}
 
 
-def _solve(n: int, r: int, den: int, values: Sequence[int]) -> tuple[int, dict]:
-    """The multipliers m = K^-1 v for DOF values v, given in DOF order as
-    integers over den, as (scale, parts): each face with a nonzero
+def _solve(n: int, r: int, den: int, parts: dict[tuple, dict[Exponents, int]]) -> tuple[int, dict]:
+    """The multipliers m = K^-1 v for DOF values v, given as face parts of
+    integers over den keyed by pins, as (scale, parts): each face with a nonzero
     multiplier, keyed by its pins in DOF order, maps its weight q to scale
     times the multiplier of b_F x^q; ``_merge`` of the parts gives scale
     times the sum of b_F m_F.  The pairing must be certified; its culprit
@@ -290,24 +290,22 @@ def _solve(n: int, r: int, den: int, values: Sequence[int]) -> tuple[int, dict]:
     culprit = certify_pairing(n, r)
     if culprit is not None:
         raise SingularMatrixError(f"pairing at n={n}, r={r} is not certified: {culprit}")
-    index, cleared = face_monomials(n, r), iter(values)
-    state = {face.fixed: {w: v for w, v in zip(weights, cleared) if v} for face, weights in index.items()}
-    state, scale = {pins: part for pins, part in state.items() if part}, den
+    state, scale = {pins: part for pins, part in parts.items() if any(part.values())}, den
     for D, *maps in _pair_passes(r):
         for j in range(n):
             state = _pair_axis(state, j, n, r, *maps)
         scale *= D**n
     g = gcd(scale, *(y for part in state.values() for y in part.values()))
-    parts = {f.fixed: {q: y // g for q, y in state[f.fixed].items() if y} for f in index if f.fixed in state}
+    parts = {f.fixed: {q: y // g for q, y in state[f.fixed].items() if y} for f in face_monomials(n, r) if f.fixed in state}
     return scale // g, parts
 
 
-def _merge(n: int, parts: dict[tuple, dict[Exponents, int]]) -> dict[tuple, dict[Exponents, int]]:
-    """The sum of b_F m_F, each m_F given as integer terms keyed by F's
-    pins, by passes from x_n down to x_1: a part pinned at x_j = s is
-    multiplied by 1 + s x_j and drops the pin, any other part by
-    1 - x_j^2, and parts that meet add up.  The sum is the one part left,
-    keyed by no pins."""
+def _merge(n: int, parts: dict[tuple, dict[Exponents, int]]) -> dict[Exponents, int]:
+    """The sum of b_F m_F as integer terms, each m_F given as integer
+    terms keyed by F's pins, by passes from x_n down to x_1: a part pinned
+    at x_j = s is multiplied by 1 + s x_j and drops the pin, any other part
+    by 1 - x_j^2, and parts that meet add up.  The sum is the one part
+    left, keyed by no pins."""
     state = {pins: {q: y for q, y in m.items() if y} for pins, m in parts.items()}
     for j in reversed(range(n)):
         merged: dict[tuple, dict[Exponents, int]] = {}
@@ -320,7 +318,7 @@ def _merge(n: int, parts: dict[tuple, dict[Exponents, int]]) -> dict[tuple, dict
                 out[e] = out.get(e, 0) + c
                 out[up] = out.get(up, 0) + s * c
         state = merged
-    return state
+    return state.get((), {})
 
 
 def _polynomial(n: int, terms: dict[Exponents, int], den: int) -> Polynomial:
@@ -434,15 +432,13 @@ def _moments(r: int, axes: int, degree: int, a: int) -> tuple[tuple[int, int], .
     return tuple((w, 2 * M // (a + w + 1)) for w in range(a % 2, room + 1, 2))
 
 
-def _dof_values(p: Polynomial, r: int) -> tuple[int, list[int]]:
-    """(den, D p): the DOF values of p in DOF order, integers over den,
-    from the unpruned moment passes."""
+def _dof_values(p: Polynomial, r: int) -> tuple[int, dict[tuple, dict[Exponents, int]]]:
+    """(den, D p): the DOF values of p as face parts keyed by pins,
+    integers over den, from the unpruned moment passes."""
     n, M = p.n, lcm(*range(1, 2 * r + 2, 2))
     den, state = _cleared(p)
     parts = _split(state, n, partial(_moments, r))
-    index = face_monomials(n, r).items()
-    values = [parts.get(f.fixed, {}).get(w, 0) * M ** (n - f.dim) for f, ws in index for w in ws]
-    return den * M**n, values
+    return den * M**n, {pins: {w: v * M ** len(pins) for w, v in part.items()} for pins, part in parts.items()}
 
 
 def decompose(
@@ -494,7 +490,7 @@ def recompose(components: dict[Face, FaceComponent], n: int) -> Polynomial:
         part = multipliers.setdefault(face.fixed, {})
         for q, c in t:
             part[q] = part.get(q, 0) + c.numerator * (den // c.denominator)
-    return _polynomial(n, _merge(n, multipliers).get((), {}), den)
+    return _polynomial(n, _merge(n, multipliers), den)
 
 
 class FacetKernelResult(Record):

@@ -273,11 +273,6 @@ def check_unisolvence(n: int, r: int) -> UnisolvenceResult:
     from . import decomp
 
     basis = basis_S(n, r)
-    functionals = dofs_S(n, r)
-    if len(functionals) != basis.dim:
-        raise AssertionError(
-            f"{len(functionals)} functionals for a space of dimension {basis.dim}"
-        )
     culprit = decomp.certify_pairing(n, r)
     return UnisolvenceResult(
         n=n,
@@ -326,13 +321,11 @@ def _nodal_images(
     """
     from . import decomp
 
-    functionals = dofs_S(n, r)
-    solved: dict[int, list[tuple[int, dict[Exponents, int]]]] = {}
-    for L in functionals:
-        if L.face == enumerate_faces(n, L.face.dim)[0]:
-            unit = [int(k == L.index) for k in range(len(functionals))]
-            scale, parts = decomp._solve(n, r, 1, unit)
-            solved.setdefault(L.face.dim, []).append((scale, decomp._merge(n, parts).get((), {})))
+    index, solved = face_monomials(n, r), {}
+    for H in (enumerate_faces(n, d)[0] for d in range(n + 1)):
+        for w in index.get(H, ()):
+            scale, parts = decomp._solve(n, r, 1, {H.fixed: {w: 1}})
+            solved.setdefault(H.dim, []).append((scale, decomp._merge(n, parts)))
 
     def row(scale: int, terms: dict, source: list[int], pinned: int) -> tuple[list, ...]:
         exps, pos, neg, odds = [], [], [], []

@@ -1052,6 +1052,30 @@ class TestCertifiedPathEliminatesNothing:
         assert calls == []
 
 
+class TestDofRecordsOnlyList:
+    def test_no_dof_functional_outside_the_listings(self, capsys, monkeypatch, fresh_caches):
+        # the DOF order is the index: the checks, interpolation, the nodal
+        # basis and both decompositions never build a DofFunctional record
+        def refuse(self, *args):
+            raise AssertionError("a DofFunctional was built")
+
+        monkeypatch.setattr(dofs.DofFunctional, "__init__", refuse)
+        code, out = run_cli(capsys, "verify", "--n-max", "4", "--r-max", "8", "--jobs", "1",
+                            "--format", "json")
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert {row["check"] for row in results} == set(cli.VERIFY_CHECKS)
+        assert all(row["ok"] for row in results)
+        assembly.interpolate([Fraction(k, 3) for k in range(dim_S_formula(4, 6))], 4, 6)
+        assert len(list(dofs.nodal_functions(3, 5))) == dim_S_formula(3, 5)
+        assert len(dofs.nodal_basis(2, 6)) == dim_S_formula(2, 6)
+        member = Polynomial(3, {(2, 1, 0): Fraction(1, 2), (1, 1, 1): 3, (0, 0, 4): -1})
+        assert decomp.decompose(member, 6, "solve") == decomp.decompose(member, 6, "construct")
+        # the listings do build them
+        with pytest.raises(AssertionError, match="DofFunctional was built"):
+            dofs.dofs_S(2, 2)
+
+
 class TestGoldenOutput:
     """SHA-256 of stdout, pinned so that rewrites keep every byte."""
 

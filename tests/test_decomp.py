@@ -670,9 +670,21 @@ def unit(n: int, r: int, i: int) -> list[int]:
     return [int(k == i) for k in range(len(dofs_S(n, r)))]
 
 
+def dof_parts(n: int, r: int, values: list[int]) -> dict[tuple, dict]:
+    """DOF values in DOF order as face parts keyed by pins, through the
+    index ``decomp.face_monomials`` as it reads at the call."""
+    cleared = iter(values)
+    return {face.fixed: dict(zip(ws, cleared)) for face, ws in decomp.face_monomials(n, r).items()}
+
+
+def dense_values(n: int, r: int, parts: dict[tuple, dict]) -> list:
+    """Face parts read through the index in DOF order, 0 where absent."""
+    return [parts.get(face.fixed, {}).get(w, 0) for face, ws in face_monomials(n, r).items() for w in ws]
+
+
 def solved(n: int, r: int, values: list[int]) -> dict[tuple, dict]:
     """The solver's nonzero multipliers as Fractions, keyed by pins."""
-    scale, parts = decomp._solve(n, r, 1, values)
+    scale, parts = decomp._solve(n, r, 1, dof_parts(n, r, values))
     out = {pins: {q: Fraction(y, scale) for q, y in part.items() if y} for pins, part in parts.items()}
     return {pins: part for pins, part in out.items() if part}
 
@@ -685,7 +697,7 @@ def assert_uncertified(n: int, r: int, culprit: str) -> None:
         assert (result.culprit, result.rank) == (culprit, None)
     message = f"pairing at n={n}, r={r} is not certified: {culprit}"
     with pytest.raises(SingularMatrixError) as err:
-        decomp._solve(n, r, 1, [0] * len(dofs_S(n, r)))
+        decomp._solve(n, r, 1, dof_parts(n, r, [0] * len(dofs_S(n, r))))
     assert str(err.value) == message
     for attempt in (
         lambda: nodal_basis(n, r),
@@ -797,17 +809,18 @@ class TestPairingInverse:
         rng = random.Random(10 * n + r)
         values = [Fraction(rng.randint(-99, 99), rng.choice((1, 2, 3, 7, 12))) for _ in dofs_S(n, r)]
         den, got = decomp._dof_values(interpolate(values, n, r), r)
-        assert [Fraction(v, den) for v in got] == values
+        assert [Fraction(v, den) for v in dense_values(n, r, got)] == values
 
     @pytest.mark.parametrize("n, r", PAIRING_CELLS)
     def test_holds_the_canonical_columns_in_dof_order(self, n, r):
         # the columns the nodal basis solves for, those of the first face of
         # each dimension: integer parts in DOF order over their least scale
         first = {enumerate_faces(n, d)[0] for d in range(n + 1)}
-        order = [face.fixed for face in face_monomials(n, r)]
-        for L in dofs_S(n, r):
-            if L.face in first:
-                scale, parts = decomp._solve(n, r, 1, unit(n, r, L.index))
+        index = decomp.face_monomials(n, r)
+        order = [face.fixed for face in index]
+        for face in first & index.keys():
+            for w in index[face]:
+                scale, parts = decomp._solve(n, r, 1, {face.fixed: {w: 1}})
                 assert list(parts) == [pins for pins in order if pins in parts]
                 numbers = [scale, *(y for part in parts.values() for y in part.values())]
                 assert all(type(y) is int for y in numbers)
@@ -1155,9 +1168,22 @@ class TestDofValues:
         rng = random.Random(300 * n + r)
         members = [mixed_space_member(rng, n, r), *self.odd_members(rng, n, r)]
         for p in members if n < 4 else members[-1:]:
-            den, values = decomp._dof_values(p, r)
+            den, parts = decomp._dof_values(p, r)
             expected = [apply_dof(L, p) for L in dofs_S(n, r)]
-            assert [Fraction(v, den) for v in values] == expected, (n, r, p)
+            assert [Fraction(v, den) for v in dense_values(n, r, parts)] == expected, (n, r, p)
+
+    @pytest.mark.parametrize(
+        "n, r", [(n, r) for n in range(1, 5) for r in range(1, 9)] + [(5, 8), (6, 6)]
+    )
+    def test_lie_inside_the_index(self, n, r):
+        # the pairing solve takes these parts as they come, without reading
+        # them through the index, so no face or weight may fall outside it
+        p = Polynomial(n, dict.fromkeys(basis_S(n, r).monomials, 1))
+        index = {face.fixed: set(ws) for face, ws in face_monomials(n, r).items()}
+        den, parts = decomp._dof_values(p, r)
+        assert parts
+        for pins, part in parts.items():
+            assert pins in index and part.keys() <= index[pins], (pins, part)
 
 
 class TestRecompose:
