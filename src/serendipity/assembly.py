@@ -22,8 +22,8 @@ from functools import lru_cache
 from math import lcm
 
 from .cubegeom import Face
-from .decomp import _merge, _polynomial, _solve, certify_pairing
-from .dofs import DofFunctional, SingularMatrixError, dofs_S
+from .decomp import SingularMatrixError, _merge, _polynomial, _solve, certify_pairing
+from .dofs import DofFunctional, dofs_S
 from .exactpoly import Exponents, Polynomial, Record, Scalar, monomial_str
 from .spaces import basis_S, face_monomials
 
@@ -162,7 +162,9 @@ def interpolate(values: Sequence[Scalar], n: int, r: int) -> Polynomial:
     sum of b_F m_F, formed by ``decomp._merge``, with the multipliers
     m = K^-1 v that ``decomp._solve`` finds by per-axis passes in the
     orthogonal coordinates, so no nodal function is expanded.  A float or
-    bool value raises TypeError."""
+    bool value raises TypeError.  The values come in DOF order, that of
+    the index ``face_monomials(n, r)``: the one dense vector of DOF values
+    in the package, read here into face parts keyed by pins."""
     index = face_monomials(n, r)
     count = sum(map(len, index.values()))
     if len(values) != count:

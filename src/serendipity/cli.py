@@ -224,7 +224,9 @@ def _functional_items(functionals: Iterable[DofFunctional]) -> Iterator[str]:
 
 def _emit(args: Namespace, chunks: Iterable[str]) -> None:
     """Write the chunks to stdout, or to --out atomically: a temporary file
-    in the target's directory replaces the target only once fully written."""
+    in the target's directory replaces the target only once fully written.
+    An existing target that is not a regular file, a device or a FIFO, is
+    written in place, since a replace would swap it for a regular file."""
     if args.out is None:
         try:
             for chunk in chunks:
@@ -237,18 +239,24 @@ def _emit(args: Namespace, chunks: Iterable[str]) -> None:
         return
     tmp = args.out.with_name(f".{args.out.name}.{os.getpid()}.tmp")
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        in_place = args.out.exists() and not args.out.is_file()
+        if in_place:
+            fd = os.open(args.out, os.O_WRONLY)
+        else:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as err:
         raise InputError(f"cannot write --out {args.out}: {err.strerror}") from None
     try:
         with os.fdopen(fd, "w") as fh:
             for chunk in chunks:
                 fh.write(chunk)
-        os.replace(tmp, args.out)
+        if not in_place:
+            os.replace(tmp, args.out)
     except OSError as err:
         raise InputError(f"cannot write --out {args.out}: {err.strerror}") from None
     finally:
-        tmp.unlink(missing_ok=True)
+        if not in_place:
+            tmp.unlink(missing_ok=True)
 
 
 def _tabular(

@@ -53,7 +53,6 @@ from functools import cache, lru_cache, partial
 from math import gcd, lcm, prod
 
 from .cubegeom import Face
-from .dofs import SingularMatrixError
 from .exactpoly import Exponents, Polynomial, Record, grlex_key
 from .spaces import basis_S, dim_P, dim_S_formula, face_monomials
 
@@ -69,6 +68,12 @@ __all__ = [
     "FacetKernelResult",
     "facet_kernel_check",
 ]
+
+
+class SingularMatrixError(ArithmeticError):
+    """Raised when a solve over the pairing finds it uncertified
+    (``certify_pairing``), or when ``dofs.RationalMatrix.solve`` meets a
+    rank-deficient matrix."""
 
 
 class FaceComponent(Record):
@@ -274,12 +279,13 @@ def _pair_axis(state: dict, j: int, n: int, r: int, free, pinned: int, drop) -> 
 
 
 def _solve(n: int, r: int, den: int, parts: dict[tuple, dict[Exponents, int]]) -> tuple[int, dict]:
-    """The multipliers m = K^-1 v for DOF values v, given as face parts of
-    integers over den keyed by pins, as (scale, parts): each face with a nonzero
-    multiplier, keyed by its pins in DOF order, maps its weight q to scale
-    times the multiplier of b_F x^q; ``_merge`` of the parts gives scale
-    times the sum of b_F m_F.  The pairing must be certified; its culprit
-    is raised.
+    """The multipliers m = K^-1 v for DOF values v, as (scale, parts).
+    v comes as face parts, the one form of DOF data inside the package:
+    each face's pins map weights of the face in the index to integers over
+    den, and what is left out is 0.  Each face with a nonzero multiplier,
+    keyed by its pins in DOF order, maps its weight q to scale times the
+    multiplier of b_F x^q; ``_merge`` of the parts gives scale times the
+    sum of b_F m_F.  The pairing must be certified; its culprit is raised.
 
     In the weights J_w and the components b_G J_k, K is a product of one
     factor per axis, so it is solved by passes along x_1, ..., x_n: n into
@@ -434,7 +440,9 @@ def _moments(r: int, axes: int, degree: int, a: int) -> tuple[tuple[int, int], .
 
 def _dof_values(p: Polynomial, r: int) -> tuple[int, dict[tuple, dict[Exponents, int]]]:
     """(den, D p): the DOF values of p as face parts keyed by pins,
-    integers over den, from the unpruned moment passes."""
+    integers over den, from the unpruned moment passes, which hold a
+    d-face's values over M^d; a part may hold zeros, and its faces and
+    weights lie in the index."""
     n, M = p.n, lcm(*range(1, 2 * r + 2, 2))
     den, state = _cleared(p)
     parts = _split(state, n, partial(_moments, r))

@@ -28,7 +28,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+from . import decomp
 from .cubegeom import Face, enumerate_faces, face_symmetry
+from .decomp import SingularMatrixError
 from .exactpoly import Exponents, Polynomial, Record, grlex_key, monomial_str
 from .spaces import (
     basis_S,
@@ -51,12 +53,6 @@ __all__ = [
     "LayoutReport",
     "dof_layout",
 ]
-
-
-class SingularMatrixError(ArithmeticError):
-    """Raised when a solve over the pairing finds it uncertified
-    (``decomp.certify_pairing``), or when ``RationalMatrix.solve`` meets a
-    rank-deficient matrix."""
 
 
 def _bareiss(
@@ -270,8 +266,6 @@ def check_unisolvence(n: int, r: int) -> UnisolvenceResult:
     be the facet-bubble multiples of the total degree r - 2n family
     (empty when r < 2n).
     """
-    from . import decomp
-
     basis = basis_S(n, r)
     culprit = decomp.certify_pairing(n, r)
     return UnisolvenceResult(
@@ -294,18 +288,19 @@ def _nodal_images(
     is read, one perm at a time.
 
     With K = D C the pairing of the DOFs with the bubble components, the
-    inverse of the DOF matrix is C K^-1: the nodal function of a DOF is
-    the sum of b_F m_F with the multipliers m = K^-1 of its unit vector,
-    which ``decomp._solve`` finds by per-axis passes in the orthogonal
+    inverse of the DOF matrix is C K^-1: the nodal function of the DOF
+    (F, w) is the sum of b_G m_G with the multipliers m = K^-1 of its
+    unit values, the one face part {F's pins: {w: 1}}, which
+    ``decomp._solve`` finds by per-axis passes in the orthogonal
     coordinates and the merge pass ``decomp._merge`` sums, as
     interpolation does.
 
-    Only the DOFs of the first face H0 of each dimension are solved for,
-    and each solved function is kept as integer terms over its scale.  For
-    any other face H, the cube symmetry sigma with sigma H0 = H
-    (``cubegeom.face_symmetry``) maps the DOFs of H0 to those of H in
-    order and each bubble b_F to b_{sigma F}, lemmas of the certificate
-    that the solve requires.  So the function of weight i on H is that of
+    Only the weights of the first face H0 of each dimension in the index
+    are solved for, and each solved function is kept as integer terms
+    over its scale.  For any other face H, the cube symmetry sigma with
+    sigma H0 = H (``cubegeom.face_symmetry``) maps the DOFs of H0 to
+    those of H in order and each bubble b_F to b_{sigma F}, lemmas of the
+    certificate that the solve requires.  So the function of weight i on H is that of
     weight i on H0 composed with sigma^-1: each term c x^e becomes
     +-c x^e', with e'[perm[k]] = e[k], negated when e' is odd over the
     flipped axes.
@@ -319,8 +314,6 @@ def _nodal_images(
     takes the second value where that bitmask and the face's flipped axes
     share an odd number of bits.
     """
-    from . import decomp
-
     index, solved = face_monomials(n, r), {}
     for H in (enumerate_faces(n, d)[0] for d in range(n + 1)):
         for w in index.get(H, ()):

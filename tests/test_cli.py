@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -767,6 +768,22 @@ class TestAtomicOut:
         assert code == 2
         assert "No space left on device" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+    def test_writes_a_fifo_in_place(self, capsys, tmp_path):
+        # a replace would swap the FIFO for a regular file no reader sees
+        fifo = tmp_path / "table.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(["table1", "--out", str(fifo)]) == 0
+            got = b"".join(iter(lambda: os.read(reader, 1 << 16), b""))
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert list(tmp_path.iterdir()) == [fifo]
+        main(["table1"])
+        assert got == capsys.readouterr().out.encode()
 
 
 class TestStdoutPipe:

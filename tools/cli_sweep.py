@@ -29,8 +29,9 @@ decomposition export of x1^2 x2 x4 x5^2 at (5, 6), which substitutes
 through five face dimensions; an n = 3 ``--poly`` member with mixed denominators
 through ``decompose --method solve|both`` and the solve decomposition
 export at (3, 6); the certified checks (unisolvence, direct sum, facet
-kernel) at (4, 12), (5, 8) and (6, 6), and unisolvence and facet kernel
-as JSON over every cell n <= 6, r <= 12; the Q DOF layout as csv at
+kernel) at (4, 12), (5, 8) and (6, 6), unisolvence and facet kernel
+as JSON over every cell n <= 6, r <= 12, and direct sum and continuity
+(its shared DOF count) as JSON over the same cells; the Q DOF layout as csv at
 (5, 12), which no functional cap bounds, and the Q DOF listing as JSON
 at (4, 12), whose 28,561 streamed functionals reuse each face's text; the decompose methods with
 default, ``--alpha`` and ``--poly`` input;
@@ -126,8 +127,8 @@ def invocations(inputs: Path) -> list[list[str]]:
     # the certified checks near the caps, where they need no dense rank
     runs += [["verify", *cell(n, r), "--checks", "unisolvence,direct-sum,facet-kernel",
               "--jobs", "1"] for n, r in ((4, 12), (5, 8), (6, 6))]
-    runs.append(["verify", "--n-max", "6", "--r-max", "12", "--checks",
-                 "unisolvence,facet-kernel", "--format", "json"])
+    runs += [["verify", "--n-max", "6", "--r-max", "12", "--checks", checks, "--format", "json"]
+             for checks in ("unisolvence,facet-kernel", "direct-sum,continuity")]
     # the Q layout alone, which no functional cap bounds
     runs.append(["dofs", *cell(5, 12), "--family", "Q", "--format", "csv"])
     runs.append(["dofs", *cell(4, 12), "--family", "Q", "--format", "json"])
