@@ -14,25 +14,24 @@ with ``what`` set and ``command`` set to ``export`` (``decompose`` kept).
 Supported ranges are hard-capped at n <= 6 and r <= 12, and --trials
 at 10^6 (a JSON report holds one boolean per trial).  The
 unisolvence, direct-sum and facet-kernel checks reach the caps in
-seconds (under 2 s for each n at r = 12 on a shared 2-vCPU machine);
-whatever solves over the pairing, by per-axis passes in the orthogonal
-coordinates (decompose, nodal, decomposition and evalgrid exports),
-grows with the space dimension, because all arithmetic is exact.  Term
-lists are written straight to JSON text and the nodal functions one at
-a time, each image's text picked term by term from rows formed once
-per cube symmetry, so on a shared 2-vCPU machine the solve
-decomposition of the default member at (6, 12) takes about 5-7 s,
-88 MB, and the nodal export at (6, 8) about 1.5-2.2 s, 34 MB, for
-422 MB of JSON.
-Continuity reads its report off the
-pairing and trace certificates, so it builds no nodal basis and traces
-nothing: its trials and controls are certified, not sampled, and the
-cap cell (6, 12) takes about 1.3 s.  Every ``verify`` check runs in this
+0.05-0.21 s for each n at r = 12 (interpreter start included, on a
+shared 2-vCPU machine); whatever solves over the pairing, by per-axis
+passes in the orthogonal coordinates (decompose, nodal, decomposition
+and evalgrid exports), grows with the space dimension, because all
+arithmetic is exact.  Term lists are written straight to JSON text and
+the nodal functions one at a time, each image's text picked term by
+term from rows formed once per cube symmetry, so on a shared 2-vCPU
+machine the solve decomposition of the default member at (6, 12) takes
+about 4.3-4.4 s, 88 MB, and the nodal export at (6, 8) about 1.2-1.3 s,
+33 MB, for 422 MB of JSON.  Continuity reads its report off the pairing
+and trace certificates, so it builds no nodal basis and traces nothing:
+its trials and controls are certified, not sampled, and the cap cell
+(6, 12) takes about 0.3-0.45 s.  Every ``verify`` check runs in this
 one process.  The evalgrid export compiles each nodal function's
 float Horner scheme into straight-line code at its first grid point
 (a fraction of a millisecond per function), so each later point costs
 one call of that code, one power per distinct axis and exponent step;
-with 2 points at (6, 6) the compiles are most of its 9-16 s.  It
+with 2 points at (6, 6) the compiles are most of its 10 s.  It
 writes at most 10^6 values (points^n times dim S).  A DOF listing
 (``dofs`` as text or json, ``export --what dofs``) builds at most 10^6
 functionals, which only the Q family's
@@ -48,6 +47,7 @@ import io
 import itertools
 import json
 import os
+import stat
 import sys
 from argparse import Namespace
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -224,9 +224,10 @@ def _functional_items(functionals: Iterable[DofFunctional]) -> Iterator[str]:
 
 def _emit(args: Namespace, chunks: Iterable[str]) -> None:
     """Write the chunks to stdout, or to --out atomically: a temporary file
-    in the target's directory replaces the target only once fully written.
-    An existing target that is not a regular file, a device or a FIFO, is
-    written in place, since a replace would swap it for a regular file."""
+    beside the target, symlinks followed, replaces it only once fully
+    written, with the target's permission bits if it exists.  An existing
+    target that is not a regular file, a device or a FIFO, is written in
+    place, since a replace would swap it for a regular file."""
     if args.out is None:
         try:
             for chunk in chunks:
@@ -237,21 +238,25 @@ def _emit(args: Namespace, chunks: Iterable[str]) -> None:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             raise InputError(f"cannot write to stdout: {err.strerror}") from None
         return
-    tmp = args.out.with_name(f".{args.out.name}.{os.getpid()}.tmp")
+    target = Path(os.path.realpath(args.out))  # a link stays a link
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
-        in_place = args.out.exists() and not args.out.is_file()
+        mode = os.stat(target).st_mode if os.path.lexists(target) else None
+        in_place = mode is not None and not stat.S_ISREG(mode)
         if in_place:
-            fd = os.open(args.out, os.O_WRONLY)
+            fd = os.open(target, os.O_WRONLY)
         else:
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as err:
         raise InputError(f"cannot write --out {args.out}: {err.strerror}") from None
     try:
         with os.fdopen(fd, "w") as fh:
+            if mode is not None and not in_place:
+                os.fchmod(fd, stat.S_IMODE(mode))
             for chunk in chunks:
                 fh.write(chunk)
         if not in_place:
-            os.replace(tmp, args.out)
+            os.replace(tmp, target)
     except OSError as err:
         raise InputError(f"cannot write --out {args.out}: {err.strerror}") from None
     finally:

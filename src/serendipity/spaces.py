@@ -8,13 +8,14 @@ Three families, each realized as an explicit ordered monomial basis:
   most r, i.e. the total degree may exceed r only through variables
   that enter linearly.
 
-The S basis is produced constructively rather than by filtering: choose
-d variables that appear with exponent >= 2, a monomial of total degree
-at most r - 2d in those variables (shifted up by the forced square),
-and an arbitrary 0/1 exponent pattern on the rest.  Each admissible
-monomial arises exactly once.  Its cardinality matches the closed-form
-dimension count, and membership in the two equivalent definitions is
-checked for every generated monomial.
+The S basis is read off the element's index, the same (face, weight)
+pairs that order the DOFs.  The paper's count of S_r pairs each d-face
+with free axes J and a moment weight of degree at most r - 2d on J with
+one monomial: exponent 2 plus the weight's on J (its superlinear
+axes), and 1 or 0 on each pinned axis by the sign it is pinned at.
+Each admissible monomial arises exactly once; its cardinality matches
+the closed-form dimension count, and membership in the two equivalent
+definitions is checked for every monomial.
 
 A monomial is its exponent tuple throughout.  ``face_monomials`` is the
 element's one (face, monomial) index: it orders both the DOFs and the
@@ -103,22 +104,9 @@ def monomials_total_degree_at_most(
     Ambient length n, zero on all other axes, graded lex order.  Empty
     for s < 0; just the zero tuple for s >= 0 with no axes.
     """
-    if s < 0:
-        return []
-    out: list[Exponents] = []
-    k = len(indices)
-
-    def rec(pos: int, remaining: int, partial: list[int]) -> None:
-        if pos == k:
-            exps = [0] * n
-            for axis, e in zip(indices, partial):
-                exps[axis] = e
-            out.append(tuple(exps))
-            return
-        for e in range(remaining + 1):
-            rec(pos + 1, remaining - e, partial + [e])
-
-    rec(0, s, [])
+    out: list[Exponents] = [(0,) * n] if s >= 0 else []
+    for axis in indices:
+        out = [m[:axis] + (e,) + m[axis + 1 :] for m in out for e in range(s - sum(m) + 1)]
     out.sort(key=grlex_key)
     return out
 
@@ -147,13 +135,15 @@ def face_monomials(n: int, r: int) -> dict[Face, tuple[Exponents, ...]]:
     The (face, monomial) pairs serve both as DOF moment weights and as
     bubble multipliers of the face components.  Faces come in DOF order
     (face dimension, then canonical face order) with their monomials in
-    graded lex; faces without monomials are left out.
+    graded lex; faces without monomials are left out.  The 2^(n-d) faces
+    on one set of free axes share one weight tuple.
     """
-    return {
-        face: exps
-        for face in all_faces(n)
-        if (exps := tuple(monomials_total_degree_at_most(n, face.free_indices, r - 2 * face.dim)))
+    faces = all_faces(n)
+    weights = {
+        free: tuple(monomials_total_degree_at_most(n, free, r - 2 * len(free)))
+        for free in dict.fromkeys(face.free_indices for face in faces)
     }
+    return {face: weights[face.free_indices] for face in faces if weights[face.free_indices]}
 
 
 def dim_P(d: int, s: int) -> int:
@@ -199,38 +189,29 @@ def is_linear_outside_degree_budget(exponents: Exponents, r: int) -> bool:
 
 
 def serendipity_exponents(n: int, r: int) -> list[Exponents]:
-    """Constructive enumeration of the S basis exponents, graded lex.
+    """The S basis exponents read off the index, graded lex.
 
-    For each d in 0..min(n, r//2): pick the set J of superlinear axes,
-    an inner monomial of total degree <= r - 2d on J, and a 0/1 pattern
-    on the complement.  The superlinear axes receive exponent 2 plus the
-    inner exponent, so every monomial is generated exactly once and no
-    deduplication is needed.
+    Each (face, weight) pair of ``face_monomials(n, r)`` gives one
+    monomial: the weight plus 2 on each free axis, 1 on each axis pinned
+    at +1 and 0 on each axis pinned at -1.  Its superlinear axes are the
+    face's free axes, so every monomial arises exactly once.
     """
     if n < 1 or r < 1:
         raise ValueError("serendipity family requires n >= 1 and r >= 1")
     out: list[Exponents] = []
-    for d in range(min(n, r // 2) + 1):
-        for sup in itertools.combinations(range(n), d):
-            sup_set = set(sup)
-            rest = [i for i in range(n) if i not in sup_set]
-            for inner in monomials_total_degree_at_most(n, sup, r - 2 * d):
-                for pattern in itertools.product((0, 1), repeat=len(rest)):
-                    exps = list(inner)
-                    for axis in sup:
-                        exps[axis] += 2
-                    for axis, bit in zip(rest, pattern):
-                        exps[axis] = bit
-                    exps_t = tuple(exps)
-                    # both admission tests must agree with the construction
-                    if not (
-                        has_superlinear_degree_at_most(exps_t, r)
-                        and is_linear_outside_degree_budget(exps_t, r)
-                    ):
-                        raise AssertionError(f"{exps_t} fails an admission test for r={r}")
-                    out.append(exps_t)
+    for face, weights in face_monomials(n, r).items():
+        signs = face.signs
+        for w in weights:
+            exps = tuple([e + 2 if not s else int(s > 0) for e, s in zip(w, signs)])
+            # both admission tests must agree with the pairing
+            if not (
+                has_superlinear_degree_at_most(exps, r)
+                and is_linear_outside_degree_budget(exps, r)
+            ):
+                raise AssertionError(f"{exps} fails an admission test for r={r}")
+            out.append(exps)
     if len(set(out)) != len(out):
-        raise AssertionError("constructive enumeration repeated a monomial")
+        raise AssertionError("the index gave a monomial twice")
     out.sort(key=grlex_key)
     return out
 

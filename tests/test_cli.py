@@ -769,6 +769,34 @@ class TestAtomicOut:
         assert "No space left on device" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_symlinked_target_is_written_through_the_link(self, capsys, tmp_path):
+        real = tmp_path / "real"
+        real.mkdir()
+        (real / "file.json").write_text("old")
+        link = tmp_path / "link.json"
+        link.symlink_to(os.path.join("real", "file.json"))
+        argv = ["table1", "--n", "1", "--r", "1", "--format", "json"]
+        assert main(argv + ["--out", str(link)]) == 0
+        main(argv)
+        assert link.is_symlink()
+        assert (real / "file.json").read_text() == capsys.readouterr().out
+        assert list(real.iterdir()) == [real / "file.json"]
+
+    def test_existing_target_keeps_its_mode(self, tmp_path):
+        target = tmp_path / "table.txt"
+        target.write_text("old")
+        target.chmod(0o600)
+        assert main(["table1", "--out", str(target)]) == 0
+        assert stat.S_IMODE(target.stat().st_mode) == 0o600
+
+    def test_symlink_loop_is_one_line_and_exit_2(self, capsys, tmp_path):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        first.symlink_to(second)
+        second.symlink_to(first)
+        assert main(["table1", "--out", str(first)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "cannot write --out" in err
+        assert first.is_symlink() and second.is_symlink()
 
     def test_writes_a_fifo_in_place(self, capsys, tmp_path):
         # a replace would swap the FIFO for a regular file no reader sees

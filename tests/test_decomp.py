@@ -1336,6 +1336,7 @@ class TestFacetKernel:
             return found + found[:1] if len(axes) == n else found
 
         basis_S(2, 5)  # enumerated, and cached, before the index is patched
+        face_monomials.cache_clear()  # the basis read the index: build it again
         monkeypatch.setattr(spaces, "monomials_total_degree_at_most", doubled)
         assert len(face_monomials(2, 5)[full_cube(2)]) == 4
         result = facet_kernel_check(2, 5)

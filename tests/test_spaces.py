@@ -130,21 +130,24 @@ class TestSerendipityFamily:
         assert len(set(keys)) == len(keys)
 
     def test_membership_filters_agree_with_enumeration(self):
-        # exhaustive comparison against both definitional filters over
-        # the enclosing tensor grid of degree r + n
-        for n in range(1, 4):
-            for r in range(1, 5):
-                enumerated = set(serendipity_exponents(n, r))
-                grid = itertools.product(range(r + n + 1), repeat=n)
-                by_superlinear = set()
-                by_linear_count = set()
-                for exps in grid:
-                    if has_superlinear_degree_at_most(exps, r):
-                        by_superlinear.add(exps)
-                    if is_linear_outside_degree_budget(exps, r):
-                        by_linear_count.add(exps)
-                assert by_superlinear == by_linear_count
-                assert enumerated == by_superlinear, (n, r)
+        # exhaustive comparison against both definitional filters over the
+        # box [0, r]^n, which holds every S_r monomial; then the exponent types
+        cells = [(n, r) for n in range(1, 5) for r in range(1, 9)] + [(5, 8), (6, 6)]
+        for n, r in cells:
+            enumerated = set(serendipity_exponents(n, r))
+            by_superlinear = set()
+            by_linear_count = set()
+            for exps in itertools.product(range(r + 1), repeat=n):
+                if has_superlinear_degree_at_most(exps, r):
+                    by_superlinear.add(exps)
+                if is_linear_outside_degree_budget(exps, r):
+                    by_linear_count.add(exps)
+            assert by_superlinear == by_linear_count
+            assert enumerated == by_superlinear, (n, r)
+        # a bool exponent equals 1 but is refused by Polynomial and prints as true
+        for n in range(1, 7):
+            for r in range(1, 13):
+                assert all(type(e) is int for m in basis_S(n, r) for e in m), (n, r)
 
     def test_monotone_in_degree(self):
         for r in range(1, 8):
@@ -198,6 +201,7 @@ class TestHelperEnumerations:
             (0, 0, 1), (1, 0, 0),
             (0, 0, 2), (1, 0, 1), (2, 0, 0),
         ]
+        assert monomials_total_degree_at_most(3, (2, 0), 2) == exps
 
     def test_negative_budget_empty(self):
         assert monomials_total_degree_at_most(2, (0, 1), -1) == []
@@ -220,6 +224,13 @@ class TestFaceMonomials:
                 assert list(index[face]) == monomials_total_degree_at_most(
                     n, face.free_indices, budget
                 )
+
+    @pytest.mark.parametrize("n, r", [(2, 3), (4, 8), (6, 6)])
+    def test_faces_on_the_same_free_axes_share_one_tuple(self, n, r):
+        index = face_monomials(n, r)
+        first: dict[tuple[int, ...], tuple] = {}
+        for face, weights in index.items():
+            assert weights is first.setdefault(face.free_indices, weights), face
 
     def test_square_at_degree_three(self):
         index = face_monomials(2, 3)

@@ -31,7 +31,9 @@ through ``decompose --method solve|both`` and the solve decomposition
 export at (3, 6); the certified checks (unisolvence, direct sum, facet
 kernel) at (4, 12), (5, 8) and (6, 6), unisolvence and facet kernel
 as JSON over every cell n <= 6, r <= 12, and direct sum and continuity
-(its shared DOF count) as JSON over the same cells; the Q DOF layout as csv at
+(its shared DOF count) as JSON over the same cells; the S basis, which
+is read off the element's (face, weight) index, as JSON at (4, 12),
+(5, 12) and (6, 12) and as text at (6, 12); the Q DOF layout as csv at
 (5, 12), which no functional cap bounds, and the Q DOF listing as JSON
 at (4, 12), whose 28,561 streamed functionals reuse each face's text; the decompose methods with
 default, ``--alpha`` and ``--poly`` input;
@@ -129,6 +131,9 @@ def invocations(inputs: Path) -> list[list[str]]:
               "--jobs", "1"] for n, r in ((4, 12), (5, 8), (6, 6))]
     runs += [["verify", "--n-max", "6", "--r-max", "12", "--checks", checks, "--format", "json"]
              for checks in ("unisolvence,facet-kernel", "direct-sum,continuity")]
+    # the S basis at r = 12, read off the (face, weight) index
+    runs += [["basis", *cell(n, 12), "--format", "json"] for n in (4, 5, 6)]
+    runs.append(["basis", *cell(6, 12)])
     # the Q layout alone, which no functional cap bounds
     runs.append(["dofs", *cell(5, 12), "--family", "Q", "--format", "csv"])
     runs.append(["dofs", *cell(4, 12), "--family", "Q", "--format", "json"])
