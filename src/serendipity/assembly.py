@@ -6,11 +6,14 @@ left element exposes its {x_axis = +1} facet, the right its
 coordinate systems is the identity on the remaining n - 1 coordinates.
 DOFs supported on the shared facet (or any of its subfaces) pair up
 across the elements with identical weight polynomials, so giving paired
-DOFs equal values must produce equal traces: ``trace_certificate``
-proves it on every axis by the paper's trace argument, and
-``check_continuity`` reads its trial and control counts off that
-certificate and the pairing certificate, so it builds no nodal basis and
-traces nothing.  Axes are 0-based here and 1-based in serialized reports.
+DOFs equal values must produce equal traces.  This is the paper's trace
+argument, and ``trace_certificate`` states it on every axis: the
+restriction of the space and the facet DOFs are lemmas of the pairing
+certificates of the element and of its facet element, so what it checks
+is the facet element's certificate.  ``check_continuity`` reads its
+trial and control counts off the two certificates, so it builds no
+nodal basis and traces nothing.  Axes are 0-based here and 1-based in
+serialized reports.
 """
 
 from __future__ import annotations
@@ -18,14 +21,13 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
 from .cubegeom import Face
 from .decomp import SingularMatrixError, _merge, _polynomial, _solve, certify_pairing
 from .dofs import DofFunctional, dofs_S
-from .exactpoly import Exponents, Polynomial, Record, Scalar, monomial_str
-from .spaces import basis_S, face_monomials
+from .exactpoly import Polynomial, Record, Scalar
+from .spaces import face_monomials
 
 __all__ = [
     "ElementPair",
@@ -74,9 +76,9 @@ def shared_dof_pairs(
     x_axis = +1 has a mirror F', the same face pinned at -1.  F' has the
     same free axes, so the index gives it the same weights in the same
     order, and the pairs are the DOF ranges of F and F' zipped.  So the
-    pairing is a bijection with equal weights by construction;
-    ``trace_certificate`` checks that its left side is the DOF set of
-    the (n - 1)-element.
+    pairing is a bijection with equal weights by construction.  Its left
+    side is the DOF set of the (n - 1)-element: part (ii) of
+    ``trace_certificate``, a lemma of the pairing certificates.
     """
     ElementPair(n, axis)  # ValueError for an axis out of range
     functionals = iter(dofs_S(n, r))
@@ -92,21 +94,10 @@ def shared_dof_pairs(
     return tuple(pairs)
 
 
-def _facet_coordinates(
-    face: Face, weights: Sequence[Exponents], axis: int
-) -> tuple[Face, tuple[Exponents, ...]]:
-    """A face in the facet {x_axis = +1} and its DOF weights in the
-    coordinates of the (n - 1)-cube: the pin and the exponent of x_axis
-    go, later axes move down by one."""
-    pins = tuple((i - (i > axis), s) for i, s in face.fixed if i != axis)
-    return Face(face.n - 1, pins), tuple(w[:axis] + w[axis + 1 :] for w in weights)
-
-
-@lru_cache(maxsize=None)
 def trace_certificate(n: int, r: int) -> str | None:
     """Certify the paper's trace argument on every glue axis a: matching
     shared DOF values force equal traces.  Returns None when every part
-    holds, else names the first failure with its axis and face:
+    holds, else names the facet element's failing part and face:
 
     (i) restriction: every monomial of S_r(n) with x_a dropped is in
         S_r(n - 1), so both traces lie in the facet element's space;
@@ -119,41 +110,37 @@ def trace_certificate(n: int, r: int) -> str | None:
     (iii) facet element: ``certify_pairing(n - 1, r)`` holds, so that
         element is unisolvent.
 
+    Only (iii) is checked: (i) and (ii) are lemmas of it and of
+    ``certify_pairing(n, r)``, which continuity checks first.
+    (ii): a d-face F pinned at x_a = +1 becomes the face F' of the
+    (n - 1)-cube with the same free axes, renumbered.  Part (ii) of
+    ``certify_pairing(n, r)`` gives F exactly P_{r-2d} of its free axes,
+    in graded lex order, and zero on x_a.  Dropping that zero coordinate
+    keeps each weight's degree and the order, so the result is what part
+    (ii) of ``certify_pairing(n - 1, r)`` gives F'.  Part (i) of each
+    certificate puts every face with a nonempty P_{r-2d} in its index,
+    so the two face sets agree.  At n = 1 the one shared face is the
+    vertex, and ``certify_pairing(1, r)`` gives it exactly the weight 1.
+    (i): ``serendipity_exponents`` maps the pair (F, w) to the monomial
+    w + 2 on F's free axes J, and 1 or 0 on each pinned axis.  Drop x_a:
+    if F pins a, this is the monomial of (F without its pin at a, w
+    without x_a); if a is in J, it is that of (the (d - 1)-face with F's
+    pins and the other axes of J, w without x_a), admissible because
+    |w| <= r - 2d < r - 2(d - 1).  Parts (i) and (ii) of
+    ``certify_pairing(n - 1, r)`` put either pair in the (n - 1)-index,
+    and ``basis_S(n - 1, r)`` is that index's image.  At n = 1 the trace
+    is a number.
+
     Read together with ``certify_pairing(n, r)``, which puts each weight
     on its face's free axes, so a left and a right DOF of one pair take
     the same value on the two traces.  The traces then differ by a member
     of S_r(n - 1) whose DOFs all vanish, which is zero.
     """
-    index = face_monomials(n, r)
     if n == 1:
-        vertex = ElementPair(1, 0).left_shared_face
-        if index.get(vertex) != ((0,),):
-            return f"facet DOFs on axis 1: the shared DOFs are not the value at {vertex}"
         return None
     culprit = certify_pairing(n - 1, r)
     if culprit is not None:
         return f"facet element: the pairing at n={n - 1}, r={r} is not certified: {culprit}"
-    facet_basis = set(basis_S(n - 1, r))
-    facet_index = face_monomials(n - 1, r)
-    for axis in range(n):
-        for e in basis_S(n, r):
-            if e[:axis] + e[axis + 1 :] not in facet_basis:
-                return (
-                    f"restriction on axis {axis + 1}: the trace of {monomial_str(e)} on "
-                    f"{ElementPair(n, axis).left_shared_face} is not in S_{r} of the facet element"
-                )
-        got = dict(
-            _facet_coordinates(face, weights, axis)
-            for face, weights in index.items()
-            if face.signs[axis] > 0
-        )
-        for face in [*facet_index, *got]:
-            weights, expected = got.get(face, ()), facet_index.get(face, ())
-            if weights != expected:
-                return (
-                    f"facet DOFs on axis {axis + 1}: the shared DOFs on {face} of the "
-                    f"facet element have the weights {weights}, not {expected}"
-                )
     return None
 
 
@@ -224,9 +211,9 @@ def check_continuity(
     facet, so L_R reads the trace only, and L_R(phi_R) = 1 makes that trace
     nonzero: every bump is detected.
 
-    Raises SingularMatrixError naming the failing part, axis and face when
-    a certificate fails, and ValueError for trials < 1 or an axis out of
-    range.
+    Raises SingularMatrixError naming the failing certificate, part and
+    face when ``certify_pairing(n, r)`` or the facet element's fails, and
+    ValueError for trials < 1 or an axis out of range.
     """
     if trials < 1:
         raise ValueError(f"continuity needs trials >= 1, got {trials}")

@@ -26,7 +26,7 @@ about 4.3-4.4 s, 88 MB, and the nodal export at (6, 8) about 1.2-1.3 s,
 33 MB, for 422 MB of JSON.  Continuity reads its report off the pairing
 and trace certificates, so it builds no nodal basis and traces nothing:
 its trials and controls are certified, not sampled, and the cap cell
-(6, 12) takes about 0.3-0.45 s.  Every ``verify`` check runs in this
+(6, 12) takes about 0.27-0.31 s.  Every ``verify`` check runs in this
 one process.  The evalgrid export compiles each nodal function's
 float Horner scheme into straight-line code at its first grid point
 (a fraction of a millisecond per function), so each later point costs
@@ -54,7 +54,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from pathlib import Path
 
 from .assembly import check_continuity
-from .cubegeom import all_faces, full_cube
+from .cubegeom import full_cube
 from .decomp import FaceComponent, decompose, facet_kernel_check, recompose, verify_direct_sum
 from .dofs import (
     DofFunctional,
@@ -225,9 +225,11 @@ def _functional_items(functionals: Iterable[DofFunctional]) -> Iterator[str]:
 def _emit(args: Namespace, chunks: Iterable[str]) -> None:
     """Write the chunks to stdout, or to --out atomically: a temporary file
     beside the target, symlinks followed, replaces it only once fully
-    written, with the target's permission bits if it exists.  An existing
-    target that is not a regular file, a device or a FIFO, is written in
-    place, since a replace would swap it for a regular file."""
+    written, with the target's permission bits if it exists.  The replace
+    is a new file under the target's name: other hard links to the target
+    keep the old bytes, and owner and group become the writer's.  An
+    existing target that is not a regular file, a device or a FIFO, is
+    written in place, since a replace would swap it for a regular file."""
     if args.out is None:
         try:
             for chunk in chunks:
@@ -348,16 +350,9 @@ def _decomposition(args: Namespace) -> tuple[Polynomial, list[FaceComponent], bo
         per_method = {m: decompose(p, r, method=m) for m in methods}
     except ValueError as err:  # the input lies outside S_r
         raise InputError(str(err)) from None
-    agree = True
-    if len(per_method) == 2:
-        a, b = per_method["solve"], per_method["construct"]
-        agree = set(a) == set(b) and all(
-            a[f].coefficient == b[f].coefficient for f in a
-        )
+    agree = len(per_method) == 1 or per_method["solve"] == per_method["construct"]
     chosen = per_method[methods[0]]
-    face_order = {face: i for i, face in enumerate(all_faces(n))}
-    ordered = [chosen[face] for face in sorted(chosen, key=face_order.__getitem__)]
-    return p, ordered, recompose(chosen, n) == p, agree
+    return p, list(chosen.values()), recompose(chosen, n) == p, agree
 
 
 def _component_items(components: Iterable[FaceComponent]) -> Iterator[str]:

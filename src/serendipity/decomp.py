@@ -454,10 +454,10 @@ def decompose(
 ) -> dict[Face, FaceComponent]:
     """Split a member of the serendipity space into its face components.
 
-    Returns only faces with a nonzero component.  The two methods are
-    algorithmically independent and must agree; both are exact.  Solve
-    reads the component coordinates C^-1 p as K^-1 (D p): ``_dof_values``
-    solved by the per-axis passes of ``_solve``.  Construct
+    Returns only faces with a nonzero component, in DOF order.  The two
+    methods are algorithmically independent and must agree; both are
+    exact.  Solve reads the component coordinates C^-1 p as K^-1 (D p):
+    ``_dof_values`` solved by the per-axis passes of ``_solve``.  Construct
     splits p by the quotient map, and a face with k pins then holds
     den 2^k times its coefficient, which must fit the face's degree
     budget r - 2d.
@@ -475,11 +475,12 @@ def decompose(
     elif method == "construct":
         den, state = _cleared(p)
         split = _split(state, n, lambda axes, degree, a: ((k, -1) for k in range(a - 2, -1, -2)))
-        parts = {Face(n, pins): (terms, den << len(pins)) for pins, terms in split.items()}
-        for face, (terms, _) in parts.items():
-            budget = r - 2 * face.dim
+        for pins, terms in split.items():
+            budget = r - 2 * (n - len(pins))
             if any(sum(e) > budget for e, y in terms.items() if y):
-                raise AssertionError(f"a coefficient on {face} exceeds its degree budget {budget}")
+                raise AssertionError(f"a coefficient on {Face(n, pins)} exceeds its degree budget {budget}")
+        # a face with a nonzero part is then in the index: take its order
+        parts = {f: (split[f.fixed], den << len(f.fixed)) for f in face_monomials(n, r) if f.fixed in split}
     else:
         raise ValueError(f"unknown method {method!r}")
     coefficients = {face: _polynomial(n, terms, scale) for face, (terms, scale) in parts.items()}

@@ -159,19 +159,12 @@ def dim_Q(n: int, r: int) -> int:
     return (r + 1) ** n
 
 
-def _comb0(a: int, b: int) -> int:
-    """Binomial coefficient that is zero whenever b < 0 or a < b."""
-    if b < 0 or a < b:
-        return 0
-    return comb(a, b)
-
-
 def dim_S_formula(n: int, r: int) -> int:
     """Closed-form dimension of the serendipity family on the n-cube."""
     if n < 1 or r < 1:
         raise ValueError("serendipity family requires n >= 1 and r >= 1")
     return sum(
-        2 ** (n - d) * _comb0(n, d) * _comb0(r - d, d)
+        2 ** (n - d) * comb(n, d) * comb(r - d, d)
         for d in range(min(n, r // 2) + 1)
     )
 

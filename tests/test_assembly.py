@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from serendipity import assembly, decomp, dofs
+from serendipity import assembly, decomp, dofs, spaces
 from serendipity.assembly import (
     ContinuityReport,
     ElementPair,
@@ -23,7 +23,7 @@ from serendipity.cli import main
 from serendipity.cubegeom import Face, full_cube, restrict_to_face
 from serendipity.dofs import SingularMatrixError, dofs_S, nodal_basis
 from serendipity.exactpoly import Polynomial, monomial_str
-from serendipity.spaces import dim_S_formula, face_monomials
+from serendipity.spaces import basis_S, dim_S_formula, face_monomials
 
 
 def leak_cube_bubble(monkeypatch, n):
@@ -358,45 +358,107 @@ class TestContinuity:
         assert nodal_basis.cache_info().misses == 0
 
 
+def restriction_culprit(n, r, facet_basis):
+    """Oracle for part (i) of the trace certificate, the old run-time
+    walk: the first monomial of S_r(n) whose trace on a facet
+    x_a = +1 is not in ``facet_basis``, else None."""
+    facet = set(facet_basis)
+    for axis in range(n):
+        for e in basis_S(n, r):
+            if e[:axis] + e[axis + 1 :] not in facet:
+                return (
+                    f"restriction on axis {axis + 1}: the trace of {monomial_str(e)} on "
+                    f"{ElementPair(n, axis).left_shared_face} is not in S_{r} of the facet element"
+                )
+    return None
+
+
+def facet_coordinates(face, weights, axis):
+    """A face in the facet {x_axis = +1} and its DOF weights in the
+    coordinates of the (n - 1)-cube: the pin and the exponent of x_axis
+    go, later axes move down by one."""
+    pins = tuple((i - (i > axis), s) for i, s in face.fixed if i != axis)
+    return Face(face.n - 1, pins), tuple(w[:axis] + w[axis + 1 :] for w in weights)
+
+
+def facet_dofs_culprit(n, r, coordinates=facet_coordinates):
+    """Oracle for part (ii) of the trace certificate, the old run-time
+    comparison: on each axis, the index's faces pinned at x_a = +1, mapped
+    by ``coordinates``, against the (n - 1)-index; the first face whose
+    weights differ, else None."""
+    facet_index = face_monomials(n - 1, r)
+    for axis in range(n):
+        got = dict(
+            coordinates(face, weights, axis)
+            for face, weights in face_monomials(n, r).items()
+            if face.signs[axis] > 0
+        )
+        for face in [*facet_index, *got]:
+            weights, expected = got.get(face, ()), facet_index.get(face, ())
+            if weights != expected:
+                return (
+                    f"facet DOFs on axis {axis + 1}: the shared DOFs on {face} of the "
+                    f"facet element have the weights {weights}, not {expected}"
+                )
+    return None
+
+
+ORACLE_CELLS = [(n, r) for n in range(2, 7) for r in range(1, 13)]
+
+
 class TestTraceCertificate:
-    """The paper's trace argument on every axis: each part fails with its
-    axis and face under a mutation aimed at it (part (iii) in
-    ``test_cli.py::TestUncertifiedTraceCertificate``)."""
+    """The paper's trace argument on every axis.  Parts (i) and (ii) are
+    lemmas, so their old run-time checks are oracles here, each with a
+    negative control; part (iii) fails under the mutation in
+    ``test_cli.py::TestUncertifiedTraceCertificate``."""
 
     def test_holds_on_every_axis(self):
-        for n in range(1, 5):
-            for r in range(1, 9):
+        for n in range(1, 7):
+            for r in range(1, 13):
                 assert trace_certificate(n, r) is None, (n, r)
 
-    def test_restriction_outside_the_facet_space_fails_i(self, monkeypatch, fresh_caches):
-        real = assembly.basis_S
-        dropped = real(2, 4).monomials[-1]
-        monkeypatch.setattr(
-            assembly, "basis_S", lambda n, r: real(n, r).monomials[:-1] if n == 2 else real(n, r)
-        )
-        e = next(e for e in real(3, 4) if e[1:] == dropped)
-        assert trace_certificate(3, 4) == (
+    @pytest.mark.parametrize("n, r", ORACLE_CELLS)
+    def test_lemmas_hold_i_ii(self, n, r):
+        assert restriction_culprit(n, r, basis_S(n - 1, r)) is None
+        assert facet_dofs_culprit(n, r) is None
+
+    def test_n1_shares_the_vertex_value(self):
+        # the n = 1 case of (ii): the one shared face is the vertex, weight 1
+        for r in range(1, 13):
+            assert face_monomials(1, r)[ElementPair(1, 0).left_shared_face] == ((0,),)
+
+    def test_reads_only_the_facet_element(self, monkeypatch, fresh_caches):
+        # no basis, index or coordinates of the n-element at run time
+        seen = []
+        for module in (assembly, decomp, spaces):
+            for name in ("basis_S", "face_monomials"):
+                if not hasattr(module, name):
+                    continue
+                real = getattr(module, name)
+                monkeypatch.setattr(
+                    module, name, lambda n, r, real=real: seen.append(n) or real(n, r)
+                )
+        assert trace_certificate(3, 4) is None
+        assert seen and set(seen) == {2}
+        assert not hasattr(assembly, "_facet_coordinates")
+
+    def test_restriction_outside_the_facet_space_fails_i(self):
+        dropped = basis_S(2, 4).monomials[-1]
+        e = next(e for e in basis_S(3, 4) if e[1:] == dropped)
+        assert restriction_culprit(3, 4, basis_S(2, 4).monomials[:-1]) == (
             f"restriction on axis 1: the trace of {monomial_str(e)} on face(x1=+1) "
             "is not in S_4 of the facet element"
         )
 
-    def test_broken_coordinate_map_fails_ii(self, monkeypatch, fresh_caches):
-        real = assembly._facet_coordinates
-
+    def test_broken_coordinate_map_fails_ii(self):
         def first_axis_dropped(face, weights, axis):
-            image, _ = real(face, weights, axis)
+            image, _ = facet_coordinates(face, weights, axis)
             return image, tuple(w[1:] for w in weights)
 
-        monkeypatch.setattr(assembly, "_facet_coordinates", first_axis_dropped)
         # on axis 1 the map is right; on axis 2 the edge weights 1, x1 both become 1
-        assert trace_certificate(2, 3) == (
+        assert facet_dofs_culprit(2, 3, first_axis_dropped) == (
             "facet DOFs on axis 2: the shared DOFs on cube(n=1) of the facet element "
             "have the weights ((0,), (0,)), not ((0,), (1,))"
-        )
-        with pytest.raises(SingularMatrixError) as err:
-            check_continuity(2, 3)
-        assert str(err.value) == (
-            f"continuity at n=2, r=3 is not certified: {trace_certificate(2, 3)}"
         )
 
 

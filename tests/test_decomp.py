@@ -1149,6 +1149,20 @@ class TestConstruct:
         assert "exceeds its degree budget" in run.stdout
 
 
+class TestDecomposeOrder:
+    """Both methods return their faces in DOF order, the index's."""
+
+    @pytest.mark.parametrize("method", ["solve", "construct"])
+    @pytest.mark.parametrize("n, r", [(2, 4), (3, 6), (4, 8)])
+    def test_keys_follow_the_index(self, n, r, method):
+        monomials = basis_S(n, r).monomials
+        # the CLI's default member and an --alpha monomial
+        for p in (Polynomial(n, dict.fromkeys(monomials, 1)), Polynomial.from_monomial(monomials[-1])):
+            parts = decompose(p, r, method=method)
+            assert len(parts) > 1
+            assert list(parts) == [face for face in face_monomials(n, r) if face in parts]
+
+
 class TestDofValues:
     @staticmethod
     def odd_members(rng: random.Random, n: int, r: int) -> list[Polynomial]:

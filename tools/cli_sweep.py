@@ -41,7 +41,9 @@ continuity on every axis, through ``verify`` at (4, 8) and (5, 6), on
 the last axis at (4, 6) and (5, 6), and on axis 6 at (6, 3) and axis 3
 at (6, 4), which read the mirror pairing beyond n = 4 and off axis 1,
 and on axis 1 at (5, 8) and (6, 8), which the certificates reach without
-a nodal basis; ``verify`` with ``--jobs 1`` and ``--jobs 2``, which runs
+a nodal basis, and at the cap cell (6, 12) on axes 1 and 6 as text and on
+axis 3 as JSON, where the trace certificate once walked the most
+monomials; ``verify`` with ``--jobs 1`` and ``--jobs 2``, which runs
 every check in one process all the same; usage errors, among them
 ``--trials`` above its cap of 10^6, an evalgrid one grid point past its
 cap of 10^6 values (which trees without that cap write out), and
@@ -141,7 +143,9 @@ def invocations(inputs: Path) -> list[list[str]]:
     runs += [["verify", *cell(n, r), "--checks", "continuity", "--jobs", "1"]
              for n, r in ((4, 8), (5, 6))]
     runs += [["continuity", *cell(n, r), "--axis", str(a)]
-             for n, r, a in ((4, 6, 4), (5, 6, 5), (6, 3, 6), (6, 4, 3), (5, 8, 1), (6, 8, 1))]
+             for n, r, a in ((4, 6, 4), (5, 6, 5), (6, 3, 6), (6, 4, 3), (5, 8, 1), (6, 8, 1),
+                             (6, 12, 1), (6, 12, 6))]
+    runs.append(["continuity", *cell(6, 12), "--axis", "3", "--format", "json"])
     runs += [
         ["continuity", *cell(3, 4), "--axis", "2", "--seed", "9", "--trials", "4"],
         ["decompose", *cell(2, 3), "--alpha", "1,3", "--method", "both"],
