@@ -27,14 +27,14 @@ about 4.3-4.4 s, 88 MB, and the nodal export at (6, 8) about 1.2-1.3 s,
 and trace certificates, so it builds no nodal basis and traces nothing:
 its trials and controls are certified, not sampled, and the cap cell
 (6, 12) takes about 0.27-0.31 s.  Every ``verify`` check runs in this
-one process.  The evalgrid export compiles each nodal function's
-float Horner scheme into straight-line code at its first grid point
-(a fraction of a millisecond per function), so each later point costs
-one call of that code, one power per distinct axis and exponent step;
-with 2 points at (6, 6) the compiles are most of its 10 s.  It
-writes at most 10^6 values (points^n times dim S).  A DOF listing
-(``dofs`` as text or json, ``export --what dofs``) builds at most 10^6
-functionals, which only the Q family's
+one process.  The evalgrid export runs each nodal function's float
+Horner scheme as straight-line code compiled once per exponent shape,
+which the images of a run share, and bound to the function's own
+coefficients; a point costs one call, one power per distinct axis and
+exponent step above 1.  With 2 points at (6, 6) it takes about 2.3 s,
+at (6, 10) 37 s.  It writes at most 10^6 values (points^n times dim S).
+A DOF listing (``dofs`` as text or json, ``export --what dofs``) builds
+at most 10^6 functionals, which only the Q family's
 (r+1)^n can pass; ``dofs --format csv`` prints the layout alone.  Axes
 in flags and reports are 1-based, matching the serialized face
 convention; the Python API is 0-based.

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
+from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 from operator import mul
 
 from .exactpoly import Polynomial, Record
@@ -150,6 +152,9 @@ def restrict_to_face(p: Polynomial, face: Face) -> Polynomial:
 
     The trace is returned in the ambient n variables, with exponent 0 on
     every pinned axis.  Restriction never raises the superlinear degree.
+    The terms that meet on one trace monomial are added as integers, p
+    cleared by the lcm of its denominators, so one Fraction is formed per
+    trace term.
     """
     if p.n != face.n:
         raise ValueError(f"polynomial has n={p.n}, face has n={face.n}")
@@ -157,6 +162,12 @@ def restrict_to_face(p: Polynomial, face: Face) -> Polynomial:
         return p
     keep = [int(i not in face.fixed_indices) for i in range(p.n)]
     flip = [i for i, s in face.fixed if s < 0]
-    signed = ((e, -c if sum(e[i] for i in flip) % 2 else c) for e, c in p.terms())
-    return Polynomial(p.n, ((tuple(map(mul, e, keep)), c) for e, c in signed))
+    terms = p._terms  # unsorted: the sums land in a dict all the same
+    scale = lcm(*[c.denominator for c in terms.values()])
+    sums: dict[tuple[int, ...], int] = {}
+    for e, c in terms.items():
+        value = c.numerator * (scale // c.denominator)
+        key = tuple(map(mul, e, keep))
+        sums[key] = sums.get(key, 0) + (-value if sum(e[i] for i in flip) % 2 else value)
+    return Polynomial._canonical(p.n, {e: Fraction(v, scale) for e, v in sums.items() if v})
 

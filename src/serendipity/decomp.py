@@ -198,18 +198,22 @@ def certify_pairing(n: int, r: int) -> str | None:
             f"count: {count} (face, monomial) pairs, basis dimension {dim}, "
             f"closed form {dim_S_formula(n, r)}"
         )
+    checked: dict[tuple[int, ...], tuple] = {}  # free axes -> weights that passed (ii)
     for face, weights in index.items():
         budget, pins = r - 2 * face.dim, dict(face.fixed)
-        for q in weights:
-            if any(q[j] for j in pins) or sum(q) > budget:
-                return f"index: the weight {q} of {face} is not in P_{budget} of its free axes"
-        if any(grlex_key(a) >= grlex_key(b) for a, b in zip(weights, weights[1:])):
-            return f"index: the weights of {face} are not distinct in graded lex order"
-        if len(weights) != dim_P(face.dim, budget):
-            return (
-                f"index: {face} has {len(weights)} weights, "
-                f"not dim P_{budget} = {dim_P(face.dim, budget)}"
-            )
+        # (ii) reads only the free axes: the same tuple passes on every face
+        if checked.get(face.free_indices) is not weights:
+            for q in weights:
+                if any(q[j] for j in pins) or sum(q) > budget:
+                    return f"index: the weight {q} of {face} is not in P_{budget} of its free axes"
+            if any(grlex_key(a) >= grlex_key(b) for a, b in zip(weights, weights[1:])):
+                return f"index: the weights of {face} are not distinct in graded lex order"
+            if len(weights) != dim_P(face.dim, budget):
+                return (
+                    f"index: {face} has {len(weights)} weights, "
+                    f"not dim P_{budget} = {dim_P(face.dim, budget)}"
+                )
+            checked[face.free_indices] = weights
         for j, factor in enumerate(_bubble_factors(face)):
             expected = (1, pins[j], 0) if j in pins else (1, 0, -1)
             if factor != expected:

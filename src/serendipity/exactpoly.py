@@ -24,7 +24,9 @@ import itertools
 import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from operator import add, attrgetter
+from functools import lru_cache
+from operator import add, attrgetter, itemgetter
+from types import FunctionType
 
 Exponents = tuple[int, ...]
 Scalar = int | Fraction
@@ -319,22 +321,30 @@ class Polynomial:
         Fraction computed term by term.  If any coordinate is a float,
         everything is converted to float and evaluated with a nested
         Horner scheme, one variable at a time, for numerical stability.
-        The first float call compiles that scheme into straight-line code,
-        the same float operations in the same order; later calls run it.
-        That code converts the coordinates itself and forms each distinct
-        power x_i ** k once, so a call costs one ``**`` per distinct power
-        and one multiply and add per Horner step.
+        The scheme runs as straight-line code, the same float operations in
+        the same order.  Its code depends only on the exponents, so it is
+        compiled once per exponent shape (``_compile_horner``) and the first
+        float call binds this polynomial's coefficients, each leaf
+        ``0 + float(c)``, to it; later calls run it.  That code converts the
+        coordinates itself and forms each distinct power x_i ** k, k > 1,
+        once, so a call costs one ``**`` per such power and one multiply
+        and add per Horner step.
         """
         if len(point) != self._n:
             raise ValueError(f"point has {len(point)} coordinates, expected {self._n}")
         for v in point:
             if isinstance(v, float):
-                if not self._terms:
-                    return 0.0
-                if self._plan is None:
-                    items = [(e, float(c)) for e, c in self._terms.items()]
-                    object.__setattr__(self, "_plan", _compile_horner(items, self._n))
-                return self._plan(*point)
+                plan = self._plan
+                if plan is None:
+                    if not self._terms:
+                        return 0.0
+                    items = sorted(self._terms.items(), reverse=True)  # distinct keys
+                    # float(c) is this integer true division; 0 + -0.0 is 0.0
+                    leaves = tuple([0 + c.numerator / c.denominator for _, c in items])
+                    template = _compile_horner(self._n, tuple([e for e, _ in items]))
+                    plan = FunctionType(template.__code__, template.__globals__, "plan", leaves)
+                    object.__setattr__(self, "_plan", plan)
+                return plan(*point)
         values = [Fraction(v) for v in point]
         total = Fraction(0)
         for exps, coeff in self._terms.items():
@@ -372,42 +382,65 @@ class Polynomial:
         return cls(n, terms)
 
 
-def _compile_horner(items: list[tuple[Exponents, float]], n: int):
-    """Compile the nested Horner scheme of nonempty float terms to a function
-    of the n coordinates.  Per axis, each exponent group e, descending, adds
-    its inner value to acc * x ** (prev - e), the axis ends with acc * x **
-    prev and a leaf is 0 + c; one statement per step, so nothing nests.
-    The function converts its coordinates to float and forms each distinct
-    power x ** k once, at its top, so a step reads a local."""
+# The nodal functions come face by face, one per weight, and the next face
+# of a run repeats those exponent shapes, so a shape is reused after at most
+# one face's weight count of others: 84 within the caps, dim P_6 on a 3-face
+# at r = 12.
+_TEMPLATES = 128
+
+
+@lru_cache(maxsize=_TEMPLATES)
+def _compile_horner(n: int, exponents: tuple[Exponents, ...]):
+    """Compile the nested Horner scheme of the distinct exponent tuples in
+    descending order to a function of the n coordinates and then one leaf
+    per term, in that order.  Per axis, each exponent group e, descending,
+    adds its inner value to acc * x ** (prev - e), the axis ends with acc *
+    x ** prev, and a leaf is read as given; one statement per step, so
+    nothing nests.  A group's first value enters its first step directly,
+    and x ** 1 is read as x, which is the same float.  The function
+    converts its coordinates to float and forms each other distinct power
+    x ** k once, at its top, so a step reads a local.
+
+    Only the shape is compiled: a polynomial binds its own leaves as the
+    defaults of a function on this code.  The cache keeps the templates
+    last used, at most ``_TEMPLATES``."""
     lines: list[str] = []
     powers: dict[str, str] = {}
+    leaves = [f"c{i}" for i in range(len(exponents))]
+    leaf = iter(leaves)
 
     def power(axis: int, k: int) -> str:
+        if k == 1:  # pow(x, 1.0) is x
+            return f"x{axis}"
         name = f"p{axis}_{k}"
         powers[name] = f"x{axis} ** {k}"
         return name
 
-    def emit(group, axis: int, target: str) -> None:
-        prev = None
-        for e, sub in itertools.groupby(group, lambda term: term[0][axis]):
-            if axis + 1 == n:  # one term per leaf; 0 + -0.0 is 0.0
-                inner = repr(0 + next(sub)[1])
-            else:  # the first group's value is built in target itself
-                inner = target if prev is None else f"a{axis + 1}"
-                emit(sub, axis + 1, inner)
-            if prev is not None:
-                lines.append(f"{target} = {target} * {power(axis, prev - e)} + {inner}")
-            elif inner != target:
-                lines.append(f"{target} = {inner}")
+    def emit(group, axis: int, target: str) -> str:
+        """Emit the steps of group at axis; return what holds its value,
+        target or a leaf.  The first group's value is built in target."""
+        value = prev = None
+        for e, sub in itertools.groupby(group, itemgetter(axis)):
+            if axis + 1 == n:  # one term per leaf
+                inner = next(leaf)
+            else:
+                inner = emit(sub, axis + 1, target if prev is None else f"a{axis + 1}")
+            if prev is None:
+                value = inner
+            else:
+                lines.append(f"{target} = {value} * {power(axis, prev - e)} + {inner}")
+                value = target
             prev = e
         if prev:
-            lines.append(f"{target} = {target} * {power(axis, prev)}")
+            lines.append(f"{target} = {value} * {power(axis, prev)}")
+            value = target
+        return value
 
-    emit(sorted(items, reverse=True), 0, "a0")
+    lines.append(f"return {emit(exponents, 0, 'a0')}")
     del emit  # emit's closure holds emit: unbound, the code's text goes with this call
     args = [f"x{i}" for i in range(n)]
     head = [f"{', '.join(args)} = {', '.join(f'float({x})' for x in args)}"]
     head += [f"{name} = {value}" for name, value in powers.items()]
     namespace: dict = {"__builtins__": {}, "float": float}
-    exec(f"def plan({', '.join(args)}):\n " + "\n ".join(head + lines) + "\n return a0\n", namespace)
+    exec(f"def plan({', '.join(args + leaves)}):\n " + "\n ".join(head + lines) + "\n", namespace)
     return namespace.pop("plan")  # no cycle through its globals

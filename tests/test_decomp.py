@@ -543,6 +543,37 @@ class TestPairing:
         else:
             assert component_matrix(2, 4).rank() == rank
 
+    def test_index_checked_once_per_shared_tuple(self, monkeypatch, fresh_caches):
+        # part (ii) reads only the free axes, so the tuple that the index
+        # shares among the faces on them is checked once; an equal copy is
+        # not the same tuple and is checked again
+        index = face_monomials(3, 4)
+        seen = []
+        real = decomp.grlex_key
+        monkeypatch.setattr(decomp, "grlex_key", lambda e: seen.append(e) or real(e))
+
+        def keys_read(faces):
+            return sum(2 * (len(index[face]) - 1) for face in faces)
+
+        first = {}
+        for face in index:
+            first.setdefault(face.free_indices, face)
+        assert certify_pairing(3, 4) is None
+        assert len(seen) == keys_read(first.values()) < keys_read(index)
+        copies = {face: tuple(list(weights)) for face, weights in index.items()}
+        monkeypatch.setattr(decomp, "face_monomials", lambda n_, r_: copies)
+        fresh_caches()
+        seen.clear()
+        assert certify_pairing(3, 4) is None
+        assert len(seen) == keys_read(index)
+        # a copy that fails names its own face, the last on its free axes
+        last = [face for face in copies if face.free_indices == (2,)][-1]
+        copies[last] = tuple((0, 0, 3) if q == (0, 0, 2) else q for q in copies[last])
+        fresh_caches()
+        assert certify_pairing(3, 4) == (
+            f"index: the weight (0, 0, 3) of {last} is not in P_2 of its free axes"
+        )
+
     def test_free_factor_with_constant_two_fails_bubble(self, monkeypatch, fresh_caches):
         # 2 - 2t^2 still vanishes at both ends, so K stays triangular and
         # nonsingular, but the diagonal block of the edge doubles

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense import apply_dof, face_moment
-from serendipity import dofs
+from serendipity import dofs, exactpoly
 from serendipity.assembly import interpolate
 from serendipity.cubegeom import Face, enumerate_faces, face_symmetry, full_cube
 from serendipity.dofs import DofFunctional, dofs_S, nodal_basis, nodal_functions
@@ -596,7 +596,46 @@ class TestFloatPlan:
             assert not any("JUMP" in op.opname for op in ops)
             assert len([op for op in ops if op.opname == "CALL"]) == p.n  # float(x_i)
             pows = [op for op in ops if op.opname == "BINARY_OP" and op.argrepr == "**"]
-            assert len(pows) == len(horner_powers(sorted(p.terms()), 0, p.n))
+            # x ** 1 is read as x, the same float
+            steps = {(axis, k) for axis, k in horner_powers(sorted(p.terms()), 0, p.n) if k != 1}
+            assert len(pows) == len(steps)
+
+    def test_one_template_per_exponent_shape(self):
+        # the images of a canonical function share its exponents up to a
+        # perm; at (3, 6) 105 nodal functions have 35 exponent shapes
+        exactpoly._compile_horner.cache_clear()
+        phis = list(nodal_functions(3, 6))
+        for phi in phis:
+            phi.evaluate((0.5, -0.25, 0.75))
+        assert len(phis) == 105
+        assert exactpoly._compile_horner.cache_info().misses == 35
+        assert len({phi._plan.__code__ for phi in phis}) == 35
+
+    def test_shared_shape_binds_each_polynomials_coefficients(self):
+        tiny = Fraction(-1, 10**400)  # rounds to -0.0; its leaf 0 + c is 0.0
+        pairs = [
+            (1, {(0,): tiny}, {(0,): Fraction(-2)}),  # the value is the leaf
+            (1, {(0,): tiny, (1,): tiny}, {(0,): Fraction(3), (1,): Fraction(-2, 7)}),
+            (2, {(2, 0): tiny, (1, 1): Fraction(5, 3), (0, 0): tiny},
+             {(2, 0): Fraction(-1, 3), (1, 1): tiny, (0, 0): Fraction(9, 11)}),
+        ]
+        rng = random.Random(3)
+        for n, p_terms, q_terms in pairs:
+            p, q = Polynomial(n, p_terms), Polynomial(n, q_terms)
+            points = [(v,) * p.n for v in (0.0, -0.0, 0.5, -1.0, 1e200)]
+            points += [tuple(special_or_random(rng) for _ in range(p.n)) for _ in range(20)]
+            for point in points:
+                for poly in (p, q, p):
+                    assert float_bits(lambda: poly.evaluate(point)) == oracle_bits(poly, point)
+            assert p._plan.__code__ is q._plan.__code__
+            assert p._plan is not q._plan
+
+    def test_template_cache_is_bounded(self):
+        # a long process evaluating ever new shapes keeps the last ones only
+        bound = exactpoly._TEMPLATES
+        for k in range(bound + 20):
+            assert Polynomial(1, {(k,): 1, (k + bound + 20,): 1}).evaluate((1.0,)) == 2.0
+        assert exactpoly._compile_horner.cache_info().currsize == bound
 
     def test_reused_plan_is_not_stale(self):
         x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)

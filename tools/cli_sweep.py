@@ -9,9 +9,11 @@ code.  The list
 covers every command and format over n <= 3, r <= 5; every export
 artifact and family; the nodal, decomposition and evalgrid exports at
 (3, 6) and (3, 8), the evalgrid export also at its default 11 points per
-axis there and at 2 points at (4, 6); ``decompose --method solve`` at
-(4, 6), (5, 6), (6, 4) and (4, 10), the last with the largest multiplier
-denominators among them, at (1, 12), (2, 12) and (6, 6), where the DOF values'
+axis there and at 2 points at (4, 6), (5, 6) and (6, 6), where the images
+of each run share their exponent shapes, and so one compiled Horner
+program per shape; ``decompose --method solve`` at (4, 6), (5, 6),
+(6, 4) and (4, 10), the last with the largest multiplier denominators
+among them, at (1, 12), (2, 12) and (6, 6), where the DOF values'
 per-axis pass meets the largest moment scale and the most faces, and at
 (4, 12), (5, 12), (6, 8) and (6, 12), where the per-axis passes of the
 pairing solve carry the most parts and the largest integers;
@@ -113,7 +115,9 @@ def invocations(inputs: Path) -> list[list[str]]:
         runs += [["export", "--what", what, *cell(n, r)] for what in ("nodal", "decomposition")]
         runs.append(["export", "--what", "evalgrid", *cell(n, r), "--points", "3"])
         runs.append(["export", "--what", "evalgrid", *cell(n, r)])
-    runs.append(["export", "--what", "evalgrid", *cell(4, 6), "--points", "2"])
+    # evalgrid where many images share one compiled exponent shape
+    runs += [["export", "--what", "evalgrid", *cell(n, r), "--points", "2"]
+             for n, r in ((4, 6), (5, 6), (6, 6))]
     runs += [["decompose", *cell(n, r), "--method", "solve"]
              for n, r in ((4, 6), (5, 6), (6, 4), (4, 10), (1, 12), (2, 12), (6, 6),
                           (4, 12), (5, 12), (6, 8), (6, 12))]
