@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import lcm
 
 from .cubegeom import Face
-from .decomp import SingularMatrixError, _merge, _polynomial, _solve, certify_pairing
+from .decomp import SingularMatrixError, _merge, _solve, certify_pairing
 from .dofs import DofFunctional, dofs_S
 from .exactpoly import Polynomial, Record, Scalar
 from .spaces import face_monomials
@@ -44,6 +44,7 @@ class ElementPair(Record):
 
     n: int
     axis: int
+    _derived = ("left_shared_face", "right_shared_face")
 
     def __post_init__(self) -> None:
         if not 0 <= self.axis < self.n:
@@ -58,12 +59,7 @@ class ElementPair(Record):
         return Face(self.n, ((self.axis, -1),))
 
     def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "axis": self.axis + 1,
-            "left_shared_face": self.left_shared_face.to_json_obj(),
-            "right_shared_face": self.right_shared_face.to_json_obj(),
-        }
+        return {**super().to_json_obj(), "axis": self.axis + 1}
 
 
 def shared_dof_pairs(
@@ -163,7 +159,7 @@ def interpolate(values: Sequence[Scalar], n: int, r: int) -> Polynomial:
     cleared = (v.numerator * (den // v.denominator) for v in values)
     parts = {face.fixed: dict(zip(weights, cleared)) for face, weights in index.items()}
     scale, multipliers = _solve(n, r, den, parts)
-    return _polynomial(n, _merge(n, multipliers), scale)
+    return Polynomial._over(n, _merge(n, multipliers), scale)
 
 
 class ContinuityReport(Record):
@@ -175,23 +171,14 @@ class ContinuityReport(Record):
     shared_count: int
     trial_traces_equal: tuple[bool, ...]
     perturbations_detected: tuple[bool, ...]
+    _derived = ("ok",)
 
     @property
     def ok(self) -> bool:
         return all(self.trial_traces_equal) and all(self.perturbations_detected)
 
     def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "axis": self.axis + 1,
-            "trials": self.trials,
-            "seed": self.seed,
-            "shared_count": self.shared_count,
-            "trial_traces_equal": list(self.trial_traces_equal),
-            "perturbations_detected": list(self.perturbations_detected),
-            "ok": self.ok,
-        }
+        return {**super().to_json_obj(), "axis": self.axis + 1}
 
 
 def check_continuity(

@@ -13,31 +13,27 @@ with ``what`` set and ``command`` set to ``export`` (``decompose`` kept).
 
 Supported ranges are hard-capped at n <= 6 and r <= 12, and --trials
 at 10^6 (a JSON report holds one boolean per trial).  The
-unisolvence, direct-sum and facet-kernel checks reach the caps in
-0.05-0.21 s for each n at r = 12 (interpreter start included, on a
-shared 2-vCPU machine); whatever solves over the pairing, by per-axis
-passes in the orthogonal coordinates (decompose, nodal, decomposition
-and evalgrid exports), grows with the space dimension, because all
-arithmetic is exact.  Term lists are written straight to JSON text and
-the nodal functions one at a time, each image's text picked term by
-term from rows formed once per cube symmetry, so on a shared 2-vCPU
-machine the solve decomposition of the default member at (6, 12) takes
-about 4.3-4.4 s, 88 MB, and the nodal export at (6, 8) about 1.2-1.3 s,
-33 MB, for 422 MB of JSON.  Continuity reads its report off the pairing
-and trace certificates, so it builds no nodal basis and traces nothing:
-its trials and controls are certified, not sampled, and the cap cell
-(6, 12) takes about 0.27-0.31 s.  Every ``verify`` check runs in this
-one process.  The evalgrid export runs each nodal function's float
-Horner scheme as straight-line code compiled once per exponent shape,
-which the images of a run share, and bound to the function's own
-coefficients; a point costs one call, one power per distinct axis and
-exponent step above 1.  With 2 points at (6, 6) it takes about 2.3 s,
-at (6, 10) 37 s.  It writes at most 10^6 values (points^n times dim S).
+unisolvence, direct-sum and facet-kernel checks are certified and reach
+the caps; whatever solves over the pairing, by per-axis passes in the
+orthogonal coordinates (decompose, nodal, decomposition and evalgrid
+exports), grows with the space dimension, because all arithmetic is
+exact.  Term lists are written straight to JSON text and the nodal
+functions one at a time, each image's text picked term by term from
+rows formed once per cube symmetry.  Continuity reads its report off
+the pairing and trace certificates, so it builds no nodal basis and
+traces nothing: its trials and controls are certified, not sampled.
+Every ``verify`` check runs in this one process.  The evalgrid export
+runs each nodal function's float Horner scheme as straight-line code
+compiled once per exponent shape, which the images of a run share, and
+bound to the function's own coefficients; a point costs one call, one
+power per distinct axis and exponent step above 1.  It writes at most
+10^6 values (points^n times dim S), since its time grows with the grid.
 A DOF listing (``dofs`` as text or json, ``export --what dofs``) builds
 at most 10^6 functionals, which only the Q family's
 (r+1)^n can pass; ``dofs --format csv`` prints the layout alone.  Axes
 in flags and reports are 1-based, matching the serialized face
-convention; the Python API is 0-based.
+convention; the Python API is 0-based.  README's "Command line"
+section gives measured times.
 """
 
 from __future__ import annotations

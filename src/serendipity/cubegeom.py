@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
 from operator import mul
 
 from .exactpoly import Polynomial, Record
@@ -162,12 +160,10 @@ def restrict_to_face(p: Polynomial, face: Face) -> Polynomial:
         return p
     keep = [int(i not in face.fixed_indices) for i in range(p.n)]
     flip = [i for i, s in face.fixed if s < 0]
-    terms = p._terms  # unsorted: the sums land in a dict all the same
-    scale = lcm(*[c.denominator for c in terms.values()])
+    scale, terms = p._cleared()
     sums: dict[tuple[int, ...], int] = {}
-    for e, c in terms.items():
-        value = c.numerator * (scale // c.denominator)
+    for e, value in terms.items():
         key = tuple(map(mul, e, keep))
         sums[key] = sums.get(key, 0) + (-value if sum(e[i] for i in flip) % 2 else value)
-    return Polynomial._canonical(p.n, {e: Fraction(v, scale) for e, v in sums.items() if v})
+    return Polynomial._over(p.n, sums, scale)
 

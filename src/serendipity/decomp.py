@@ -331,11 +331,6 @@ def _merge(n: int, parts: dict[tuple, dict[Exponents, int]]) -> dict[Exponents, 
     return state.get((), {})
 
 
-def _polynomial(n: int, terms: dict[Exponents, int], den: int) -> Polynomial:
-    """Integer terms over den as a polynomial."""
-    return Polynomial(n, ((e, Fraction(v, den)) for e, v in terms.items() if v))
-
-
 class DirectSumResult(Record):
     n: int
     r: int
@@ -343,6 +338,7 @@ class DirectSumResult(Record):
     component_count: int
     rank: int | None
     culprit: str | None = None
+    _derived = ("dims_match", "full_rank", "ok")
 
     @property
     def dims_match(self) -> bool:
@@ -355,19 +351,6 @@ class DirectSumResult(Record):
     @property
     def ok(self) -> bool:
         return self.dims_match and self.full_rank
-
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "space_dim": self.space_dim,
-            "component_count": self.component_count,
-            "rank": self.rank,
-            "dims_match": self.dims_match,
-            "full_rank": self.full_rank,
-            "ok": self.ok,
-            "culprit": self.culprit,
-        }
 
 
 def verify_direct_sum(n: int, r: int) -> DirectSumResult:
@@ -421,14 +404,6 @@ def _split(state: dict[tuple, dict[Exponents, int]], n: int, free) -> dict[tuple
     return state
 
 
-def _cleared(p: Polynomial) -> tuple[int, dict[tuple, dict[Exponents, int]]]:
-    """(den, state): p over den, the lcm of its denominators, as integer
-    terms in the one part keyed by no pins."""
-    terms = p.terms()
-    den = lcm(*(c.denominator for _, c in terms))
-    return den, {(): {e: c.numerator * (den // c.denominator) for e, c in terms}}
-
-
 @cache
 def _moments(r: int, axes: int, degree: int, a: int) -> tuple[tuple[int, int], ...]:
     """The moment free map at x^a after free axes whose weights sum to
@@ -448,8 +423,8 @@ def _dof_values(p: Polynomial, r: int) -> tuple[int, dict[tuple, dict[Exponents,
     d-face's values over M^d; a part may hold zeros, and its faces and
     weights lie in the index."""
     n, M = p.n, lcm(*range(1, 2 * r + 2, 2))
-    den, state = _cleared(p)
-    parts = _split(state, n, partial(_moments, r))
+    den, terms = p._cleared()
+    parts = _split({(): terms}, n, partial(_moments, r))
     return den * M**n, {pins: {w: v * M ** len(pins) for w, v in part.items()} for pins, part in parts.items()}
 
 
@@ -477,8 +452,8 @@ def decompose(
         scale, multipliers = _solve(n, r, *_dof_values(p, r))
         parts = {Face(n, pins): (terms, scale) for pins, terms in multipliers.items()}
     elif method == "construct":
-        den, state = _cleared(p)
-        split = _split(state, n, lambda axes, degree, a: ((k, -1) for k in range(a - 2, -1, -2)))
+        den, cleared = p._cleared()
+        split = _split({(): cleared}, n, lambda axes, degree, a: ((k, -1) for k in range(a - 2, -1, -2)))
         for pins, terms in split.items():
             budget = r - 2 * (n - len(pins))
             if any(sum(e) > budget for e, y in terms.items() if y):
@@ -487,7 +462,7 @@ def decompose(
         parts = {f: (split[f.fixed], den << len(f.fixed)) for f in face_monomials(n, r) if f.fixed in split}
     else:
         raise ValueError(f"unknown method {method!r}")
-    coefficients = {face: _polynomial(n, terms, scale) for face, (terms, scale) in parts.items()}
+    coefficients = {face: Polynomial._over(n, terms, scale) for face, (terms, scale) in parts.items()}
     return {face: FaceComponent(face, c) for face, c in coefficients.items() if c}
 
 
@@ -496,14 +471,14 @@ def recompose(components: dict[Face, FaceComponent], n: int) -> Polynomial:
     cleared over one lcm and ``_merge`` sums the b_F m_F."""
     if any(fc.face.n != n or fc.coefficient.n != n for fc in components.values()):
         raise ValueError(f"components must all live in n = {n} variables")
-    terms = [(fc.face, fc.coefficient.terms()) for fc in components.values()]
-    den = lcm(*(c.denominator for _, t in terms for _, c in t))
+    cleared = [(fc.face, fc.coefficient._cleared()) for fc in components.values()]
+    den = lcm(*(d for _, (d, _) in cleared))
     multipliers: dict[tuple, dict[Exponents, int]] = {}
-    for face, t in terms:
-        part = multipliers.setdefault(face.fixed, {})
-        for q, c in t:
-            part[q] = part.get(q, 0) + c.numerator * (den // c.denominator)
-    return _polynomial(n, _merge(n, multipliers), den)
+    for face, (d, terms) in cleared:
+        part, k = multipliers.setdefault(face.fixed, {}), den // d
+        for q, v in terms.items():
+            part[q] = part.get(q, 0) + v * k
+    return Polynomial._over(n, _merge(n, multipliers), den)
 
 
 class FacetKernelResult(Record):
@@ -515,21 +490,11 @@ class FacetKernelResult(Record):
     kernel_dim: int | None
     expected_dim: int
     culprit: str | None = None
+    _derived = ("ok",)
 
     @property
     def ok(self) -> bool:
         return self.kernel_dim == self.expected_dim
-
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "space_dim": self.space_dim,
-            "kernel_dim": self.kernel_dim,
-            "expected_dim": self.expected_dim,
-            "ok": self.ok,
-            "culprit": self.culprit,
-        }
 
 
 @lru_cache(maxsize=None)

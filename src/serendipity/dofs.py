@@ -234,6 +234,7 @@ class UnisolvenceResult(Record):
     rank: int | None
     facet_factor_ok: bool
     culprit: str | None = None
+    _derived = ("matrix_full_rank", "unisolvent")
 
     @property
     def matrix_full_rank(self) -> bool:
@@ -242,18 +243,6 @@ class UnisolvenceResult(Record):
     @property
     def unisolvent(self) -> bool:
         return self.matrix_full_rank and self.facet_factor_ok
-
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "dim": self.dim,
-            "rank": self.rank,
-            "matrix_full_rank": self.matrix_full_rank,
-            "facet_factor_ok": self.facet_factor_ok,
-            "unisolvent": self.unisolvent,
-            "culprit": self.culprit,
-        }
 
 
 def check_unisolvence(n: int, r: int) -> UnisolvenceResult:
@@ -372,6 +361,7 @@ class LayoutRow(Record):
     face_dim: int
     face_count: int
     per_face: int
+    _derived = ("subtotal",)
 
     @property
     def subtotal(self) -> int:
@@ -383,27 +373,11 @@ class LayoutReport(Record):
     n: int
     r: int
     rows: tuple[LayoutRow, ...]
+    _derived = ("total",)
 
     @property
     def total(self) -> int:
         return sum(row.subtotal for row in self.rows)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "family": self.family,
-            "n": self.n,
-            "r": self.r,
-            "rows": [
-                {
-                    "face_dim": row.face_dim,
-                    "face_count": row.face_count,
-                    "per_face": row.per_face,
-                    "subtotal": row.subtotal,
-                }
-                for row in self.rows
-            ],
-            "total": self.total,
-        }
 
 
 def dof_layout(n: int, r: int, family: str = "S") -> LayoutReport:

@@ -25,6 +25,7 @@ import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from operator import add, attrgetter, itemgetter
 from types import FunctionType
 
@@ -67,6 +68,20 @@ def monomial_str(exponents: Exponents) -> str:
     return "*".join(parts) or "1"
 
 
+def _json(value: object) -> object:
+    """A field's JSON data: a tuple as a list, one of ints or bools in one
+    call; a value with its own ``to_json_obj`` through it; anything else as
+    it is.  A tuple field holds one type (``tuple[T, ...]``), so its first
+    item tells which: a type check of every item would cost more than the
+    copy."""
+    if type(value) is tuple:
+        if not value or type(value[0]) in (int, bool):
+            return list(value)
+        return list(map(_json, value))
+    to_json = getattr(value, "to_json_obj", None)
+    return value if to_json is None else to_json()
+
+
 class Record:
     """Frozen value record: what ``@dataclass(frozen=True)`` gives, without
     importing ``dataclasses``.  A subclass annotates its fields in order,
@@ -75,7 +90,10 @@ class Record:
     one class, the hash is the field tuple's, the repr ``Name(field=value,
     ...)``, and assignment or deletion raises ``AttributeError``.  The
     ``__dict__`` stays, for ``cached_property``, pickle and ``copy``; a hot
-    class may write its own ``__init__`` that fills it."""
+    class may write its own ``__init__`` that fills it.  ``to_json_obj``
+    writes the fields, then the properties named in ``_derived``."""
+
+    _derived = ()  # not annotated, so not a field
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(cls.__annotations__)
@@ -115,6 +133,9 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def to_json_obj(self) -> dict:
+        return {name: _json(getattr(self, name)) for name in self._fields + self._derived}
 
 
 class Polynomial:
@@ -185,6 +206,19 @@ class Polynomial:
         object.__setattr__(out, "_terms", terms)
         object.__setattr__(out, "_plan", None)
         return out
+
+    @classmethod
+    def _over(cls, n: int, terms: dict[Exponents, int], den: int) -> "Polynomial":
+        """The polynomial of integer terms over den; the exponent tuples are
+        canonical, as for ``_canonical``, and zero terms are dropped."""
+        return cls._canonical(n, {e: Fraction(v, den) for e, v in terms.items() if v})
+
+    def _cleared(self) -> tuple[int, dict[Exponents, int]]:
+        """(den, terms): the polynomial as integer terms over den, the lcm
+        of its denominators, in ``_over``'s form."""
+        terms = self._terms
+        den = lcm(*[c.denominator for c in terms.values()])
+        return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
 
     @classmethod
     def from_monomial(cls, exponents: Sequence[int], coeff: Scalar = 1) -> "Polynomial":

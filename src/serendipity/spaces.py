@@ -59,6 +59,7 @@ class SpaceBasis(Record):
     degree: int
     face: Face
     monomials: tuple[Exponents, ...]
+    _derived = ("dim",)
 
     def __post_init__(self) -> None:
         if self.family not in ("P", "Q", "S"):
@@ -86,14 +87,9 @@ class SpaceBasis(Record):
         return self._index[tuple(exponents)]
 
     def to_json_obj(self) -> dict:
-        return {
-            "family": self.family,
-            "n": self.n,
-            "r": self.degree,
-            "face": self.face.to_json_obj(),
-            "dim": self.dim,
-            "monomials": [list(m) for m in self.monomials],
-        }
+        obj = super().to_json_obj()
+        obj["r"] = obj.pop("degree")
+        return obj
 
 
 def monomials_total_degree_at_most(

@@ -10,7 +10,7 @@ import pickle
 import random
 import struct
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -292,6 +292,19 @@ class TestConstructor:
 
         c = Polynomial(1, [((1,), Half(1, 2))]).coefficient((1,))
         assert c == Fraction(1, 2) and type(c) is Fraction
+
+    @given(polys(3))
+    def test_cleared_terms_over_their_lcm_give_the_polynomial_back(self, p):
+        den, terms = p._cleared()
+        assert den == lcm(*(c.denominator for _, c in p.terms()))
+        assert all(type(v) is int and v for v in terms.values()) and terms.keys() == p._terms.keys()
+        q = Polynomial._over(3, terms, den)
+        assert q == p and all(type(c) is Fraction for _, c in q.terms())
+
+    def test_integer_terms_over_a_denominator_drop_zeros_and_reduce(self):
+        p = Polynomial._over(2, {(1, 0): 6, (0, 1): 0, (0, 0): -3}, 4)
+        assert p._terms == {(1, 0): Fraction(3, 2), (0, 0): Fraction(-3, 4)}
+        assert Polynomial._over(2, {(1, 0): 0}, 5).is_zero()
 
     @pytest.mark.parametrize("seed", range(12))
     def test_arithmetic_matches_the_dict_oracle(self, seed):

@@ -1,11 +1,14 @@
 """The package's frozen value records behave as ``@dataclass(frozen=True)``
 classes do: construction by position, keyword and default, equality only
 within one class, the hash of the field tuple, the ``Name(field=value)``
-repr, no assignment or deletion, and pickle and copy round trips."""
+repr, no assignment or deletion, and pickle and copy round trips.  Each
+writes its JSON data through ``to_json_obj``: the fields, then the
+properties it names in ``_derived``, with no tuple left."""
 
 from __future__ import annotations
 
 import copy
+import json
 import pickle
 
 import pytest
@@ -69,6 +72,50 @@ RECORDS = {
 DEFAULTS = {DirectSumResult: {"culprit": None}, FacetKernelResult: {"culprit": None},
             UnisolvenceResult: {"culprit": None}}
 CLASSES = list(RECORDS)
+
+SQUARE_JSON = {"n": 2, "dim": 2, "fixed": []}
+EDGE_JSON = {"n": 2, "dim": 1, "fixed": [{"index": 1, "sign": 1}]}
+ROW_JSON = {"face_dim": 1, "face_count": 4, "per_face": 2, "subtotal": 8}
+# class -> the sample's to_json_obj(), as each report's own method wrote it
+JSON = {
+    ElementPair: {
+        "n": 3, "axis": 2,
+        "left_shared_face": {"n": 3, "dim": 2, "fixed": [{"index": 2, "sign": 1}]},
+        "right_shared_face": {"n": 3, "dim": 2, "fixed": [{"index": 2, "sign": -1}]},
+    },
+    ContinuityReport: {
+        "n": 2, "r": 3, "axis": 1, "trials": 2, "seed": 7, "shared_count": 4,
+        "trial_traces_equal": [True, True], "perturbations_detected": [True, False], "ok": False,
+    },
+    Face: {"n": 3, "dim": 2, "fixed": [{"index": 1, "sign": 1}]},
+    DirectSumResult: {
+        "n": 2, "r": 3, "space_dim": 12, "component_count": 12, "rank": 12,
+        "dims_match": True, "full_rank": True, "ok": True, "culprit": None,
+    },
+    FacetKernelResult: {
+        "n": 2, "r": 4, "space_dim": 17, "kernel_dim": 1, "expected_dim": 1, "ok": True,
+        "culprit": None,
+    },
+    UnisolvenceResult: {
+        "n": 3, "r": 2, "dim": 20, "rank": 20, "matrix_full_rank": True,
+        "facet_factor_ok": True, "unisolvent": True, "culprit": None,
+    },
+    LayoutReport: {"family": "S", "n": 2, "r": 3, "rows": [ROW_JSON], "total": 8},
+    SpaceBasis: {
+        "family": "S", "n": 2, "r": 1, "face": SQUARE_JSON, "dim": 3,
+        "monomials": [[0, 0], [0, 1], [1, 0]],
+    },
+}
+# class -> the sample's to_json_obj() as Record writes it, in key order
+INHERITED = {
+    FaceComponent: {"face": EDGE_JSON, "coefficient": [{"exponents": [0, 2], "coeff": "3/1"}]},
+    DofFunctional: {"face": EDGE_JSON, "exponents": [0, 1], "index": 5},
+    LayoutRow: ROW_JSON,
+    InclusionReport: {
+        "n": 2, "r": 2, "contains_total_degree_r": True, "within_total_degree_r_plus": True,
+        "dim_P_r": 6, "dim_S_r": 8, "dim_Q_r": 9,
+    },
+}
 
 
 def sample(cls, which: int = 1):
@@ -140,6 +187,20 @@ class TestRecord:
         x = sample(cls)
         for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
             assert type(y) is cls and y == x and hash(y) == hash(x) and repr(y) == repr(x)
+
+
+@pytest.mark.parametrize("cls", list(JSON), ids=lambda c: c.__name__)
+def test_json_obj_is_exact_and_holds_no_tuple(cls):
+    obj = sample(cls).to_json_obj()
+    assert obj == JSON[cls]
+    assert json.loads(json.dumps(obj)) == obj
+
+
+@pytest.mark.parametrize("cls", list(INHERITED), ids=lambda c: c.__name__)
+def test_inherited_json_obj_is_the_fields_then_the_derived(cls):
+    obj = sample(cls).to_json_obj()
+    assert obj == INHERITED[cls] and list(obj) == list(INHERITED[cls])
+    assert json.loads(json.dumps(obj)) == obj
 
 
 def test_face_repr():

@@ -35,10 +35,13 @@ kernel) at (4, 12), (5, 8) and (6, 6), unisolvence and facet kernel
 as JSON over every cell n <= 6, r <= 12, and direct sum and continuity
 (its shared DOF count) as JSON over the same cells; the S basis, which
 is read off the element's (face, weight) index, as JSON at (4, 12),
-(5, 12) and (6, 12) and as text at (6, 12); the Q DOF layout as csv at
-(5, 12), which no functional cap bounds, and the Q DOF listing as JSON
-at (4, 12), whose 28,561 streamed functionals reuse each face's text; the decompose methods with
-default, ``--alpha`` and ``--poly`` input;
+(5, 12) and (6, 12) and as text at (6, 12), and the Q basis at (4, 12)
+and the P basis at (6, 12) as JSON, whose exponent tuples
+``Record.to_json_obj`` writes as it does the S basis's; the Q DOF
+layout as csv at (5, 12), which no functional cap bounds, and the Q DOF
+listing as JSON at (4, 12), whose 28,561 streamed functionals reuse
+each face's text;
+the decompose methods with default, ``--alpha`` and ``--poly`` input;
 continuity on every axis, through ``verify`` at (4, 8) and (5, 6), on
 the last axis at (4, 6) and (5, 6), and on axis 6 at (6, 3) and axis 3
 at (6, 4), which read the mirror pairing beyond n = 4 and off axis 1,
@@ -140,6 +143,7 @@ def invocations(inputs: Path) -> list[list[str]]:
     # the S basis at r = 12, read off the (face, weight) index
     runs += [["basis", *cell(n, 12), "--format", "json"] for n in (4, 5, 6)]
     runs.append(["basis", *cell(6, 12)])
+    runs += [["basis", *cell(n, 12), "--family", f, "--format", "json"] for n, f in ((4, "Q"), (6, "P"))]
     # the Q layout alone, which no functional cap bounds
     runs.append(["dofs", *cell(5, 12), "--family", "Q", "--format", "csv"])
     runs.append(["dofs", *cell(4, 12), "--family", "Q", "--format", "json"])
