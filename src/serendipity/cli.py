@@ -62,7 +62,7 @@ from .dofs import (
     dofs_S,
     nodal_functions,
 )
-from .exactpoly import Polynomial, monomial_str
+from .exactpoly import Polynomial, _ratio, monomial_str
 from .spaces import (
     basis_P,
     basis_Q,
@@ -201,21 +201,21 @@ def _term_text(level: int, cache: bool = True) -> tuple[Callable, Callable]:
     return item, join
 
 
-def _term_writer(level: int, cache: bool = True) -> Callable[[Iterable[tuple]], str]:
-    """A writer of term lists, as ``Polynomial.terms()`` gives them, at depth
-    level (``_term_text``), one f-string per term."""
+def _term_writer(level: int, cache: bool = True) -> Callable[[Polynomial], str]:
+    """A writer of a polynomial's term list at depth level (``_term_text``),
+    one f-string per term of ``Polynomial._text_terms()``."""
     item, join = _term_text(level, cache)
-    return lambda terms: join([item(e, f"{c.numerator}/{c.denominator}") for e, c in terms])
+    return lambda p: join([item(e, text) for e, text in p._text_terms()])
 
 
 def _functional_items(functionals: Iterable[DofFunctional]) -> Iterator[str]:
     """Each DOF's JSON object at depth 2, its face's text written once."""
-    weight, faces = _term_writer(3, cache=False), {}
+    (item, join), faces = _term_text(3, cache=False), {}
     for L in functionals:
         face = faces.get(L.face)
         if face is None:
             face = faces[L.face] = f'{{\n      "face": {_dumps(L.face.to_json_obj(), 3)},\n      "index": '
-        yield f'{face}{L.index},\n      "weight": {weight([(L.exponents, 1)])}\n    }}'
+        yield f'{face}{L.index},\n      "weight": {join([item(L.exponents, "1/1")])}\n    }}'
 
 
 def _emit(args: Namespace, chunks: Iterable[str]) -> None:
@@ -310,14 +310,14 @@ def _dofs_payload(args: Namespace) -> tuple[dict, bool]:
 def _nodal_payload(args: Namespace) -> tuple[dict, bool]:
     item, join = _term_text(2)
     # solved here, before any output; each term's text per sign once per perm
-    images = _nodal_images(args.n, args.r, lambda e, p, q: item(e, f"{p}/{q}"))
+    images = _nodal_images(args.n, args.r, lambda e, c, scale: item(e, _ratio(c, scale)))
     return {
         "seed": args.seed,
         "n": args.n,
         "r": args.r,
         "family": "S",
         "functionals": _list_chunks(_functional_items(dofs_S(args.n, args.r)), 1),
-        "polynomials": _list_chunks((join(texts) for _, texts in images), 1),
+        "polynomials": _list_chunks((join(texts) for _, texts, _ in images), 1),
     }, True
 
 
@@ -356,8 +356,8 @@ def _component_items(components: Iterable[FaceComponent]) -> Iterator[str]:
     terms = _term_writer(3)
     for fc in components:
         yield (
-            f'{{\n      "coefficient": {terms(fc.coefficient.terms())},'
-            f'\n      "component": {terms(fc.component.terms())},'
+            f'{{\n      "coefficient": {terms(fc.coefficient)},'
+            f'\n      "component": {terms(fc.component)},'
             f'\n      "face": {_dumps(fc.face.to_json_obj(), 3)}\n    }}'
         )
 
@@ -370,7 +370,7 @@ def _decomposition_payload(args: Namespace) -> tuple[dict, bool]:
         "n": args.n,
         "r": args.r,
         "method": args.method,
-        "input": iter([_term_writer(1)(p.terms())]),
+        "input": iter([_term_writer(1)(p)]),
         "components": _list_chunks(_component_items(components), 1),
         "sum_matches": sum_matches,
         "methods_agree": agree,
@@ -569,7 +569,7 @@ def cmd_decompose(args: Namespace) -> int:
     _, components, sum_matches, agree = _decomposition(args)
     lines = [f"decomposition over faces (n={args.n}, r={args.r}, method={args.method})\n"]
     for fc in components:
-        terms = ", ".join(f"{c.numerator}/{c.denominator}*x^{e}" for e, c in fc.coefficient.terms())
+        terms = ", ".join(f"{text}*x^{e}" for e, text in fc.coefficient._text_terms())
         lines.append(f"  {_face_label(fc.face)}: {terms}\n")
     lines.append(f"sum matches input: {sum_matches}\n")
     lines.append(f"methods agree: {agree}\n")

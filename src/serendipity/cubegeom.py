@@ -150,9 +150,8 @@ def restrict_to_face(p: Polynomial, face: Face) -> Polynomial:
 
     The trace is returned in the ambient n variables, with exponent 0 on
     every pinned axis.  Restriction never raises the superlinear degree.
-    The terms that meet on one trace monomial are added as integers, p
-    cleared by the lcm of its denominators, so one Fraction is formed per
-    trace term.
+    The terms that meet on one trace monomial are added as integers over
+    p's one denominator.
     """
     if p.n != face.n:
         raise ValueError(f"polynomial has n={p.n}, face has n={face.n}")

@@ -26,7 +26,7 @@ import itertools
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
 from . import decomp
 from .cubegeom import Face, enumerate_faces, face_symmetry
@@ -269,12 +269,12 @@ def check_unisolvence(n: int, r: int) -> UnisolvenceResult:
 
 def _nodal_images(
     n: int, r: int, form: Callable[[Exponents, int, int], object]
-) -> Iterator[tuple[list[Exponents], list]]:
+) -> Iterator[tuple[list[Exponents], list, int]]:
     """The dual basis in DOF order, each function as its exponent tuples in
-    graded lex order and, for the term p/q x^e (p/q reduced), form(e, p, q)
-    in the same order.  The solve runs at the call, so an uncertified
-    pairing raises before any function is read; the rest is formed as it
-    is read, one perm at a time.
+    graded lex order, form(e, c, scale) for each term c / scale x^e in the
+    same order, and its scale.  The solve runs at the call, so an
+    uncertified pairing raises before any function is read; the rest is
+    formed as it is read, one perm at a time.
 
     With K = D C the pairing of the DOFs with the bubble components, the
     inverse of the DOF matrix is C K^-1: the nodal function of the DOF
@@ -298,10 +298,10 @@ def _nodal_images(
     signs innermost), and flip only axes that the run pins.  Once per run,
     each solved function of its dimension becomes a row of parallel lists
     over its permuted terms in graded lex order: the exponents, form's
-    value for p/q, the value for -p/q where an exponent on a pinned axis
-    is odd, and the bitmask of those axes.  The image on a face of the run
-    takes the second value where that bitmask and the face's flipped axes
-    share an odd number of bits.
+    value for c, the value for -c where an exponent on a pinned axis is
+    odd, and the bitmask of those axes, and then the scale.  The image on
+    a face of the run takes the second value where that bitmask and the
+    face's flipped axes share an odd number of bits.
     """
     index, solved = face_monomials(n, r), {}
     for H in (enumerate_faces(n, d)[0] for d in range(n + 1)):
@@ -309,20 +309,18 @@ def _nodal_images(
             scale, parts = decomp._solve(n, r, 1, {H.fixed: {w: 1}})
             solved.setdefault(H.dim, []).append((scale, decomp._merge(n, parts)))
 
-    def row(scale: int, terms: dict, source: list[int], pinned: int) -> tuple[list, ...]:
+    def row(scale: int, terms: dict, source: list[int], pinned: int) -> tuple:
         exps, pos, neg, odds = [], [], [], []
         permuted = ((tuple(e[i] for i in source), c) for e, c in terms.items() if c)
         for e, c in sorted(permuted, key=lambda t: grlex_key(t[0])):
-            g = gcd(c, scale)
-            p, q = c // g, scale // g
             odd = pinned & sum(1 << j for j, k in enumerate(e) if k & 1)
             exps.append(e)
-            pos.append(form(e, p, q))
-            neg.append(form(e, -p, q) if odd else pos[-1])
+            pos.append(form(e, c, scale))
+            neg.append(form(e, -c, scale) if odd else pos[-1])
             odds.append(odd)
-        return exps, pos, neg, odds
+        return exps, pos, neg, odds, scale
 
-    def images() -> Iterator[tuple[list[Exponents], list]]:
+    def images() -> Iterator[tuple[list[Exponents], list, int]]:
         symmetries = ((face.dim, *face_symmetry(face)) for face in face_monomials(n, r))
         for (d, perm), run in itertools.groupby(symmetries, key=lambda s: s[:2]):
             source = sorted(range(n), key=perm.__getitem__)
@@ -334,8 +332,8 @@ def _nodal_images(
                 del solved[done]
             rows = [row(scale, terms, source, pinned) for scale, terms in solved[d]]
             for mask in masks:
-                for exps, pos, neg, odds in rows:
-                    yield exps, [b if (o & mask).bit_count() & 1 else a for a, b, o in zip(pos, neg, odds)]
+                for exps, pos, neg, odds, scale in rows:
+                    yield exps, [b if (o & mask).bit_count() & 1 else a for a, b, o in zip(pos, neg, odds)], scale
 
     return images()
 
@@ -346,9 +344,9 @@ def nodal_functions(n: int, r: int) -> Iterator[Polynomial]:
     raises before any function is yielded; each function is formed as it
     is read, so a caller that writes and drops them holds only the solved
     ones and one perm's rows (``_nodal_images``), where the images of a
-    term share its Fraction of each sign."""
-    images = _nodal_images(n, r, lambda e, p, q: Fraction(p, q))
-    return (Polynomial._canonical(n, dict(zip(exps, values))) for exps, values in images)
+    term share its integer of each sign."""
+    images = _nodal_images(n, r, lambda e, c, scale: c)
+    return (Polynomial._over(n, dict(zip(exps, values)), scale) for exps, values, scale in images)
 
 
 @lru_cache(maxsize=None)

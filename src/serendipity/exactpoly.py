@@ -1,9 +1,9 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
-A polynomial in n variables is stored as a mapping from exponent tuples
-(length n, non-negative ints) to nonzero ``fractions.Fraction``
-coefficients.  All arithmetic is exact; floats only appear on the
-optional floating-point evaluation path.
+A polynomial in n variables is stored as nonzero integer terms, keyed by
+exponent tuples (length n, non-negative ints), over one denominator:
+content and primitive part.  All arithmetic is exact; floats only appear
+on the optional floating-point evaluation path.
 
 Two degree notions drive everything downstream:
 
@@ -25,7 +25,7 @@ import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import add, attrgetter, itemgetter
 from types import FunctionType
 
@@ -66,6 +66,12 @@ def monomial_str(exponents: Exponents) -> str:
     """Render a monomial as x1^2*x2, or 1 for the constant."""
     parts = [f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}" for i, e in enumerate(exponents) if e]
     return "*".join(parts) or "1"
+
+
+def _ratio(c: int, den: int) -> str:
+    """c / den as reduced p/q text, den > 0; q = 1 is written too."""
+    g = gcd(c, den)
+    return f"{c // g}/{den // g}"
 
 
 def _json(value: object) -> object:
@@ -139,15 +145,16 @@ class Record:
 
 
 class Polynomial:
-    """Immutable sparse polynomial with Fraction coefficients.
-
-    Construction canonicalizes: coefficients are coerced to Fraction,
-    terms are added only where exponents repeat, and zero terms are
-    dropped, so two polynomials are equal iff their term mappings are
-    equal.  Arithmetic passes its raw (exponents, coefficient) pairs here.
+    """Immutable sparse polynomial, stored as (den, {exponents: int}) with
+    den > 0, no zero term and no common factor of den and all the
+    integers; zero is (1, {}).  The form is canonical, so equality and the
+    hash compare it.  The constructor coerces its coefficients to Fraction,
+    adds them where exponents repeat and stores the nonzero sums over the
+    lcm of their denominators; ``_over`` and ``_cleared`` build and read
+    the form, and Fractions are built only where the API gives them out.
     """
 
-    __slots__ = ("_n", "_terms", "_plan")
+    __slots__ = ("_n", "_den", "_terms", "_plan")
 
     def __init__(self, n: int, terms: Mapping[Sequence[int], Scalar] = ()) -> None:
         if n < 0:
@@ -165,15 +172,22 @@ class Polynomial:
                     del canonical[exps]
             if value:
                 canonical[exps] = value
+        # each prime power in den is some reduced denominator's, prime to its numerator
+        den = lcm(*[c.denominator for c in canonical.values()])
+        self._store(n, den, {e: c.numerator * (den // c.denominator) for e, c in canonical.items()})
+
+    def _store(self, n: int, den: int, terms: dict[Exponents, int]) -> "Polynomial":
         object.__setattr__(self, "_n", n)
-        object.__setattr__(self, "_terms", canonical)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_plan", None)
+        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Polynomial is immutable")
 
     def __reduce__(self):
-        return (Polynomial, (self._n, dict(self._terms)))
+        return (Polynomial, (self._n, dict(self._fractions())))
 
     # -- constructors ------------------------------------------------
 
@@ -197,28 +211,24 @@ class Polynomial:
         return cls(n, {exps: Fraction(1)})
 
     @classmethod
-    def _canonical(cls, n: int, terms: dict[Exponents, Fraction]) -> "Polynomial":
-        """The polynomial of terms already canonical: distinct exponent
-        tuples of n non-negative ints, each to a nonzero Fraction.  Nothing
-        is checked; the dict is kept, not copied."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "_n", n)
-        object.__setattr__(out, "_terms", terms)
-        object.__setattr__(out, "_plan", None)
-        return out
-
-    @classmethod
     def _over(cls, n: int, terms: dict[Exponents, int], den: int) -> "Polynomial":
-        """The polynomial of integer terms over den; the exponent tuples are
-        canonical, as for ``_canonical``, and zero terms are dropped."""
-        return cls._canonical(n, {e: Fraction(v, den) for e, v in terms.items() if v})
+        """The polynomial of integer terms over den > 0, reduced by their
+        gcd in one pass, zero terms dropped.  The keys must be distinct
+        tuples of n non-negative ints; nothing is checked."""
+        terms = {e: v for e, v in terms.items() if v}
+        g = gcd(den, *terms.values())
+        if g > 1:
+            den, terms = den // g, {e: v // g for e, v in terms.items()}
+        return object.__new__(cls)._store(n, den, terms)
 
     def _cleared(self) -> tuple[int, dict[Exponents, int]]:
-        """(den, terms): the polynomial as integer terms over den, the lcm
-        of its denominators, in ``_over``'s form."""
-        terms = self._terms
-        den = lcm(*[c.denominator for c in terms.values()])
-        return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+        """(den, terms): the stored form, integer terms over den, unsorted.
+        Both are the polynomial's own: read them, never change them."""
+        return self._den, self._terms
+
+    def _fractions(self) -> Iterator[tuple[Exponents, Fraction]]:
+        den = self._den
+        return ((e, Fraction(c, den)) for e, c in self._terms.items())
 
     @classmethod
     def from_monomial(cls, exponents: Sequence[int], coeff: Scalar = 1) -> "Polynomial":
@@ -242,10 +252,16 @@ class Polynomial:
 
     def terms(self) -> list[tuple[Exponents, Fraction]]:
         """Terms in graded lexicographic order."""
-        return sorted(self._terms.items(), key=lambda kv: grlex_key(kv[0]))
+        return sorted(self._fractions(), key=lambda kv: grlex_key(kv[0]))
+
+    def _text_terms(self) -> list[tuple[Exponents, str]]:
+        """Terms in graded lexicographic order, each coefficient as reduced
+        p/q text (``_ratio``)."""
+        den = self._den
+        return [(e, _ratio(c, den)) for e, c in sorted(self._terms.items(), key=lambda kv: grlex_key(kv[0]))]
 
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        return self._terms.get(tuple(exponents), Fraction(0))
+        return Fraction(self._terms.get(tuple(exponents), 0), self._den)
 
     def degree(self) -> int:
         """Max total degree over terms; -1 for the zero polynomial."""
@@ -273,12 +289,12 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_n(other)
-        return Polynomial(self._n, itertools.chain(self._terms.items(), other._terms.items()))
+        return Polynomial(self._n, itertools.chain(self._fractions(), other._fractions()))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self._n, {e: -c for e, c in self._terms.items()})
+        return Polynomial._over(self._n, {e: -c for e, c in self._terms.items()}, self._den)
 
     def __sub__(self, other: Polynomial | Scalar) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -294,13 +310,11 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Polynomial.zero(self._n)
-            return Polynomial(
-                self._n, {e: c * other for e, c in self._terms.items()}
-            )
+            return Polynomial(self._n, {e: c * other for e, c in self._fractions()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_n(other)
-        pairs = itertools.product(self._terms.items(), other._terms.items())
+        pairs = itertools.product(self._fractions(), other._fractions())
         return Polynomial(self._n, ((tuple(map(add, a, b)), x * y) for (a, x), (b, y) in pairs))
 
     __rmul__ = __mul__
@@ -318,14 +332,14 @@ class Polynomial:
             other = Polynomial.constant(self._n, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self._n == other._n and self._terms == other._terms
+        return self._n == other._n and self._den == other._den and self._terms == other._terms
 
     def __hash__(self) -> int:
         # a constant equals its scalar, so it must hash as that scalar
         zero = (0,) * self._n
         if self._terms.keys() <= {zero}:
-            return hash(self._terms.get(zero, 0))
-        return hash((self._n, frozenset(self._terms.items())))
+            return hash(Fraction(self._terms.get(zero, 0), self._den))
+        return hash((self._n, self._den, frozenset(self._terms.items())))
 
     def __iter__(self) -> Iterator[tuple[Exponents, Fraction]]:
         return iter(self.terms())
@@ -352,17 +366,19 @@ class Polynomial:
         """Evaluate at a point.
 
         If every coordinate is an int or Fraction the result is an exact
-        Fraction computed term by term.  If any coordinate is a float,
-        everything is converted to float and evaluated with a nested
-        Horner scheme, one variable at a time, for numerical stability.
-        The scheme runs as straight-line code, the same float operations in
-        the same order.  Its code depends only on the exponents, so it is
-        compiled once per exponent shape (``_compile_horner``) and the first
-        float call binds this polynomial's coefficients, each leaf
-        ``0 + float(c)``, to it; later calls run it.  That code converts the
-        coordinates itself and forms each distinct power x_i ** k, k > 1,
-        once, so a call costs one ``**`` per such power and one multiply
-        and add per Horner step.
+        Fraction: the integer terms are summed, then divided once by den.
+        If any coordinate is a float, everything is converted to float and
+        evaluated with a nested Horner scheme, one variable at a time, for
+        numerical stability.  The scheme runs as straight-line code, the
+        same float operations in the same order.  Its code depends only on
+        the exponents, so it is compiled once per exponent shape
+        (``_compile_horner``) and the first float call binds this
+        polynomial's leaves to it, ``0 + c / den`` per integer c; later
+        calls run it.  CPython rounds int true division correctly, so a
+        leaf is ``float(Fraction(c, den))``, with 0.0 for -0.0.  That code
+        converts the coordinates itself and forms each distinct power
+        x_i ** k, k > 1, once, so a call costs one ``**`` per such power
+        and one multiply and add per Horner step.
         """
         if len(point) != self._n:
             raise ValueError(f"point has {len(point)} coordinates, expected {self._n}")
@@ -372,9 +388,8 @@ class Polynomial:
                 if plan is None:
                     if not self._terms:
                         return 0.0
-                    items = sorted(self._terms.items(), reverse=True)  # distinct keys
-                    # float(c) is this integer true division; 0 + -0.0 is 0.0
-                    leaves = tuple([0 + c.numerator / c.denominator for _, c in items])
+                    items, den = sorted(self._terms.items(), reverse=True), self._den  # distinct keys
+                    leaves = tuple([0 + c / den for _, c in items])
                     template = _compile_horner(self._n, tuple([e for e, _ in items]))
                     plan = FunctionType(template.__code__, template.__globals__, "plan", leaves)
                     object.__setattr__(self, "_plan", plan)
@@ -387,7 +402,7 @@ class Polynomial:
                 if e:
                     term *= v**e
             total += term
-        return total
+        return total / self._den
 
     def __call__(self, *point: Scalar | float) -> Fraction | float:
         return self.evaluate(point)
@@ -395,10 +410,7 @@ class Polynomial:
     # -- serialization -----------------------------------------------
 
     def to_json_obj(self) -> list[dict]:
-        return [
-            {"exponents": list(exps), "coeff": f"{c.numerator}/{c.denominator}"}
-            for exps, c in self.terms()
-        ]
+        return [{"exponents": list(e), "coeff": text} for e, text in self._text_terms()]
 
     @classmethod
     def from_json_obj(cls, n: int, data: Iterable[Mapping]) -> "Polynomial":

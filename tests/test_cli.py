@@ -853,9 +853,9 @@ class TestTermWriter:
         head = "".join("[\n" + "  " * (k + 1) for k in range(level))
         tail = "".join("\n" + "  " * k + "]" for k in reversed(range(level)))
         write = cli._term_writer(level)
-        assert head + write(p.terms()) + tail == expected
+        assert head + write(p) + tail == expected
         # again, with every exponent tuple's text cached
-        assert head + write(p.terms()) + tail == expected
+        assert head + write(p) + tail == expected
 
 
 class TestFloatRow:

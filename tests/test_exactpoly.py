@@ -13,13 +13,14 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense import apply_dof, face_moment
 from serendipity import dofs, exactpoly
 from serendipity.assembly import interpolate
-from serendipity.cubegeom import Face, enumerate_faces, face_symmetry, full_cube
+from serendipity.cubegeom import Face, enumerate_faces, face_symmetry, full_cube, restrict_to_face
+from serendipity.decomp import decompose, recompose
 from serendipity.dofs import DofFunctional, dofs_S, nodal_basis, nodal_functions
 from serendipity.exactpoly import (
     Polynomial,
@@ -297,14 +298,18 @@ class TestConstructor:
     def test_cleared_terms_over_their_lcm_give_the_polynomial_back(self, p):
         den, terms = p._cleared()
         assert den == lcm(*(c.denominator for _, c in p.terms()))
-        assert all(type(v) is int and v for v in terms.values()) and terms.keys() == p._terms.keys()
+        assert all(type(v) is int and v for v in terms.values()) and terms.keys() == dict(p.terms()).keys()
+        assert all(Fraction(terms[e], den) == c for e, c in p.terms())
         q = Polynomial._over(3, terms, den)
         assert q == p and all(type(c) is Fraction for _, c in q.terms())
 
     def test_integer_terms_over_a_denominator_drop_zeros_and_reduce(self):
         p = Polynomial._over(2, {(1, 0): 6, (0, 1): 0, (0, 0): -3}, 4)
-        assert p._terms == {(1, 0): Fraction(3, 2), (0, 0): Fraction(-3, 4)}
+        assert p._cleared() == (4, {(1, 0): 6, (0, 0): -3})
+        assert dict(p.terms()) == {(1, 0): Fraction(3, 2), (0, 0): Fraction(-3, 4)}
+        assert Polynomial._over(2, {(1, 0): 6, (0, 0): -2}, 4)._cleared() == (2, {(1, 0): 3, (0, 0): -1})
         assert Polynomial._over(2, {(1, 0): 0}, 5).is_zero()
+        assert Polynomial._over(2, {(1, 0): 0}, 5)._cleared() == (1, {})
 
     @pytest.mark.parametrize("seed", range(12))
     def test_arithmetic_matches_the_dict_oracle(self, seed):
@@ -333,6 +338,78 @@ class TestConstructor:
         assert dict(restrict_to_face(p, Face(n, pins)).terms()) == added_terms(trace)
 
 
+def assert_stored_form(p: Polynomial) -> None:
+    """p holds the canonical form: integer terms over den > 0, none zero,
+    with no common factor of den and all of them; zero as (1, {})."""
+    den, terms = p._cleared()
+    assert type(den) is int and den > 0
+    assert all(type(c) is int and c for c in terms.values())
+    assert gcd(den, *terms.values()) == 1
+    assert terms or den == 1
+
+
+class TestStoredForm:
+    """Every producer of a polynomial returns the canonical stored form."""
+
+    def test_constructor(self):
+        class Half(Fraction):
+            pass
+
+        third, sixth = Fraction(1, 3), Fraction(1, 6)
+        cases = {
+            "subclass": (Polynomial(1, [((1,), Half(1, 2))]), (2, {(1,): 1})),
+            "cancel": (Polynomial(2, [((1, 0), sixth), ((0, 1), 4), ((1, 0), -sixth)]), (1, {(0, 1): 4})),
+            "sum": (Polynomial(2, [((1, 0), sixth), ((0, 0), -third), ((1, 0), sixth)]),
+                    (3, {(1, 0): 1, (0, 0): -1})),
+            "zero": (Polynomial(1, [((0,), 2), ((0,), -2)]), (1, {})),
+            "empty": (Polynomial(2, {}), (1, {})),
+            "constant": (Polynomial.constant(3, Fraction(-10, 8)), (4, {(0, 0, 0): -5})),
+            "variable": (Polynomial.variable(3, 1), (1, {(0, 1, 0): 1})),
+            "monomial": (Polynomial.from_monomial((2, 1), Fraction(4, 6)), (3, {(2, 1): 2})),
+        }
+        for name, (p, stored) in cases.items():
+            assert_stored_form(p)
+            assert p._cleared() == stored, name
+
+    def test_from_json_obj(self):
+        data = [{"exponents": [1], "coeff": "2/4"}, {"exponents": [0], "coeff": "-0.5"},
+                {"exponents": [2], "coeff": 3}, {"exponents": [3], "coeff": "0/7"}]
+        p = Polynomial.from_json_obj(1, data)
+        assert_stored_form(p)
+        assert p._cleared() == (2, {(1,): 1, (0,): -1, (2,): 6})
+        assert Polynomial.from_json_obj(2, [])._cleared() == (1, {})
+
+    @given(polys(3), polys(3), coeffs)
+    def test_arithmetic(self, p, q, a):
+        for out in (p + q, p - q, -p, p * q, p * a, a * p, p + a, a + p, p - a, a - p, p**0, p**2):
+            assert_stored_form(out)
+        assert_stored_form(Polynomial.from_json_obj(3, p.to_json_obj()))
+
+    @pytest.mark.parametrize("n, r", [(1, 4), (2, 4), (3, 5), (4, 4)])
+    def test_element_producers(self, n, r):
+        rng = random.Random(10 * n + r)
+        count = len(dofs_S(n, r))
+        u = interpolate([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(count)], n, r)
+        outs = [u, interpolate([0] * count, n, r), recompose({}, n)]
+        outs += [restrict_to_face(u, face) for d in range(n) for face in enumerate_faces(n, d)]
+        for method in ("solve", "construct"):
+            components = decompose(u, r, method)
+            outs += [fc.coefficient for fc in components.values()]
+            outs += [fc.component for fc in components.values()]
+            outs.append(recompose(components, n))
+        outs += nodal_functions(n, r)
+        for p in outs:
+            assert_stored_form(p)
+
+    def test_integer_terms_over_a_denominator_equal_their_fractions(self):
+        e = (1, 0)
+        p, q = Polynomial._over(2, {e: 6}, 4), Polynomial(2, {e: Fraction(3, 2)})
+        assert p == q and hash(p) == hash(q) and p._cleared() == (2, {e: 3})
+        # a constant hashes as its Fraction
+        c = Polynomial._over(2, {(0, 0): 6}, 4)
+        assert c == Fraction(3, 2) and hash(c) == hash(Fraction(3, 2))
+
+
 def substituted(p: Polynomial, perm, flips) -> Polynomial:
     """p composed with the inverse of the signed axis map that sends axis i
     to axis perm[i] and then negates the axes in flips, by substitution in
@@ -358,13 +435,16 @@ class TestTransformed:
 
     @staticmethod
     def images(n, r, calls=None):
-        """The images as (e, p, q) lists, counting the calls of form."""
-        def form(e, p, q):
+        """The images as (e, c, scale) lists, each c over its row's scale,
+        counting the calls of form."""
+        def form(e, c, scale):
             if calls is not None:
                 calls.append(e)
-            return e, p, q
+            return e, c, scale
 
-        return (terms for _, terms in dofs._nodal_images(n, r, form))
+        for _, terms, scale in dofs._nodal_images(n, r, form):
+            assert all(q == scale for _, _, q in terms)
+            yield terms
 
     def test_composes_with_the_inverse_axis_map(self):
         for n, r in self.CELLS:
@@ -408,18 +488,22 @@ class TestTransformed:
             exponents = [e for e, _, _ in terms]
             assert exponents == sorted(exponents, key=grlex_key)
             assert len(set(exponents)) == len(exponents)
-            assert all(p and q > 0 and gcd(p, q) == 1 for _, p, q in terms)
+            assert all(c and q > 0 for _, c, q in terms)
+            # reduced in the stored form, as nodal_functions builds it
+            den, ints = Polynomial._over(n, {e: c for e, c, _ in terms}, terms[0][2])._cleared()
+            assert gcd(den, *ints.values()) == 1
+            assert all(Fraction(ints[e], den) == Fraction(c, q) for e, c, q in terms)
 
     def test_result_is_canonical(self):
         # the polynomials match their canonical rebuild: terms, hash, floats;
-        # the images of one term share one Fraction per sign
+        # the images of one term share one stored integer per sign
         phis = list(nodal_functions(3, 4))
         coefficients = {}
         for phi in phis:
             rebuilt = Polynomial(3, dict(phi.terms()))
             assert phi == rebuilt and hash(phi) == hash(rebuilt)
             assert phi.evaluate((0.5, -0.25, 2.0)) == rebuilt.evaluate((0.5, -0.25, 2.0))
-            for _, c in phi.terms():
+            for c in phi._cleared()[1].values():
                 coefficients.setdefault(c, set()).add(id(c))
         assert phis == list(nodal_basis(3, 4))
         assert len(phis) == len(dofs_S(3, 4))
@@ -503,6 +587,33 @@ class Coordinate(float):
 def special_or_random(rng: random.Random) -> float:
     specials = [0.0, -0.0, 1.0, -1.0, 1e-200, -1e200, 1e200, 0.75]
     return rng.choice(specials) if rng.random() < 0.6 else rng.uniform(-2, 2)
+
+
+def leaf_bits(divide) -> bytes | str:
+    """The IEEE bytes of 0 + divide(), or the repr of the overflow raised."""
+    try:
+        return struct.pack("<d", 0 + divide())
+    except OverflowError as err:
+        return repr(err)
+
+
+class TestLeaf:
+    """A float leaf is 0 + c / den of the stored integers.  CPython rounds
+    the true division of ints correctly, so an unreduced pair gives the
+    bits of its reduced Fraction's float, or raises the same overflow."""
+
+    @given(st.integers(-(2**1200), 2**1200), st.integers(1, 2**1200), st.integers(1, 2**80))
+    @example(1, 2**1100, 3)  # underflows to +0
+    @example(-1, 2**1100, 3)  # to -0, which the leaf reads as 0.0
+    @example(1, 2**1074, 6)  # the least subnormal
+    @example(3, 2**1075, 10)  # a tie between subnormals, to even
+    @example(2**1100 + 1, 1, 9)  # overflows
+    @example(-(2**1024 - 2**970), 1, 5)  # rounds to -2**1024, which overflows
+    @example(2**1024 - 2**970 - 1, 1, 2**70)  # the largest float
+    @example(0, 7, 2**70)
+    def test_unreduced_division_has_the_bits_of_the_fraction(self, p, q, k):
+        c, den = p * k, q * k
+        assert leaf_bits(lambda: c / den) == leaf_bits(lambda: float(Fraction(c, den)))
 
 
 class TestFloatPlan:

@@ -21,6 +21,9 @@ pairing solve carry the most parts and the largest integers;
 ``decompose --method construct`` and
 ``--method both`` at (4, 8) and (5, 6), and the construct decomposition
 export at (4, 6), which split the default member one axis at a time;
+``decompose --method construct`` at (6, 12) and ``--method both`` at
+(5, 12) as JSON, and ``--method both`` as text at (5, 8), where the
+term writers format the most coefficients from their stored integers;
 the nodal export at (4, 8), which prints every
 coefficient of the solves at n = 4, at (5, 4) and (6, 4), where the
 cube symmetry maps the solved functions beyond n = 4, at (5, 8),
@@ -129,6 +132,10 @@ def invocations(inputs: Path) -> list[list[str]]:
     # the construct method's per-axis passes on the default member
     runs += [["decompose", *cell(n, r), "--method", m]
              for n, r in ((4, 8), (5, 6)) for m in ("construct", "both")]
+    # the JSON and text term writers at the largest construct and both cells
+    runs += [["decompose", *cell(6, 12), "--method", "construct"],
+             ["decompose", *cell(5, 12), "--method", "both"],
+             ["decompose", *cell(5, 8), "--method", "both", "--format", "text"]]
     runs.append(["export", "--what", "decomposition", *cell(4, 6), "--method", "construct"])
     runs += [["export", "--what", "nodal", *cell(n, r)]
              for n, r in ((4, 8), (5, 4), (6, 4), (5, 8), (6, 6))]
