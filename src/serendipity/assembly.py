@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import lcm
 
 from .cubegeom import Face
-from .decomp import SingularMatrixError, _merge, _solve, certify_pairing
+from .decomp import SingularMatrixError, _merge, _solve, certify_pairing, index_count
 from .dofs import DofFunctional, dofs_S
 from .exactpoly import Polynomial, Record, Scalar
 from .spaces import face_monomials
@@ -148,8 +148,7 @@ def interpolate(values: Sequence[Scalar], n: int, r: int) -> Polynomial:
     bool value raises TypeError.  The values come in DOF order, that of
     the index ``face_monomials(n, r)``: the one dense vector of DOF values
     in the package, read here into face parts keyed by pins."""
-    index = face_monomials(n, r)
-    count = sum(map(len, index.values()))
+    index, count = face_monomials(n, r), index_count(n, r)
     if len(values) != count:
         raise ValueError(f"expected {count} DOF values, got {len(values)}")
     for v in values:

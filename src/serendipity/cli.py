@@ -17,13 +17,14 @@ unisolvence, direct-sum and facet-kernel checks are certified and reach
 the caps; whatever solves over the pairing, by per-axis passes in the
 orthogonal coordinates (decompose, nodal, decomposition and evalgrid
 exports), grows with the space dimension, because all arithmetic is
-exact.  Term lists are written straight to JSON text and the nodal
-functions one at a time, each image's text picked term by term from
-rows formed once per cube symmetry.  Continuity reads its report off
-the pairing and trace certificates, so it builds no nodal basis and
-traces nothing: its trials and controls are certified, not sampled.
-Every ``verify`` check runs in this one process.  The evalgrid export
-runs each nodal function's float Horner scheme as straight-line code
+exact.  Term lists and basis rows are written straight to JSON text
+and the nodal functions one at a time, each image's text picked term
+by term from rows formed once per cube symmetry.  Continuity reads its
+report off the pairing and trace certificates, so it builds no nodal
+basis and traces nothing: its trials and controls are certified, not
+sampled.  Every ``verify`` check runs in this one process and reads
+the index and the certificates, so none builds a basis.  The evalgrid
+export runs each nodal function's float Horner scheme as straight-line code
 compiled once per exponent shape, which the images of a run share, and
 bound to the function's own coefficients; a point costs one call, one
 power per distinct axis and exponent step above 1.  It writes at most
@@ -51,7 +52,15 @@ from pathlib import Path
 
 from .assembly import check_continuity
 from .cubegeom import full_cube
-from .decomp import FaceComponent, decompose, facet_kernel_check, recompose, verify_direct_sum
+from .decomp import (
+    FaceComponent,
+    certify_pairing,
+    decompose,
+    facet_kernel_check,
+    index_count,
+    recompose,
+    verify_direct_sum,
+)
 from .dofs import (
     DofFunctional,
     SingularMatrixError,
@@ -128,23 +137,25 @@ def _csv_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     return buf.getvalue()
 
 
-def _json_chunks(payload: dict) -> Iterator[str]:
-    """The payload's JSON text, as ``json.JSONEncoder(indent=2,
-    sort_keys=True)`` writes it, in pieces, so that it is never held whole.
-    A value that is an iterator yields its own text at depth 1
-    (``_list_chunks``); the encoder writes the others."""
+def _json_chunks(payload: dict, level: int = 0) -> Iterator[str]:
+    """The payload's JSON text at depth level, as ``json.JSONEncoder(indent=2,
+    sort_keys=True)`` writes it, in pieces, so that it is never held whole;
+    at depth 0 a newline ends it.  A value that is an iterator yields its
+    own text at depth level + 1 (``_list_chunks``, or this function's for
+    a dict); the encoder writes the others."""
     encoder = json.JSONEncoder(indent=2, sort_keys=True)
-    sep = "{\n  "
+    indent = "\n" + "  " * (level + 1)
+    sep = "{" + indent
     for key in sorted(payload):
         yield f'{sep}"{key}": '
-        sep = ",\n  "
+        sep = "," + indent
         value = payload[key]
         if isinstance(value, Iterator):
             yield from value
         else:
             for chunk in encoder.iterencode(value):
-                yield chunk.replace("\n", "\n  ")
-    yield "\n}\n"
+                yield chunk.replace("\n", indent)
+    yield "\n" + "  " * level + "}" + ("" if level else "\n")
 
 
 def _dumps(obj: object, level: int) -> str:
@@ -176,18 +187,23 @@ def _list_chunks(items: Iterable[str], level: int) -> Iterator[str]:
     yield "[]" if sep[0] == "[" else "\n" + "  " * level + "]"
 
 
+def _int_list(values: Sequence[int], level: int) -> str:
+    """A list of ints as its JSON text at depth level."""
+    indent, end = "\n" + "  " * (level + 1), "\n" + "  " * level + "]"
+    return "[" + indent + ("," + indent).join(map(str, values)) + end if values else "[]"
+
+
 def _term_text(level: int, cache: bool = True) -> tuple[Callable, Callable]:
     """(item, join) for term lists at depth level, the JSON text of
     ``Polynomial.to_json_obj()``: item(e, coeff) is one term's object, its
     coefficient text given, and join(items) the list of such objects.  The
     text after each coefficient is cached per exponent tuple unless cache
     is false (a DOF listing's weights rarely repeat)."""
-    i0, i1, i2, i3 = ("\n" + "  " * (level + k) for k in range(4))
+    i0, i1, i2 = ("\n" + "  " * (level + k) for k in range(3))
     head, tails = "{" + i2 + '"coeff": "', {}
 
     def tail(e: tuple) -> str:
-        exponents = "[" + i3 + ("," + i3).join(map(str, e)) + i2 + "]" if e else "[]"
-        text = f'",{i2}"exponents": {exponents}{i1}}}'
+        text = f'",{i2}"exponents": {_int_list(e, level + 2)}{i1}}}'
         if cache:
             tails[e] = text
         return text
@@ -296,7 +312,10 @@ def _resolve_dofs(args: Namespace):
 
 
 def _basis_payload(args: Namespace) -> tuple[dict, bool]:
-    return {"seed": args.seed, "basis": _resolve_basis(args).to_json_obj()}, True
+    """The basis object at depth 1, its monomial rows written as text."""
+    basis = _resolve_basis(args).to_json_obj()
+    basis["monomials"] = _list_chunks((_int_list(m, 3) for m in basis["monomials"]), 2)
+    return {"seed": args.seed, "basis": _json_chunks(basis, 1)}, True
 
 
 def _dofs_payload(args: Namespace) -> tuple[dict, bool]:
@@ -496,13 +515,13 @@ def _run_verify_cell(n: int, r: int, check: str, trials: int, seed: int) -> dict
 def _verify_check(n: int, r: int, check: str, trials: int, seed: int) -> tuple[bool, str]:
     culprit = None
     if check == "dimension":
-        dim = basis_S(n, r).dim
-        formula = dim_S_formula(n, r)
-        ok = dim == formula
+        # the index count is dim S_r by the certificate, whose part (i) is the formula
+        dim, formula, culprit = index_count(n, r), dim_S_formula(n, r), certify_pairing(n, r)
+        ok = culprit is None
         detail = f"enumerated {dim}, formula {formula}"
     elif check == "inclusion":
         report = check_inclusions(n, r)
-        ok = report.ok
+        ok, culprit = report.ok, report.culprit
         detail = f"dims P/S/Q = {report.dim_P_r}/{report.dim_S_r}/{report.dim_Q_r}"
     elif check == "unisolvence":
         result = check_unisolvence(n, r)

@@ -54,12 +54,13 @@ from math import gcd, lcm, prod
 
 from .cubegeom import Face
 from .exactpoly import Exponents, Polynomial, Record, grlex_key
-from .spaces import basis_S, dim_P, dim_S_formula, face_monomials
+from .spaces import dim_P, dim_S_formula, face_monomials
 
 
 __all__ = [
     "FaceComponent",
     "bubble",
+    "index_count",
     "certify_pairing",
     "DirectSumResult",
     "verify_direct_sum",
@@ -147,6 +148,13 @@ def _weight_culprit(m: int) -> str | None:
     return None
 
 
+def index_count(n: int, r: int) -> int:
+    """The number of (face, weight) pairs of the index ``face_monomials(n,
+    r)``: the count of DOFs and of components, and dim S_r when
+    ``certify_pairing(n, r)`` holds (``spaces.serendipity_exponents``)."""
+    return sum(map(len, face_monomials(n, r).values()))
+
+
 @lru_cache(maxsize=None)
 def certify_pairing(n: int, r: int) -> str | None:
     """Certify that the pairing K = D C is nonsingular, which proves the
@@ -154,8 +162,8 @@ def certify_pairing(n: int, r: int) -> str | None:
 
     Returns None when every part holds, else names the first failure:
 
-    (i) counts: the (face, monomial) index, the basis and the closed form
-        agree on the dimension;
+    (i) counts: the (face, monomial) pairs of the index are as many as the
+        closed form gives;
     (ii) index: each d-face's weights are distinct, in graded lex order,
         supported on its free axes, of degree <= r - 2d and dim P_{r-2d}
         in number: exactly P_{r-2d} in the free axes, in order;
@@ -169,8 +177,10 @@ def certify_pairing(n: int, r: int) -> str | None:
 
     The rest are lemmas.  By (i) and (ii) every face with a nonempty
     P_{r-2d} is indexed, as the closed form sums dim P_{r-2d} over all
-    faces.  The component b_G x^q has superlinear degree at most
-    |q| + 2d <= r, so it lies in S_r.  For G not in F, a pin (j, s) of F
+    faces.  So the index's monomials (``spaces.serendipity_exponents``)
+    are distinct and are exactly those of superlinear degree <= r, and
+    the count is dim S_r, with no basis enumerated.  The component b_G x^q
+    has superlinear degree at most |q| + 2d <= r, so it lies in S_r.  For G not in F, a pin (j, s) of F
     that G lacks zeroes the factor of b_G along x_j at s, so K is block
     lower triangular with faces ordered by dimension.  On its own d-face
     b_F is 2^(n-d) times the product of (1 - x_i^2) over the free axes,
@@ -190,14 +200,9 @@ def certify_pairing(n: int, r: int) -> str | None:
 
     The certificate is one-sided: a failure proves nothing singular.
     """
-    index = face_monomials(n, r)
-    count = sum(map(len, index.values()))
-    dim = basis_S(n, r).dim
-    if not count == dim == dim_S_formula(n, r):
-        return (
-            f"count: {count} (face, monomial) pairs, basis dimension {dim}, "
-            f"closed form {dim_S_formula(n, r)}"
-        )
+    index, count = face_monomials(n, r), index_count(n, r)
+    if count != dim_S_formula(n, r):
+        return f"count: {count} (face, monomial) pairs, closed form {dim_S_formula(n, r)}"
     checked: dict[tuple[int, ...], tuple] = {}  # free axes -> weights that passed (ii)
     for face, weights in index.items():
         budget, pins = r - 2 * face.dim, dict(face.fixed)
@@ -356,15 +361,16 @@ class DirectSumResult(Record):
 def verify_direct_sum(n: int, r: int) -> DirectSumResult:
     """Counts plus rank: together they certify the direct sum.
 
-    The rank of the components is the dimension when the pairing
-    certificate holds.  The certificate is one-sided, so when it fails the
-    rank is unknown (None) and is reported with the certificate's culprit.
+    The components are indexed by the (face, weight) pairs, so their count
+    is ``index_count``, which is also dim S_r when the pairing certificate
+    holds; so is the rank of the components.  The certificate is
+    one-sided, so when it fails the rank is unknown (None) and is reported
+    with the certificate's culprit.
     """
-    dim = basis_S(n, r).dim
-    count = sum(map(len, face_monomials(n, r).values()))
+    dim = index_count(n, r)
     culprit = certify_pairing(n, r)
     return DirectSumResult(
-        n=n, r=r, space_dim=dim, component_count=count,
+        n=n, r=r, space_dim=dim, component_count=dim,
         rank=dim if culprit is None else None, culprit=culprit,
     )
 
@@ -514,14 +520,14 @@ def facet_kernel_check(n: int, r: int) -> FacetKernelResult:
         blocks, so its proper components vanish.
 
     Without the certificate the dimension is unknown (None) and the
-    check fails.
+    check fails.  The space dimension is ``index_count``.
     """
     culprit = certify_pairing(n, r)
     expected_dim = dim_P(n, r - 2 * n)
     return FacetKernelResult(
         n=n,
         r=r,
-        space_dim=basis_S(n, r).dim,
+        space_dim=index_count(n, r),
         kernel_dim=expected_dim if culprit is None else None,
         expected_dim=expected_dim,
         culprit=culprit,

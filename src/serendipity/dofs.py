@@ -32,12 +32,7 @@ from . import decomp
 from .cubegeom import Face, enumerate_faces, face_symmetry
 from .decomp import SingularMatrixError
 from .exactpoly import Exponents, Polynomial, Record, grlex_key, monomial_str
-from .spaces import (
-    basis_S,
-    dim_P,
-    face_monomials,
-    monomials_max_degree_at_most,
-)
+from .spaces import dim_P, face_monomials, monomials_max_degree_at_most
 
 __all__ = [
     "SingularMatrixError",
@@ -248,20 +243,20 @@ class UnisolvenceResult(Record):
 def check_unisolvence(n: int, r: int) -> UnisolvenceResult:
     """Verify the serendipity DOFs determine the space uniquely.
 
-    The DOF matrix has full rank, dim, when the pairing certificate
-    (``decomp.certify_pairing``) holds.  The certificate is one-sided, so
-    when it fails the rank is unknown (None) and is reported with the
-    certificate's culprit.  The joint kernel of all facet DOFs must also
+    The DOF matrix has full rank, dim = ``decomp.index_count``, when the
+    pairing certificate (``decomp.certify_pairing``) holds.  The
+    certificate is one-sided, so when it fails the rank is unknown (None)
+    and is reported with the certificate's culprit.  The joint kernel of all facet DOFs must also
     be the facet-bubble multiples of the total degree r - 2n family
     (empty when r < 2n).
     """
-    basis = basis_S(n, r)
+    dim = decomp.index_count(n, r)
     culprit = decomp.certify_pairing(n, r)
     return UnisolvenceResult(
         n=n,
         r=r,
-        dim=basis.dim,
-        rank=basis.dim if culprit is None else None,
+        dim=dim,
+        rank=dim if culprit is None else None,
         facet_factor_ok=decomp.facet_kernel_check(n, r).ok,
         culprit=culprit,
     )

@@ -13,9 +13,11 @@ pairs that order the DOFs.  The paper's count of S_r pairs each d-face
 with free axes J and a moment weight of degree at most r - 2d on J with
 one monomial: exponent 2 plus the weight's on J (its superlinear
 axes), and 1 or 0 on each pinned axis by the sign it is pinned at.
-Each admissible monomial arises exactly once; its cardinality matches
-the closed-form dimension count, and membership in the two equivalent
-definitions is checked for every monomial.
+Membership in the two equivalent definitions, distinctness, the count
+and the inclusions P_r in S_r in P_{r+n-1} are lemmas of the pairing
+certificate's index part (``decomp.certify_pairing``), proved in the
+docstrings of ``serendipity_exponents`` and ``check_inclusions``; no
+monomial is tested at run time.
 
 A monomial is its exponent tuple throughout.  ``face_monomials`` is the
 element's one (face, monomial) index: it orders both the DOFs and the
@@ -180,27 +182,33 @@ def is_linear_outside_degree_budget(exponents: Exponents, r: int) -> bool:
 def serendipity_exponents(n: int, r: int) -> list[Exponents]:
     """The S basis exponents read off the index, graded lex.
 
-    Each (face, weight) pair of ``face_monomials(n, r)`` gives one
-    monomial: the weight plus 2 on each free axis, 1 on each axis pinned
-    at +1 and 0 on each axis pinned at -1.  Its superlinear axes are the
-    face's free axes, so every monomial arises exactly once.
+    Each (face, weight) pair (F, w) of ``face_monomials(n, r)`` gives one
+    monomial m: w + 2 on each free axis of F, 1 on each axis pinned at +1
+    and 0 on each axis pinned at -1.  Part (ii) of
+    ``decomp.certify_pairing`` gives a d-face F on the free axes J exactly
+    the weights of P_{r-2d} on J, so:
+
+    * m has superlinear degree |w| + 2d <= r, its superlinear axes J;
+    * the linear axes of m are its +1 pins, and there are at least s - r
+      of them, s = |w| + 2d + (number of +1 pins) its total degree, as
+      |w| + 2d <= r;
+    * F and w are read back from m (J where m_j >= 2, the pins where m_j
+      is 1 or 0, w = m - 2 on J), so the monomials are distinct;
+    * every m of superlinear degree <= r arises: take J = {j : m_j >= 2},
+      the pins off the rest and w = m - 2 on J, of degree <= r - 2|J|.
+
+    So these are the monomials of both definitions,
+    ``has_superlinear_degree_at_most`` and
+    ``is_linear_outside_degree_budget``, each once; the tests keep those
+    two as oracles.
     """
     if n < 1 or r < 1:
         raise ValueError("serendipity family requires n >= 1 and r >= 1")
-    out: list[Exponents] = []
-    for face, weights in face_monomials(n, r).items():
-        signs = face.signs
-        for w in weights:
-            exps = tuple([e + 2 if not s else int(s > 0) for e, s in zip(w, signs)])
-            # both admission tests must agree with the pairing
-            if not (
-                has_superlinear_degree_at_most(exps, r)
-                and is_linear_outside_degree_budget(exps, r)
-            ):
-                raise AssertionError(f"{exps} fails an admission test for r={r}")
-            out.append(exps)
-    if len(set(out)) != len(out):
-        raise AssertionError("the index gave a monomial twice")
+    out = [
+        tuple([e + 2 if not s else int(s > 0) for e, s in zip(w, face.signs)])
+        for face, weights in face_monomials(n, r).items()
+        for w in weights
+    ]
     out.sort(key=grlex_key)
     return out
 
@@ -244,6 +252,7 @@ class InclusionReport(Record):
     dim_P_r: int
     dim_S_r: int
     dim_Q_r: int
+    culprit: str | None = None
 
     @property
     def ok(self) -> bool:
@@ -251,18 +260,30 @@ class InclusionReport(Record):
 
 
 def check_inclusions(n: int, r: int) -> InclusionReport:
-    """Verify P_r is contained in S_r and S_r in P_{r + n - 1}."""
-    s_basis = basis_S(n, r)
-    s_set = set(s_basis.monomials)
-    p_exps = monomials_total_degree_at_most(n, tuple(range(n)), r)
-    lower = all(e in s_set for e in p_exps)
-    upper = all(sum(m) <= r + n - 1 for m in s_basis)
+    """P_r is contained in S_r and S_r in P_{r + n - 1}, read off the
+    pairing certificate ``decomp.certify_pairing(n, r)``.  When it holds,
+    S_r is spanned by the monomials of ``serendipity_exponents``, those of
+    superlinear degree at most r, and both inclusions are lemmas:
+
+    P_r in S_r: the total degree bounds the superlinear degree;
+    S_r in P_{r + n - 1}: the monomial of (F, w), F a d-face, has total
+        degree |w| + 2d + (number of +1 pins) <= r - 2d + 2d + (n - d)
+        = r + n - d, at most r + n - 1 for d >= 1; at a vertex it is at
+        most n <= r + n - 1.
+
+    The certificate is one-sided: when it fails, neither inclusion is
+    proved, and the report names its culprit.  dim S_r is the index count.
+    """
+    from .decomp import certify_pairing, index_count  # decomp imports this module
+
+    culprit = certify_pairing(n, r)
     return InclusionReport(
         n=n,
         r=r,
-        contains_total_degree_r=lower,
-        within_total_degree_r_plus=upper,
-        dim_P_r=len(p_exps),
-        dim_S_r=s_basis.dim,
+        contains_total_degree_r=culprit is None,
+        within_total_degree_r_plus=culprit is None,
+        dim_P_r=dim_P(n, r),
+        dim_S_r=index_count(n, r),
         dim_Q_r=dim_Q(n, r),
+        culprit=culprit,
     )

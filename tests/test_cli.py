@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from serendipity import assembly, cli, decomp, dofs
+from serendipity import assembly, cli, decomp, dofs, spaces
 from serendipity.cli import main
 from serendipity.cubegeom import Face, full_cube
 from serendipity.exactpoly import Polynomial
@@ -183,6 +183,31 @@ class TestVerify:
         assert data["all_ok"] is True
         assert len(data["results"]) == 6 * 6
         assert data["seed"] == 0
+
+    def test_capped_grid_builds_no_basis(self, capsys, monkeypatch, fresh_caches):
+        # every check reads the index and the certificates: with the S basis,
+        # its enumeration, the P basis and every total-degree list made to
+        # raise once the index is built, the capped grid writes what it
+        # writes unpatched
+        args = ("verify", "--n", "1", "--n-max", "6", "--r", "1", "--r-max", "12",
+                "--format", "json")
+        code, plain = run_cli(capsys, *args)
+        assert code == 0
+        fresh_caches()
+        for n in range(1, 7):
+            for r in range(1, 13):
+                face_monomials(n, r)  # the index, read off P_{r-2d} on each face's axes
+
+        def refused(*cell):
+            raise AssertionError(f"built a basis at {cell}")
+
+        for module in (spaces, decomp, dofs, assembly, cli):
+            for name in ("basis_S", "basis_P", "serendipity_exponents", "monomials_total_degree_at_most"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refused)
+        code, patched = run_cli(capsys, *args)
+        assert code == 0
+        assert patched == plain
 
     def test_parallel_matches_serial(self, capsys):
         args = ("verify", "--n", "2", "--r", "2", "--format", "json")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import json
 import os
 import pickle
 import random
@@ -36,6 +37,7 @@ from serendipity.decomp import (
     verify_direct_sum,
 )
 from serendipity.assembly import interpolate
+from serendipity.cli import main
 from serendipity.dofs import (
     DofFunctional,
     RationalMatrix,
@@ -45,7 +47,7 @@ from serendipity.dofs import (
     nodal_basis,
 )
 from serendipity.exactpoly import Polynomial
-from serendipity.spaces import basis_S, dim_S_formula, face_monomials
+from serendipity.spaces import basis_S, check_inclusions, dim_S_formula, face_monomials
 
 
 def box_integral_oracle(p: Polynomial) -> Fraction:
@@ -508,9 +510,7 @@ class TestPairing:
         edge = enumerate_faces(2, 1)[0]
         index[edge] = index[edge][:1]
         monkeypatch.setattr(decomp, "face_monomials", lambda n, r: index)
-        assert certify_pairing(2, 3) == (
-            "count: 11 (face, monomial) pairs, basis dimension 12, closed form 12"
-        )
+        assert certify_pairing(2, 3) == "count: 11 (face, monomial) pairs, closed form 12"
 
     def test_raised_bubble_degree_fails_membership(self, monkeypatch, fresh_caches):
         real = decomp._bubble_factors
@@ -542,6 +542,25 @@ class TestPairing:
                 component_matrix(2, 4)
         else:
             assert component_matrix(2, 4).rank() == rank
+
+    @pytest.mark.parametrize("mutation", sorted(INDEX_MUTATIONS))
+    def test_index_mutation_fails_inclusion_row(self, capsys, monkeypatch, fresh_caches, mutation):
+        # the inclusions are lemmas of the certificate: when it fails they
+        # are unproved, and the report and both rows name its culprit
+        edit, culprit, _ = INDEX_MUTATIONS[mutation]
+        index = dict(face_monomials(2, 4))
+        edit(index)
+        monkeypatch.setattr(decomp, "face_monomials", lambda n_, r_: index)
+        report = check_inclusions(2, 4)
+        assert report.culprit == culprit
+        assert not (report.ok or report.contains_total_degree_r or report.within_total_degree_r_plus)
+        code = main(["verify", "--n", "2", "--r", "4", "--checks", "inclusion,dimension",
+                     "--format", "json"])
+        rows = json.loads(capsys.readouterr().out)["results"]
+        assert code == 1
+        assert [(row["check"], row["ok"]) for row in rows] == [("inclusion", False), ("dimension", False)]
+        assert rows[0]["detail"] == f"dims P/S/Q = 15/17/25; pairing certificate failed at {culprit}"
+        assert rows[1]["detail"] == f"enumerated 17, formula 17; pairing certificate failed at {culprit}"
 
     def test_index_checked_once_per_shared_tuple(self, monkeypatch, fresh_caches):
         # part (ii) reads only the free axes, so the tuple that the index

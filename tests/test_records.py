@@ -64,13 +64,13 @@ RECORDS = {
     ),
     InclusionReport: (
         ("n", "r", "contains_total_degree_r", "within_total_degree_r_plus", "dim_P_r",
-         "dim_S_r", "dim_Q_r"),
-        (2, 2, True, True, 6, 8, 9),
-        (2, 2, True, False, 6, 8, 9),
+         "dim_S_r", "dim_Q_r", "culprit"),
+        (2, 2, True, True, 6, 8, 9, None),
+        (2, 2, False, False, 6, 8, 9, "count"),
     ),
 }
 DEFAULTS = {DirectSumResult: {"culprit": None}, FacetKernelResult: {"culprit": None},
-            UnisolvenceResult: {"culprit": None}}
+            UnisolvenceResult: {"culprit": None}, InclusionReport: {"culprit": None}}
 CLASSES = list(RECORDS)
 
 SQUARE_JSON = {"n": 2, "dim": 2, "fixed": []}
@@ -113,7 +113,7 @@ INHERITED = {
     LayoutRow: ROW_JSON,
     InclusionReport: {
         "n": 2, "r": 2, "contains_total_degree_r": True, "within_total_degree_r_plus": True,
-        "dim_P_r": 6, "dim_S_r": 8, "dim_Q_r": 9,
+        "dim_P_r": 6, "dim_S_r": 8, "dim_Q_r": 9, "culprit": None,
     },
 }
 

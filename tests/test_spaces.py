@@ -15,6 +15,7 @@ import pytest
 from serendipity.cubegeom import Face, all_faces, full_cube
 from serendipity.exactpoly import grlex_key, superlinear_degree
 from serendipity.spaces import (
+    InclusionReport,
     basis_P,
     basis_Q,
     basis_S,
@@ -29,6 +30,9 @@ from serendipity.spaces import (
     monomials_total_degree_at_most,
     serendipity_exponents,
 )
+
+# every (n, r) within the command line's caps
+CAP_CELLS = [(n, r) for n in range(1, 7) for r in range(1, 13)]
 
 # dimension grid frozen from the published table
 DIM_TABLE = {
@@ -144,10 +148,17 @@ class TestSerendipityFamily:
                     by_linear_count.add(exps)
             assert by_superlinear == by_linear_count
             assert enumerated == by_superlinear, (n, r)
-        # a bool exponent equals 1 but is refused by Polynomial and prints as true
-        for n in range(1, 7):
-            for r in range(1, 13):
-                assert all(type(e) is int for m in basis_S(n, r) for e in m), (n, r)
+        # at every cell of the caps, the lemmas that the enumeration proves
+        # from the index and does not check: both definitions admit each
+        # monomial, and no monomial comes twice
+        for n, r in CAP_CELLS:
+            monomials = basis_S(n, r).monomials
+            assert len(set(monomials)) == len(monomials), (n, r)
+            for m in monomials:
+                assert has_superlinear_degree_at_most(m, r), (n, r, m)
+                assert is_linear_outside_degree_budget(m, r), (n, r, m)
+                # a bool exponent equals 1 but is refused by Polynomial and prints as true
+                assert all(type(e) is int for e in m), (n, r, m)
 
     def test_monotone_in_degree(self):
         for r in range(1, 8):
@@ -175,11 +186,20 @@ class TestSerendipityFamily:
 
 class TestInclusions:
     def test_sandwich_between_total_degree_families(self):
-        for n in range(1, 5):
-            for r in range(1, 7):
-                report = check_inclusions(n, r)
-                assert report.ok, (n, r)
-                assert report.dim_P_r <= report.dim_S_r <= report.dim_Q_r
+        # the report reads the certificate; the walks check its lemmas
+        # monomial by monomial at every cell of the caps
+        for n, r in CAP_CELLS:
+            s_set = set(basis_S(n, r))
+            p_r = monomials_total_degree_at_most(n, tuple(range(n)), r)
+            lower = all(m in s_set for m in p_r)
+            upper = max(map(sum, s_set)) <= r + n - 1
+            assert lower and upper, (n, r)
+            report = check_inclusions(n, r)
+            assert report == InclusionReport(
+                n, r, lower, upper, len(p_r), len(s_set), (r + 1) ** n
+            )
+            assert report.ok
+            assert report.dim_P_r <= report.dim_S_r <= report.dim_Q_r
 
     def test_low_degree_cube_example(self):
         report = check_inclusions(3, 1)
@@ -243,19 +263,18 @@ class TestOptimizedInterpreter:
     def test_consistency_checks_survive_dash_o(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-        # breaks each admission test in turn; the bare assert fails the run unless -O is on
+        # moves a weight of the edge x1=+1 off its free axes; the bare
+        # assert fails the run unless -O is on
         broken = textwrap.dedent(
             """
-            import serendipity.spaces as s
+            import serendipity.decomp as d
+            from serendipity.cli import main
+            from serendipity.cubegeom import Face
             assert False, "asserts are live"
-            for name in ("has_superlinear_degree_at_most", "is_linear_outside_degree_budget"):
-                original = getattr(s, name)
-                setattr(s, name, lambda exps, r: False)
-                try:
-                    s.serendipity_exponents(2, 2)
-                except AssertionError:
-                    print(name, "raised")
-                setattr(s, name, original)
+            edge, index = Face(2, ((0, 1),)), dict(d.face_monomials(2, 4))
+            index[edge] = tuple((1, 0) if q == (0, 2) else q for q in index[edge])
+            d.face_monomials = lambda n, r: index
+            print("exit", main(["verify", "--n", "2", "--r", "4", "--checks", "dimension,inclusion"]))
             """
         )
         run = subprocess.run(
@@ -263,10 +282,16 @@ class TestOptimizedInterpreter:
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert run.returncode == 0, run.stderr
-        assert run.stdout.splitlines() == [
-            "has_superlinear_degree_at_most raised",
-            "is_linear_outside_degree_budget raised",
+        culprit = "index: the weight (1, 0) of face(x1=+1) is not in P_2 of its free axes"
+        lines = run.stdout.splitlines()
+        assert lines[-1] == "exit 1"
+        rows = [line.split() for line in lines[2:4]]
+        assert [row[:4] for row in rows] == [
+            ["2", "4", "dimension", "FAIL"], ["2", "4", "inclusion", "FAIL"]
         ]
+        for line in lines[2:4]:
+            assert line.endswith(f"; pairing certificate failed at {culprit}")
+        assert lines[3].split("FAIL", 1)[1].strip().startswith("dims P/S/Q = 15/17/25;")
 
         verify = ["-m", "serendipity.cli", "verify", "--n", "2", "--r", "3"]
         plain, optimized = (

@@ -35,12 +35,14 @@ through five face dimensions; an n = 3 ``--poly`` member with mixed denominators
 through ``decompose --method solve|both`` and the solve decomposition
 export at (3, 6); the certified checks (unisolvence, direct sum, facet
 kernel) at (4, 12), (5, 8) and (6, 6), unisolvence and facet kernel
-as JSON over every cell n <= 6, r <= 12, and direct sum and continuity
-(its shared DOF count) as JSON over the same cells; the S basis, which
+as JSON over every cell n <= 6, r <= 12, direct sum and continuity
+(its shared DOF count) as JSON over the same cells, and dimension and
+inclusion, which read the index count and the pairing certificate, as
+JSON and as text over the same cells; the S basis, which
 is read off the element's (face, weight) index, as JSON at (4, 12),
 (5, 12) and (6, 12) and as text at (6, 12), and the Q basis at (4, 12)
-and the P basis at (6, 12) as JSON, whose exponent tuples
-``Record.to_json_obj`` writes as it does the S basis's; the Q DOF
+and the P basis at (6, 12) as JSON, whose monomial rows are written
+as text as the S basis's are; the Q DOF
 layout as csv at (5, 12), which no functional cap bounds, and the Q DOF
 listing as JSON at (4, 12), whose 28,561 streamed functionals reuse
 each face's text;
@@ -147,6 +149,9 @@ def invocations(inputs: Path) -> list[list[str]]:
               "--jobs", "1"] for n, r in ((4, 12), (5, 8), (6, 6))]
     runs += [["verify", "--n-max", "6", "--r-max", "12", "--checks", checks, "--format", "json"]
              for checks in ("unisolvence,facet-kernel", "direct-sum,continuity")]
+    # the dimension and inclusion rows, read off the index count and the certificate
+    runs += [["verify", "--n-max", "6", "--r-max", "12", "--checks", "dimension,inclusion", "--format", fmt]
+             for fmt in ("json", "text")]
     # the S basis at r = 12, read off the (face, weight) index
     runs += [["basis", *cell(n, 12), "--format", "json"] for n in (4, 5, 6)]
     runs.append(["basis", *cell(6, 12)])
