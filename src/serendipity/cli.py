@@ -17,24 +17,14 @@ unisolvence, direct-sum and facet-kernel checks are certified and reach
 the caps; whatever solves over the pairing, by per-axis passes in the
 orthogonal coordinates (decompose, nodal, decomposition and evalgrid
 exports), grows with the space dimension, because all arithmetic is
-exact.  Term lists and basis rows are written straight to JSON text
-and the nodal functions one at a time, each image's text picked term
-by term from rows formed once per cube symmetry.  Continuity reads its
-report off the pairing and trace certificates, so it builds no nodal
-basis and traces nothing: its trials and controls are certified, not
-sampled.  Every ``verify`` check runs in this one process and reads
-the index and the certificates, so none builds a basis.  The evalgrid
-export runs each nodal function's float Horner scheme as straight-line code
-compiled once per exponent shape, which the images of a run share, and
-bound to the function's own coefficients; a point costs one call, one
-power per distinct axis and exponent step above 1.  It writes at most
-10^6 values (points^n times dim S), since its time grows with the grid.
-A DOF listing (``dofs`` as text or json, ``export --what dofs``) builds
-at most 10^6 functionals, which only the Q family's
-(r+1)^n can pass; ``dofs --format csv`` prints the layout alone.  Axes
-in flags and reports are 1-based, matching the serialized face
-convention; the Python API is 0-based.  README's "Command line"
-section gives measured times.
+exact.  The evalgrid export writes at most 10^6 values (points^n times
+dim S), since its time grows with the grid.  A listing (``basis`` and
+``export --what basis``, of monomials; ``dofs`` as text or json and
+``export --what dofs``, of functionals) builds at most 10^6 items,
+which only the Q family's (r+1)^n can pass; ``dofs --format csv``
+prints the layout alone.  Axes in flags and reports are 1-based,
+matching the serialized face convention; the Python API is 0-based.
+README's "Command line" section gives measured times.
 """
 
 from __future__ import annotations
@@ -89,7 +79,7 @@ HARD_MAX_R = 12
 DEFAULT_TRIALS = 25
 MAX_TRIALS = 10**6
 MAX_EVALGRID_VALUES = 10**6
-MAX_DOF_FUNCTIONALS = 10**6
+MAX_LISTED = 10**6
 VERIFY_CHECKS = (
     "dimension",
     "inclusion",
@@ -105,6 +95,9 @@ EXPORT_FAMILIES = {
     "decomposition": ("S",),
     "evalgrid": ("S",),
 }
+# what a listing of each artifact names in its cap error, and what it builds
+LISTINGS = {"basis": ("basis", "monomials"), "dofs": ("DOF", "functionals")}
+LISTED_COUNT = {"S": dim_S_formula, "Q": dim_Q, "P": dim_P}
 
 
 class InputError(Exception):
@@ -163,22 +156,31 @@ def _dumps(obj: object, level: int) -> str:
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + "  " * level)
 
 
-_ROW_SEP = ",\n" + "  " * 3
 _JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_list(items: Sequence[str], level: int) -> str:
+    """A JSON list at depth level, as ``json.dumps(indent=2)`` writes it:
+    each item is its own JSON text at depth level + 1."""
+    if not items:
+        return "[]"
+    indent = "\n" + "  " * (level + 1)
+    return "[" + indent + ("," + indent).join(items) + "\n" + "  " * level + "]"
 
 
 def _float_row(row: list[float]) -> str:
     """A list of floats as its JSON text at depth 2: each value's
     ``float.__repr__``, with json's spellings of the non-finite values."""
-    text = _ROW_SEP.join(map(float.__repr__, row))
+    reprs = list(map(float.__repr__, row))
+    text = _json_list(reprs, 2)
     if "n" in text:  # no finite repr holds an n
-        text = _ROW_SEP.join(_JSON_SPECIAL.get(v, v) for v in map(float.__repr__, row))
-    return "[\n" + "  " * 3 + text + "\n" + "  " * 2 + "]" if row else "[]"
+        text = _json_list([_JSON_SPECIAL.get(v, v) for v in reprs], 2)
+    return text
 
 
 def _list_chunks(items: Iterable[str], level: int) -> Iterator[str]:
-    """A JSON list at depth level, item by item: each item is its own JSON
-    text at depth level + 1."""
+    """``_json_list``'s text item by item, so that the list is never held
+    whole."""
     indent = "\n" + "  " * (level + 1)
     sep = "[" + indent
     for item in items:
@@ -187,23 +189,17 @@ def _list_chunks(items: Iterable[str], level: int) -> Iterator[str]:
     yield "[]" if sep[0] == "[" else "\n" + "  " * level + "]"
 
 
-def _int_list(values: Sequence[int], level: int) -> str:
-    """A list of ints as its JSON text at depth level."""
-    indent, end = "\n" + "  " * (level + 1), "\n" + "  " * level + "]"
-    return "[" + indent + ("," + indent).join(map(str, values)) + end if values else "[]"
-
-
-def _term_text(level: int, cache: bool = True) -> tuple[Callable, Callable]:
-    """(item, join) for term lists at depth level, the JSON text of
-    ``Polynomial.to_json_obj()``: item(e, coeff) is one term's object, its
-    coefficient text given, and join(items) the list of such objects.  The
+def _term_item(level: int, cache: bool = True) -> Callable[[tuple, str], str]:
+    """item(e, coeff): one term's JSON object at depth level + 1, its
+    coefficient text given, as ``Polynomial.to_json_obj()`` holds it; a
+    list of them is the term list at depth level (``_json_list``).  The
     text after each coefficient is cached per exponent tuple unless cache
     is false (a DOF listing's weights rarely repeat)."""
-    i0, i1, i2 = ("\n" + "  " * (level + k) for k in range(3))
+    i1, i2 = ("\n" + "  " * (level + k) for k in (1, 2))
     head, tails = "{" + i2 + '"coeff": "', {}
 
     def tail(e: tuple) -> str:
-        text = f'",{i2}"exponents": {_int_list(e, level + 2)}{i1}}}'
+        text = f'",{i2}"exponents": {_json_list([*map(str, e)], level + 2)}{i1}}}'
         if cache:
             tails[e] = text
         return text
@@ -211,27 +207,24 @@ def _term_text(level: int, cache: bool = True) -> tuple[Callable, Callable]:
     def item(e: tuple, coeff: str) -> str:
         return f"{head}{coeff}{tails.get(e) or tail(e)}"
 
-    def join(items: list[str]) -> str:
-        return "[" + i1 + ("," + i1).join(items) + i0 + "]" if items else "[]"
-
-    return item, join
+    return item
 
 
 def _term_writer(level: int, cache: bool = True) -> Callable[[Polynomial], str]:
-    """A writer of a polynomial's term list at depth level (``_term_text``),
+    """A writer of a polynomial's term list at depth level (``_term_item``),
     one f-string per term of ``Polynomial._text_terms()``."""
-    item, join = _term_text(level, cache)
-    return lambda p: join([item(e, text) for e, text in p._text_terms()])
+    item = _term_item(level, cache)
+    return lambda p: _json_list([item(e, text) for e, text in p._text_terms()], level)
 
 
 def _functional_items(functionals: Iterable[DofFunctional]) -> Iterator[str]:
     """Each DOF's JSON object at depth 2, its face's text written once."""
-    (item, join), faces = _term_text(3, cache=False), {}
+    item, faces = _term_item(3, cache=False), {}
     for L in functionals:
         face = faces.get(L.face)
         if face is None:
             face = faces[L.face] = f'{{\n      "face": {_dumps(L.face.to_json_obj(), 3)},\n      "index": '
-        yield f'{face}{L.index},\n      "weight": {join([item(L.exponents, "1/1")])}\n    }}'
+        yield f'{face}{L.index},\n      "weight": {_json_list([item(L.exponents, "1/1")], 3)}\n    }}'
 
 
 def _emit(args: Namespace, chunks: Iterable[str]) -> None:
@@ -283,13 +276,16 @@ def _tabular(
     headers: Sequence[str],
     rows: Sequence[Sequence[object]],
     payload: dict | None = None,
+    trailer: Iterable[str] = (),
 ) -> None:
+    """Write the rows in --format; the text table is followed by the
+    trailer's chunks."""
     if args.fmt == "json":
         _emit(args, _json_chunks(payload))
     elif args.fmt == "csv":
         _emit(args, [_csv_table(headers, rows)])
     else:
-        _emit(args, [_text_table(headers, rows)])
+        _emit(args, itertools.chain([_text_table(headers, rows)], trailer))
 
 
 def _face_label(face) -> str:
@@ -314,7 +310,7 @@ def _resolve_dofs(args: Namespace):
 def _basis_payload(args: Namespace) -> tuple[dict, bool]:
     """The basis object at depth 1, its monomial rows written as text."""
     basis = _resolve_basis(args).to_json_obj()
-    basis["monomials"] = _list_chunks((_int_list(m, 3) for m in basis["monomials"]), 2)
+    basis["monomials"] = _list_chunks((_json_list([*map(str, m)], 3) for m in basis["monomials"]), 2)
     return {"seed": args.seed, "basis": _json_chunks(basis, 1)}, True
 
 
@@ -327,7 +323,7 @@ def _dofs_payload(args: Namespace) -> tuple[dict, bool]:
 
 
 def _nodal_payload(args: Namespace) -> tuple[dict, bool]:
-    item, join = _term_text(2)
+    item = _term_item(2)
     # solved here, before any output; each term's text per sign once per perm
     images = _nodal_images(args.n, args.r, lambda e, c, scale: item(e, _ratio(c, scale)))
     return {
@@ -336,7 +332,7 @@ def _nodal_payload(args: Namespace) -> tuple[dict, bool]:
         "r": args.r,
         "family": "S",
         "functionals": _list_chunks(_functional_items(dofs_S(args.n, args.r)), 1),
-        "polynomials": _list_chunks((join(texts) for _, texts, _ in images), 1),
+        "polynomials": _list_chunks((_json_list(texts, 2) for _, texts, _ in images), 1),
     }, True
 
 
@@ -483,14 +479,14 @@ def cmd_dofs(args: Namespace) -> int:
         [row.face_dim, row.face_count, row.per_face, row.subtotal]
         for row in layout.rows
     ]
-    if args.fmt == "csv":
-        _emit(args, [_csv_table(headers, rows)])
+    if args.fmt == "csv":  # the layout alone: no functional is built
+        _tabular(args, headers, rows)
         return 0
     lines = (
         f"dof {L.index}: {_face_label(L.face)} weight {monomial_str(L.exponents)}\n"
         for L in _resolve_dofs(args)
     )
-    _emit(args, itertools.chain([_text_table(headers, rows), f"total: {layout.total}\n"], lines))
+    _tabular(args, headers, rows, trailer=itertools.chain([f"total: {layout.total}\n"], lines))
     return 0
 
 
@@ -572,12 +568,8 @@ def cmd_verify(args: Namespace) -> int:
         "results": results,
         "all_ok": all_ok,
     }
-    if args.fmt == "text":
-        text = _text_table(headers, rows)
-        text += f"result: {'all checks passed' if all_ok else 'FAILURES PRESENT'}\n"
-        _emit(args, [text])
-    else:
-        _tabular(args, headers, rows, payload)
+    result = f"result: {'all checks passed' if all_ok else 'FAILURES PRESENT'}\n"
+    _tabular(args, headers, rows, payload, [result])
     return 0 if all_ok else 1
 
 
@@ -646,16 +638,17 @@ def build_parser() -> argparse.ArgumentParser:
         handler: Callable[[Namespace], int],
         help: str,
         formats: Sequence[str] = ("text", "json", "csv"),
-        grid: bool = False,
+        grid: tuple[int, int] | None = None,
         trials: bool = False,
     ) -> argparse.ArgumentParser:
         """A subcommand bound to its handler, with the flags every command
-        shares; grid commands take (n, r) ranges, the others one cell, and
-        only commands with trials use the seed.  The subcommand's own parser
+        shares; grid commands take (n, r) ranges, 1..n_max by 1..r_max from
+        grid=(n_max, r_max) unless given, the others one cell, and only
+        commands with trials use the seed.  The subcommand's own parser
         is kept as ``command_parser``, so usage errors found after parsing
         print its usage, as argparse's own errors do."""
         p = sub.add_parser(name, help=help)
-        p.set_defaults(handler=handler, command_parser=p)
+        p.set_defaults(handler=handler, command_parser=p, grid=grid)
         for v in ("n", "r"):
             if grid:
                 one = f"single {v}, or range start with --{v}-max"
@@ -681,20 +674,20 @@ def build_parser() -> argparse.ArgumentParser:
             )
         return p
 
-    add_command("table1", cmd_table1, "serendipity dimension table over an (n, r) grid", grid=True)
-    add_command("dims", cmd_dims, "dimensions of the P, S, Q families per (n, r)", grid=True)
+    add_command("table1", cmd_table1, "serendipity dimension table over an (n, r) grid", grid=(5, 8))
+    add_command("dims", cmd_dims, "dimensions of the P, S, Q families per (n, r)", grid=(5, 8))
 
     p = add_command("basis", cmd_basis, "monomial basis at one (n, r)")
-    p.add_argument("--family", choices=("S", "Q", "P"), default="S")
+    p.add_argument("--family", choices=EXPORT_FAMILIES["basis"], default="S")
 
     p = add_command("dofs", cmd_dofs, "degree-of-freedom layout and functional list")
     p.add_argument(
-        "--family", choices=("S", "Q"), default="S",
+        "--family", choices=EXPORT_FAMILIES["dofs"], default="S",
         help="Q lists (r+1)^n functionals, at most 10^6 (csv prints the layout only)",
     )
 
     p = add_command(
-        "verify", cmd_verify, "run exact property checks over a grid", grid=True, trials=True
+        "verify", cmd_verify, "run exact property checks over a grid", grid=(2, 4), trials=True
     )
     p.add_argument(
         "--checks",
@@ -721,7 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command("export", cmd_export, "write a JSON artifact", formats=("json",))
     p.add_argument("--what", choices=tuple(EXPORT_FAMILIES), default="basis")
     p.add_argument(
-        "--family", choices=("S", "Q", "P"), default="S",
+        "--family", choices=EXPORT_FAMILIES["basis"], default="S",  # every family
         help="dofs of Q list (r+1)^n functionals, at most 10^6",
     )
     source = p.add_mutually_exclusive_group()
@@ -740,18 +733,16 @@ def _resolve_range(
     parser: argparse.ArgumentParser,
     single: int | None,
     maximum: int | None,
-    default: tuple[int, ...],
+    default_max: int,
     cap: int,
     label: str,
 ) -> tuple[int, ...]:
-    if single is not None and maximum is not None:
-        values: tuple[int, ...] = tuple(range(single, maximum + 1))
-    elif single is not None:
+    if single is None:
+        values = tuple(range(1, (default_max if maximum is None else maximum) + 1))
+    elif maximum is None:
         values = (single,)
-    elif maximum is not None:
-        values = tuple(range(1, maximum + 1))
     else:
-        values = default
+        values = tuple(range(single, maximum + 1))
     if not values:
         parser.error(f"empty {label} range")
     for v in values:
@@ -764,20 +755,12 @@ def _config_from_args(parser: argparse.ArgumentParser, args: Namespace) -> None:
     """Validate the parsed arguments in place: add n_values and r_values,
     and parse --checks and --alpha."""
     command = args.command
-    grid_defaults = {
-        "table1": (tuple(range(1, 6)), tuple(range(1, 9))),
-        "dims": (tuple(range(1, 6)), tuple(range(1, 9))),
-        "verify": (tuple(range(1, 3)), tuple(range(1, 5))),
-    }
-    if command in grid_defaults:
-        n_default, r_default = grid_defaults[command]
-    else:
-        if args.n is None or args.r is None:
-            parser.error(f"{command} requires --n and --r")
-        n_default = r_default = ()
-    args.n_values = _resolve_range(parser, args.n, args.n_max, n_default, HARD_MAX_N, "n")
-    args.r_values = _resolve_range(parser, args.r, args.r_max, r_default, HARD_MAX_R, "r")
-    if command not in grid_defaults and len(args.n_values) * len(args.r_values) > 1:
+    if args.grid is None and (args.n is None or args.r is None):
+        parser.error(f"{command} requires --n and --r")
+    n_max, r_max = args.grid or (args.n, args.r)  # a one-cell command has both given
+    args.n_values = _resolve_range(parser, args.n, args.n_max, n_max, HARD_MAX_N, "n")
+    args.r_values = _resolve_range(parser, args.r, args.r_max, r_max, HARD_MAX_R, "r")
+    if args.grid is None and len(args.n_values) * len(args.r_values) > 1:
         parser.error(f"{command} takes one n and one r, not a range")
 
     if command == "verify":
@@ -808,12 +791,14 @@ def _config_from_args(parser: argparse.ArgumentParser, args: Namespace) -> None:
         if len(args.alpha) != args.n or any(a < 0 for a in args.alpha):
             parser.error("--alpha needs one non-negative exponent per variable")
 
-    if (command == "dofs" and args.fmt != "csv") or (command == "export" and args.what == "dofs"):
-        count = (dim_Q if args.family == "Q" else dim_S_formula)(args.n, args.r)
-        if count > MAX_DOF_FUNCTIONALS:
+    listing = LISTINGS.get(args.what if command == "export" else command)
+    if listing is not None and (command, args.fmt) != ("dofs", "csv"):  # csv: the layout alone
+        count = LISTED_COUNT[args.family](args.n, args.r)
+        if count > MAX_LISTED:
+            name, items = listing
             parser.error(
-                f"the {args.family} DOF listing would build {count} functionals, "
-                f"more than the cap of {MAX_DOF_FUNCTIONALS}"
+                f"the {args.family} {name} listing would build {count} {items}, "
+                f"more than the cap of {MAX_LISTED}"
             )
 
     if command == "export" and args.what == "evalgrid":

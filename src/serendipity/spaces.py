@@ -66,8 +66,8 @@ class SpaceBasis(Record):
     def __post_init__(self) -> None:
         if self.family not in ("P", "Q", "S"):
             raise ValueError(f"unknown family {self.family!r}")
-        keys = [grlex_key(m) for m in self.monomials]
-        if keys != sorted(keys) or len(set(keys)) != len(keys):
+        # strictly increasing keys are sorted and distinct, in one pass
+        if any(a >= b for a, b in itertools.pairwise(map(grlex_key, self.monomials))):
             raise ValueError("basis monomials must be distinct and sorted")
 
     @property

@@ -133,36 +133,55 @@ class TestDofsCommand:
         code, out = run_cli(capsys, "dofs", "--n", "2", "--r", "2")
         assert out.count("dof ") == dim_S_formula(2, 2)
 
-    @pytest.mark.parametrize("r, accepted", [(9, True), (10, False)])
+    @pytest.mark.parametrize("r, accepted", [(9, True), (10, False), (12, False)])
     @pytest.mark.parametrize(
-        "argv", [["dofs"], ["dofs", "--format", "json"], ["export", "--what", "dofs"]]
+        "argv",
+        [["dofs"], ["dofs", "--format", "json"], ["export", "--what", "dofs"],
+         ["basis"], ["basis", "--format", "csv"], ["basis", "--format", "json"],
+         ["export", "--what", "basis"]],
     )
     def test_q_listing_cap_counts_every_functional(self, monkeypatch, argv, r, accepted):
         # parsed and validated only: (r + 1)^6 is exactly 10^6 at r = 9
         monkeypatch.setattr(cli, "dofs_Q", None)
+        monkeypatch.setattr(cli, "basis_Q", None)
         args = cli.build_parser().parse_args([*argv, "--family", "Q", "--n", "6", "--r", str(r)])
-        assert ((r + 1) ** 6 <= cli.MAX_DOF_FUNCTIONALS) == accepted
+        assert ((r + 1) ** 6 <= cli.MAX_LISTED) == accepted
         if accepted:
             cli._config_from_args(args.command_parser, args)
         else:
             with pytest.raises(SystemExit):
                 cli._config_from_args(args.command_parser, args)
 
-    @pytest.mark.parametrize("command", ["dofs", "export"])
-    def test_q_listing_above_the_cap_is_usage_error(self, capsys, monkeypatch, command):
-        # rejected before any DOF is built
+    @pytest.mark.parametrize(
+        "argv, r, listing",
+        [
+            pytest.param(argv, r, listing, id=name if r == 12 else f"{name}-{r}")
+            for name, argv, listing in (
+                ("dofs", ["dofs"], "DOF listing would build {} functionals"),
+                ("export", ["export", "--what", "dofs"], "DOF listing would build {} functionals"),
+                ("basis-text", ["basis"], "basis listing would build {} monomials"),
+                ("basis-csv", ["basis", "--format", "csv"], "basis listing would build {} monomials"),
+                ("basis-json", ["basis", "--format", "json"], "basis listing would build {} monomials"),
+                ("export-basis", ["export", "--what", "basis"], "basis listing would build {} monomials"),
+            )
+            for r in (12, 10)
+        ],
+    )
+    def test_q_listing_above_the_cap_is_usage_error(self, capsys, monkeypatch, argv, r, listing):
+        # rejected before any DOF or monomial is built
         monkeypatch.setattr(cli, "dofs_Q", None)
-        argv = [command] + (["--what", "dofs"] if command == "export" else [])
+        monkeypatch.setattr(cli, "basis_Q", None)
         with pytest.raises(SystemExit) as err:
-            main([*argv, "--family", "Q", "--n", "6", "--r", "12"])
+            main([*argv, "--family", "Q", "--n", "6", "--r", str(r)])
         assert err.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
+        command = argv[0]
         assert captured.err.startswith(f"usage: serendipity {command} ")
         errors = [line for line in captured.err.splitlines() if "error:" in line]
         assert errors == [
-            f"serendipity {command}: error: the Q DOF listing would build {13**6} "
-            "functionals, more than the cap of 1000000"
+            f"serendipity {command}: error: the Q {listing.format((r + 1) ** 6)}, "
+            "more than the cap of 1000000"
         ]
 
     def test_csv_layout_is_not_capped(self, capsys, monkeypatch):
@@ -895,6 +914,20 @@ class TestFloatRow:
     def test_matches_the_json_encoder_at_depth_2(self, row):
         expected = json.dumps(row, indent=2).replace("\n", "\n    ")
         assert cli._float_row(row) == expected
+
+
+class TestJsonList:
+    """A list of item texts is written as ``json.dumps(value, indent=2)``
+    indented to its depth."""
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    @pytest.mark.parametrize(
+        "value",
+        [[], [7], [0, -3, 10**30], [1.5, float("nan"), float("inf"), float("-inf"), -0.0]],
+    )
+    def test_matches_json_dumps_at_every_depth(self, value, level):
+        expected = json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)
+        assert cli._json_list([json.dumps(v) for v in value], level) == expected
 
 
 class TestVerifyFailures:

@@ -2,10 +2,11 @@
 
     python tools/cli_sweep.py PARENT_ROOT CHANGE_ROOT
 
-Runs a fixed list of invocations as ``python -m serendipity.cli ...``
-with each tree's ``src/`` on ``PYTHONPATH``, each in a fresh interpreter
-(two at a time), and compares stdout (by its SHA-256), stderr and exit
-code.  The list
+Byte-compiles each tree's ``src/`` with ``compileall`` first, so that
+no child's time includes compiling, then runs a fixed list of
+invocations as ``python -m serendipity.cli ...`` with each tree's
+``src/`` on ``PYTHONPATH``, each in a fresh interpreter (two at a time),
+and compares stdout (by its SHA-256), stderr and exit code.  The list
 covers every command and format over n <= 3, r <= 5; every export
 artifact and family; the nodal, decomposition and evalgrid exports at
 (3, 6) and (3, 8), the evalgrid export also at its default 11 points per
@@ -42,7 +43,10 @@ JSON and as text over the same cells; the S basis, which
 is read off the element's (face, weight) index, as JSON at (4, 12),
 (5, 12) and (6, 12) and as text at (6, 12), and the Q basis at (4, 12)
 and the P basis at (6, 12) as JSON, whose monomial rows are written
-as text as the S basis's are; the Q DOF
+as text as the S basis's are; the Q basis as JSON at (6, 9), its
+(r+1)^n exactly the listing cap of 10^6 monomials, and at (6, 10), as
+``basis`` and as ``export --what basis``, one past it (which trees
+without a basis cap write out); the Q DOF
 layout as csv at (5, 12), which no functional cap bounds, and the Q DOF
 listing as JSON at (4, 12), whose 28,561 streamed functionals reuse
 each face's text;
@@ -69,6 +73,7 @@ shows there), and exits 1 if any invocation differs.
 from __future__ import annotations
 
 import argparse
+import compileall
 import hashlib
 import json
 import os
@@ -156,6 +161,9 @@ def invocations(inputs: Path) -> list[list[str]]:
     runs += [["basis", *cell(n, 12), "--format", "json"] for n in (4, 5, 6)]
     runs.append(["basis", *cell(6, 12)])
     runs += [["basis", *cell(n, 12), "--family", f, "--format", "json"] for n, f in ((4, "Q"), (6, "P"))]
+    # the Q basis at its listing cap of 10^6 monomials, and one past it
+    runs += [["basis", *cell(6, r), "--family", "Q", "--format", "json"] for r in (9, 10)]
+    runs.append(["export", "--what", "basis", *cell(6, 10), "--family", "Q"])
     # the Q layout alone, which no functional cap bounds
     runs.append(["dofs", *cell(5, 12), "--family", "Q", "--format", "csv"])
     runs.append(["dofs", *cell(4, 12), "--family", "Q", "--format", "json"])
@@ -281,6 +289,8 @@ def main(argv: list[str] | None = None) -> int:
     for root in roots:
         if not (root / "src" / "serendipity" / "cli.py").is_file():
             parser.error(f"{root} has no src/serendipity/cli.py")
+    for root in roots:
+        compileall.compile_dir(root / "src", quiet=1)
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         inputs = workdir / "inputs"
@@ -307,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
                 if "stderr" in fields:
                     print(f"  stderr {before[1]!r} -> {after[1]!r}")
         parent_s, change_s = (sum(outcome[3] for outcome in outcomes[k::2]) for k in (0, 1))
-        print(f"{len(runs)} invocations, {differ} differ; "
+        print(f"{len(runs)} invocations, {differ} differ; both trees' src/ byte-compiled; "
               f"child wall time parent {parent_s:.1f} s, change {change_s:.1f} s")
     return 1 if differ else 0
 
